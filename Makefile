@@ -70,7 +70,7 @@ chaos-smoke:
 # already runs this once; the focused -count=1 re-run keeps a cached
 # pass from masking a regression.
 serve-smoke:
-	$(GO) test -race -count=1 -run 'TestServeSmoke|TestMctloadEndToEnd' -timeout 300s ./cmd/mctd ./cmd/mctload
+	$(GO) test -race -count=1 -run 'TestServeSmoke|TestMctloadEndToEnd|TestEndpointGolden' -timeout 300s ./cmd/mctd ./cmd/mctload ./internal/service
 
 # Observability smoke: boot mctd, drive exactly 200 classify requests
 # through the load generator, scrape /metrics?format=prometheus, and
