@@ -66,7 +66,10 @@ chaos-smoke:
 # requests in flight against a 512-slot admission gate, verify the
 # overflow bounces with 429 while memory stays bounded, run mctload
 # against the live daemon, then SIGTERM and assert a clean drain with
-# zero leaked goroutines — all under the race detector. `make race`
+# zero leaked goroutines, and replay the endpoint golden corpus
+# (internal/service/testdata/golden: status, Content-Type and body bytes
+# of every endpoint's spec and upload paths and main rejections) — all
+# under the race detector. `make race`
 # already runs this once; the focused -count=1 re-run keeps a cached
 # pass from masking a regression.
 serve-smoke:

@@ -1,6 +1,6 @@
 // Command mctd is the networked simulation service: it serves the MCT
 // classifier and the experiment sweeps over HTTP with bounded admission,
-// request batching, NDJSON result streaming, on-disk memoization shared
+// supervised execution, NDJSON result streaming, on-disk memoization shared
 // with cmd/paperbench, and graceful drain on SIGTERM/SIGINT.
 //
 //	mctd -listen :8047
@@ -79,9 +79,6 @@ func mctdMain(args []string, stdout, stderr io.Writer, ready chan<- string) int 
 		waiters   = fs.Int("waiters", -1, "max requests briefly queued for a slot (-1 = same as capacity, 0 = none)")
 		perClient = fs.Int("per-client", 0, "max in-flight requests per client (0 = no per-client cap)")
 		admitWait = fs.Duration("admit-wait", 100*time.Millisecond, "how long a queued request may wait for a slot")
-
-		batchSize = fs.Int("batch", 8, "classify batch size")
-		batchWait = fs.Duration("batch-wait", 2*time.Millisecond, "how long a batch waits for company")
 
 		cacheDir = fs.String("cachedir", runner.DefaultCacheDir, "on-disk result cache directory (shared with paperbench)")
 		noCache  = fs.Bool("nocache", false, "disable the result cache")
@@ -210,8 +207,6 @@ func mctdMain(args []string, stdout, stderr io.Writer, ready chan<- string) int 
 		MaxWaiters:      maxWaiters,
 		PerClient:       *perClient,
 		AdmitWait:       *admitWait,
-		BatchSize:       *batchSize,
-		BatchWait:       *batchWait,
 		CacheDir:        *cacheDir,
 		NoCache:         *noCache,
 		CheckpointDir:   *ckptDir,
@@ -223,13 +218,13 @@ func mctdMain(args []string, stdout, stderr io.Writer, ready chan<- string) int 
 			MaxSampledSet: *tenantSet,
 			Window:        *tenantWindow,
 		},
-		TaskTimeout:     *taskTimeout,
-		Retries:         *retries,
-		TraceSpans:      *traceSpans,
-		JournalDir:      *journalDir,
-		Fsync:           fsync,
-		Brownout:        service.BrownoutConfig{Enabled: *brownoutOn},
-		Logf:            func(format string, a ...any) { fmt.Fprintf(log, format+"\n", a...) },
+		TaskTimeout: *taskTimeout,
+		Retries:     *retries,
+		TraceSpans:  *traceSpans,
+		JournalDir:  *journalDir,
+		Fsync:       fsync,
+		Brownout:    service.BrownoutConfig{Enabled: *brownoutOn},
+		Logf:        func(format string, a ...any) { fmt.Fprintf(log, format+"\n", a...) },
 	})
 	if c := svc.Cache(); c != nil {
 		// The callback writes through the serialized writer; each log
@@ -322,7 +317,7 @@ func mctdMain(args []string, stdout, stderr io.Writer, ready chan<- string) int 
 
 	// Graceful drain: shut the admission gate first (healthz flips to 503
 	// and new work bounces), then let in-flight HTTP requests finish, then
-	// wait for the service to report idle and stop the batcher.
+	// wait for the service to report idle and stop its background work.
 	svc.StartDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()

@@ -51,7 +51,6 @@ func TestServeSmoke(t *testing.T) {
 			"-listen", "127.0.0.1:0",
 			"-capacity", fmt.Sprint(capacity),
 			"-waiters", "0",
-			"-batch-wait", "1ms",
 			"-cachedir", t.TempDir() + "/cache",
 			"-checkpointdir", t.TempDir() + "/ckpt",
 			"-journaldir", t.TempDir() + "/jobs",
@@ -222,7 +221,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Errorf("missing clean-drain log:\n%s", logBuf.String())
 	}
 
-	// No goroutine leaks: the fleet, the server, the batcher, and the
+	// No goroutine leaks: the fleet, the server, the brownout ticker, and the
 	// signal handler must all be gone once mctdMain returns.
 	client.CloseIdleConnections()
 	settle := time.Now().Add(10 * time.Second)

@@ -21,7 +21,7 @@ import (
 // miss — then confirm cold and warm responses are byte-identical on
 // both the upload and spec paths.
 func TestMRCSmoke(t *testing.T) {
-	base, shutdown := bootMctd(t, "-batch-wait", "1ms")
+	base, shutdown := bootMctd(t)
 	defer shutdown()
 
 	client := &http.Client{}

@@ -95,9 +95,35 @@ func (e *NDJSONExporter) Close() error {
 // memory leak.
 type Ring struct {
 	mu   sync.Mutex
-	recs []SpanRecord
+	recs []ringRec
 	next int
 	full bool
+}
+
+// ringRec is a record as the ring holds it: the attributes as a slice
+// instead of the record's map, which is rebuilt on read. A small map
+// costs several times the slice, and a ring holds thousands of records
+// for its whole life, so the map form would dominate the service's
+// resident heap.
+type ringRec struct {
+	rec   SpanRecord // Attrs always nil
+	attrs []ringAttr
+}
+
+type ringAttr struct {
+	key string
+	val any
+}
+
+func (rr ringRec) record() SpanRecord {
+	rec := rr.rec
+	if len(rr.attrs) > 0 {
+		rec.Attrs = make(map[string]any, len(rr.attrs))
+		for _, a := range rr.attrs {
+			rec.Attrs[a.key] = a.val
+		}
+	}
+	return rec
 }
 
 // NewRing builds a ring holding up to capacity spans (minimum 1).
@@ -105,14 +131,22 @@ func NewRing(capacity int) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring{recs: make([]SpanRecord, capacity)}
+	return &Ring{recs: make([]ringRec, capacity)}
 }
 
 // ExportSpan implements Exporter.
 func (r *Ring) ExportSpan(rec SpanRecord) {
+	rr := ringRec{rec: rec}
+	if len(rec.Attrs) > 0 {
+		rr.attrs = make([]ringAttr, 0, len(rec.Attrs))
+		for k, v := range rec.Attrs {
+			rr.attrs = append(rr.attrs, ringAttr{k, v})
+		}
+		rr.rec.Attrs = nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.recs[r.next] = rec
+	r.recs[r.next] = rr
 	r.next++
 	if r.next == len(r.recs) {
 		r.next = 0
@@ -121,11 +155,11 @@ func (r *Ring) ExportSpan(rec SpanRecord) {
 }
 
 // snapshotLocked returns the live records oldest-first. Caller holds mu.
-func (r *Ring) snapshotLocked() []SpanRecord {
+func (r *Ring) snapshotLocked() []ringRec {
 	if !r.full {
 		return r.recs[:r.next]
 	}
-	out := make([]SpanRecord, 0, len(r.recs))
+	out := make([]ringRec, 0, len(r.recs))
 	out = append(out, r.recs[r.next:]...)
 	out = append(out, r.recs[:r.next]...)
 	return out
@@ -147,9 +181,9 @@ func (r *Ring) ByTrace(trace string) []SpanRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []SpanRecord
-	for _, rec := range r.snapshotLocked() {
-		if rec.Trace == trace {
-			out = append(out, rec)
+	for _, rr := range r.snapshotLocked() {
+		if rr.rec.Trace == trace {
+			out = append(out, rr.record())
 		}
 	}
 	return out

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/url"
+	"strconv"
 	"strings"
 
 	"repro/internal/cache"
@@ -16,6 +18,11 @@ import (
 // ErrBadRequest marks a request the client got wrong (unknown workload,
 // invalid cache geometry, malformed body). statusFor maps it to 400.
 var ErrBadRequest = errors.New("service: invalid request")
+
+// classifySlug keys spec-path classifications in the memo cache,
+// sharing the cache (and, clustered, the hash ring) with MRC profiles
+// and sweep cells.
+const classifySlug = "svc-classify"
 
 // Emit modes for classify responses.
 const (
@@ -66,12 +73,6 @@ func (sp *ClassifySpec) normalize(upload bool, maxAccesses uint64) error {
 	if sp.SizeKB == 0 {
 		sp.SizeKB = 32
 	}
-	if sp.Assoc == 0 {
-		sp.Assoc = 2
-	}
-	if sp.LineSize == 0 {
-		sp.LineSize = 64
-	}
 	if sp.Emit == "" {
 		sp.Emit = EmitMisses
 	}
@@ -80,54 +81,147 @@ func (sp *ClassifySpec) normalize(upload bool, maxAccesses uint64) error {
 	default:
 		return fmt.Errorf("%w: emit %q (valid: %s, %s, %s)", ErrBadRequest, sp.Emit, EmitSummary, EmitMisses, EmitAll)
 	}
-	scheme, err := cache.ParseIndexScheme(sp.Index)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	if err := normalizeGeometry(&sp.Assoc, &sp.LineSize, sp.TagBits, &sp.Index); err != nil {
+		return err
 	}
-	// Canonicalize so equivalent spellings ("", "modulo"; "skew",
-	// "skewed") share one memoization-cache key.
-	sp.Index = scheme.String()
 	if err := sp.cacheConfig().Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if sp.TagBits < 0 {
-		return fmt.Errorf("%w: tag_bits must be >= 0", ErrBadRequest)
+	return normalizeSource(sp.Workload, &sp.Seed, &sp.Accesses, upload, maxAccesses)
+}
+
+func (sp *ClassifySpec) prepare(s *Service) error { return sp.normalize(false, s.cfg.MaxSpecAccesses) }
+
+// fromQuery maps an upload's query parameters onto the spec and
+// normalizes it for the upload path.
+func (sp *ClassifySpec) fromQuery(q url.Values) error {
+	if err := queryInts(q, queryInt{"size_kb", &sp.SizeKB}, queryInt{"assoc", &sp.Assoc},
+		queryInt{"line", &sp.LineSize}, queryInt{"tag_bits", &sp.TagBits}); err != nil {
+		return err
 	}
-	if upload {
-		if sp.Workload != "" {
-			return fmt.Errorf("%w: workload is meaningless with an uploaded trace", ErrBadRequest)
-		}
-		return nil
+	sp.Emit = q.Get("emit")
+	if err := queryIndex(q, &sp.Index, &sp.IndexSeed); err != nil {
+		return err
 	}
-	if sp.Seed == 0 {
-		sp.Seed = workload.DefaultSeed
-	}
-	if sp.Accesses == 0 {
-		sp.Accesses = 100_000
-	}
-	if maxAccesses != 0 && sp.Accesses > maxAccesses {
-		return fmt.Errorf("%w: accesses %d exceeds the service limit %d", ErrBadRequest, sp.Accesses, maxAccesses)
-	}
-	if _, ok := workload.ByName(sp.Workload); !ok {
-		return fmt.Errorf("%w: unknown workload %q (valid: %s)",
-			ErrBadRequest, sp.Workload, strings.Join(workload.Names(), ", "))
-	}
-	return nil
+	return sp.normalize(true, 0)
 }
 
 // cacheConfig maps the spec onto the simulator's cache geometry.
 func (sp ClassifySpec) cacheConfig() cache.Config {
-	// normalize validated Index; a bad spelling that skipped normalize
+	return cacheConfig(sp.SizeKB, sp.LineSize, sp.Assoc, sp.Index, sp.IndexSeed)
+}
+
+// stream is the classify kernel as a streamFunc (classification is
+// never metered, so charge is ignored).
+func (sp ClassifySpec) stream(ctx context.Context, src trace.BatchSource, emit func(v any) error, _ func(uint64) error) (stats, error) {
+	return runClassify(ctx, sp, src, emit)
+}
+
+// normalizeGeometry fills the geometry defaults every spec kind shares
+// and canonicalizes the index scheme, so equivalent spellings ("",
+// "modulo"; "skew", "skewed") share one memoization-cache key.
+func normalizeGeometry(assoc, line *int, tagBits int, index *string) error {
+	if *assoc == 0 {
+		*assoc = 2
+	}
+	if *line == 0 {
+		*line = 64
+	}
+	scheme, err := cache.ParseIndexScheme(*index)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	*index = scheme.String()
+	if tagBits < 0 {
+		return fmt.Errorf("%w: tag_bits must be >= 0", ErrBadRequest)
+	}
+	return nil
+}
+
+// cacheConfig maps a spec's geometry onto one cache size.
+func cacheConfig(sizeKB, line, assoc int, index string, indexSeed uint64) cache.Config {
+	// normalize validated index; a bad spelling that skipped normalize
 	// falls back to modulo via the parse default.
-	scheme, _ := cache.ParseIndexScheme(sp.Index)
+	scheme, _ := cache.ParseIndexScheme(index)
 	return cache.Config{
 		Name:      "L1D",
-		Size:      sp.SizeKB * 1024,
-		LineSize:  sp.LineSize,
-		Assoc:     sp.Assoc,
+		Size:      sizeKB * 1024,
+		LineSize:  line,
+		Assoc:     assoc,
 		Indexing:  scheme,
-		IndexSeed: sp.IndexSeed,
+		IndexSeed: indexSeed,
 	}
+}
+
+// normalizeSource validates the access-stream half of a spec. An upload
+// names no workload — the body is the trace, bounded by the reader's
+// Limits — while the spec path gets the default seed and length, bounded
+// by the service limit.
+func normalizeSource(name string, seed, accesses *uint64, upload bool, maxAccesses uint64) error {
+	if upload {
+		if name != "" {
+			return fmt.Errorf("%w: workload is meaningless with an uploaded trace", ErrBadRequest)
+		}
+		return nil
+	}
+	if *seed == 0 {
+		*seed = workload.DefaultSeed
+	}
+	if *accesses == 0 {
+		*accesses = 100_000
+	}
+	if maxAccesses != 0 && *accesses > maxAccesses {
+		return fmt.Errorf("%w: accesses %d exceeds the service limit %d", ErrBadRequest, *accesses, maxAccesses)
+	}
+	if _, ok := workload.ByName(name); !ok {
+		return fmt.Errorf("%w: unknown workload %q (valid: %s)",
+			ErrBadRequest, name, strings.Join(workload.Names(), ", "))
+	}
+	return nil
+}
+
+// workloadStream builds the access stream a normalized spec names: the
+// workload's trace, memory operations only, truncated to accesses.
+func workloadStream(name string, seed, accesses uint64) trace.Stream {
+	b, ok := workload.ByName(name)
+	if !ok {
+		// normalize validated the name; reaching here is a bug.
+		panic(fmt.Sprintf("service: workload %q vanished after validation", name))
+	}
+	return trace.NewLimit(trace.NewMemOnly(b.Stream(seed)), accesses)
+}
+
+// queryInt binds one integer upload query parameter to a spec field.
+type queryInt struct {
+	name string
+	dst  *int
+}
+
+func queryInts(q url.Values, fields ...queryInt) error {
+	for _, f := range fields {
+		if v := q.Get(f.name); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				return fmt.Errorf("%w: query %s=%q is not an integer", ErrBadRequest, f.name, v)
+			}
+			*f.dst = n
+		}
+	}
+	return nil
+}
+
+// queryIndex binds the index scheme and its seed, which every upload
+// endpoint takes.
+func queryIndex(q url.Values, index *string, seed *uint64) error {
+	*index = q.Get("index")
+	if v := q.Get("index_seed"); v != "" {
+		n, err := strconv.ParseUint(v, 0, 64)
+		if err != nil {
+			return fmt.Errorf("%w: query index_seed=%q is not an unsigned integer", ErrBadRequest, v)
+		}
+		*seed = n
+	}
+	return nil
 }
 
 // accessLine is one NDJSON record of a classify response: the access, the
@@ -156,12 +250,6 @@ type ClassifySummary struct {
 	OverallAcc  float64 `json:"mct_overall_accuracy"`
 }
 
-// classifyStats counts a classification's work for job accounting.
-type classifyStats struct {
-	Records uint64 `json:"records"`
-	Emitted uint64 `json:"emitted"`
-}
-
 // runClassify plays every memory access of src through the classifying
 // cache and the oracle, one struct-of-arrays batch at a time, emitting
 // NDJSON records per the spec's emit mode through emit (one call per
@@ -173,8 +261,8 @@ type classifyStats struct {
 // trace.Reader's decode error, truncation, or limit violation): a failed
 // source aborts the run before the summary line, so a truncated or
 // over-limit upload never masquerades as a complete classification.
-func runClassify(ctx context.Context, spec ClassifySpec, src trace.BatchSource, emit func(v any) error) (classifyStats, error) {
-	var st classifyStats
+func runClassify(ctx context.Context, spec ClassifySpec, src trace.BatchSource, emit func(v any) error) (stats, error) {
+	var st stats
 	run, err := classify.NewRun(spec.cacheConfig(), spec.TagBits)
 	if err != nil {
 		return st, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -233,16 +321,4 @@ func runClassify(ctx context.Context, spec ClassifySpec, src trace.BatchSource, 
 	}
 	st.Emitted++
 	return st, nil
-}
-
-// specStream builds the access stream a normalized spec describes: the
-// named workload's trace, truncated to the requested access count,
-// memory operations only.
-func specStream(spec ClassifySpec) trace.Stream {
-	b, ok := workload.ByName(spec.Workload)
-	if !ok {
-		// normalize validated the name; reaching here is a bug.
-		panic(fmt.Sprintf("service: workload %q vanished after validation", spec.Workload))
-	}
-	return trace.NewLimit(trace.NewMemOnly(b.Stream(spec.Seed)), spec.Accesses)
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/trace"
 )
 
 // This file is the service side of the cluster subsystem: cell routing
@@ -58,7 +57,7 @@ func metaFrom(ctx context.Context) reqMeta {
 // function of (slug, payload), so every node forwarding the same cell
 // coalesces onto one remote computation regardless of which job asked.
 func cellIdemKey(slug, key string, m reqMeta) string {
-	if (slug == classifySlug || slug == mrcSlug) && m.idemKey != "" {
+	if endpointBySlug(slug) != nil && m.idemKey != "" {
 		return m.idemKey
 	}
 	return "cell-" + key[:32]
@@ -293,116 +292,53 @@ func (s *Service) remoteCell(ctx context.Context, owner, slug string, payload an
 	}
 }
 
-// cellOut is the owner-side result of one forwarded cell.
-type cellOut struct {
-	raw json.RawMessage
-	hit bool
-}
-
 // execCellLocal validates and executes one forwarded cell on this node,
 // through the same supervision, task labels, memoization, and compute
 // gate a locally-originated cell gets — fault injection, slow-task
 // logging, and retry policy treat a cell identically wherever it runs.
 // Never consults the ring (see the loop-freedom invariant above).
 func (s *Service) execCellLocal(ctx context.Context, creq cluster.CellRequest) (json.RawMessage, bool, error) {
-	var (
-		label   string
-		payload any
-		compute func(tctx context.Context) (json.RawMessage, error)
-	)
-	switch creq.Slug {
-	case classifySlug:
-		var spec ClassifySpec
-		if err := strictUnmarshal(creq.Payload, &spec); err != nil {
-			return nil, false, fmt.Errorf("%w: cell payload: %v", ErrBadRequest, err)
-		}
-		if err := spec.normalize(false, s.cfg.MaxSpecAccesses); err != nil {
-			return nil, false, err
-		}
-		label = "classify/" + spec.Workload
-		payload = spec
-		compute = func(tctx context.Context) (json.RawMessage, error) { return s.classifyRaw(tctx, spec) }
-	case mrcSlug:
-		var spec MRCSpec
-		if err := strictUnmarshal(creq.Payload, &spec); err != nil {
-			return nil, false, fmt.Errorf("%w: cell payload: %v", ErrBadRequest, err)
-		}
-		if err := spec.normalize(false, s.cfg.MaxSpecAccesses, s.cfg.Tenant.MaxSampledSet); err != nil {
-			return nil, false, err
-		}
-		label = "mrc/" + spec.Workload
-		payload = spec
-		compute = func(tctx context.Context) (json.RawMessage, error) { return s.mrcRaw(tctx, spec) }
-	default:
-		arts, err := experiments.Select([]string{creq.Slug})
-		if err != nil || len(arts) != 1 || arts[0].Slug != creq.Slug {
-			return nil, false, fmt.Errorf("%w: unknown cell slug %q", ErrBadRequest, creq.Slug)
-		}
-		var p experiments.Params
-		if err := strictUnmarshal(creq.Payload, &p); err != nil {
-			return nil, false, fmt.Errorf("%w: cell payload: %v", ErrBadRequest, err)
-		}
-		slug := creq.Slug
-		label = "sweep/" + slug
-		payload = p
-		compute = func(tctx context.Context) (json.RawMessage, error) { return s.experimentRaw(tctx, slug, p) }
-	}
-
-	jobCtx := runner.WithOptions(ctx, s.supervision()...)
-	slug := creq.Slug
-	tasks := []runner.Task[cellOut]{runner.NewTask(label, func(tctx context.Context) (cellOut, error) {
-		// The same flight key memoCell uses, so a forwarded execution
-		// coalesces with concurrent local demand for the cell instead of
-		// computing it a second time.
-		key, kerr := runner.Key(slug, payload)
-		if kerr != nil {
-			return cellOut{}, kerr
-		}
-		raw, hit, err := s.singleflightCell(tctx, slug+"\x00"+key, func() (json.RawMessage, bool, error) {
-			return runner.Memo(s.cache, slug, payload, s.gate(tctx, func() (json.RawMessage, error) {
-				if cerr := tctx.Err(); cerr != nil {
-					return nil, cerr
-				}
-				return compute(tctx)
-			}))
-		})
-		return cellOut{raw: raw, hit: hit}, err
-	})}
-	out, err := runner.Map(jobCtx, tasks)
+	c, err := s.forwardedCell(creq)
 	if err != nil {
 		return nil, false, err
 	}
-	return out[0].raw, out[0].hit, nil
+	return s.superviseCell(ctx, c, s.ownCell)
 }
 
-// strictUnmarshal decodes JSON rejecting unknown fields, the same
-// strictness the public handlers apply.
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
-// classifyRaw computes one spec-path classification and returns the
-// marshaled classifyArtifact — the exact bytes runner.Memo would have
-// stored, so the local path, the forwarded path, and the cache agree
-// byte for byte.
-func (s *Service) classifyRaw(ctx context.Context, spec ClassifySpec) (json.RawMessage, error) {
-	var buf bytes.Buffer
-	st, err := runClassify(ctx, spec, trace.NewStreamBatcher(specStream(spec)), func(v any) error {
-		enc, merr := json.Marshal(v)
-		if merr != nil {
-			return fmt.Errorf("service: encoding result line: %w", merr)
+// forwardedCell rebuilds the cell a peer sent: a single-cell endpoint's
+// spec (looked up by its memo slug), or one sweep experiment at the
+// given parameters. Payloads decode as strictly as request bodies.
+func (s *Service) forwardedCell(creq cluster.CellRequest) (cell, error) {
+	if ep := endpointBySlug(creq.Slug); ep != nil {
+		sp := ep.newSpec()
+		if err := s.decodeSpec(bytes.NewReader(creq.Payload), sp); err != nil {
+			return cell{}, err
 		}
-		buf.Write(enc)
-		buf.WriteByte('\n')
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		return ep.cell(s, sp), nil
 	}
-	s.records.Add(st.Records)
-	return json.Marshal(classifyArtifact{Body: buf.Bytes(), Stats: st, Summary: true})
+	arts, err := experiments.Select([]string{creq.Slug})
+	if err != nil || len(arts) != 1 || arts[0].Slug != creq.Slug {
+		return cell{}, fmt.Errorf("%w: unknown cell slug %q", ErrBadRequest, creq.Slug)
+	}
+	var p experiments.Params
+	if err := decodeStrict(bytes.NewReader(creq.Payload), &p); err != nil {
+		return cell{}, fmt.Errorf("%w: cell payload: %v", ErrBadRequest, err)
+	}
+	return s.experimentCell(creq.Slug, creq.Slug, p), nil
+}
+
+// ownCell computes (or replays) a forwarded cell here: the memo cache
+// behind the compute gate, under the same flight key memoCell uses, so a
+// forwarded execution coalesces with concurrent local demand for the
+// cell instead of computing it a second time.
+func (s *Service) ownCell(ctx context.Context, c cell) (json.RawMessage, bool, error) {
+	key, err := runner.Key(c.slug, c.payload)
+	if err != nil {
+		return nil, false, err
+	}
+	return s.singleflightCell(ctx, c.slug+"\x00"+key, func() (json.RawMessage, bool, error) {
+		return runner.Memo(s.cache, c.slug, c.payload, s.gate(ctx, func() (json.RawMessage, error) { return c.compute(ctx) }))
+	})
 }
 
 // experimentRaw computes one experiment cell and returns its marshaled
@@ -452,9 +388,7 @@ func (s *Service) handleClusterCell(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	var creq cluster.CellRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&creq); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), &creq); err != nil {
 		writeErr(w, fmt.Errorf("%w: decoding cell: %v", ErrBadRequest, err))
 		return
 	}

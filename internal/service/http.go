@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -30,9 +30,9 @@ import (
 //	                    ?format=prometheus for the text exposition
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/classify", s.idempotent(s.handleClassify))
-	mux.HandleFunc("POST /v1/sweep", s.idempotent(s.handleSweep))
-	mux.HandleFunc("POST /v1/mrc", s.idempotent(s.handleMRC))
+	for _, ep := range endpoints {
+		mux.HandleFunc("POST /v1/"+ep.kind, s.idempotent(s.serve(ep)))
+	}
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/trace/{job}", s.handleTrace)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -99,12 +99,12 @@ func writeErr(w http.ResponseWriter, err error) { writeErrJob(w, err, "") }
 //
 // Error responses never keep the connection alive. Most of them go out
 // before the request body has been read to EOF, and with full duplex
-// enabled (handleClassify) the server's post-handler body drain fires
-// the deferred background-read hook right before the keep-alive peek —
-// a connection-killing panic inside net/http (Go 1.24). Closing instead
-// mirrors what the server does for undrained bodies without full
-// duplex, and every caller here is an error or shed path where the
-// client re-dialing is acceptable.
+// enabled (endpoints that take uploads) the server's post-handler body
+// drain fires the deferred background-read hook right before the
+// keep-alive peek — a connection-killing panic inside net/http (Go
+// 1.24). Closing instead mirrors what the server does for undrained
+// bodies without full duplex, and every caller here is an error or shed
+// path where the client re-dialing is acceptable.
 func writeErrJob(w http.ResponseWriter, err error, jobID string) {
 	status := statusFor(err)
 	w.Header().Set("Connection", "close")
@@ -133,11 +133,12 @@ func clientID(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// ndjsonWriter emits one JSON value per line and flushes each, so
-// clients see results as they exist rather than when the response
-// buffer fills.
+// ndjsonWriter emits one JSON value per line, flushing each when it
+// writes to a client, so clients see results as they exist rather than
+// when the response buffer fills. Over a bytes.Buffer it renders the
+// memoized body of a spec-path response.
 type ndjsonWriter struct {
-	w       http.ResponseWriter
+	w       io.Writer
 	f       http.Flusher
 	emitted uint64
 }
@@ -204,57 +205,6 @@ func (s *Service) finishJob(id string, err error, records, emitted, hits, misses
 	}
 }
 
-// handleClassify serves POST /v1/classify. A JSON body is a workload
-// spec, batched with its contemporaries and memoized; any other body is
-// a binary trace, streamed through the classifier under the service's
-// size limits and cancellation. Either way the response is NDJSON and
-// the job ID rides the X-Mct-Job header (never the body, which must be
-// byte-identical between cold and cache-warm runs).
-func (s *Service) handleClassify(w http.ResponseWriter, r *http.Request) {
-	// Full duplex from the start: without it, HTTP/1's response path
-	// synchronously drains any unread request body before the first
-	// response byte goes out — an admission rejection of a slow or
-	// withheld upload would block on the client instead of returning 429
-	// immediately. (HTTP/2 is duplex natively; ErrNotSupported is fine.)
-	_ = http.NewResponseController(w).EnableFullDuplex()
-
-	// Brownout gate before any real work: the upload path counts as
-	// streaming (shed first), the JSON-spec path sheds only at the
-	// low-priority level.
-	streaming := !strings.HasPrefix(r.Header.Get("Content-Type"), "application/json")
-	if s.shed(w, r, streaming) {
-		return
-	}
-
-	client := clientID(r)
-	id := s.jobs.NewID()
-	ctx, root := obs.Start(obs.Inject(r.Context(), s.ring, id), "http.classify")
-	root.Str("client", client)
-	defer root.End()
-	// Carry the caller's identity into the fan-out: forwarded cells
-	// propagate the job/trace ID, idempotency key, and priority (cluster.go).
-	ctx = withReqMeta(ctx, reqMeta{jobID: id, idemKey: r.Header.Get(IdemHeader), priority: r.Header.Get(PriorityHeader)})
-	r = r.WithContext(ctx)
-	defer func(t0 time.Time) { s.hClassif.ObserveDuration(time.Since(t0)) }(time.Now())
-
-	release, err := s.admit(r.Context(), client)
-	if err != nil {
-		root.Err(err)
-		writeErr(w, err)
-		return
-	}
-	defer release()
-
-	s.createJob(id, "classify", client, r.Header.Get(IdemHeader))
-	w.Header().Set("X-Mct-Job", id)
-
-	if !streaming {
-		s.classifySpecRequest(w, r, id)
-		return
-	}
-	s.classifyUploadRequest(w, r, id)
-}
-
 // admit runs the admission gate under a span and the admission-wait
 // histogram — time spent here is backpressure, visible whether the
 // request was accepted or rejected.
@@ -266,196 +216,6 @@ func (s *Service) admit(ctx context.Context, client string) (func(), error) {
 	sp.End()
 	s.hAdmit.ObserveDuration(time.Since(t0))
 	return release, err
-}
-
-// classifySpecRequest handles the JSON-spec flavor of /v1/classify.
-func (s *Service) classifySpecRequest(w http.ResponseWriter, r *http.Request, id string) {
-	var spec ClassifySpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		err = fmt.Errorf("%w: decoding spec: %v", ErrBadRequest, err)
-		s.finishJob(id, err, 0, 0, 0, 0)
-		writeErrJob(w, err, id)
-		return
-	}
-	if err := spec.normalize(false, s.cfg.MaxSpecAccesses); err != nil {
-		s.finishJob(id, err, 0, 0, 0, 0)
-		writeErrJob(w, err, id)
-		return
-	}
-
-	s.startJob(id, spec)
-	done, err := s.bat.submit(r.Context(), spec)
-	if err == nil {
-		select {
-		case res := <-done:
-			if res.err != nil {
-				err = res.err
-				break
-			}
-			var hits, misses uint64
-			if res.hit {
-				hits = 1
-			} else {
-				misses = 1
-			}
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			_, werr := w.Write(res.art.Body)
-			s.finishJob(id, werr, res.art.Stats.Records, res.art.Stats.Emitted, hits, misses)
-			return
-		case <-r.Context().Done():
-			err = r.Context().Err()
-		}
-	}
-	s.finishJob(id, err, 0, 0, 0, 0)
-	writeErrJob(w, err, id)
-}
-
-// classifyUploadRequest handles the binary-trace flavor of /v1/classify:
-// the body is an MCTR trace, classified as it is read — no buffering of
-// the upload, no memoization (the trace's content is unknown until it
-// has already been simulated). Cache geometry comes from query
-// parameters. Limit violations and malformed headers fail before any
-// response byte; mid-stream failures append a trailing error record.
-func (s *Service) classifyUploadRequest(w http.ResponseWriter, r *http.Request, id string) {
-	spec, err := specFromQuery(r)
-	if err == nil {
-		err = spec.normalize(true, 0)
-	}
-	if err != nil {
-		s.finishJob(id, err, 0, 0, 0, 0)
-		writeErrJob(w, err, id)
-		return
-	}
-
-	// No spec in the journal: the trace bytes live only in this request
-	// body, so this job is not re-drivable after a crash.
-	s.startJob(id, nil)
-	rd, err := trace.NewReaderContext(r.Context(), r.Body, s.cfg.Limits)
-	if err != nil {
-		if !errors.Is(err, trace.ErrTraceTooLarge) && !errors.Is(err, context.Canceled) {
-			err = fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		s.finishJob(id, err, 0, 0, 0, 0)
-		writeErrJob(w, err, id)
-		return
-	}
-
-	nw := newNDJSONWriter(w)
-	_, sp := obs.Start(r.Context(), "classify.upload")
-	st, err := runClassify(r.Context(), spec, rd, nw.emit)
-	sp.Int("records", int64(st.Records))
-	sp.Err(err)
-	sp.End()
-	if err != nil {
-		// The status line is long gone; the error becomes the last record
-		// and the job's failure state.
-		_ = nw.emit(errorBody{Error: err.Error(), Status: statusFor(err)})
-		s.finishJob(id, err, st.Records, nw.emitted, 0, 0)
-		return
-	}
-	s.records.Add(st.Records)
-	s.finishJob(id, nil, st.Records, nw.emitted, 0, 0)
-}
-
-// specFromQuery maps the upload path's query parameters onto a spec.
-func specFromQuery(r *http.Request) (ClassifySpec, error) {
-	var spec ClassifySpec
-	q := r.URL.Query()
-	for _, f := range []struct {
-		name string
-		dst  *int
-	}{
-		{"size_kb", &spec.SizeKB},
-		{"assoc", &spec.Assoc},
-		{"line", &spec.LineSize},
-		{"tag_bits", &spec.TagBits},
-	} {
-		if v := q.Get(f.name); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return spec, fmt.Errorf("%w: query %s=%q is not an integer", ErrBadRequest, f.name, v)
-			}
-			*f.dst = n
-		}
-	}
-	spec.Emit = q.Get("emit")
-	spec.Index = q.Get("index")
-	if v := q.Get("index_seed"); v != "" {
-		n, err := strconv.ParseUint(v, 0, 64)
-		if err != nil {
-			return spec, fmt.Errorf("%w: query index_seed=%q is not an unsigned integer", ErrBadRequest, v)
-		}
-		spec.IndexSeed = n
-	}
-	return spec, nil
-}
-
-// handleSweep serves POST /v1/sweep: validate the selection (shared with
-// cmd/paperbench), fan the artifacts through the supervised pool, and
-// stream one NDJSON record per artifact plus a summary. Failed cells
-// stream error records and surface in the job's failure list; they are
-// neither cached nor checkpointed, so resubmitting recomputes exactly
-// those.
-func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if s.shed(w, r, false) {
-		return
-	}
-	client := clientID(r)
-	id := s.jobs.NewID()
-	ctx, root := obs.Start(obs.Inject(r.Context(), s.ring, id), "http.sweep")
-	root.Str("client", client)
-	defer root.End()
-	ctx = withReqMeta(ctx, reqMeta{jobID: id, idemKey: r.Header.Get(IdemHeader), priority: r.Header.Get(PriorityHeader)})
-	r = r.WithContext(ctx)
-	defer func(t0 time.Time) { s.hSweep.ObserveDuration(time.Since(t0)) }(time.Now())
-
-	release, err := s.admit(r.Context(), client)
-	if err != nil {
-		root.Err(err)
-		writeErr(w, err)
-		return
-	}
-	defer release()
-
-	s.createJob(id, "sweep", client, r.Header.Get(IdemHeader))
-	w.Header().Set("X-Mct-Job", id)
-
-	var spec SweepSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		err = fmt.Errorf("%w: decoding spec: %v", ErrBadRequest, err)
-		s.finishJob(id, err, 0, 0, 0, 0)
-		writeErrJob(w, err, id)
-		return
-	}
-	p, arts, err := spec.normalize()
-	if err != nil {
-		s.finishJob(id, err, 0, 0, 0, 0)
-		writeErrJob(w, err, id)
-		return
-	}
-
-	s.startJob(id, spec)
-	lines, hits, misses, runErr := s.runSweep(r.Context(), p, arts, spec.Seeds)
-
-	nw := newNDJSONWriter(w)
-	ok := 0
-	for _, line := range lines {
-		if line.Error == "" {
-			ok++
-		}
-		if err := nw.emit(line); err != nil {
-			s.finishJob(id, err, uint64(len(lines)), nw.emitted, hits, misses)
-			return
-		}
-	}
-	_ = nw.emit(struct {
-		Summary sweepSummary `json:"summary"`
-	}{sweepSummary{Experiments: len(lines), OK: ok, Failed: len(lines) - ok}})
-	s.finishJob(id, runErr, uint64(len(lines)), nw.emitted, hits, misses)
 }
 
 // handleJob serves GET /v1/jobs/{id}.

@@ -320,35 +320,40 @@ func TestClassifyUploadStreams(t *testing.T) {
 	}
 }
 
-func TestClassifyUploadTooLarge(t *testing.T) {
+// TestUploadErrors is the upload-path rejection table, run against
+// every endpoint that takes a trace body: each failure happens before
+// the first response byte, so it gets a real status, and the job the
+// request allocated records the failure.
+func TestUploadErrors(t *testing.T) {
 	_, srv := newTestService(t, Config{Limits: trace.Limits{MaxRecords: 100}})
-	raw := buildTrace(t, 200) // header declares 200 > limit 100
-
-	resp, err := http.Post(srv.URL+"/v1/classify", "application/octet-stream", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", resp.StatusCode)
-	}
-	var job Job
-	decodeJob(t, srv.URL, resp.Header.Get("X-Mct-Job"), &job)
-	if job.State != JobFailed {
-		t.Errorf("job state = %s, want failed", job.State)
-	}
-}
-
-func TestClassifyUploadBadMagic(t *testing.T) {
-	_, srv := newTestService(t, Config{})
-	resp, err := http.Post(srv.URL+"/v1/classify", "application/octet-stream",
-		strings.NewReader("this is not a trace, not even close"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
+	small, large := buildTrace(t, 10), buildTrace(t, 200) // large declares 200 > limit 100
+	for _, path := range []string{"/v1/classify", "/v1/mrc"} {
+		for _, tc := range []struct {
+			name, query string
+			body        []byte
+			status      int
+		}{
+			{"bad-magic", "", []byte("this is not a trace, not even close"), http.StatusBadRequest},
+			{"over-limit", "", large, http.StatusRequestEntityTooLarge},
+			{"non-integer-query", "?assoc=two", small, http.StatusBadRequest},
+			{"bad-index-seed", "?index=random&index_seed=-1", small, http.StatusBadRequest},
+		} {
+			t.Run(strings.TrimPrefix(path, "/v1/")+"/"+tc.name, func(t *testing.T) {
+				resp, err := http.Post(srv.URL+path+tc.query, "application/octet-stream", bytes.NewReader(tc.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode != tc.status {
+					t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, readAll(t, resp.Body))
+				}
+				var job Job
+				decodeJob(t, srv.URL, resp.Header.Get("X-Mct-Job"), &job)
+				if job.State != JobFailed {
+					t.Errorf("job state = %s, want failed", job.State)
+				}
+			})
+		}
 	}
 }
 

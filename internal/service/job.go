@@ -17,8 +17,7 @@ import (
 type JobState string
 
 const (
-	// JobQueued: admitted, waiting for execution (in a classify batch or
-	// behind the worker pool).
+	// JobQueued: admitted, waiting for execution (behind the worker pool).
 	JobQueued JobState = "queued"
 	// JobRunning: executing.
 	JobRunning JobState = "running"
@@ -41,12 +40,12 @@ type Failure struct {
 	Error    string `json:"error"`
 }
 
-// Job is the service's unit of work: one classify or sweep request. The
+// Job is the service's unit of work: one classify, MRC or sweep request. The
 // struct is the JSON shape served by GET /v1/jobs/{id}; all fields are
 // snapshots guarded by the registry's lock.
 type Job struct {
 	ID     string   `json:"id"`
-	Kind   string   `json:"kind"` // "classify" | "sweep"
+	Kind   string   `json:"kind"` // "classify" | "sweep" | "mrc"
 	Client string   `json:"client"`
 	State  JobState `json:"state"`
 
@@ -132,13 +131,6 @@ func newJobs(maxJobs int) *jobs {
 // trace, but only admitted requests become registered jobs.
 func (js *jobs) NewID() string {
 	return fmt.Sprintf("%s-%06d", js.prefix, js.seq.Add(1))
-}
-
-// Create registers a new queued job and returns its ID.
-func (js *jobs) Create(kind, client string) string {
-	id := js.NewID()
-	js.CreateWithID(id, kind, client)
-	return id
 }
 
 // CreateWithID registers a new queued job under a pre-allocated ID.

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,7 +9,6 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/obs"
-	"repro/internal/runner"
 )
 
 // jobRecord is one journal entry. Three ops describe a job's life:
@@ -113,12 +113,13 @@ type RecoveryStats struct {
 }
 
 // Recover replays the job journal into the registry and re-drives every
-// unfinished job: sweeps re-enter runSweep (their finished cells replay
-// from the memo cache via the checkpoint, so only interrupted cells
-// recompute), spec classifies re-enter the batcher, and upload
-// classifies — whose request bodies were never retained — are marked
-// failed. Re-driven work runs in background goroutines that Drain waits
-// for. After replay the journal is compacted to the still-live records.
+// unfinished job: spec jobs re-run through their endpoint's row (a
+// sweep's finished cells replay from the memo cache via the checkpoint,
+// so only interrupted cells recompute; a classify or MRC spec resolves
+// as one supervised cell), and uploads — whose request bodies were never
+// retained — are marked failed. Re-driven work runs in background
+// goroutines that Drain waits for. After replay the journal is compacted
+// to the still-live records.
 //
 // Call once, after New and before serving traffic.
 func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
@@ -252,54 +253,25 @@ func (s *Service) redrive(ctx context.Context, id, kind string, rawSpec json.Raw
 		s.jobs.Start(id)
 		err := s.redriveOne(ctx, kind, rawSpec)
 		sp.Err(err)
-		state, errText := JobDone, ""
-		if err != nil {
-			state, errText = JobFailed, err.Error()
-		}
-		s.jobs.Finish(id, err, 0, 0, 0, 0)
-		s.jlog.finish(id, state, errText)
+		s.finishJob(id, err, 0, 0, 0, 0)
 		s.recovered.Add(1)
 	}()
 }
 
+// redriveOne re-runs one journaled spec through its endpoint's row —
+// the same decode, normalization and supervised execution a live
+// request gets, minus the response.
 func (s *Service) redriveOne(ctx context.Context, kind string, rawSpec json.RawMessage) error {
-	switch kind {
-	case "sweep":
-		var spec SweepSpec
-		if err := json.Unmarshal(rawSpec, &spec); err != nil {
-			return fmt.Errorf("service: journaled sweep spec: %w", err)
-		}
-		p, arts, err := spec.normalize()
-		if err != nil {
-			return err
-		}
-		_, _, _, err = s.runSweep(ctx, p, arts, spec.Seeds)
-		return err
-	case "classify":
-		var spec ClassifySpec
-		if err := json.Unmarshal(rawSpec, &spec); err != nil {
-			return fmt.Errorf("service: journaled classify spec: %w", err)
-		}
-		if err := spec.normalize(false, s.cfg.MaxSpecAccesses); err != nil {
-			return err
-		}
-		jobCtx := runner.WithOptions(ctx, s.supervision()...)
-		_, _, err := s.classifyMemo(jobCtx, spec)
-		return err
-	case "mrc":
-		var spec MRCSpec
-		if err := json.Unmarshal(rawSpec, &spec); err != nil {
-			return fmt.Errorf("service: journaled mrc spec: %w", err)
-		}
-		if err := spec.normalize(false, s.cfg.MaxSpecAccesses, s.cfg.Tenant.MaxSampledSet); err != nil {
-			return err
-		}
-		// mrcMemo applies the supervision options itself.
-		_, _, err := s.mrcMemo(ctx, spec)
-		return err
-	default:
+	ep := endpointByKind(kind)
+	if ep == nil {
 		return fmt.Errorf("service: journaled job has unknown kind %q", kind)
 	}
+	sp := ep.newSpec()
+	if err := s.decodeSpec(bytes.NewReader(rawSpec), sp); err != nil {
+		return err
+	}
+	_, err := ep.run(s, ctx, sp)
+	return err
 }
 
 // AwaitRecovery blocks until background re-driven jobs finish or ctx

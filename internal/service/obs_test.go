@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -98,7 +99,7 @@ func TestMetricNamingConvention(t *testing.T) {
 	}
 	for _, want := range []string{
 		"mct_classify_duration_seconds", "mct_sweep_duration_seconds",
-		"mct_admission_wait_seconds", "mct_classify_batch_size",
+		"mct_mrc_duration_seconds", "mct_admission_wait_seconds",
 	} {
 		if names[want] != obs.KindHistogram {
 			t.Errorf("histogram %q missing from registry", want)
@@ -106,11 +107,10 @@ func TestMetricNamingConvention(t *testing.T) {
 	}
 }
 
-func TestTraceEndpoint(t *testing.T) {
-	_, srv := newTestService(t, Config{})
-	id := classifyOnce(t, srv.URL)
-
-	resp, err := http.Get(srv.URL + "/v1/trace/" + id)
+// jobSpans fetches GET /v1/trace/{id} and returns the spans by name.
+func jobSpans(t *testing.T, base, id string) map[string][]obs.SpanRecord {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/trace/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestTraceEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	names := map[string]int{}
+	byName := map[string][]obs.SpanRecord{}
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		var rec obs.SpanRecord
@@ -131,12 +131,23 @@ func TestTraceEndpoint(t *testing.T) {
 		if rec.Trace != id {
 			t.Errorf("span trace = %q, want %q", rec.Trace, id)
 		}
-		names[rec.Name]++
+		byName[rec.Name] = append(byName[rec.Name], rec)
 	}
+	return byName
+}
+
+func TestTraceEndpoint(t *testing.T) {
+	_, srv := newTestService(t, Config{})
+	id := classifyOnce(t, srv.URL)
+
+	spans := jobSpans(t, srv.URL, id)
 	for _, want := range []string{"http.classify", "service.admit", "cache.lookup"} {
-		if names[want] == 0 {
-			t.Errorf("trace missing %q span; got %v", want, names)
+		if len(spans[want]) == 0 {
+			t.Errorf("trace missing %q span; got %v", want, spans)
 		}
+	}
+	if root := spans["http.classify"]; len(root) == 1 && root[0].Attrs["error"] != nil {
+		t.Errorf("successful request's root span carries error %v", root[0].Attrs["error"])
 	}
 
 	// Unknown jobs 404, mirroring /v1/jobs.
@@ -150,6 +161,58 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
+// TestTraceRootSpanRecordsFailures: a job that fails after its ID exists
+// — a spec rejected at decode/normalize, an upload whose trace breaks
+// mid-stream — shows the failure on its root span, so /v1/trace/{job}
+// answers why the job failed.
+func TestTraceRootSpanRecordsFailures(t *testing.T) {
+	_, srv := newTestService(t, Config{})
+	raw := buildTrace(t, 200)
+	truncated := raw[:len(raw)-100*recordStrideV1(t)] // header still declares 200 records
+	for _, tc := range []struct {
+		name, ctype, path string
+		body              []byte
+		status            int
+	}{
+		{"400 spec", "application/json", "/v1/classify", []byte(`{"workload":"no-such-workload"}`), http.StatusBadRequest},
+		{"400 mrc spec", "application/json", "/v1/mrc", []byte(`{"workload":"x","rate":7}`), http.StatusBadRequest},
+		{"400 sweep", "application/json", "/v1/sweep", []byte(`{"experiments":["fig99"]}`), http.StatusBadRequest},
+		{"truncated upload", "application/octet-stream", "/v1/classify?emit=summary", truncated, http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(srv.URL+tc.path, tc.ctype, bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			readAll(t, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d", resp.StatusCode, tc.status)
+			}
+			id := resp.Header.Get("X-Mct-Job")
+			var job Job
+			decodeJob(t, srv.URL, id, &job)
+			if job.State != JobFailed {
+				t.Fatalf("job state = %s, want failed", job.State)
+			}
+			rootName := "http." + strings.TrimPrefix(strings.SplitN(tc.path, "?", 2)[0], "/v1/")
+			root := jobSpans(t, srv.URL, id)[rootName]
+			if len(root) != 1 {
+				t.Fatalf("want one %s root span, got %v", rootName, root)
+			}
+			if got, _ := root[0].Attrs["error"].(string); got != job.Error {
+				t.Errorf("root span error = %q, want the job's error %q", got, job.Error)
+			}
+		})
+	}
+}
+
+// recordStrideV1 is the byte size of one v1 trace record.
+func recordStrideV1(t *testing.T) int {
+	t.Helper()
+	return len(buildTrace(t, 2)) - len(buildTrace(t, 1))
+}
+
 func TestExpvarHistogramDigestsAreFlat(t *testing.T) {
 	_, srv := newTestService(t, Config{})
 	classifyOnce(t, srv.URL)
@@ -158,9 +221,6 @@ func TestExpvarHistogramDigestsAreFlat(t *testing.T) {
 	m := scrapeMetrics(t, srv.URL)
 	if m["classify_latency_count"] != 1 {
 		t.Errorf("classify_latency_count = %v, want 1", m["classify_latency_count"])
-	}
-	if m["batch_size_count"] != 1 {
-		t.Errorf("batch_size_count = %v, want 1", m["batch_size_count"])
 	}
 	if m["classify_latency_p50_ms"] < 0 {
 		t.Errorf("classify_latency_p50_ms = %v", m["classify_latency_p50_ms"])

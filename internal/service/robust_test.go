@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/faultinject"
 )
 
 // The service mirrors the client's idempotency header rather than
@@ -84,53 +85,86 @@ func drainT(t *testing.T, s *Service) {
 	}
 }
 
-// TestRecoverRedrivesUnfinishedSweep is the crash-recovery core: a
-// sweep whose start record has no finish is re-driven on boot, its
-// results land in the shared memo cache, and the client's retried
-// request replays byte-identically as pure cache hits.
-func TestRecoverRedrivesUnfinishedSweep(t *testing.T) {
-	dirs := newSharedDirs(t)
+// TestRecoverRedrivesUnfinishedJobs is the crash-recovery core: a spec
+// job whose start record has no finish is re-driven on boot under the
+// service's supervision, its result lands in the shared memo cache, and
+// the client's retried request replays as pure cache hits. A transient
+// fault injected into the job's first task attempt during recovery must
+// be retried away — which only happens if the re-drive runs as a
+// supervised runner task labelled <kind>/... like a live request.
+func TestRecoverRedrivesUnfinishedJobs(t *testing.T) {
+	w := anyWorkload(t)
+	for _, tc := range []struct {
+		kind string
+		spec any
+	}{
+		{"sweep", SweepSpec{Experiments: []string{"fig1"}, Quick: true}},
+		{"classify", ClassifySpec{Workload: w, Accesses: 4000, SizeKB: 8, Emit: EmitSummary}},
+		{"mrc", MRCSpec{Workload: w, Accesses: 4000, SizesKB: []int{8, 32}}},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			dirs := newSharedDirs(t)
 
-	// Simulate the pre-crash instance by journaling create+start with no
-	// finish — exactly what a SIGKILL mid-sweep leaves behind.
-	s0 := New(dirs.config())
-	spec := SweepSpec{Experiments: []string{"fig1"}, Quick: true}
-	id := s0.jobs.NewID()
-	s0.createJob(id, "sweep", "t", "idem-123")
-	s0.startJob(id, spec)
-	drainT(t, s0)
+			// Simulate the pre-crash instance by journaling create+start with
+			// no finish — exactly what a SIGKILL mid-job leaves behind.
+			s0 := New(dirs.config())
+			id := s0.jobs.NewID()
+			s0.createJob(id, tc.kind, "t", "idem-123")
+			s0.startJob(id, tc.spec)
+			drainT(t, s0)
 
-	s1, srv := newTestService(t, dirs.config())
-	st, err := s1.Recover(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Redriven != 1 {
-		t.Fatalf("recovery stats = %+v, want 1 redriven", st)
-	}
-	if err := s1.AwaitRecovery(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	job, ok := s1.jobs.Get(id)
-	if !ok || job.State != JobDone || !job.Recovered || job.IdemKey != "idem-123" {
-		t.Fatalf("re-driven job = %+v, %v", job, ok)
-	}
+			var mu sync.Mutex
+			attempts := map[int]int{} // attempt index -> tasks seen at it
+			fault := faultinject.ErrorOnce(tc.kind + "/")
+			restore := faultinject.Install(func(ctx context.Context, label string, attempt int) error {
+				if strings.HasPrefix(label, tc.kind+"/") {
+					mu.Lock()
+					attempts[attempt]++
+					mu.Unlock()
+				}
+				return fault(ctx, label, attempt)
+			})
+			s1, srv := newTestService(t, dirs.config())
+			st, err := s1.Recover(context.Background())
+			if err != nil {
+				restore()
+				t.Fatal(err)
+			}
+			err = s1.AwaitRecovery(context.Background())
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Redriven != 1 {
+				t.Fatalf("recovery stats = %+v, want 1 redriven", st)
+			}
+			job, ok := s1.jobs.Get(id)
+			if !ok || job.State != JobDone || !job.Recovered || job.IdemKey != "idem-123" {
+				t.Fatalf("re-driven job = %+v, %v", job, ok)
+			}
+			mu.Lock()
+			if attempts[0] == 0 || attempts[1] != attempts[0] {
+				t.Errorf("re-drive task attempts = %v; want every %s/ task failed once and retried (the re-drive is not supervised)", attempts, tc.kind)
+			}
+			mu.Unlock()
 
-	// The client's retry of the same sweep must be all cache hits.
-	h0, m0 := s1.cache.Stats()
-	body, _ := json.Marshal(spec)
-	resp := postJSON(t, srv.URL+"/v1/sweep", string(body))
-	out := readAll(t, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("retried sweep: status %d: %s", resp.StatusCode, out)
-	}
-	h1, m1 := s1.cache.Stats()
-	if m1 != m0 {
-		t.Fatalf("retried sweep recomputed: misses %d -> %d", m0, m1)
-	}
-	if h1 <= h0 {
-		t.Fatalf("retried sweep did not hit the cache: hits %d -> %d", h0, h1)
+			// The client's retry of the same spec must be all cache hits.
+			h0, m0 := s1.cache.Stats()
+			body, _ := json.Marshal(tc.spec)
+			resp := postJSON(t, srv.URL+"/v1/"+tc.kind, string(body))
+			out := readAll(t, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("retried %s: status %d: %s", tc.kind, resp.StatusCode, out)
+			}
+			h1, m1 := s1.cache.Stats()
+			if m1 != m0 {
+				t.Fatalf("retried %s recomputed: misses %d -> %d", tc.kind, m0, m1)
+			}
+			if h1 <= h0 {
+				t.Fatalf("retried %s did not hit the cache: hits %d -> %d", tc.kind, h0, h1)
+			}
+		})
 	}
 }
 
@@ -329,7 +363,7 @@ func (w *brokenPipeWriter) Write(p []byte) (int, error) {
 }
 
 // TestIdempotentTornStreamNotCommitted: a leader whose underlying write
-// fails mid-stream stops early (like handleSweep on emit failure) with
+// fails mid-stream stops early (like an upload on emit failure) with
 // the status already recorded as 200, but the recorded body is a torn
 // prefix. Committing it would replay the truncation to the retry as a
 // complete response; instead the key must abort and the retry execute

@@ -1,20 +1,20 @@
 // Package service is the networked front end of the simulator: a job
-// model with admission control, request batching into the runner's
-// supervised worker pool, NDJSON result streaming, on-disk memoization,
-// and graceful drain. cmd/mctd mounts it over HTTP; the package itself
-// is transport-light (handlers in http.go) and fully testable in
-// process.
+// model with admission control, supervised execution on the runner's
+// worker pool, NDJSON result streaming, on-disk memoization, and
+// graceful drain. cmd/mctd mounts it over HTTP; the package itself is
+// transport-light (one request pipeline in endpoint.go) and fully
+// testable in process.
 //
-// The request path is admission → batch → supervise → stream:
+// The request path is admission → supervise → stream:
 //
 //  1. admission bounds in-flight work (capacity, a small waiting room,
 //     per-client fairness) and rejects everything beyond with 429/503 —
 //     memory stays proportional to configuration, never to offered load;
-//  2. admitted classify specs coalesce into batches that execute as one
-//     supervised worker-pool fan-out; sweeps fan out per artifact;
-//  3. the runner layer supplies deadlines, retries, and partial-result
+//  2. each admitted classify or MRC spec resolves as one supervised
+//     runner task around the memo cache; sweeps fan out per artifact;
+//     the runner layer supplies deadlines, retries, and partial-result
 //     collection (job-scoped via runner.WithOptions, not global state);
-//  4. results stream back as NDJSON, byte-identical whether computed or
+//  3. results stream back as NDJSON, byte-identical whether computed or
 //     replayed from the memoization cache.
 package service
 
@@ -45,11 +45,6 @@ type Config struct {
 	MaxWaiters int
 	PerClient  int
 	AdmitWait  time.Duration
-
-	// BatchSize and BatchWait shape classify batching: a batch closes at
-	// BatchSize items or BatchWait after its first item.
-	BatchSize int
-	BatchWait time.Duration
 
 	// CacheDir roots the memoization cache (shared with cmd/paperbench);
 	// NoCache disables it. CheckpointDir roots sweep checkpoints.
@@ -130,12 +125,6 @@ func (c Config) withDefaults() Config {
 	if c.AdmitWait == 0 {
 		c.AdmitWait = 100 * time.Millisecond
 	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 8
-	}
-	if c.BatchWait == 0 {
-		c.BatchWait = 2 * time.Millisecond
-	}
 	if c.CacheDir == "" {
 		c.CacheDir = runner.DefaultCacheDir
 	}
@@ -161,14 +150,12 @@ func (c Config) withDefaults() Config {
 }
 
 // Service is one mctd instance: the admission gate, the job registry,
-// the classify batcher, the memoization cache, and the metrics they
-// feed.
+// the memoization cache, and the metrics they feed.
 type Service struct {
 	cfg   Config
 	adm   *admission
 	jobs  *jobs
 	cache *runner.Cache // nil with NoCache
-	bat   *batcher
 	logf  func(format string, args ...any)
 
 	// Cluster spine: the ring + forwarding layer (nil single-node) and
@@ -209,13 +196,10 @@ type Service struct {
 	// exposition), the span ring behind GET /v1/trace/{job}, and the
 	// request-path histograms. Per-instance, not process-global, so tests
 	// boot many services without colliding.
-	reg      *obs.Registry
-	ring     *obs.Ring
-	hAdmit   *obs.Histogram // seconds spent in the admission gate
-	hClassif *obs.Histogram // classify request duration, seconds
-	hSweep   *obs.Histogram // sweep request duration, seconds
-	hMRC     *obs.Histogram // mrc request duration, seconds
-	hBatch   *obs.Histogram // classify batch sizes
+	reg    *obs.Registry
+	ring   *obs.Ring
+	hAdmit *obs.Histogram            // seconds spent in the admission gate
+	hReq   map[string]*obs.Histogram // request duration by endpoint kind, seconds
 }
 
 // New builds a Service from cfg (zero fields defaulted). Callers own its
@@ -253,7 +237,6 @@ func New(cfg Config) *Service {
 	s.brown = newBrownout(s, cfg.Brownout)
 	s.ring = obs.NewRing(cfg.TraceSpans)
 	s.reg = s.buildRegistry()
-	s.bat = newBatcher(cfg.BatchSize, cfg.BatchWait, s.runBatch)
 	s.vars = s.buildVars()
 	s.brown.run()
 	return s
@@ -278,7 +261,7 @@ func (s *Service) StartDrain() { s.adm.StartDrain() }
 
 // Drain performs the full graceful shutdown: gate shut, wait for every
 // admitted request AND every recovery re-drive to finish (bounded by
-// ctx), then stop the batcher, the brownout ticker, and the journal.
+// ctx), then stop the brownout ticker, the cluster layer, and the journal.
 // After Drain returns nil the process holds no in-flight work.
 func (s *Service) Drain(ctx context.Context) error {
 	s.adm.StartDrain()
@@ -288,7 +271,6 @@ func (s *Service) Drain(ctx context.Context) error {
 	if err := s.AwaitRecovery(ctx); err != nil {
 		return fmt.Errorf("service: drain: recovery jobs: %w", err)
 	}
-	s.bat.stop()
 	s.brown.close()
 	s.cluster.Close()
 	if s.jlog != nil && s.jlog.j != nil {
@@ -411,14 +393,11 @@ func (s *Service) buildRegistry() *obs.Registry {
 		})
 	s.hAdmit = r.Histogram("mct_admission_wait_seconds",
 		"Time spent in the admission gate, accepted or rejected.", obs.LatencyBuckets)
-	s.hClassif = r.Histogram("mct_classify_duration_seconds",
-		"Classify request duration, admission to last byte.", obs.LatencyBuckets)
-	s.hSweep = r.Histogram("mct_sweep_duration_seconds",
-		"Sweep request duration, admission to last byte.", obs.LatencyBuckets)
-	s.hMRC = r.Histogram("mct_mrc_duration_seconds",
-		"MRC request duration, admission to last byte.", obs.LatencyBuckets)
-	s.hBatch = r.Histogram("mct_classify_batch_size",
-		"Classify requests coalesced per batch.", obs.SizeBuckets)
+	s.hReq = map[string]*obs.Histogram{}
+	for _, ep := range endpoints {
+		s.hReq[ep.kind] = r.Histogram("mct_"+ep.kind+"_duration_seconds",
+			ep.title+" request duration, admission to last byte.", obs.LatencyBuckets)
+	}
 	return r
 }
 
@@ -506,11 +485,9 @@ func (s *Service) buildVars() *expvar.Map {
 		gauge(prefix+"_p99_ms", func() any { return h.Quantile(0.99) * 1000 })
 	}
 	histDigest("admit_wait", s.hAdmit)
-	histDigest("classify_latency", s.hClassif)
-	histDigest("sweep_latency", s.hSweep)
-	histDigest("mrc_latency", s.hMRC)
-	gauge("batch_size_count", func() any { return s.hBatch.Count() })
-	gauge("batch_size_p50", func() any { return s.hBatch.Quantile(0.5) })
+	for kind, h := range s.hReq {
+		histDigest(kind+"_latency", h)
+	}
 	return m
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -11,7 +12,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -39,22 +39,26 @@ type SweepSpec struct {
 	// memoized and ring-routed. Empty keeps the one-cell-per-artifact
 	// behavior (and the exact pre-Seeds output bytes).
 	Seeds []uint64 `json:"seeds,omitempty"`
+
+	// Resolved by prepare: the run parameters and the selected artifacts.
+	params experiments.Params
+	arts   []experiments.Artifact
 }
 
-// normalize validates the selection and resolves the run parameters.
-func (sp *SweepSpec) normalize() (experiments.Params, []experiments.Artifact, error) {
+// prepare validates the selection and resolves the run parameters.
+func (sp *SweepSpec) prepare(*Service) error {
 	if len(sp.Experiments) == 0 {
 		sp.Experiments = []string{experiments.SelectAll}
 	}
 	if err := experiments.ValidateSelection(sp.Experiments); err != nil {
-		return experiments.Params{}, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	arts, err := experiments.Select(sp.Experiments)
 	if err != nil {
-		return experiments.Params{}, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if cells := len(arts) * max(1, len(sp.Seeds)); cells > maxSweepCells {
-		return experiments.Params{}, nil, fmt.Errorf("%w: sweep expands to %d cells (limit %d)", ErrBadRequest, cells, maxSweepCells)
+		return fmt.Errorf("%w: sweep expands to %d cells (limit %d)", ErrBadRequest, cells, maxSweepCells)
 	}
 	p := experiments.Default()
 	if sp.Quick {
@@ -69,7 +73,8 @@ func (sp *SweepSpec) normalize() (experiments.Params, []experiments.Artifact, er
 	if sp.Seed != 0 {
 		p.Seed = sp.Seed
 	}
-	return p, arts, nil
+	sp.params, sp.arts = p, arts
+	return nil
 }
 
 // sweepLine is one NDJSON record of a sweep response: the artifact's
@@ -89,12 +94,6 @@ type sweepSummary struct {
 	Experiments int `json:"experiments"`
 	OK          int `json:"ok"`
 	Failed      int `json:"failed"`
-}
-
-// sweepCell is one cell's outcome inside a sweep.
-type sweepCell struct {
-	raw json.RawMessage
-	hit bool
 }
 
 // sweepCellDef is one unit of sweep work: an artifact at concrete
@@ -189,28 +188,18 @@ func (s *Service) runSweep(ctx context.Context, p experiments.Params, arts []exp
 	}
 	jobCtx := runner.WithOptions(ctx, append(opts, runner.PartialResults())...)
 
-	tasks := make([]runner.Task[sweepCell], len(cells))
-	for i, cell := range cells {
-		cell := cell
-		tasks[i] = runner.NewTask("sweep/"+cell.id, func(tctx context.Context) (sweepCell, error) {
-			_, sp := obs.Start(tctx, "cache.lookup")
-			sp.Str("experiment", cell.id)
-			raw, hit, err := s.memoCell(tctx, cell.art.Slug, cell.p, func() (json.RawMessage, error) {
-				if cerr := tctx.Err(); cerr != nil {
-					return nil, cerr
-				}
-				return s.experimentRaw(tctx, cell.art.Slug, cell.p)
-			})
-			sp.Bool("hit", hit)
-			sp.Err(err)
-			sp.End()
+	tasks := make([]runner.Task[memoResult], len(cells))
+	for i, def := range cells {
+		c := s.experimentCell(def.id, def.art.Slug, def.p)
+		tasks[i] = runner.NewTask(c.label, func(tctx context.Context) (memoResult, error) {
+			raw, hit, err := s.lookupCell(tctx, c)
 			if err != nil {
-				return sweepCell{}, err
+				return memoResult{}, err
 			}
-			if key, kerr := runner.Key(cell.art.Slug, cell.p); kerr == nil {
-				_ = ckpt.MarkDone(cell.id, key)
+			if key, kerr := runner.Key(c.slug, c.payload); kerr == nil {
+				_ = ckpt.MarkDone(def.id, key)
 			}
-			return sweepCell{raw: raw, hit: hit}, nil
+			return memoResult{raw, hit}, nil
 		})
 	}
 	results, err := runner.Map(jobCtx, tasks)
@@ -255,4 +244,30 @@ func (s *Service) runSweep(ctx context.Context, p experiments.Params, arts []exp
 		_ = ckpt.Remove()
 	}
 	return lines, hits, misses, err
+}
+
+// sweep runs a normalized sweep and renders its NDJSON body: one record
+// per cell in cell order, then the summary. Failed cells are error
+// records, so a partially failed sweep still has a body; the error is
+// the pool's (a MultiError under partial results).
+func (s *Service) sweep(ctx context.Context, sp *SweepSpec) (outcome, error) {
+	lines, hits, misses, runErr := s.runSweep(ctx, sp.params, sp.arts, sp.Seeds)
+	var buf bytes.Buffer
+	nw := &ndjsonWriter{w: &buf}
+	ok := 0
+	for _, line := range lines {
+		if line.Error == "" {
+			ok++
+		}
+		if err := nw.emit(line); err != nil {
+			return outcome{}, err
+		}
+	}
+	if err := nw.emit(struct {
+		Summary sweepSummary `json:"summary"`
+	}{sweepSummary{Experiments: len(lines), OK: ok, Failed: len(lines) - ok}}); err != nil {
+		return outcome{}, err
+	}
+	out := outcome{body: buf.Bytes(), stats: stats{Records: uint64(len(lines)), Emitted: nw.emitted}, hits: hits, misses: misses}
+	return out, runErr
 }
