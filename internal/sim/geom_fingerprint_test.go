@@ -105,30 +105,37 @@ func geomFingerprints(t *testing.T) map[string]string {
 // verdicts and end-to-end timing bit for bit across 40 classification
 // cells and 40 timing cells.
 func TestModuloGeometryFingerprintsMatchSeed(t *testing.T) {
-	got := geomFingerprints(t)
+	matchFingerprints(t, geomFingerprintPath, geomFPUpdating(), "GEOM_FP_UPDATE=1", geomFingerprints(t))
+}
 
-	if geomFPUpdating() {
-		if err := os.MkdirAll(filepath.Dir(geomFingerprintPath), 0o755); err != nil {
+// matchFingerprints checks got against the committed golden map at path:
+// every recorded key must still be computed with the same hash, and no
+// new key may appear unrecorded. With updating set it rewrites the file
+// instead; updateHint names the switch that does so.
+func matchFingerprints(t *testing.T, path string, updating bool, updateHint string, got map[string]string) {
+	t.Helper()
+	if updating {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(geomFingerprintPath, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s with %d fingerprints", geomFingerprintPath, len(got))
+		t.Logf("rewrote %s with %d fingerprints", path, len(got))
 		return
 	}
 
-	data, err := os.ReadFile(geomFingerprintPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("reading golden fingerprints (regenerate with GEOM_FP_UPDATE=1): %v", err)
+		t.Fatalf("reading golden fingerprints (regenerate with %s): %v", updateHint, err)
 	}
 	var want map[string]string
 	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parsing %s: %v", geomFingerprintPath, err)
+		t.Fatalf("parsing %s: %v", path, err)
 	}
 
 	keys := make([]string, 0, len(want))
@@ -142,7 +149,7 @@ func TestModuloGeometryFingerprintsMatchSeed(t *testing.T) {
 			continue
 		}
 		if got[k] != want[k] {
-			t.Errorf("%s: fingerprint %s differs from seed %s", k, got[k][:12], want[k][:12])
+			t.Errorf("%s: fingerprint %s differs from golden %s", k, got[k][:12], want[k][:12])
 		}
 	}
 	for k := range got {
