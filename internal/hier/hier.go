@@ -132,11 +132,11 @@ type Hierarchy struct {
 	busBusy   uint64
 	memBusy   uint64
 
-	pending []pendingMiss // in-flight line fills, bounded by the MSHR count
+	pending missSet // in-flight data-side line fills
 
 	// Instruction side (optional; see icache.go).
 	isys      assist.System
-	ipending  map[mem.LineAddr]uint64
+	ipending  missSet // in-flight instruction-side line fills
 	ibankBusy uint64
 	istats    IStats
 
@@ -162,7 +162,7 @@ func New(cfg Config, sys assist.System) (*Hierarchy, error) {
 		l2:       l2,
 		geom:     geom,
 		bankBusy: make([]uint64, cfg.L1Banks),
-		pending:  make([]pendingMiss, 0, cfg.MSHRs+1),
+		pending:  make(missSet, 0, cfg.MSHRs+1),
 	}, nil
 }
 
@@ -185,48 +185,53 @@ func (h *Hierarchy) L2() *cache.Cache { return h.l2 }
 func (h *Hierarchy) Stats() Stats { return h.stats }
 
 // pendingMiss is one in-flight line fill: the line and the cycle its data
-// is ready. The set never outgrows the MSHR count by more than the
-// completed-but-unpurged entries, so a flat slice with linear lookups
-// beats the map it replaced: no hashing on the per-access membership
-// probe, no iterator machinery in inflight's purge. Both counting and the
-// earliest-completion minimum are order-independent, so the change cannot
-// perturb timing.
+// is ready.
 type pendingMiss struct {
 	line  mem.LineAddr
 	ready uint64
 }
 
-// pendingReady returns the completion cycle of an in-flight line, if any.
-func (h *Hierarchy) pendingReady(line mem.LineAddr) (uint64, bool) {
-	for i := range h.pending {
-		if h.pending[i].line == line {
-			return h.pending[i].ready, true
+// missSet tracks one side's in-flight line fills; the data and
+// instruction sides each keep one. A set never outgrows its MSHR count by
+// more than the completed-but-unpurged entries, so a flat slice with
+// linear lookups beats a map: no hashing on the per-access membership
+// probe, no iterator machinery in inflight's purge. Both counting and the
+// earliest-completion minimum are order-independent, so entry order
+// cannot perturb timing.
+type missSet []pendingMiss
+
+// readyAt returns the completion cycle of an in-flight line, if any.
+func (s missSet) readyAt(line mem.LineAddr) (uint64, bool) {
+	for i := range s {
+		if s[i].line == line {
+			return s[i].ready, true
 		}
 	}
 	return 0, false
 }
 
-// setPending records (or refreshes) a line's completion cycle.
-func (h *Hierarchy) setPending(line mem.LineAddr, ready uint64) {
-	for i := range h.pending {
-		if h.pending[i].line == line {
-			h.pending[i].ready = ready
+// set records (or refreshes) a line's completion cycle.
+func (s *missSet) set(line mem.LineAddr, ready uint64) {
+	for i := range *s {
+		if (*s)[i].line == line {
+			(*s)[i].ready = ready
 			return
 		}
 	}
-	h.pending = append(h.pending, pendingMiss{line: line, ready: ready})
+	*s = append(*s, pendingMiss{line: line, ready: ready})
 }
 
 // inflight returns how many misses are outstanding at cycle now, purging
 // completed entries as a side effect, and the earliest completion time.
-func (h *Hierarchy) inflight(now uint64) (int, uint64) {
+func (s *missSet) inflight(now uint64) (int, uint64) {
+	q := *s
 	earliest := ^uint64(0)
-	for i := 0; i < len(h.pending); {
-		ready := h.pending[i].ready
+	for i := 0; i < len(q); {
+		ready := q[i].ready
 		if ready <= now {
-			last := len(h.pending) - 1
-			h.pending[i] = h.pending[last]
-			h.pending = h.pending[:last]
+			last := len(q) - 1
+			q[i] = q[last]
+			q = q[:last]
 			continue
 		}
 		if ready < earliest {
@@ -234,7 +239,8 @@ func (h *Hierarchy) inflight(now uint64) (int, uint64) {
 		}
 		i++
 	}
-	return len(h.pending), earliest
+	*s = q
+	return len(q), earliest
 }
 
 // bank returns the L1 bank serving addr (interleaved by line).
@@ -264,8 +270,8 @@ func (h *Hierarchy) Access(now uint64, acc mem.Access) Result {
 	inL1, inBuf := h.sys.Contains(acc.Addr)
 	line := mem.LineAddr(uint64(acc.Addr) >> 6)
 	if !inL1 && !inBuf {
-		if _, already := h.pendingReady(line); !already {
-			if n, earliest := h.inflight(now); n >= h.cfg.MSHRs {
+		if _, already := h.pending.readyAt(line); !already {
+			if n, earliest := h.pending.inflight(now); n >= h.cfg.MSHRs {
 				h.stats.MSHRStalls++
 				return Result{Stall: true, RetryAt: earliest}
 			}
@@ -309,7 +315,7 @@ func (h *Hierarchy) Access(now uint64, acc mem.Access) Result {
 
 	default: // L2-bound miss
 		done = h.missPath(start, acc, out)
-		h.setPending(line, done)
+		h.pending.set(line, done)
 		h.bankBusy[b] = start + 1
 		if out.BufferFill {
 			// Stashing the displaced line (victim fill or bypass) reads
@@ -321,7 +327,7 @@ func (h *Hierarchy) Access(now uint64, acc mem.Access) Result {
 
 	// A line still in flight bounds completion from below (merged miss or
 	// in-flight prefetch).
-	if ready, ok := h.pendingReady(line); ok && ready > done {
+	if ready, ok := h.pending.readyAt(line); ok && ready > done {
 		done = ready
 	}
 
@@ -372,16 +378,16 @@ func (h *Hierarchy) missPath(start uint64, acc mem.Access, out assist.Outcome) u
 // issuePrefetch sends a prefetch down the miss path if an MSHR is free;
 // otherwise it is discarded (paper Sec 4: "prefetches are discarded").
 func (h *Hierarchy) issuePrefetch(now uint64, line mem.LineAddr) {
-	if _, already := h.pendingReady(line); already {
+	if _, already := h.pending.readyAt(line); already {
 		return
 	}
-	if n, _ := h.inflight(now); n >= h.cfg.MSHRs {
+	if n, _ := h.pending.inflight(now); n >= h.cfg.MSHRs {
 		h.stats.PrefetchesDropped++
 		return
 	}
 	addr := mem.Addr(uint64(line) << 6)
 	ready := h.missPath(now, mem.Access{Addr: addr, Type: mem.PrefetchRead}, assist.Outcome{})
-	h.setPending(line, ready)
+	h.pending.set(line, ready)
 	h.stats.PrefetchesSent++
 	h.sys.PrefetchArrived(line)
 }

@@ -22,7 +22,7 @@ const iMSHRs = 4
 func (h *Hierarchy) AttachI(sys assist.System) {
 	h.isys = sys
 	if h.ipending == nil {
-		h.ipending = make(map[mem.LineAddr]uint64)
+		h.ipending = make(missSet, 0, iMSHRs+1)
 	}
 }
 
@@ -50,8 +50,8 @@ func (h *Hierarchy) IFetch(now uint64, pc mem.Addr) Result {
 	line := mem.LineAddr(uint64(pc) >> 6)
 	inL1, inBuf := h.isys.Contains(pc)
 	if !inL1 && !inBuf {
-		if _, already := h.ipending[line]; !already {
-			if n, earliest := h.iInflight(now); n >= iMSHRs {
+		if _, already := h.ipending.readyAt(line); !already {
+			if n, earliest := h.ipending.inflight(now); n >= iMSHRs {
 				h.istats.MSHRStalls++
 				return Result{Stall: true, RetryAt: earliest}
 			}
@@ -77,10 +77,10 @@ func (h *Hierarchy) IFetch(now uint64, pc mem.Addr) Result {
 	default:
 		h.istats.Misses++
 		done = h.missPath(start, mem.Access{Addr: pc, Type: mem.IFetch}, out)
-		h.ipending[line] = done
+		h.ipending.set(line, done)
 		h.ibankBusy = start + 1
 	}
-	if ready, ok := h.ipending[line]; ok && ready > done {
+	if ready, ok := h.ipending.readyAt(line); ok && ready > done {
 		done = ready
 	}
 	for _, pf := range out.Prefetches {
@@ -89,36 +89,19 @@ func (h *Hierarchy) IFetch(now uint64, pc mem.Addr) Result {
 	return Result{Done: done}
 }
 
-// iInflight counts outstanding instruction misses, purging completed ones.
-func (h *Hierarchy) iInflight(now uint64) (int, uint64) {
-	n := 0
-	earliest := ^uint64(0)
-	for line, ready := range h.ipending {
-		if ready <= now {
-			delete(h.ipending, line)
-			continue
-		}
-		n++
-		if ready < earliest {
-			earliest = ready
-		}
-	}
-	return n, earliest
-}
-
 // issueIPrefetch sends an instruction-side prefetch down the shared miss
 // path if an I-MSHR is free.
 func (h *Hierarchy) issueIPrefetch(now uint64, line mem.LineAddr) {
-	if _, already := h.ipending[line]; already {
+	if _, already := h.ipending.readyAt(line); already {
 		return
 	}
-	if n, _ := h.iInflight(now); n >= iMSHRs {
+	if n, _ := h.ipending.inflight(now); n >= iMSHRs {
 		h.stats.PrefetchesDropped++
 		return
 	}
 	addr := mem.Addr(uint64(line) << 6)
 	ready := h.missPath(now, mem.Access{Addr: addr, Type: mem.PrefetchRead}, assist.Outcome{})
-	h.ipending[line] = ready
+	h.ipending.set(line, ready)
 	h.stats.PrefetchesSent++
 	h.isys.PrefetchArrived(line)
 }
