@@ -91,10 +91,15 @@ obs-smoke:
 # byte for byte); the cache geometry tests pin the skewed/random row
 # hashes (dispersion, seed determinism, exact eviction addresses); the
 # scalar-vs-batch differential covers all three schemes via
-# diffGeometries. `make race` runs these once; the focused -count=1
-# re-run keeps a cached pass from masking a regression.
+# diffGeometries. The scheduler fingerprint test pins the OoO timing
+# model's wakeup/select issue stage to the timing of the scan-based one it
+# replaced (paper-sim cells, odd CPU shapes, I-cache, MaxCycles and SMT
+# runs), and the CPU and SMT allocation guards pin their run loops as
+# allocation-free per instruction. `make race` runs these once; the
+# focused -count=1 re-run keeps a cached pass from masking a regression.
 geom-smoke:
-	$(GO) test -race -count=1 -run 'TestModuloGeometryFingerprintsMatchSeed|TestClassifyBatchMatchesScalar' ./internal/sim
+	$(GO) test -race -count=1 -run 'TestModuloGeometryFingerprintsMatchSeed|TestSchedulerFingerprintsMatchScan|TestClassifyBatchMatchesScalar' ./internal/sim
+	$(GO) test -race -count=1 -run 'TestRunAllocationsIndependentOfLength|TestSMTRunAllocationsIndependentOfLength' ./internal/cpu
 	$(GO) test -race -count=1 -run 'TestIndexScheme|TestConfigValidateRejectsUnknownScheme|TestModuloRowsMatchGeometry|TestSkewed|TestRandom|TestEvictionAddressExactUnderSkew|TestFillMakesHitAllSchemes|TestLoadMissAccounting|TestCacheAccessSteadyStateAllocs' ./internal/cache
 
 # Crash smoke: the kill -9 durability gate. Boots mctd as a real

@@ -4,11 +4,19 @@
 // (integer and floating point), four load/store units, and a non-blocking
 // memory interface supplied by internal/hier.
 //
-// The model is a scoreboarded ROB machine: instructions dispatch in order
-// into a reorder buffer and their queue, issue out of order when their
-// source registers are ready and a functional unit is free, and retire in
-// order. Branches are predicted with a 2-bit-counter table at fetch;
-// a misprediction stops fetch until the branch issues plus a pipeline
+// The model is a ROB machine with a wakeup/select issue stage:
+// instructions dispatch in order into a reorder buffer and their queue,
+// issue out of order when their source operands are ready and a
+// functional unit is free, and retire in order. Dependencies are resolved
+// once, at dispatch: an entry counts the producers that have not issued
+// yet, and each producer keeps a mask of the entries waiting on it. When a
+// producer issues its completion cycle is known, so it wakes those entries
+// with that cycle; an entry whose last producer has issued is armed with
+// the cycle its operands arrive and becomes an issue candidate then.
+// Nothing polls a waiting instruction.
+//
+// Branches are predicted with a 2-bit-counter table at fetch; a
+// misprediction stops fetch until the branch issues plus a pipeline
 // refill penalty, approximating SMTSIM's wrong-path fetch cost without
 // executing wrong-path instructions (documented substitution; the trace
 // contains no wrong-path memory references, which slightly understates
@@ -101,17 +109,67 @@ func (m Metrics) MispredictRate() float64 {
 	return float64(m.Mispredicts) / float64(m.Branches)
 }
 
-// robEntry is one in-flight instruction. Source operands are renamed at
-// dispatch to (ROB index, sequence) pairs identifying their producers; a
-// sequence mismatch means the producer has retired and the value is ready.
+// robEntry is one in-flight instruction. Its source operands are renamed
+// at dispatch: waits counts the distinct producers that had not issued
+// then and have not issued since, and readyAt is the latest completion
+// cycle among those that have. The operands are available at readyAt once
+// waits is zero.
 type robEntry struct {
-	in     trace.Instr
-	seq    uint64
-	issued bool
-	done   uint64
+	in      trace.Instr
+	issued  bool
+	waits   uint8
+	done    uint64
+	readyAt uint64
+}
 
-	p1, p2       int // producer ROB slots, -1 when the value is ready
-	p1seq, p2seq uint64
+// armedEntry is a ROB slot whose producers have all issued, waiting for
+// cycle at, when its last operand arrives.
+type armedEntry struct {
+	at   uint64
+	slot int
+}
+
+// wakeHeap is a binary min-heap of armed entries keyed by arrival cycle.
+// Each slot is armed at most once while it is occupied and leaves the
+// heap before it can issue, so ROBSize bounds the heap and a heap
+// preallocated to that capacity never grows.
+type wakeHeap []armedEntry
+
+func (h *wakeHeap) push(a armedEntry) {
+	q := append(*h, a)
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if q[parent].at <= q[i].at {
+			break
+		}
+		q[parent], q[i] = q[i], q[parent]
+		i = parent
+	}
+	*h = q
+}
+
+func (h *wakeHeap) pop() armedEntry {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < last && q[l].at < q[least].at {
+			least = l
+		}
+		if r < last && q[r].at < q[least].at {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
 }
 
 // CPU is the processor state for one run.
@@ -125,20 +183,24 @@ type CPU struct {
 	count      int
 	intQ, fpQ  int // unissued occupancy per queue
 
-	// unissued is a bitmask over ROB slots with a dispatched-but-unissued
-	// entry. The issue stage iterates only these bits instead of scanning
-	// every occupied slot: in steady state most in-flight instructions have
-	// already issued (they sit in the ROB awaiting in-order retirement
-	// behind a long-latency load), so a full scan wastes almost all of its
-	// work. The bit is set at dispatch and cleared at issue; retirement
-	// never needs to touch it because only issued entries retire.
-	unissued []uint64
+	// The wakeup/select scheduler. Masks are bitsets over ROB slots,
+	// words uint64s each. cons holds one mask per producer slot (slot p's
+	// at cons[p*words:]): the unissued entries whose operands wait on p's
+	// result. ready holds the entries whose operands are available, the
+	// only ones the issue stage visits. An entry whose producers have all
+	// issued is armed (see arm): into next when its operands arrive by
+	// the next issue stage, which covers every dispatch-time arming and
+	// every single-cycle wakeup without a heap operation, into wake when
+	// they arrive later.
+	words int
+	cons  []uint64
+	ready []uint64
+	next  []uint64
+	wake  wakeHeap
 
-	// rat is the register alias table: the ROB slot and sequence number of
-	// each architectural register's latest in-flight producer.
-	rat    [trace.NumRegs]int
-	ratSeq [trace.NumRegs]uint64
-	seq    uint64
+	// rat is the register alias table: the ROB slot of each architectural
+	// register's latest in-flight producer, -1 once that producer retires.
+	rat [trace.NumRegs]int
 
 	fetchResume  uint64
 	blockedOn    int // ROB slot of unresolved mispredicted branch, -1 none
@@ -165,12 +227,17 @@ func New(cfg Config, h *hier.Hierarchy) (*CPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	words := (cfg.ROBSize + 63) / 64
 	c := &CPU{
 		cfg:       cfg,
 		h:         h,
 		pred:      make([]uint8, cfg.PredictorSz),
 		rob:       make([]robEntry, cfg.ROBSize),
-		unissued:  make([]uint64, (cfg.ROBSize+63)/64),
+		words:     words,
+		cons:      make([]uint64, cfg.ROBSize*words),
+		ready:     make([]uint64, words),
+		next:      make([]uint64, words),
+		wake:      make(wakeHeap, 0, cfg.ROBSize),
 		blockedOn: -1,
 	}
 	for i := range c.rat {
@@ -193,11 +260,10 @@ func MustNew(cfg Config, h *hier.Hierarchy) *CPU {
 //
 // The loop is event-driven where it can be: when a cycle retires nothing,
 // issues nothing, hits no structural limit, and fetches nothing, every
-// following cycle is identical until the next completion event (an issued
-// instruction's done time or the fetch-resume cycle), so the clock jumps
-// straight there. Skipped cycles touch no simulator state — no hierarchy
-// access, no counter, no LRU update — so the metrics are bit-identical to
-// stepping cycle by cycle; only the wall time changes. Low-IPC (memory-
+// following cycle is identical until the next event (see nextEvent), so
+// the clock jumps straight there. Skipped cycles touch no simulator state
+// — no hierarchy access, no counter, no LRU update — so the metrics are
+// bit-identical to stepping cycle by cycle; only the wall time changes. Low-IPC (memory-
 // bound) regions, where most cycles are pure stall, are exactly where the
 // simulator used to burn most of its time.
 func (c *CPU) Run(s trace.Stream, maxInstrs uint64) Metrics {
@@ -231,27 +297,30 @@ func (c *CPU) Run(s trace.Stream, maxInstrs uint64) Metrics {
 }
 
 // nextEvent returns the earliest future cycle at which the machine's state
-// can change while the pipeline is quiescent: the soonest completion time
-// of an issued, unretired instruction, or the fetch-resume cycle. ok is
-// false when no such event exists.
+// can change while the pipeline is quiescent: the earliest arrival among
+// armed entries, the ROB head's completion, or the fetch-resume cycle. ok
+// is false when no such event exists. It reads three values and scans
+// nothing.
 //
 // This is sound because a quiescent cycle (nothing retired, issued, or
-// fetched; no structural-hazard retry pending) can only be ended by one of
-// those times arriving: every unissued instruction waits, directly or
-// through a chain of unissued producers, on an issued instruction's done
-// time (a chain cannot be circular — the oldest unissued link's producers
-// have all retired or issued), and the front end waits on retirement, on
-// fetchResume, or on the blocking branch issuing.
+// fetched; no structural-hazard retry pending, so the ready set is empty)
+// can only be ended by one of those times arriving. An issue needs a
+// ready entry, and an entry becomes ready only when its armed arrival
+// cycle comes: next is empty, since only a cycle that issued or fetched
+// fills it, so the earliest arrival is the heap's minimum. Entries not
+// yet armed wait on a producer that must itself issue first. A retirement needs the head to complete. The front end
+// waits on retirement, on queue space or the blocking branch (both freed
+// only by an issue), or on fetchResume. Any other instruction completing
+// changes no state: nothing waits on its result except armed entries,
+// whose arrival cycles already account for it.
 func (c *CPU) nextEvent(cycle uint64) (uint64, bool) {
 	earliest := ^uint64(0)
-	for i, idx := 0, c.head; i < c.count; i++ {
-		e := &c.rob[idx]
-		if e.issued && e.done > cycle && e.done < earliest {
+	if len(c.wake) > 0 {
+		earliest = c.wake[0].at
+	}
+	if c.count > 0 {
+		if e := &c.rob[c.head]; e.issued && e.done < earliest {
 			earliest = e.done
-		}
-		idx++
-		if idx == c.cfg.ROBSize {
-			idx = 0
 		}
 	}
 	if !c.streamEnded && c.fetchResume > cycle && c.fetchResume < earliest {
@@ -270,6 +339,9 @@ func (c *CPU) retire(cycle uint64) int {
 			return n
 		}
 		c.metrics.Instructions++
+		if d := e.in.Dest; d != trace.RegZero && c.rat[d] == c.head {
+			c.rat[d] = -1 // the value is architectural state now
+		}
 		switch e.in.Op {
 		case trace.Load:
 			c.metrics.Loads++
@@ -287,19 +359,33 @@ func (c *CPU) retire(cycle uint64) int {
 	return n
 }
 
-// issue wakes up ready instructions out of order, respecting functional
-// unit counts and issue width. Candidates come from the unissued bitmask,
-// walked in ring order from the ROB head: slot order over [head, size)
-// then [0, head) is exactly age order for the occupied window, and slots
-// outside it carry no bits, so the walk visits the same entries in the
-// same order as a full ROB scan at a fraction of the cost.
+// issue selects ready instructions oldest first, respecting functional
+// unit counts and issue width. First every armed entry whose operands
+// arrive by this cycle joins the ready set; then the ready set is walked
+// in ring order from the ROB head: slot order over [head, size) then
+// [0, head) is exactly age order for the occupied window, and slots
+// outside it carry no bits. An entry that hits a structural limit stays
+// ready and is retried next cycle. Instructions woken by this cycle's
+// issues arrive no earlier than next cycle (every operation latency is at
+// least one cycle and the hierarchy never completes an access in the
+// cycle it starts), so they are armed, never added to the set being
+// walked: the walk sees exactly the entries a poll of every waiting
+// instruction would find ready.
 func (c *CPU) issue(cycle uint64) (nIssued int, limited bool) {
+	for i, w := range c.next {
+		c.ready[i] |= w
+	}
+	clear(c.next)
+	for len(c.wake) > 0 && c.wake[0].at <= cycle {
+		idx := c.wake.pop().slot
+		c.ready[idx>>6] |= uint64(1) << uint(idx&63)
+	}
 	issued, lsu, ialu, falu := 0, 0, 0, 0
 	size := c.cfg.ROBSize
 	lo, hi := c.head, size
 	for seg := 0; seg < 2; seg++ {
 		for base := lo &^ 63; base < hi; base += 64 {
-			w := c.unissued[base>>6]
+			w := c.ready[base>>6]
 			if lo > base {
 				w &= ^uint64(0) << uint(lo-base)
 			}
@@ -309,10 +395,7 @@ func (c *CPU) issue(cycle uint64) (nIssued int, limited bool) {
 			for w != 0 {
 				idx := base + bits.TrailingZeros64(w)
 				w &= w - 1
-				switch c.tryIssue(idx, cycle, &lsu, &ialu, &falu) {
-				case issueNotReady:
-					continue
-				case issueLimited:
+				if !c.tryIssue(idx, cycle, &lsu, &ialu, &falu) {
 					limited = true
 					continue
 				}
@@ -326,38 +409,26 @@ func (c *CPU) issue(cycle uint64) (nIssued int, limited bool) {
 	return issued, limited
 }
 
-// issueStatus is tryIssue's outcome: issued, operands not ready (the entry
-// waits on a completion event), or structurally limited (a functional unit
-// or MSHR was exhausted — the entry could retry as soon as next cycle, so
-// the event-skipping fast path must not engage).
-type issueStatus uint8
-
-const (
-	issueOK issueStatus = iota
-	issueNotReady
-	issueLimited
-)
-
-// tryIssue attempts to issue the unissued entry in ROB slot idx at cycle,
-// charging the functional-unit counters.
-func (c *CPU) tryIssue(idx int, cycle uint64, lsu, ialu, falu *int) issueStatus {
+// tryIssue attempts to issue the ready entry in ROB slot idx at cycle,
+// charging the functional-unit counters and waking the entry's consumers.
+// It returns false when the entry is structurally limited (a functional
+// unit or MSHR was exhausted — the entry could retry as soon as next
+// cycle, so the event-skipping fast path must not engage).
+func (c *CPU) tryIssue(idx int, cycle uint64, lsu, ialu, falu *int) bool {
 	e := &c.rob[idx]
-	if !c.operandReady(e.p1, e.p1seq, cycle) || !c.operandReady(e.p2, e.p2seq, cycle) {
-		return issueNotReady
-	}
 	fp := e.in.Op.IsFP()
 	switch {
 	case e.in.Op.IsMem():
 		if *lsu >= c.cfg.LSUs {
-			return issueLimited
+			return false
 		}
 	case fp:
 		if *falu >= c.cfg.FPALUs {
-			return issueLimited
+			return false
 		}
 	default:
 		if *ialu >= c.cfg.IntALUs {
-			return issueLimited
+			return false
 		}
 	}
 
@@ -371,7 +442,7 @@ func (c *CPU) tryIssue(idx int, cycle uint64, lsu, ialu, falu *int) issueStatus 
 			// the stall this cycle.
 			c.metrics.LoadStallRetries++
 			*lsu++
-			return issueLimited
+			return false
 		}
 		done = res.Done
 	case trace.Store:
@@ -382,7 +453,7 @@ func (c *CPU) tryIssue(idx int, cycle uint64, lsu, ialu, falu *int) issueStatus 
 		if res.Stall {
 			c.metrics.LoadStallRetries++
 			*lsu++
-			return issueLimited
+			return false
 		}
 		done = cycle + 1
 	default:
@@ -391,7 +462,8 @@ func (c *CPU) tryIssue(idx int, cycle uint64, lsu, ialu, falu *int) issueStatus 
 
 	e.issued = true
 	e.done = done
-	c.unissued[idx>>6] &^= uint64(1) << uint(idx&63)
+	c.ready[idx>>6] &^= uint64(1) << uint(idx&63)
+	c.wakeConsumers(idx, cycle, done)
 	if e.in.Op.IsMem() {
 		*lsu++
 	} else if fp {
@@ -410,7 +482,31 @@ func (c *CPU) tryIssue(idx int, cycle uint64, lsu, ialu, falu *int) issueStatus 
 		c.blockedOn = -1
 		c.fetchResume = done + uint64(c.cfg.MispredictPenalty)
 	}
-	return issueOK
+	return true
+}
+
+// wakeConsumers delivers producer idx's completion cycle to every entry
+// waiting on it, arming each one whose last outstanding producer this was,
+// and clears idx's consumer mask for the slot's next occupant.
+func (c *CPU) wakeConsumers(idx int, cycle, done uint64) {
+	mask := c.cons[idx*c.words : (idx+1)*c.words]
+	for wi, w := range mask {
+		if w == 0 {
+			continue
+		}
+		mask[wi] = 0
+		for w != 0 {
+			j := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			e := &c.rob[j]
+			if done > e.readyAt {
+				e.readyAt = done
+			}
+			if e.waits--; e.waits == 0 {
+				c.arm(j, cycle)
+			}
+		}
+	}
 }
 
 // fetch brings new instructions into the ROB and queues, in order, unless
@@ -462,26 +558,23 @@ func (c *CPU) fetch(cycle uint64, s trace.Stream) (dispatched int) {
 			}
 		}
 		idx := c.tail
-		c.seq++
 		e := &c.rob[idx]
 		// Field-wise reset: a composite literal here costs a duffcopy of
 		// the whole entry per fetched instruction.
 		e.in = *in
-		e.seq = c.seq
 		e.issued = false
 		e.done = 0
-		e.p1, e.p2 = -1, -1
-		e.p1seq, e.p2seq = 0, 0
-		if in.Src1 != trace.RegZero && c.rat[in.Src1] >= 0 {
-			e.p1, e.p1seq = c.rat[in.Src1], c.ratSeq[in.Src1]
+		e.waits = 0
+		e.readyAt = 0
+		c.depend(idx, in.Src1)
+		if in.Src2 != in.Src1 {
+			c.depend(idx, in.Src2) // a repeated register names one producer
 		}
-		if in.Src2 != trace.RegZero && c.rat[in.Src2] >= 0 {
-			e.p2, e.p2seq = c.rat[in.Src2], c.ratSeq[in.Src2]
+		if e.waits == 0 {
+			c.arm(idx, cycle)
 		}
-		c.unissued[idx>>6] |= uint64(1) << uint(idx&63)
 		if in.Dest != trace.RegZero {
 			c.rat[in.Dest] = idx
-			c.ratSeq[in.Dest] = c.seq
 		}
 		c.tail++
 		if c.tail == c.cfg.ROBSize {
@@ -507,18 +600,40 @@ func (c *CPU) fetch(cycle uint64, s trace.Stream) (dispatched int) {
 	return dispatched
 }
 
-// operandReady reports whether a renamed operand's value is available at
-// the given cycle: either the producer slot was recycled (it retired) or
-// it has issued and completed.
-func (c *CPU) operandReady(slot int, seq, cycle uint64) bool {
-	if slot < 0 {
-		return true
+// arm schedules the entry in ROB slot idx, whose producers have all
+// issued, to join the ready set when its operands arrive. The caller runs
+// in cycle's issue or fetch stage, so the next issue stage is at cycle+1
+// at the earliest: an entry arriving by then goes into next, later ones
+// into the heap.
+func (c *CPU) arm(idx int, cycle uint64) {
+	if at := c.rob[idx].readyAt; at > cycle+1 {
+		c.wake.push(armedEntry{at: at, slot: idx})
+		return
 	}
-	p := &c.rob[slot]
-	if p.seq != seq {
-		return true // producer retired; value is architectural state
+	c.next[idx>>6] |= uint64(1) << uint(idx&63)
+}
+
+// depend links the entry dispatching into ROB slot idx to the in-flight
+// producer of source register reg, if there is one: an issued producer's
+// completion cycle bounds readyAt, an unissued one is counted in waits and
+// records idx in its consumer mask.
+func (c *CPU) depend(idx int, reg uint8) {
+	if reg == trace.RegZero {
+		return
 	}
-	return p.issued && p.done <= cycle
+	p := c.rat[reg]
+	if p < 0 {
+		return // no in-flight producer: the value is architectural state
+	}
+	e, pe := &c.rob[idx], &c.rob[p]
+	if pe.issued {
+		if pe.done > e.readyAt {
+			e.readyAt = pe.done
+		}
+		return
+	}
+	e.waits++
+	c.cons[p*c.words+idx>>6] |= uint64(1) << uint(idx&63)
 }
 
 // predict reads the 2-bit counter for pc.

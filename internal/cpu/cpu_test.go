@@ -260,3 +260,53 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Error("CPU runs are not deterministic")
 	}
 }
+
+// mixedInstrs is a deterministic instruction mix covering every operation
+// class: loads and stores spread over many lines (so some miss and hold
+// MSHRs), dependence chains through both source operands (including a
+// repeated source register), FP work, and branches with an irregular
+// outcome pattern.
+func mixedInstrs(n int, pcBase mem.Addr) []trace.Instr {
+	ins := make([]trace.Instr, n)
+	for i := range ins {
+		pc := pcBase + mem.Addr(i%512*4)
+		r := func(k int) uint8 { return uint8(1 + (i+k)%60) }
+		switch i % 8 {
+		case 0, 4:
+			ins[i] = trace.Instr{PC: pc, Op: trace.Load, Dest: r(0), Src1: r(7), Addr: mem.Addr(i * 937 % 50000 * 64)}
+		case 1:
+			ins[i] = trace.Instr{PC: pc, Op: trace.Store, Src1: r(1), Src2: r(3), Addr: mem.Addr(i * 541 % 20000 * 64)}
+		case 2:
+			ins[i] = trace.Instr{PC: pc, Op: trace.FPOp, Dest: r(5), Src1: r(2), Src2: r(2)}
+		case 3:
+			ins[i] = trace.Instr{PC: pc, Op: trace.Branch, Src1: r(1), Taken: i%3 != 0}
+		case 5:
+			ins[i] = trace.Instr{PC: pc, Op: trace.IntMul, Dest: r(9), Src1: r(4), Src2: r(1)}
+		default:
+			ins[i] = trace.Instr{PC: pc, Op: trace.IntOp, Dest: r(2), Src1: r(1)}
+		}
+	}
+	return ins
+}
+
+// allocsForRun reports the allocations of one full run (construction
+// included) over an n-instruction stream.
+func allocsForRun(n int, run func(n int)) float64 {
+	return testing.AllocsPerRun(1, func() { run(n) })
+}
+
+// TestRunAllocationsIndependentOfLength pins the scheduler's storage as
+// preallocated: building a CPU and running it allocates the same at 10k
+// and 100k instructions, so nothing is allocated per instruction or per
+// cycle.
+func TestRunAllocationsIndependentOfLength(t *testing.T) {
+	ins := mixedInstrs(100_000, 0x1000)
+	run := func(n int) {
+		h := hier.MustNew(hier.DefaultConfig(), assist.MustNewBaseline(dmConfig(), 0))
+		MustNew(DefaultConfig(), h).Run(trace.NewSliceStream(ins[:n]), 0)
+	}
+	short, long := allocsForRun(10_000, run), allocsForRun(100_000, run)
+	if short != long {
+		t.Errorf("New+Run allocations grow with length: %v at 10k, %v at 100k instructions", short, long)
+	}
+}

@@ -36,11 +36,32 @@ type SMT struct {
 
 	fetchRR int // next thread to fetch
 	metrics []Metrics
+
+	// Per-run scratch kept off the per-cycle path: pos is the issue
+	// stage's per-thread scan positions, and scratchIn the fetch stage's
+	// decode buffer (as in CPU, an Instr passed to a trace.Stream escapes,
+	// so a loop-local one costs an allocation per instruction).
+	pos       []int
+	scratchIn trace.Instr
+}
+
+// smtEntry is one in-flight instruction of an SMT thread. Source operands
+// are renamed at dispatch to (ROB index, sequence) pairs identifying their
+// producers; a sequence mismatch means the producer has retired and the
+// value is ready. The issue stage polls each unissued entry's producers.
+type smtEntry struct {
+	in     trace.Instr
+	seq    uint64
+	issued bool
+	done   uint64
+
+	p1, p2       int // producer ROB slots, -1 when the value is ready
+	p1seq, p2seq uint64
 }
 
 // smtThread is one hardware context.
 type smtThread struct {
-	rob        []robEntry
+	rob        []smtEntry
 	head, tail int
 	count      int
 	intQ, fpQ  int
@@ -76,10 +97,11 @@ func NewSMT(cfg Config, h *hier.Hierarchy, nthreads int) (*SMT, error) {
 		pred:    make([]uint8, cfg.PredictorSz),
 		threads: make([]smtThread, nthreads),
 		metrics: make([]Metrics, nthreads),
+		pos:     make([]int, nthreads),
 	}
 	for i := range s.threads {
 		t := &s.threads[i]
-		t.rob = make([]robEntry, cfg.ROBSize/nthreads)
+		t.rob = make([]smtEntry, cfg.ROBSize/nthreads)
 		t.blockedOn = -1
 		for r := range t.rat {
 			t.rat[r] = -1
@@ -184,7 +206,8 @@ func (s *SMT) retire(cycle uint64) {
 func (s *SMT) issue(cycle uint64) {
 	issued, lsu, ialu, falu := 0, 0, 0, 0
 	// Per-thread scan positions (relative offset from head).
-	pos := make([]int, len(s.threads))
+	pos := s.pos
+	clear(pos)
 	for issued < s.cfg.IssueWidth {
 		progress := false
 		for ti := range s.threads {
@@ -268,7 +291,9 @@ func (s *SMT) issue(cycle uint64) {
 	}
 }
 
-// operandReadySMT mirrors CPU.operandReady over a thread's ROB partition.
+// operandReadySMT reports whether a renamed operand's value is available
+// at the given cycle: either the producer slot was recycled (it retired)
+// or it has issued and completed.
 func operandReadySMT(t *smtThread, slot int, seq, cycle uint64) bool {
 	if slot < 0 {
 		return true
@@ -303,14 +328,14 @@ func (s *SMT) fetch(cycle uint64) {
 			if t.count >= len(t.rob) || t.intQ >= perQ || t.fpQ >= perQ {
 				break
 			}
-			var in trace.Instr
-			if !t.stream.Next(&in) {
+			in := &s.scratchIn
+			if !t.stream.Next(in) {
 				t.streamEnded = true
 				break
 			}
 			idx := t.tail
 			s.seq++
-			e := robEntry{in: in, seq: s.seq, p1: -1, p2: -1}
+			e := smtEntry{in: *in, seq: s.seq, p1: -1, p2: -1}
 			if in.Src1 != trace.RegZero && t.rat[in.Src1] >= 0 {
 				e.p1, e.p1seq = t.rat[in.Src1], t.ratSeq[in.Src1]
 			}

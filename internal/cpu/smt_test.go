@@ -158,3 +158,20 @@ func TestSMTDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSMTRunAllocationsIndependentOfLength is the SMT counterpart of
+// TestRunAllocationsIndependentOfLength: a two-thread co-run allocates the
+// same at 10k and 100k instructions per thread.
+func TestSMTRunAllocationsIndependentOfLength(t *testing.T) {
+	a, b := mixedInstrs(100_000, 0x1000), mixedInstrs(100_000, 0x90000)
+	run := func(n int) {
+		h := hier.MustNew(hier.DefaultConfig(), assist.MustNewBaseline(dmConfig(), 0))
+		MustNewSMT(DefaultConfig(), h, 2).Run([]trace.Stream{
+			trace.NewSliceStream(a[:n]), trace.NewSliceStream(b[:n]),
+		}, 0)
+	}
+	short, long := allocsForRun(10_000, run), allocsForRun(100_000, run)
+	if short != long {
+		t.Errorf("SMT New+Run allocations grow with length: %v at 10k, %v at 100k instructions per thread", short, long)
+	}
+}
