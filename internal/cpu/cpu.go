@@ -263,9 +263,10 @@ func MustNew(cfg Config, h *hier.Hierarchy) *CPU {
 // following cycle is identical until the next event (see nextEvent), so
 // the clock jumps straight there. Skipped cycles touch no simulator state
 // — no hierarchy access, no counter, no LRU update — so the metrics are
-// bit-identical to stepping cycle by cycle; only the wall time changes. Low-IPC (memory-
-// bound) regions, where most cycles are pure stall, are exactly where the
-// simulator used to burn most of its time.
+// bit-identical to stepping cycle by cycle; only the wall time changes.
+// Low-IPC (memory-bound) regions, where most cycles are pure stall, are
+// exactly where stepping would burn most of the time. Within stepped
+// cycles the issue stage touches only ready instructions (see issue).
 func (c *CPU) Run(s trace.Stream, maxInstrs uint64) Metrics {
 	c.retireTarget = maxInstrs
 	cycle := uint64(0)

@@ -109,6 +109,24 @@ func TestFPDivChainIsSlow(t *testing.T) {
 	}
 }
 
+func TestRepeatedSourceRegisterIsOneDependence(t *testing.T) {
+	// x = x op x names one producer twice; it must wake exactly like
+	// x = x op r0, not wait forever for a second wakeup.
+	run := func(src2 uint8) Metrics {
+		cfg := DefaultConfig()
+		cfg.MaxCycles = 1_000_000 // a lost wakeup would otherwise spin
+		ins := make([]trace.Instr, 300)
+		for i := range ins {
+			ins[i] = trace.Instr{PC: 0x40, Op: trace.FPDiv, Dest: 5, Src1: 5, Src2: src2}
+		}
+		return newCPU(t, cfg).Run(trace.NewSliceStream(ins), 0)
+	}
+	twice, once := run(5), run(trace.RegZero)
+	if twice.Instructions != 300 || twice != once {
+		t.Errorf("repeated source: %+v; single source: %+v", twice, once)
+	}
+}
+
 func TestLoadMissLatencyVisible(t *testing.T) {
 	// A serial chain of loads, each to a fresh line: every load costs a
 	// full memory round trip.

@@ -21,9 +21,6 @@ const iMSHRs = 4
 // AttachI installs an instruction-cache system. Call before simulation.
 func (h *Hierarchy) AttachI(sys assist.System) {
 	h.isys = sys
-	if h.ipending == nil {
-		h.ipending = make(missSet, 0, iMSHRs+1)
-	}
 }
 
 // ISystem returns the attached instruction-side system, if any.
