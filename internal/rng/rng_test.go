@@ -215,3 +215,39 @@ func TestZipfLargeNFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestZipfSamplePinned pins Sample's output sequence for fixed seeds and
+// skews to values recorded from the original implementation, so an
+// optimisation of the sampler must stay bit-identical: the first draws are
+// compared directly and 100k draws through an FNV-1a hash of their bytes.
+func TestZipfSamplePinned(t *testing.T) {
+	for _, c := range []struct {
+		n     uint64
+		theta float64
+		seed  uint64
+		first []uint64
+		hash  uint64
+	}{
+		{1024, 0.8, 13, []uint64{0xa, 0x18d, 0x372, 0x2, 0xcd, 0x36, 0x2, 0x7b}, 0x6027e67206544367},
+		{64, 0.5, 7, []uint64{0x21, 0x6, 0x2e, 0x3d, 0x3e, 0x31, 0x0, 0x1}, 0x5bf587222d25ae23},
+		{1 << 20, 0.99, 11, []uint64{0xd, 0x1, 0x13, 0x181, 0x1, 0x31, 0x423, 0xf1954}, 0x21918ee3a65a8630},
+		{1 << 30, 0.7, 17, []uint64{0xfe5eabc, 0x12aa5073, 0x33dfd9a2, 0x3953eb90, 0x1093dd8f, 0x3457e195, 0x2840b4db, 0x2a4890b0}, 0xacb5b9a1f213b705},
+	} {
+		z := NewZipf(c.n, c.theta)
+		s := New(c.seed)
+		h := uint64(14695981039346656037)
+		for i := 0; i < 100_000; i++ {
+			v := z.Sample(s)
+			if i < len(c.first) && v != c.first[i] {
+				t.Errorf("n=%d theta=%v seed=%d: draw %d = %#x, want %#x", c.n, c.theta, c.seed, i, v, c.first[i])
+			}
+			for b := 0; b < 8; b++ {
+				h ^= (v >> (8 * b)) & 0xff
+				h *= 1099511628211
+			}
+		}
+		if h != c.hash {
+			t.Errorf("n=%d theta=%v seed=%d: 100k-draw hash %#x, want %#x", c.n, c.theta, c.seed, h, c.hash)
+		}
+	}
+}
