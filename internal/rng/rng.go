@@ -129,10 +129,12 @@ func (s *Source) Perm(out []int) {
 // for synthetic skewed reference streams.
 type Zipf struct {
 	n     uint64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
+	// one is the bound on u*zetan below which a draw returns 1, hoisted
+	// out of Sample because it depends only on theta.
+	one float64
 }
 
 // NewZipf prepares a Zipf sampler over [0, n) with skew theta in (0, 1).
@@ -143,10 +145,11 @@ func NewZipf(n uint64, theta float64) *Zipf {
 	if theta <= 0 || theta >= 1 {
 		panic("rng: NewZipf theta must be in (0,1)")
 	}
-	z := &Zipf{n: n, theta: theta}
+	z := &Zipf{n: n}
 	z.zetan = zeta(n, theta)
 	zeta2 := zeta(2, theta)
 	z.alpha = 1 / (1 - theta)
+	z.one = 1 + math.Pow(0.5, theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta2/z.zetan)
 	return z
 }
@@ -158,7 +161,7 @@ func (z *Zipf) Sample(src *Source) uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.one {
 		return 1
 	}
 	v := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
