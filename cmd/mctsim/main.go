@@ -123,7 +123,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mctsim:", err)
 			os.Exit(1)
 		}
-		src := trace.NewLimit(trace.NewMemOnly(b.Stream(*seed)), *instrs)
+		src := trace.NewLimit(b.MemStream(*seed), *instrs)
 		sim.ClassifyBatched(run, trace.NewStreamBatcher(src), 0)
 		a := run.Acc
 		fmt.Printf("mct accuracy conflict %.1f%%  capacity %.1f%%  overall %.1f%%  (oracle conflict share %.1f%%)\n",

@@ -43,7 +43,7 @@ func main() {
 	type pagePair struct{ a, b uint64 }
 	pairs := map[pagePair]uint64{}
 
-	s := trace.NewMemOnly(bench.Stream(workload.DefaultSeed))
+	s := bench.MemStream(workload.DefaultSeed)
 	var in trace.Instr
 	for n := uint64(0); n < *accesses && s.Next(&in); n++ {
 		hit, ev := cc.Access(in.Addr, in.Op == trace.Store)

@@ -26,7 +26,7 @@ func TestSuiteClassificationShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := trace.NewMemOnly(b.Stream(workload.DefaultSeed))
+			s := b.MemStream(workload.DefaultSeed)
 			var in trace.Instr
 			for i := 0; i < 400_000 && s.Next(&in); i++ {
 				r.Access(in.Addr, in.Op == trace.Store)

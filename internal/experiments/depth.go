@@ -84,7 +84,7 @@ func depthRun(b *workload.Benchmark, cfg cache.Config, depth int, p Params) clas
 	geom := l1.Geometry()
 	var acc classify.Accuracy
 
-	s := trace.NewMemOnly(b.Stream(p.Seed))
+	s := b.MemStream(p.Seed)
 	var in trace.Instr
 	for n := uint64(0); n < p.MemAccesses && s.Next(&in); n++ {
 		isStore := in.Op == trace.Store

@@ -97,7 +97,7 @@ func Remap(p Params) (RemapResult, error) {
 			row := RemapRow{Bench: b.Name}
 			for pi, pol := range []remap.Policy{remap.NoRemap, remap.CountAll, remap.CountConflict} {
 				s := remap.MustNew(sim.L1Config(), remap.DefaultConfig(), pol)
-				st := trace.NewMemOnly(b.Stream(p.Seed))
+				st := b.MemStream(p.Seed)
 				var in trace.Instr
 				for n := uint64(0); n < p.MemAccesses && st.Next(&in); n++ {
 					s.Access(in.Addr, in.Op == trace.Store)

@@ -99,7 +99,7 @@ func figure1Cell(b *workload.Benchmark, name string, cfg cache.Config, p Params)
 	if err != nil {
 		return Fig1Cell{}, fmt.Errorf("experiments: figure 1 %s/%s: %w", b.Name, name, err)
 	}
-	s := trace.NewMemOnly(b.Stream(p.Seed))
+	s := b.MemStream(p.Seed)
 	var in trace.Instr
 	for n := uint64(0); n < p.MemAccesses && s.Next(&in); n++ {
 		r.Access(in.Addr, in.Op == trace.Store)

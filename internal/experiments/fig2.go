@@ -50,7 +50,7 @@ func Figure2(p Params) (Fig2Result, error) {
 				if err != nil {
 					return Fig2Point{}, fmt.Errorf("experiments: figure 2 bits=%d: %w", bits, err)
 				}
-				s := trace.NewMemOnly(b.Stream(p.Seed))
+				s := b.MemStream(p.Seed)
 				var in trace.Instr
 				for n := uint64(0); n < p.MemAccesses && s.Next(&in); n++ {
 					r.Access(in.Addr, in.Op == trace.Store)

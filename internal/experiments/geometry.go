@@ -123,7 +123,7 @@ func geometryCell(b *workload.Benchmark, name string, cfg cache.Config, p Params
 	if err != nil {
 		return GeometryCell{}, fmt.Errorf("experiments: geometry %s/%s: %w", b.Name, name, err)
 	}
-	s := trace.NewMemOnly(b.Stream(p.Seed))
+	s := b.MemStream(p.Seed)
 	var in trace.Instr
 	for n := uint64(0); n < p.MemAccesses && s.Next(&in); n++ {
 		r.Access(in.Addr, in.Op == trace.Store)

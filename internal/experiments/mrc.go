@@ -103,7 +103,7 @@ func mrcRow(b *workload.Benchmark, p Params) (MRCRow, error) {
 		sampled[i] = mrc.New(mrc.Config{Rate: r})
 	}
 
-	s := trace.NewMemOnly(b.Stream(p.Seed))
+	s := b.MemStream(p.Seed)
 	var in trace.Instr
 	for n := uint64(0); n < p.MemAccesses && s.Next(&in); n++ {
 		exact.Observe(in.Addr)

@@ -56,7 +56,7 @@ func ConfigSweep(p Params) (SweepResult, error) {
 				if err != nil {
 					return c, fmt.Errorf("experiments: sweep %dKB/%d-way: %w", c.SizeKB, c.Assoc, err)
 				}
-				s := trace.NewMemOnly(b.Stream(p.Seed))
+				s := b.MemStream(p.Seed)
 				var in trace.Instr
 				for n := uint64(0); n < p.MemAccesses && s.Next(&in); n++ {
 					r.Access(in.Addr, in.Op == trace.Store)

@@ -27,7 +27,7 @@ func collectAddrs(tb testing.TB, name string, n int) []mem.Addr {
 	if !ok {
 		tb.Fatalf("unknown workload %q", name)
 	}
-	s := trace.NewMemOnly(b.Stream(workload.DefaultSeed))
+	s := b.MemStream(workload.DefaultSeed)
 	addrs := make([]mem.Addr, 0, n)
 	var in trace.Instr
 	for len(addrs) < n && s.Next(&in) {

@@ -122,7 +122,7 @@ func Share(benches []*workload.Benchmark, cfg Config) (Result, error) {
 	streams := make([]trace.Stream, len(benches))
 	threads := make([]ThreadStats, len(benches))
 	for i, b := range benches {
-		streams[i] = trace.NewMemOnly(b.Stream(cfg.Seed + uint64(i)))
+		streams[i] = b.MemStream(cfg.Seed + uint64(i))
 		threads[i].Name = b.Name
 	}
 	owner := lineOwner{}
@@ -180,7 +180,7 @@ func Share(benches []*workload.Benchmark, cfg Config) (Result, error) {
 // using the exact stream (same per-thread seed) it had in the shared run.
 func soloMissRate(b *workload.Benchmark, cfg Config, tid uint64) float64 {
 	l1 := cache.MustNew(cfg.L1)
-	s := trace.NewMemOnly(b.Stream(cfg.Seed + tid))
+	s := b.MemStream(cfg.Seed + tid)
 	var in trace.Instr
 	for n := uint64(0); n < cfg.AccessesPerThread && s.Next(&in); n++ {
 		typ := mem.Load

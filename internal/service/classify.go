@@ -188,7 +188,7 @@ func workloadStream(name string, seed, accesses uint64) trace.Stream {
 		// normalize validated the name; reaching here is a bug.
 		panic(fmt.Sprintf("service: workload %q vanished after validation", name))
 	}
-	return trace.NewLimit(trace.NewMemOnly(b.Stream(seed)), accesses)
+	return trace.NewLimit(b.MemStream(seed), accesses)
 }
 
 // queryInt binds one integer upload query parameter to a spec field.

@@ -147,7 +147,7 @@ func ReplayMem(b *workload.Benchmark, sys assist.System, accesses uint64, seed u
 	if seed == 0 {
 		seed = workload.DefaultSeed
 	}
-	s := trace.NewMemOnly(b.Stream(seed))
+	s := b.MemStream(seed)
 	var in trace.Instr
 	for n := uint64(0); n < accesses && s.Next(&in); n++ {
 		out := sys.Access(trace.AccessOf(in))

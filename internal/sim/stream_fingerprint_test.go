@@ -16,7 +16,9 @@ import (
 // generators. Each cell hashes every field of the first streamRecords
 // records of one benchmark's instruction stream, or of its memory-only
 // projection, so a generator speedup is checked byte for byte against the
-// streams the generators produced when the file was recorded.
+// streams the generators produced when the file was recorded. The mem
+// cells were recorded by filtering the full stream with trace.NewMemOnly
+// and are replayed through workload's MemStream.
 const streamFingerprintPath = "testdata/stream_fingerprints.json"
 
 // Set STREAM_FP_UPDATE=1 to regenerate the golden file instead of checking
@@ -61,7 +63,7 @@ func streamFingerprints(t *testing.T) map[string]string {
 	for _, b := range workload.Suite() {
 		for _, seed := range streamSeeds {
 			out[fmt.Sprintf("full/%s/%d", b.Name, seed)] = hashStream(t, b.Stream(seed), streamRecords)
-			out[fmt.Sprintf("mem/%s/%d", b.Name, seed)] = hashStream(t, trace.NewMemOnly(b.Stream(seed)), streamRecords)
+			out[fmt.Sprintf("mem/%s/%d", b.Name, seed)] = hashStream(t, b.MemStream(seed), streamRecords)
 		}
 	}
 	return out

@@ -281,7 +281,10 @@ func (t *Tee) SkipAhead(n uint64) uint64 {
 }
 
 // MemOnly filters a stream down to its loads and stores — the access
-// stream the functional classification experiments replay.
+// stream the functional classification experiments replay. Synthetic
+// benchmarks produce that stream directly with workload's MemStream,
+// without building the instructions this filter would discard; MemOnly is
+// the generic filter for every other stream.
 type MemOnly struct {
 	inner Stream
 }

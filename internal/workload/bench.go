@@ -37,7 +37,16 @@ type Benchmark struct {
 
 // Stream returns a fresh infinite instruction stream for the benchmark,
 // deterministic in seed. Wrap with trace.NewLimit to bound it.
-func (b *Benchmark) Stream(seed uint64) trace.Stream {
+func (b *Benchmark) Stream(seed uint64) trace.Stream { return b.stream(seed, false) }
+
+// MemStream returns the benchmark's loads and stores alone: exactly the
+// records trace.NewMemOnly(b.Stream(seed)) yields, every field equal, but
+// without building the ALU ops and branches between them. Consumers that
+// replay only the access stream (classification, miss-ratio curves,
+// functional hit-rate replays) should use it.
+func (b *Benchmark) MemStream(seed uint64) trace.Stream { return b.stream(seed, true) }
+
+func (b *Benchmark) stream(seed uint64, memOnly bool) *synthStream {
 	phases := b.Build()
 	if len(phases) == 0 {
 		panic(fmt.Sprintf("workload: benchmark %s has no phases", b.Name))
@@ -61,7 +70,7 @@ func (b *Benchmark) Stream(seed uint64) trace.Stream {
 		bench:       b,
 		phases:      phases,
 		totalWeight: total,
-		em:          newEmitter(src),
+		em:          newEmitter(src, memOnly),
 	}
 }
 

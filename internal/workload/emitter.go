@@ -24,9 +24,15 @@ import (
 // counter (each burst models one loop-body execution, so PCs repeat across
 // bursts — giving PC-indexed predictors realistic behavior), and appends to
 // the stream's refill buffer.
+//
+// A memory-only emitter appends only loads and stores. Every other
+// instruction still advances the PC and the register allocator and draws
+// the same random numbers, so the loads and stores it does append are
+// exactly those of the full stream, field for field.
 type Emitter struct {
-	rng *rng.Source
-	buf []trace.Instr
+	rng     *rng.Source
+	buf     []trace.Instr
+	memOnly bool
 
 	pcBase mem.Addr // kernel's code region; burst PCs restart here
 	pc     mem.Addr
@@ -36,10 +42,11 @@ type Emitter struct {
 const (
 	firstAllocReg = 1  // RegZero is hardwired zero
 	lastAllocReg  = 62 // leave one scratch register free
+	numAllocRegs  = lastAllocReg - firstAllocReg + 1
 )
 
-func newEmitter(src *rng.Source) *Emitter {
-	return &Emitter{rng: src, reg: firstAllocReg}
+func newEmitter(src *rng.Source, memOnly bool) *Emitter {
+	return &Emitter{rng: src, memOnly: memOnly, reg: firstAllocReg}
 }
 
 // Rand returns the emitter's deterministic random source; kernels draw all
@@ -112,9 +119,12 @@ func (e *Emitter) FPDiv(srcs ...uint8) uint8 {
 
 func (e *Emitter) alu(op trace.OpClass, srcs []uint8) uint8 {
 	d := e.allocReg()
-	in := trace.Instr{PC: e.nextPC(), Op: op, Dest: d}
-	setSrcs(&in, srcs)
-	e.emit(in)
+	pc := e.nextPC()
+	if !e.memOnly {
+		in := trace.Instr{PC: pc, Op: op, Dest: d}
+		setSrcs(&in, srcs)
+		e.emit(in)
+	}
 	return d
 }
 
@@ -122,23 +132,44 @@ func (e *Emitter) alu(op trace.OpClass, srcs []uint8) uint8 {
 // true except on the final iteration; loop branches are highly predictable,
 // like real loop-closing branches.
 func (e *Emitter) LoopBranch(taken bool, srcs ...uint8) {
-	in := trace.Instr{PC: e.nextPC(), Op: trace.Branch, Taken: taken}
-	setSrcs(&in, srcs)
-	e.emit(in)
+	pc := e.nextPC()
+	if !e.memOnly {
+		in := trace.Instr{PC: pc, Op: trace.Branch, Taken: taken}
+		setSrcs(&in, srcs)
+		e.emit(in)
+	}
 }
 
 // DataBranch emits a data-dependent branch taken with probability p,
-// modeling the poorly-predictable control flow of irregular codes.
+// modeling the poorly-predictable control flow of irregular codes. A
+// memory-only emitter still draws the outcome, keeping the random sequence
+// of the full stream.
 func (e *Emitter) DataBranch(p float64, srcs ...uint8) {
-	in := trace.Instr{PC: e.nextPC(), Op: trace.Branch, Taken: e.rng.Bool(p)}
-	setSrcs(&in, srcs)
-	e.emit(in)
+	pc := e.nextPC()
+	taken := e.rng.Bool(p)
+	if !e.memOnly {
+		in := trace.Instr{PC: pc, Op: trace.Branch, Taken: taken}
+		setSrcs(&in, srcs)
+		e.emit(in)
+	}
 }
 
 // Filler emits n dependence-chained ALU ops, fp selecting the FP or integer
 // pipeline — the compute padding between memory references that sets each
-// benchmark's memory intensity.
+// benchmark's memory intensity. It returns the last op's destination (feed
+// when n is 0). A memory-only emitter skips the ops in O(1): it advances
+// the PC by 4n and the allocator by n and returns the register the n-th
+// allocation would have.
 func (e *Emitter) Filler(n int, fp bool, feed uint8) uint8 {
+	if n <= 0 {
+		return feed
+	}
+	if e.memOnly {
+		e.pc += mem.Addr(4 * n)
+		last := (int(e.reg-firstAllocReg) + n - 1) % numAllocRegs
+		e.reg = firstAllocReg + uint8((last+1)%numAllocRegs)
+		return firstAllocReg + uint8(last)
+	}
 	r := feed
 	for i := 0; i < n; i++ {
 		if fp {

@@ -11,7 +11,7 @@ import (
 // runBursts drives a kernel for n bursts and returns the emitted
 // instructions.
 func runBursts(k Kernel, n int, seed uint64) []trace.Instr {
-	e := newEmitter(rng.New(seed))
+	e := newEmitter(rng.New(seed), false)
 	for i := 0; i < n; i++ {
 		k.Burst(e)
 	}
@@ -218,7 +218,7 @@ func TestBodiesRotateWithDwell(t *testing.T) {
 	k.SetBodies(4)
 	var pcs []mem.Addr
 	for i := 0; i < bodyDwell*4+1; i++ {
-		e := newEmitter(rng.New(1))
+		e := newEmitter(rng.New(1), false)
 		k.Burst(e)
 		pcs = append(pcs, e.buf[0].PC)
 	}
