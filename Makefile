@@ -41,8 +41,11 @@ bench-smoke:
 # conversion is byte-identical to generating v2 directly, classify both
 # wire versions through the mmap-backed batch kernel, and require the two
 # classifications to agree line for line (the leading line names the input
-# file and is stripped before diffing).
+# file and is stripped before diffing). The stream golden corpus (every
+# suite benchmark's full and memory-only streams, hashed at three seeds)
+# and the MemStream-vs-filter differential run first, also under -race.
 batch-smoke:
+	$(GO) test -race -count=1 -run 'TestStreamFingerprintsMatchGolden|TestMemStreamMatchesMemOnlyFilter|TestFillerSkipMatchesLoop' ./internal/sim ./internal/workload
 	$(GO) test -race -count=1 -run 'TestClassifyBatchMatchesScalar|TestClassifyBatchAcrossWireFormats|TestClassifyUploadStreamsBeforeBodyComplete' ./internal/sim ./internal/service
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run -race ./cmd/tracegen -bench swim -n 20000 -seed 7 -format v1 -o $$tmp/swim.v1.mctr && \
@@ -173,12 +176,16 @@ vulncheck:
 		echo "vulncheck: govulncheck not installed; skipping"; \
 	fi
 
-# Short fuzz passes over the binary trace decoder; CI runs the seed
-# corpus via `make test`, this target digs deeper locally.
+# Short fuzz passes over the binary trace decoder, the fault-spec parsers
+# and the Prometheus exposition parser; CI runs the seed corpora via
+# `make test`, this target digs deeper locally.
 fuzz:
 	$(GO) test -fuzz FuzzReadTrace -fuzztime 30s ./internal/trace
 	$(GO) test -fuzz 'FuzzRoundTrip$$' -fuzztime 30s ./internal/trace
 	$(GO) test -fuzz FuzzBatchRoundTrip -fuzztime 30s ./internal/trace
+	$(GO) test -fuzz 'FuzzParse$$' -fuzztime 30s ./internal/faultinject
+	$(GO) test -fuzz FuzzParseNetSpec -fuzztime 30s ./internal/faultinject
+	$(GO) test -fuzz FuzzParseProm -fuzztime 30s ./internal/obs
 
 # Drop all memoized experiment results (results/cache is also safely
 # deletable by hand; entries are invalidated automatically when the code

@@ -24,7 +24,7 @@ func TestParseNetSpec(t *testing.T) {
 	if c != want {
 		t.Fatalf("parsed %+v, want %+v", c, want)
 	}
-	for _, bad := range []string{"", "reset", "reset=2", "latency=fast", "wat=1", "bw=x"} {
+	for _, bad := range []string{"", "reset", "reset=2", "reset=NaN", "latency=fast", "wat=1", "bw=x"} {
 		if _, err := ParseNetSpec(bad); err == nil {
 			t.Errorf("ParseNetSpec(%q) should fail", bad)
 		}
