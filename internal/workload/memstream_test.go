@@ -74,3 +74,31 @@ func TestMemStreamNextAllocationFree(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAccessStream measures the cost of one memory access from each
+// way of producing a benchmark's access stream: filtering the full
+// instruction stream, and MemStream. Every suite benchmark contributes an
+// equal share of the accesses, taken after a warm-up.
+func BenchmarkAccessStream(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		open func(*Benchmark) trace.Stream
+	}{
+		{"filter", func(w *Benchmark) trace.Stream { return trace.NewMemOnly(w.Stream(DefaultSeed)) }},
+		{"memstream", func(w *Benchmark) trace.Stream { return w.MemStream(DefaultSeed) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			suite := Suite()
+			streams := make([]trace.Stream, len(suite))
+			var in trace.Instr
+			for i, w := range suite {
+				streams[i] = c.open(w)
+				trace.Skip(streams[i], 10_000) // build every kernel's state
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				streams[i%len(streams)].Next(&in)
+			}
+		})
+	}
+}
