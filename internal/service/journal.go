@@ -253,8 +253,10 @@ func (s *Service) redrive(ctx context.Context, id, kind string, rawSpec json.Raw
 		s.jobs.Start(id)
 		err := s.redriveOne(ctx, kind, rawSpec)
 		sp.Err(err)
-		s.finishJob(id, err, 0, 0, 0, 0)
+		// Count the recovery before the job reads as finished, so anyone
+		// who sees the finished job also sees it counted.
 		s.recovered.Add(1)
+		s.finishJob(id, err, 0, 0, 0, 0)
 	}()
 }
 
