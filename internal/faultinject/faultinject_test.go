@@ -156,8 +156,8 @@ func TestParse(t *testing.T) {
 		{"delay:25ms", false},
 		{"delay:25ms@sweep", false},
 		{"delay:1s@sweep/fig2, error:1", false},
-		{"delay", true},     // delay needs a duration
-		{"delay:3", true},   // bare count is not a duration
+		{"delay", true},   // delay needs a duration
+		{"delay:3", true}, // bare count is not a duration
 		{"delay:-5ms", true},
 	}
 	for _, c := range cases {

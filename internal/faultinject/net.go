@@ -228,7 +228,7 @@ type chaosConn struct {
 	rng uint64
 
 	blackhole  bool
-	resetAfter int64 // bytes (read+written) until injected reset; 0 = never
+	resetAfter int64        // bytes (read+written) until injected reset; 0 = never
 	moved      atomic.Int64 // bytes moved so far (read and write paths run on different goroutines)
 	delay      time.Duration
 	delayed    atomic.Bool // first-I/O latency applied?

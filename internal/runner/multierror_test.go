@@ -57,7 +57,7 @@ func TestMultiErrorExposesDeadline(t *testing.T) {
 	tasks := []Task[int]{
 		NewTask("fast", func(context.Context) (int, error) { return 1, nil }),
 		NewTask("wedged", func(ctx context.Context) (int, error) {
-			<-ctx.Done()                      // cooperative: notices the attempt deadline
+			<-ctx.Done()                     // cooperative: notices the attempt deadline
 			time.Sleep(5 * time.Millisecond) // but takes a moment to unwind
 			return 0, ctx.Err()
 		}),

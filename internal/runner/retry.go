@@ -75,7 +75,7 @@ func backoffDelay(attempt int, base time.Duration, index int) time.Duration {
 	if half <= 0 {
 		return d
 	}
-	j := splitmix64(uint64(index)<<20 ^ uint64(attempt)+1)
+	j := splitmix64((uint64(index)<<20 ^ uint64(attempt)) + 1)
 	return half + time.Duration(j%uint64(half+1))
 }
 

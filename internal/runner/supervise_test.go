@@ -252,6 +252,32 @@ func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// TestBackoffDelayPinned pins the jitter schedule to recorded values, so
+// identical reruns keep sleeping identically: the seed expression
+// ((index<<20) ^ attempt) + 1 must not drift to index<<20 ^ (attempt+1).
+func TestBackoffDelayPinned(t *testing.T) {
+	for _, c := range []struct {
+		attempt, index int
+		base           time.Duration
+		want           time.Duration
+	}{
+		{0, 0, 0, 76499062},
+		{1, 0, 0, 101091943},
+		{0, 1, 0, 87976068},
+		{2, 3, 0, 291414554},
+		{3, 7, 0, 673400169},
+		{5, 42, 0, 2645578858},
+		{9, 1000, 0, 23950893174},
+		{12, 1, 0, 22558151852},
+		{0, 5, 10 * time.Millisecond, 5638198},
+		{4, 2, 10 * time.Millisecond, 151326644},
+	} {
+		if got := backoffDelay(c.attempt, c.base, c.index); got != c.want {
+			t.Errorf("backoffDelay(%d, %v, %d) = %d, want %d", c.attempt, c.base, c.index, got, c.want)
+		}
+	}
+}
+
 func TestRetryableMarking(t *testing.T) {
 	if Retryable(nil) != nil {
 		t.Error("Retryable(nil) must be nil")

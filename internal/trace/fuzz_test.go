@@ -82,35 +82,35 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(validTrace(f, 0, 0))
 	f.Add(validTrace(f, 0, 3))
 	f.Add(validTrace(f, 3, 3))
-	f.Add(validTrace(f, 5, 2))                       // declared > actual: truncated
+	f.Add(validTrace(f, 5, 2)) // declared > actual: truncated
 	f.Add(validTraceV2(f, 0, 3))
 	f.Add(validTraceV2(f, 3, 3))
-	f.Add(validTraceV2(f, 5, 2))                     // v2 truncated below count
+	f.Add(validTraceV2(f, 5, 2)) // v2 truncated below count
 	full := validTrace(f, 0, 4)
-	f.Add(full[:len(full)-7])                        // partial trailing record
-	f.Add(full[:headerSize+recordSize])              // exactly one record
-	f.Add(full[:headerSize-2])                       // truncated header
+	f.Add(full[:len(full)-7])           // partial trailing record
+	f.Add(full[:headerSize+recordSize]) // exactly one record
+	f.Add(full[:headerSize-2])          // truncated header
 	fullV2 := validTraceV2(f, 0, 4)
-	f.Add(fullV2[:len(fullV2)-5])                    // v2 partial trailing record
-	f.Add(fullV2[:headerSize+recordSizeV2])          // exactly one v2 record
+	f.Add(fullV2[:len(fullV2)-5])           // v2 partial trailing record
+	f.Add(fullV2[:headerSize+recordSizeV2]) // exactly one v2 record
 	bad := append([]byte(nil), full...)
 	copy(bad[:4], "XXXX")
-	f.Add(bad)                                       // bad magic
+	f.Add(bad) // bad magic
 	badv := append([]byte(nil), full...)
 	badv[4] = 99
-	f.Add(badv)                                      // bad version
+	f.Add(badv) // bad version
 	bade := append([]byte(nil), fullV2...)
 	bade[5] = 2
-	f.Add(bade)                                      // bad endianness marker
+	f.Add(bade) // bad endianness marker
 	bads := append([]byte(nil), fullV2...)
 	bads[6] = 21
-	f.Add(bads)                                      // bad stride
+	f.Add(bads) // bad stride
 	huge := append([]byte(nil), full...)
 	binary.LittleEndian.PutUint64(huge[8:], 1<<60)
-	f.Add(huge)                                      // absurd declared count
+	f.Add(huge) // absurd declared count
 	hugeV2 := append([]byte(nil), fullV2...)
 	binary.LittleEndian.PutUint64(hugeV2[8:], 1<<60)
-	f.Add(hugeV2)                                    // absurd v2 declared count
+	f.Add(hugeV2) // absurd v2 declared count
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
