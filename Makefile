@@ -76,12 +76,14 @@ chaos-smoke:
 # against the live daemon, then SIGTERM and assert a clean drain with
 # zero leaked goroutines, and replay the endpoint golden corpus
 # (internal/service/testdata/golden: status, Content-Type and body bytes
-# of every endpoint's spec and upload paths and main rejections) — all
-# under the race detector. `make race`
+# of every endpoint's spec and upload paths and main rejections, each
+# spec sent cold, disk-warm and memory-warm), plus the memory memo tier's
+# tests (admission on hit only, budget, NoCache, hit accounting, fault
+# injection on a memory hit) — all under the race detector. `make race`
 # already runs this once; the focused -count=1 re-run keeps a cached
 # pass from masking a regression.
 serve-smoke:
-	$(GO) test -race -count=1 -run 'TestServeSmoke|TestMctloadEndToEnd|TestEndpointGolden' -timeout 300s ./cmd/mctd ./cmd/mctload ./internal/service
+	$(GO) test -race -count=1 -run 'TestServeSmoke|TestMctloadEndToEnd|TestEndpointGolden|TestMemoTier' -timeout 300s ./cmd/mctd ./cmd/mctload ./internal/service
 
 # Observability smoke: boot mctd, drive exactly 200 classify requests
 # through the load generator, scrape /metrics?format=prometheus, and

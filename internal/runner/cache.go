@@ -274,6 +274,15 @@ func (c *Cache) LoadRaw(slug, key string) (json.RawMessage, bool) {
 	return raw, ok
 }
 
+// NoteHit counts one hit answered in front of the cache — the service's
+// in-memory artifact tier — so Stats stays the single count of memo
+// hits whichever tier served them.
+func (c *Cache) NoteHit() {
+	if c != nil {
+		c.hits.Add(1)
+	}
+}
+
 // StoreRaw writes a raw result under a pre-derived key — the cross-node
 // cache-fill path: a cell computed by a remote owner is written through
 // to the local cache so later lookups replay as local hits. Counts
@@ -291,13 +300,15 @@ func (c *Cache) StoreRaw(slug, key string, raw json.RawMessage) error {
 // hits it produce bit-identical output. A result type that loses
 // information through JSON (an unexported field, say) therefore shows up
 // immediately in golden tests instead of only on the second invocation.
+// For T = json.RawMessage that round trip is the identity on bytes
+// already checked, so decodeResult skips it.
 func Memo[T any](c *Cache, slug string, payload any, compute func() (T, error)) (v T, hit bool, err error) {
 	key, err := Key(slug, payload)
 	if err != nil {
 		return v, false, err
 	}
 	if raw, ok := c.load(slug, key); ok {
-		if json.Unmarshal(raw, &v) == nil {
+		if decodeResult(raw, &v) == nil {
 			if c != nil {
 				c.hits.Add(1)
 			}
@@ -323,7 +334,7 @@ func Memo[T any](c *Cache, slug string, payload any, compute func() (T, error)) 
 	if err != nil {
 		return v, false, fmt.Errorf("runner: encoding result %s: %w", slug, err)
 	}
-	if err := json.Unmarshal(raw, &v); err != nil {
+	if err := decodeResult(raw, &v); err != nil {
 		return v, false, fmt.Errorf("runner: round-tripping result %s: %w", slug, err)
 	}
 	if err := c.store(slug, key, raw); err != nil {
@@ -331,4 +342,17 @@ func Memo[T any](c *Cache, slug string, payload any, compute func() (T, error)) 
 		return v, false, nil
 	}
 	return v, false, nil
+}
+
+// decodeResult decodes a checked result into v. A json.RawMessage result
+// is the bytes themselves: they are already valid JSON — the envelope
+// decode checked them on a hit, json.Marshal produced them (compact,
+// HTML-escaped) on a miss — and decoding them into a RawMessage again
+// would only re-scan them and copy them into an identical slice.
+func decodeResult[T any](raw json.RawMessage, v *T) error {
+	if p, ok := any(v).(*json.RawMessage); ok {
+		*p = raw
+		return nil
+	}
+	return json.Unmarshal(raw, v)
 }

@@ -422,3 +422,74 @@ func TestRawAccessorsCounterSemantics(t *testing.T) {
 		t.Errorf("nil cache StoreRaw: %v", err)
 	}
 }
+
+// TestMemoRawMessageMatchesRoundTrip: Memo[json.RawMessage] skips the
+// second decode of bytes the envelope already checked, and must still
+// return exactly what the JSON round trip returned — compact, with <, >
+// and & HTML-escaped — on the computing miss and on the replaying hit.
+func TestMemoRawMessageMatchesRoundTrip(t *testing.T) {
+	in := json.RawMessage(" {\n\t\"a\" : \"<b>&c</b>\",  \"n\": [ 1, 2 ,3 ] ,\"o\":{ } }\n")
+	const want = `{"a":"\u003cb\u003e\u0026c\u003c/b\u003e","n":[1,2,3],"o":{}}`
+	// The reference: the generic round trip Memo applies to every other
+	// result type.
+	enc, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref json.RawMessage
+	if err := json.Unmarshal(enc, &ref); err != nil {
+		t.Fatal(err)
+	}
+	if string(ref) != want {
+		t.Fatalf("reference round trip = %s, want %s", ref, want)
+	}
+
+	c := Open(t.TempDir())
+	for _, wantHit := range []bool{false, true} {
+		v, hit, err := Memo(c, "raw", 1, func() (json.RawMessage, error) { return in, nil })
+		if err != nil || hit != wantHit {
+			t.Fatalf("Memo = (hit %v, %v), want hit %v", hit, err, wantHit)
+		}
+		if string(v) != string(ref) {
+			t.Errorf("hit=%v: Memo returned %s, want the round-trip bytes %s", hit, v, ref)
+		}
+	}
+	if h, m := c.Stats(); h != 1 || m != 1 {
+		t.Fatalf("stats = %d hits / %d misses, want 1/1", h, m)
+	}
+	c.NoteHit()
+	if h, _ := c.Stats(); h != 2 {
+		t.Errorf("NoteHit: hits = %d, want 2", h)
+	}
+	var nc *Cache
+	nc.NoteHit() // nil cache: a no-op like the rest of the API
+}
+
+// BenchmarkMemoHitRaw measures one Memo[json.RawMessage] hit on a 100 KB
+// entry: the file read plus the envelope decode, which is now the only
+// JSON pass over the result bytes.
+func BenchmarkMemoHitRaw(b *testing.B) {
+	body := make([]byte, 75_000)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	result, err := json.Marshal(struct {
+		Body  []byte `json:"body"`
+		Count int    `json:"count"`
+	}{body, len(body)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := Open(b.TempDir())
+	compute := func() (json.RawMessage, error) { return result, nil }
+	if _, _, err := Memo(c, "bench-raw", 1, compute); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(result)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, hit, err := Memo(c, "bench-raw", 1, compute); err != nil || !hit {
+			b.Fatalf("hit=%v err=%v", hit, err)
+		}
+	}
+}

@@ -302,7 +302,7 @@ func (s *Service) execCellLocal(ctx context.Context, creq cluster.CellRequest) (
 	if err != nil {
 		return nil, false, err
 	}
-	return s.superviseCell(ctx, c, s.ownCell)
+	return superviseCell(s, ctx, c, s.ownCell)
 }
 
 // forwardedCell rebuilds the cell a peer sent: a single-cell endpoint's

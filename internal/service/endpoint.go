@@ -146,7 +146,9 @@ type stats struct {
 // rendered bytes (rather than re-rendering on hit) makes the cold-vs-warm
 // byte-identity property trivially true: runner.Memo round-trips the
 // artifact through JSON either way, so the handler writes literally the
-// same bytes whether the result was computed or replayed.
+// same bytes whether the result was computed or replayed. An artifact
+// held by the memory tier is shared by every request that hits it, so
+// Body is read-only once resolved: handlers write it, never modify it.
 type artifact struct {
 	Body  []byte `json:"body"`
 	Stats stats  `json:"stats"`
@@ -377,15 +379,12 @@ type memoResult struct {
 }
 
 // resolveSpec resolves a single-cell spec as one supervised runner task
-// around the memo cache: exactly one cache hit or miss per request.
+// around the memo: exactly one memo hit or miss per request, whether the
+// memory tier or the disk cache answered.
 func (s *Service) resolveSpec(ctx context.Context, c cell) (outcome, error) {
-	raw, hit, err := s.superviseCell(ctx, c, s.lookupCell)
+	art, hit, err := superviseCell(s, ctx, c, s.lookupArtifact)
 	if err != nil {
 		return outcome{}, err
-	}
-	var art artifact
-	if err := json.Unmarshal(raw, &art); err != nil {
-		return outcome{}, fmt.Errorf("service: decoding %s artifact: %w", c.slug, err)
 	}
 	out := outcome{body: art.Body, stats: art.Stats}
 	if hit {
@@ -400,17 +399,62 @@ func (s *Service) resolveSpec(ctx context.Context, c cell) (outcome, error) {
 // service's job-scoped supervision (retries, task deadline, worker cap),
 // so a spec request, a re-driven job and a forwarded cell get the same
 // treatment as a sweep cell.
-func (s *Service) superviseCell(ctx context.Context, c cell, resolve func(context.Context, cell) (json.RawMessage, bool, error)) (json.RawMessage, bool, error) {
-	out, err := runner.Map(runner.WithOptions(ctx, s.supervision()...), []runner.Task[memoResult]{
-		runner.NewTask(c.label, func(tctx context.Context) (memoResult, error) {
-			raw, hit, err := resolve(tctx, c)
-			return memoResult{raw, hit}, err
+func superviseCell[T any](s *Service, ctx context.Context, c cell, resolve func(context.Context, cell) (T, bool, error)) (T, bool, error) {
+	type resolved struct {
+		v   T
+		hit bool
+	}
+	out, err := runner.Map(runner.WithOptions(ctx, s.supervision()...), []runner.Task[resolved]{
+		runner.NewTask(c.label, func(tctx context.Context) (resolved, error) {
+			v, hit, err := resolve(tctx, c)
+			return resolved{v, hit}, err
 		}),
 	})
 	if err != nil {
-		return nil, false, err
+		var zero T
+		return zero, false, err
 	}
-	return out[0].raw, out[0].hit, nil
+	return out[0].v, out[0].hit, nil
+}
+
+// Values of the cache.lookup span's tier attribute: which tier answered
+// a hit.
+const (
+	tierMemory = "memory" // the in-memory artifact tier
+	tierDisk   = "disk"   // the memo cache (clustered: or a peer's)
+)
+
+// lookupArtifact resolves a single-cell spec to its decoded artifact:
+// from the memory tier when a previous request already hit it on disk,
+// else through lookupCell, admitting the artifact to the tier on a disk
+// hit. It runs inside the supervised task, so task labels, fault
+// injection, retries and deadlines treat a memory hit like any other.
+func (s *Service) lookupArtifact(ctx context.Context, c cell) (artifact, bool, error) {
+	key, err := runner.Key(c.slug, c.payload)
+	if err != nil {
+		return artifact{}, false, err
+	}
+	if art, ok := s.arts.get(key); ok {
+		_, sp := obs.Start(ctx, "cache.lookup")
+		sp.Str("cell", c.label)
+		sp.Bool("hit", true)
+		sp.Str("tier", tierMemory)
+		sp.End()
+		s.cache.NoteHit()
+		return art, true, nil
+	}
+	raw, hit, err := s.lookupCell(ctx, c)
+	if err != nil {
+		return artifact{}, false, err
+	}
+	var art artifact
+	if err := json.Unmarshal(raw, &art); err != nil {
+		return artifact{}, false, fmt.Errorf("service: decoding %s artifact: %w", c.slug, err)
+	}
+	if hit {
+		s.arts.add(key, art)
+	}
+	return art, hit, nil
 }
 
 // lookupCell resolves a cell through memoCell — local cache, then
@@ -420,6 +464,9 @@ func (s *Service) lookupCell(ctx context.Context, c cell) (json.RawMessage, bool
 	sp.Str("cell", c.label)
 	raw, hit, err := s.memoCell(ctx, c.slug, c.payload, func() (json.RawMessage, error) { return c.compute(ctx) })
 	sp.Bool("hit", hit)
+	if hit {
+		sp.Str("tier", tierDisk)
+	}
 	sp.Err(err)
 	sp.End()
 	return raw, hit, err

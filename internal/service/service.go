@@ -156,6 +156,7 @@ type Service struct {
 	adm   *admission
 	jobs  *jobs
 	cache *runner.Cache // nil with NoCache
+	arts  *memoTier     // decoded artifacts re-referenced on disk; nil with NoCache
 	logf  func(format string, args ...any)
 
 	// Cluster spine: the ring + forwarding layer (nil single-node) and
@@ -219,6 +220,7 @@ func New(cfg Config) *Service {
 	}
 	if !cfg.NoCache {
 		s.cache = runner.Open(cfg.CacheDir)
+		s.arts = newMemoTier(memoTierBudget)
 	}
 	s.jlog = &jobLog{logf: cfg.Logf, errs: &s.jnlErrs, writes: &s.jnlWrites}
 	if cfg.JournalDir != "" {
@@ -325,6 +327,8 @@ func (s *Service) buildRegistry() *obs.Registry {
 		func() float64 { h, _ := s.cache.Stats(); return float64(h) })
 	r.Counter("mct_cache_misses_total", "Memoization cache misses.",
 		func() float64 { _, m := s.cache.Stats(); return float64(m) })
+	r.Gauge("mct_memo_memory_bytes", "Artifact body bytes held by the in-memory memo tier.",
+		func() float64 { b, _ := s.arts.size(); return float64(b) })
 	r.Counter("mct_mrc_requests_total", "MRC requests past the shed gate.",
 		func() float64 { return float64(s.mrcReqs.Load()) })
 	r.Counter("mct_mrc_samples_total", "SHARDS-sampled references processed by MRC profiling.",
