@@ -91,9 +91,11 @@ serve-smoke:
 # (b) the server-side classify-latency histogram _count to equal the
 # client-side request count, (c) every metric name to pass the naming
 # convention (the vet-style gate lives in TestMetricNamingConvention).
-# The double-boot regression test pins the expvar republication fix.
+# The drain tests pin that /metrics never goes dark while draining; the
+# brownout-signal and histogram-quantile tests pin the one bucket
+# interpolation rule (obs.Histogram.QuantileOf) the controller reads.
 obs-smoke:
-	$(GO) test -race -count=1 -run 'TestObsSmoke|TestMctdRepublishesMetricsOnReboot|TestMetricNamingConvention|TestPrometheusExposition' -timeout 300s ./cmd/mctd ./internal/service
+	$(GO) test -race -count=1 -run 'TestObsSmoke|TestMetricNamingConvention|TestPrometheusExposition|TestHealthzAndDrain|TestMetricsServedWhileDraining|TestBrownoutOverloadSignal|TestHistogramQuantile' -timeout 300s ./cmd/mctd ./internal/service ./internal/obs
 
 # Geometry smoke: the index-scheme gate under the race detector. The
 # modulo fingerprint test pins the pluggable-geometry refactor to the

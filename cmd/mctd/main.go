@@ -22,8 +22,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -38,32 +36,6 @@ import (
 
 func main() {
 	os.Exit(mctdMain(os.Args[1:], os.Stdout, os.Stderr, nil))
-}
-
-// liveVars points at the CURRENT service instance's expvar map. The
-// process-global "mct" entry is published exactly once, as a forwarding
-// expvar.Func that resolves through this pointer at read time — so a
-// second mctdMain boot in the same process (tests do this; embedders
-// could too) atomically repoints the global registry at the live
-// instance instead of silently leaving it on the dead one. The old code
-// guarded expvar.Publish with expvar.Get("mct") == nil, which never
-// republished: every boot after the first served the first boot's
-// frozen counters forever.
-var (
-	liveVars    atomic.Pointer[expvar.Map]
-	publishVars sync.Once
-)
-
-func publishLiveVars(m *expvar.Map) {
-	liveVars.Store(m)
-	publishVars.Do(func() {
-		expvar.Publish("mct", expvar.Func(func() any {
-			if cur := liveVars.Load(); cur != nil {
-				return obs.ExpvarValues(cur)
-			}
-			return map[string]any{}
-		}))
-	})
 }
 
 // mctdMain runs the daemon until a shutdown signal lands and the drain
@@ -231,7 +203,6 @@ func mctdMain(args []string, stdout, stderr io.Writer, ready chan<- string) int 
 		// statement is one Write, so concurrent workers cannot shear lines.
 		c.SetLogf(func(format string, a ...any) { fmt.Fprintf(log, format+"\n", a...) })
 	}
-	publishLiveVars(svc.Vars())
 
 	if cl.Enabled() {
 		// The service's Drain closes the cluster; mctd only starts the
@@ -349,7 +320,8 @@ func cacheDisplay(noCache bool, dir string) string {
 }
 
 // rootHandler wraps the service API, optionally mounting the pprof
-// endpoints and the process-global expvar registry. Opt-in only: the
+// endpoints and Go's process-global expvar registry (cmdline,
+// memstats; the service's own metrics live on /metrics). Opt-in only: the
 // profiling surface reveals internals (and profile collection costs CPU)
 // that a production instance should not expose by default.
 func rootHandler(svc *service.Service, withPprof bool) http.Handler {

@@ -103,11 +103,11 @@ func TestMRCSmoke(t *testing.T) {
 	}
 
 	m := scrape(t, client, base)
-	if m["mrc_requests"] < 4 {
-		t.Errorf("mrc_requests = %v, want >= 4", m["mrc_requests"])
+	if m["mct_mrc_requests_total"] < 4 {
+		t.Errorf("mct_mrc_requests_total = %v, want >= 4", m["mct_mrc_requests_total"])
 	}
-	if m["mrc_samples"] <= 0 {
-		t.Errorf("mrc_samples = %v, want > 0", m["mrc_samples"])
+	if m["mct_mrc_samples_total"] <= 0 {
+		t.Errorf("mct_mrc_samples_total = %v, want > 0", m["mct_mrc_samples_total"])
 	}
 }
 

@@ -3,8 +3,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -97,69 +95,45 @@ func (h *Histogram) Snapshot() []uint64 {
 	return out
 }
 
-// Quantile estimates the q-quantile (0..1) from the bucket counts by
-// linear interpolation inside the bucket that crosses the target rank.
-// It is an estimate bounded by bucket resolution — the expvar map
-// exposes it for quick eyeballing; precise latencies come from the
-// client side (perf.SummarizeLatency) or the full bucket exposition.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
+// QuantileOf estimates the q-quantile (0..1) of counts laid out like a
+// Snapshot, by linear interpolation over the histogram's own bounds
+// inside the bucket that crosses the target rank. counts is a Snapshot
+// or the element-wise difference of two (only what was observed between
+// them — the brownout controller's window). The estimate is bounded by
+// bucket resolution; exact samples are ranked by perf.Percentile. Empty
+// counts give 0; a rank in the +Inf bucket gives the last finite bound.
+func (h *Histogram) QuantileOf(counts []uint64, q float64) float64 {
+	var total uint64
+	for _, c := range counts {
+		total += c
+	}
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
+	q = min(max(q, 0), 1)
 	rank := q * float64(total)
 	var cum uint64
-	snap := h.Snapshot()
-	for i, c := range snap {
+	for i, c := range counts {
 		prev := cum
 		cum += c
-		if float64(cum) >= rank {
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			if i == len(h.bounds) {
-				// +Inf bucket: no upper bound to interpolate toward.
-				return lower
-			}
-			upper := h.bounds[i]
-			if c == 0 {
-				return upper
-			}
-			frac := (rank - float64(prev)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lower + frac*(upper-lower)
+		if float64(cum) < rank {
+			continue
 		}
+		lower := 0.0
+		if i > 0 {
+			lower = h.bounds[i-1]
+		}
+		if i >= len(h.bounds) {
+			return lower // +Inf bucket: no upper bound to interpolate toward
+		}
+		upper := h.bounds[i]
+		if c == 0 {
+			return upper
+		}
+		frac := min(max((rank-float64(prev))/float64(c), 0), 1)
+		return lower + frac*(upper-lower)
 	}
 	return h.bounds[len(h.bounds)-1]
-}
-
-// String implements expvar.Var: a compact JSON summary (count, sum,
-// interpolated p50/p99). The full bucket detail lives in the
-// Prometheus exposition; the expvar map stays flat and numeric.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	b.WriteString(`{"count":`)
-	b.WriteString(strconv.FormatUint(h.Count(), 10))
-	b.WriteString(`,"sum":`)
-	b.WriteString(strconv.FormatFloat(h.Sum(), 'g', -1, 64))
-	b.WriteString(`,"p50":`)
-	b.WriteString(strconv.FormatFloat(h.Quantile(0.5), 'g', -1, 64))
-	b.WriteString(`,"p99":`)
-	b.WriteString(strconv.FormatFloat(h.Quantile(0.99), 'g', -1, 64))
-	b.WriteString("}")
-	return b.String()
 }
 
 // LatencyBuckets is the default latency bucket layout in seconds:
@@ -169,7 +143,3 @@ var LatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
-
-// SizeBuckets is the default size/count bucket layout: powers of two
-// from 1 to 1024 — batch sizes, record counts.
-var SizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
 	"sync"
 	"testing"
@@ -31,6 +30,13 @@ func TestHistogramBuckets(t *testing.T) {
 	if sum := h.Sum(); math.Abs(sum-112) > 1e-9 {
 		t.Errorf("Sum = %g, want 112", sum)
 	}
+
+	// ObserveDuration records seconds, the Prometheus base unit.
+	d := NewHistogram("mct_d_seconds", "t", []float64{1, 2})
+	d.ObserveDuration(1500 * time.Millisecond)
+	if d.Count() != 1 || d.Sum() != 1.5 {
+		t.Errorf("after ObserveDuration(1.5s): Count = %d, Sum = %g, want 1, 1.5", d.Count(), d.Sum())
+	}
 }
 
 func TestHistogramPanicsOnBadBounds(t *testing.T) {
@@ -52,25 +58,54 @@ func TestHistogramPanicsOnBadBounds(t *testing.T) {
 
 func TestHistogramQuantile(t *testing.T) {
 	h := NewHistogram("mct_q_seconds", "t", []float64{1, 2, 4})
-	if h.Quantile(0.5) != 0 {
-		t.Errorf("empty histogram quantile = %g, want 0", h.Quantile(0.5))
+	if got := h.QuantileOf(h.Snapshot(), 0.5); got != 0 {
+		t.Errorf("empty histogram quantile = %g, want 0", got)
 	}
 	// 100 observations uniform in (0,1]: p50 should interpolate to ~0.5
 	// inside the first bucket.
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i) / 100)
 	}
-	if p50 := h.Quantile(0.5); math.Abs(p50-0.5) > 0.01 {
+	if p50 := h.QuantileOf(h.Snapshot(), 0.5); math.Abs(p50-0.5) > 0.01 {
 		t.Errorf("p50 = %g, want ~0.5", p50)
 	}
-	if p100 := h.Quantile(1); p100 != 1 {
+	if p100 := h.QuantileOf(h.Snapshot(), 1); p100 != 1 {
 		t.Errorf("p100 = %g, want 1 (upper bound of crossing bucket)", p100)
+	}
+	// Out-of-range q clamps to [0,1].
+	if got := h.QuantileOf(h.Snapshot(), 2); got != 1 {
+		t.Errorf("q=2 quantile = %g, want 1 (clamped to q=1)", got)
 	}
 	// Everything in +Inf: quantile returns the last finite bound.
 	h2 := NewHistogram("mct_q2_seconds", "t", []float64{1})
 	h2.Observe(50)
-	if got := h2.Quantile(0.5); got != 1 {
+	if got := h2.QuantileOf(h2.Snapshot(), 0.5); got != 1 {
 		t.Errorf("+Inf-bucket quantile = %g, want 1 (lower bound)", got)
+	}
+
+	// Window: the quantile of after-before must be the quantile of only
+	// the observations made between the two snapshots, whatever came
+	// earlier — the brownout controller's sliding-window use.
+	before := h.Snapshot()
+	only := NewHistogram("mct_q3_seconds", "t", []float64{1, 2, 4})
+	for i := 1; i <= 40; i++ {
+		v := 2 + float64(i)/20 // uniform in (2,4]: all in the le=4 bucket
+		h.Observe(v)
+		only.Observe(v)
+	}
+	after := h.Snapshot()
+	window := make([]uint64, len(after))
+	for i := range after {
+		window[i] = after[i] - before[i]
+	}
+	for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.99, 1} {
+		got, want := h.QuantileOf(window, q), only.QuantileOf(only.Snapshot(), q)
+		if got != want {
+			t.Errorf("window q=%g: %g, want %g (fresh-histogram quantile)", q, got, want)
+		}
+		if got <= 2 {
+			t.Errorf("window q=%g = %g: earlier observations leaked into the window", q, got)
+		}
 	}
 }
 
@@ -96,29 +131,10 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramStringIsExpvarJSON(t *testing.T) {
-	h := NewHistogram("mct_s_seconds", "t", []float64{1, 2})
-	h.ObserveDuration(1500 * time.Millisecond)
-	var v struct {
-		Count uint64  `json:"count"`
-		Sum   float64 `json:"sum"`
-		P50   float64 `json:"p50"`
-		P99   float64 `json:"p99"`
-	}
-	if err := json.Unmarshal([]byte(h.String()), &v); err != nil {
-		t.Fatalf("String() is not JSON: %v\n%s", err, h.String())
-	}
-	if v.Count != 1 || v.Sum != 1.5 {
-		t.Errorf("parsed %+v", v)
-	}
-}
-
 func TestDefaultBucketLayouts(t *testing.T) {
-	for name, bounds := range map[string][]float64{"latency": LatencyBuckets, "size": SizeBuckets} {
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] <= bounds[i-1] {
-				t.Errorf("%s buckets not ascending at %d", name, i)
-			}
+	for i := 1; i < len(LatencyBuckets); i++ {
+		if LatencyBuckets[i] <= LatencyBuckets[i-1] {
+			t.Errorf("latency buckets not ascending at %d", i)
 		}
 	}
 }

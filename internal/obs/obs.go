@@ -5,7 +5,8 @@
 //     exported as NDJSON to a file, a bounded in-memory ring (the
 //     service's GET /v1/trace/{job} tail), or both;
 //   - fixed-bucket counters-only histograms (hist.go) that feed the
-//     service's expvar map and its Prometheus text exposition (prom.go);
+//     service's Prometheus text exposition (prom.go), its one metrics
+//     surface, with QuantileOf as the one bucket-interpolation rule;
 //   - a slow-task log (slowlog.go): task attempts exceeding N× the
 //     running median duration for their label produce a structured
 //     event carrying label, attempt, and span ID;

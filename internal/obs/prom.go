@@ -118,8 +118,9 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return h
 }
 
-// Names returns the registered metric names with their kinds, in
-// registration order — the naming-convention test walks this.
+// Names returns the registered metric names mapped to their kinds (a
+// map, so in no particular order) — the naming-convention test walks
+// this.
 func (r *Registry) Names() map[string]MetricKind {
 	r.mu.Lock()
 	defer r.mu.Unlock()

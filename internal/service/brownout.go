@@ -97,10 +97,9 @@ func (c BrownoutConfig) withDefaults() BrownoutConfig {
 // occupancy) and walks the level up or down with hysteresis. The
 // request path only ever reads one atomic.
 type brownout struct {
-	cfg    BrownoutConfig
-	svc    *Service
-	level  atomic.Int32
-	bounds []float64 // admission histogram bucket bounds
+	cfg   BrownoutConfig
+	svc   *Service
+	level atomic.Int32
 
 	mu        sync.Mutex
 	prevSnap  []uint64
@@ -116,7 +115,7 @@ type brownout struct {
 }
 
 func newBrownout(s *Service, cfg BrownoutConfig) *brownout {
-	return &brownout{cfg: cfg.withDefaults(), svc: s, bounds: obs.LatencyBuckets, stop: make(chan struct{})}
+	return &brownout{cfg: cfg.withDefaults(), svc: s, stop: make(chan struct{})}
 }
 
 // run starts the evaluation ticker (only when enabled).
@@ -162,7 +161,7 @@ func (b *brownout) overloaded() bool {
 			window[i] -= prev[i]
 		}
 	}
-	if p99 := bucketQuantile(b.bounds, window, 0.99); p99 > b.cfg.AdmitWaitP99.Seconds() {
+	if p99 := b.svc.hAdmit.QuantileOf(window, 0.99); p99 > b.cfg.AdmitWaitP99.Seconds() {
 		return true
 	}
 	if b.svc.cfg.MaxWaiters > 0 &&
@@ -260,45 +259,4 @@ func (s *Service) shed(w http.ResponseWriter, r *http.Request, streaming bool) b
 	w.Header().Set("Retry-After", retryAfterValue(s.brown.cfg.RetryAfter))
 	writeErr(w, err)
 	return true
-}
-
-// bucketQuantile estimates a quantile from non-cumulative bucket counts
-// over the given bounds (same interpolation as obs.Histogram.Quantile,
-// but over a caller-supplied window instead of the cumulative counts).
-func bucketQuantile(bounds []float64, counts []uint64, q float64) float64 {
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i, c := range counts {
-		prev := cum
-		cum += c
-		if float64(cum) >= rank {
-			lower := 0.0
-			if i > 0 {
-				lower = bounds[i-1]
-			}
-			if i >= len(bounds) {
-				return lower // +Inf bucket
-			}
-			upper := bounds[i]
-			if c == 0 {
-				return upper
-			}
-			frac := (rank - float64(prev)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lower + frac*(upper-lower)
-		}
-	}
-	return bounds[len(bounds)-1]
 }

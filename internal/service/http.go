@@ -26,8 +26,7 @@ import (
 //	GET  /v1/jobs/{id}  job status, attempts, partial failures
 //	GET  /v1/trace/{job} the job's buffered trace spans — NDJSON
 //	GET  /healthz       200 ok / 503 draining
-//	GET  /metrics       expvar counters as JSON;
-//	                    ?format=prometheus for the text exposition
+//	GET  /metrics       Prometheus text exposition (version 0.0.4)
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, ep := range endpoints {
@@ -244,18 +243,14 @@ func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write([]byte(`{"status":"ok"}` + "\n"))
 }
 
-// handleMetrics serves GET /metrics: the service's expvar map as JSON
-// by default, or the Prometheus text exposition (version 0.0.4) with
-// ?format=prometheus. Metrics never sit behind the admission gate — a
+// handleMetrics serves GET /metrics: the Prometheus text exposition
+// (version 0.0.4), the service's only metrics surface. A
+// ?format=prometheus query (perfbench, loadgen and mctload send one) is
+// accepted and ignored. Metrics never sit behind the admission gate — a
 // draining or saturated instance must still be observable.
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.reg.WriteText(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = fmt.Fprintln(w, s.vars.String())
+func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = s.reg.WriteText(w)
 }
 
 // handleTrace serves GET /v1/trace/{job}: the job's spans still held by

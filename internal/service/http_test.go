@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -393,30 +394,50 @@ func TestAdmissionOverflowHTTP(t *testing.T) {
 	}
 }
 
-// waitInflight polls /metrics until queue_inflight reaches n.
+// waitInflight polls /metrics until mct_queue_inflight reaches n.
 func waitInflight(t *testing.T, base string, n float64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		m := scrapeMetrics(t, base)
-		if m["queue_inflight"] >= n {
+		if m["mct_queue_inflight"] >= n {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("queue_inflight never reached %v", n)
+	t.Fatalf("mct_queue_inflight never reached %v", n)
 }
 
-func scrapeMetrics(t *testing.T, base string) map[string]float64 {
+// scrapeExposition fetches base+path and strictly parses it as the
+// Prometheus text exposition, returning the samples and Content-Type.
+func scrapeExposition(t *testing.T, base, path string) ([]obs.Sample, string) {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics")
+	resp, err := http.Get(base + path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m map[string]float64
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatalf("metrics is not flat JSON numbers: %v", err)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+	}
+	// Strict parse: zero unparseable lines is the obs-smoke contract.
+	samples, err := obs.ParseProm(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: exposition does not parse: %v", path, err)
+	}
+	return samples, resp.Header.Get("Content-Type")
+}
+
+// scrapeMetrics fetches GET /metrics and returns its label-free samples
+// by name.
+func scrapeMetrics(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	samples, _ := scrapeExposition(t, base, "/metrics")
+	m := map[string]float64{}
+	for _, s := range samples {
+		if s.Labels == nil {
+			m[s.Name] = s.Value
+		}
 	}
 	return m
 }
@@ -448,16 +469,18 @@ func TestHealthzAndDrain(t *testing.T) {
 		t.Fatalf("classify while draining = %d, want 503", resp3.StatusCode)
 	}
 
+	// The 503 above already identifies the drain rejection; the metrics
+	// must show the gate shut and count the rejected request.
 	m := scrapeMetrics(t, srv.URL)
-	if m["draining"] != 1 || m["jobs_rejected_drain"] < 1 {
-		t.Errorf("metrics = draining %v, rejected_drain %v", m["draining"], m["jobs_rejected_drain"])
+	if m["mct_draining"] != 1 || m["mct_jobs_rejected_total"] < 1 {
+		t.Errorf("metrics = mct_draining %v, mct_jobs_rejected_total %v", m["mct_draining"], m["mct_jobs_rejected_total"])
 	}
 }
 
 // TestMetricsServedWhileDraining pins that observability never sits
 // behind the admission gate: with the drain gate shut (new work 503s),
-// GET /metrics — both the JSON map and the Prometheus exposition — must
-// still answer 200. A draining instance that goes dark is exactly the
+// GET /metrics — with and without ?format=prometheus — must still
+// answer 200. A draining instance that goes dark is exactly the
 // instance operators most need to watch.
 func TestMetricsServedWhileDraining(t *testing.T) {
 	s, srv := newTestService(t, Config{})
@@ -469,9 +492,9 @@ func TestMetricsServedWhileDraining(t *testing.T) {
 		t.Fatalf("classify while draining = %d, want 503 (gate not shut?)", reject.StatusCode)
 	}
 
-	m := scrapeMetrics(t, srv.URL) // fails the test on any non-200 / non-JSON
-	if m["draining"] != 1 {
-		t.Errorf("draining gauge = %v, want 1", m["draining"])
+	m := scrapeMetrics(t, srv.URL) // fails the test on any non-200 / unparseable line
+	if m["mct_draining"] != 1 {
+		t.Errorf("mct_draining gauge = %v, want 1", m["mct_draining"])
 	}
 	resp, err := http.Get(srv.URL + "/metrics?format=prometheus")
 	if err != nil {

@@ -10,29 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
-	"repro/internal/obs"
 )
-
-// promValues scrapes the Prometheus exposition into unlabelled samples.
-func promValues(t *testing.T, base string) map[string]float64 {
-	t.Helper()
-	resp, err := http.Get(base + "/metrics?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	samples, err := obs.ParseProm(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := map[string]float64{}
-	for _, s := range samples {
-		if s.Labels == nil {
-			m[s.Name] = s.Value
-		}
-	}
-	return m
-}
 
 // postSpec sends a JSON spec and returns the body and job ID of a 200.
 func postSpec(t *testing.T, base, path, body string) ([]byte, string) {
@@ -99,7 +77,7 @@ func TestMemoTierSkipsNeverRepeatedSpecs(t *testing.T) {
 	if b, n := s.arts.size(); b != 0 || n != 0 {
 		t.Errorf("distinct cold specs left %d bytes in %d entries in the memory tier, want none", b, n)
 	}
-	if got := promValues(t, srv.URL)["mct_memo_memory_bytes"]; got != 0 {
+	if got := scrapeMetrics(t, srv.URL)["mct_memo_memory_bytes"]; got != 0 {
 		t.Errorf("mct_memo_memory_bytes = %v, want 0", got)
 	}
 }
@@ -141,7 +119,7 @@ func TestMemoTierHitCountsOnce(t *testing.T) {
 	if tiers := lookupTiers(t, srv.URL, diskID); len(tiers) != 1 || tiers[0] != tierDisk {
 		t.Errorf("disk-warm cache.lookup tiers = %q, want [%q]", tiers, tierDisk)
 	}
-	m0 := promValues(t, srv.URL)
+	m0 := scrapeMetrics(t, srv.URL)
 	if m0["mct_memo_memory_bytes"] == 0 {
 		t.Fatal("a disk hit did not admit the artifact to the memory tier")
 	}
@@ -151,7 +129,7 @@ func TestMemoTierHitCountsOnce(t *testing.T) {
 	if !bytes.Equal(body, cold) {
 		t.Error("memory-tier replay differs from the cold body")
 	}
-	m1 := promValues(t, srv.URL)
+	m1 := scrapeMetrics(t, srv.URL)
 	if d := m1["mct_cache_hits_total"] - m0["mct_cache_hits_total"]; d != 1 {
 		t.Errorf("memory hit moved mct_cache_hits_total by %v, want 1", d)
 	}

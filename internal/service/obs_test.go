@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,22 +35,26 @@ func TestPrometheusExposition(t *testing.T) {
 	_, srv := newTestService(t, Config{})
 	classifyOnce(t, srv.URL)
 
-	resp, err := http.Get(srv.URL + "/metrics?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
+	samples, ct := scrapeExposition(t, srv.URL, "/metrics")
+	if ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Errorf("Content-Type = %q, want the 0.0.4 text exposition", ct)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	// ?format=prometheus (what perfbench, loadgen and mctload send) must
+	// keep answering with the same surface: same Content-Type, same
+	// series.
+	legacy, legacyCT := scrapeExposition(t, srv.URL, "/metrics?format=prometheus")
+	if legacyCT != ct {
+		t.Errorf("?format=prometheus Content-Type = %q, plain /metrics = %q", legacyCT, ct)
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("Content-Type = %q, want text/plain exposition", ct)
+	seriesNames := func(ss []obs.Sample) []string {
+		var out []string
+		for _, s := range ss {
+			out = append(out, s.Name)
+		}
+		return out
 	}
-
-	// Strict parse: zero unparseable lines is the obs-smoke contract.
-	samples, err := obs.ParseProm(resp.Body)
-	if err != nil {
-		t.Fatalf("exposition does not parse: %v", err)
+	if got, want := seriesNames(legacy), seriesNames(samples); !slices.Equal(got, want) {
+		t.Errorf("?format=prometheus series differ from plain /metrics:\n got %v\nwant %v", got, want)
 	}
 	byName := map[string]float64{}
 	for _, s := range samples {
@@ -211,24 +216,4 @@ func TestTraceRootSpanRecordsFailures(t *testing.T) {
 func recordStrideV1(t *testing.T) int {
 	t.Helper()
 	return len(buildTrace(t, 2)) - len(buildTrace(t, 1))
-}
-
-func TestExpvarHistogramDigestsAreFlat(t *testing.T) {
-	_, srv := newTestService(t, Config{})
-	classifyOnce(t, srv.URL)
-	// scrapeMetrics fails the test if any value is non-numeric — the
-	// flat-JSON contract the pre-existing clients rely on.
-	m := scrapeMetrics(t, srv.URL)
-	if m["classify_latency_count"] != 1 {
-		t.Errorf("classify_latency_count = %v, want 1", m["classify_latency_count"])
-	}
-	if m["classify_latency_p50_ms"] < 0 {
-		t.Errorf("classify_latency_p50_ms = %v", m["classify_latency_p50_ms"])
-	}
-	// Pre-existing keys must still be present alongside the digests.
-	for _, key := range []string{"jobs_accepted", "queue_inflight", "cache_hits", "records_total"} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("pre-existing expvar key %q lost", key)
-		}
-	}
 }

@@ -85,9 +85,9 @@ func TestSweepKillAndResume(t *testing.T) {
 			job.CacheHits, job.CacheMisses)
 	}
 	m := scrapeMetrics(t, srv.URL)
-	if m["cache_hits"] != 1 || m["cache_misses"] != 2 {
-		t.Errorf("metrics: cache_hits %v cache_misses %v, want 1/2 (fig2 seed, fig1 resume, fig2 replay)",
-			m["cache_hits"], m["cache_misses"])
+	if m["mct_cache_hits_total"] != 1 || m["mct_cache_misses_total"] != 2 {
+		t.Errorf("metrics: mct_cache_hits_total %v mct_cache_misses_total %v, want 1/2 (fig2 seed, fig1 resume, fig2 replay)",
+			m["mct_cache_hits_total"], m["mct_cache_misses_total"])
 	}
 
 	// Both cells streamed results.

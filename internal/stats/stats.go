@@ -80,80 +80,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Histogram is a fixed-bucket counter over a uint64 domain, used for
-// per-set conflict heat maps and latency distributions.
-type Histogram struct {
-	buckets []uint64
-	width   uint64
-	over    uint64
-	total   uint64
-}
-
-// NewHistogram creates a histogram with n buckets each covering width
-// consecutive values; samples beyond n*width land in an overflow bucket.
-func NewHistogram(n int, width uint64) *Histogram {
-	if n <= 0 || width == 0 {
-		panic("stats: NewHistogram requires n > 0 and width > 0")
-	}
-	return &Histogram{buckets: make([]uint64, n), width: width}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v uint64) {
-	h.total++
-	i := v / h.width
-	if i >= uint64(len(h.buckets)) {
-		h.over++
-		return
-	}
-	h.buckets[i]++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// Overflow returns the count of samples beyond the last bucket.
-func (h *Histogram) Overflow() uint64 { return h.over }
-
-// Percentile returns the smallest value v such that at least p (0..1) of
-// samples are <= v, in units of bucket upper bounds. Overflowed samples
-// report the overflow boundary.
-//
-// The quantile follows perf.Percentile's nearest-rank rule — rank
-// ceil(p·n), so the two packages agree on shared sample sets — and is
-// validated the same way: NaN and p <= 0 clamp to the first sample's
-// bucket, p >= 1 to the last. (Previously NaN and out-of-range p were
-// accepted silently: p > 1 produced a target beyond the sample count and
-// walked off the end to the overflow boundary even with no overflow.)
-func (h *Histogram) Percentile(p float64) uint64 {
-	if h.total == 0 {
-		return 0
-	}
-	var target uint64
-	switch {
-	case math.IsNaN(p) || p <= 0:
-		target = 1
-	case p >= 1:
-		target = h.total
-	default:
-		target = uint64(math.Ceil(p * float64(h.total)))
-		if target == 0 {
-			target = 1
-		}
-	}
-	var cum uint64
-	for i, c := range h.buckets {
-		cum += c
-		if cum >= target {
-			return uint64(i+1) * h.width
-		}
-	}
-	return uint64(len(h.buckets)) * h.width
-}
-
 // Table accumulates rows of labeled values and renders an aligned
 // plain-text table — the output format for every reproduced figure/table.
 type Table struct {

@@ -69,40 +69,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(4, 10)
-	for _, v := range []uint64{0, 5, 9, 10, 25, 39, 40, 1000} {
-		h.Add(v)
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.Bucket(0) != 3 || h.Bucket(1) != 1 || h.Bucket(2) != 1 || h.Bucket(3) != 1 {
-		t.Errorf("buckets = %d %d %d %d", h.Bucket(0), h.Bucket(1), h.Bucket(2), h.Bucket(3))
-	}
-	if h.Overflow() != 2 {
-		t.Errorf("Overflow = %d", h.Overflow())
-	}
-	if p := h.Percentile(0.5); p != 20 {
-		t.Errorf("P50 = %d, want 20", p)
-	}
-	if p := h.Percentile(1.0); p != 40 {
-		t.Errorf("P100 = %d, want 40 (overflow boundary)", p)
-	}
-	if NewHistogram(1, 1).Percentile(0.5) != 0 {
-		t.Error("empty histogram percentile should be 0")
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram(0, 10) did not panic")
-		}
-	}()
-	NewHistogram(0, 10)
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Demo", "name", "v1", "v2")
 	tb.AddRowF("alpha", 1.5, 2.25)
