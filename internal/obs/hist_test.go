@@ -30,12 +30,17 @@ func TestHistogramBuckets(t *testing.T) {
 	if sum := h.Sum(); math.Abs(sum-112) > 1e-9 {
 		t.Errorf("Sum = %g, want 112", sum)
 	}
+}
 
-	// ObserveDuration records seconds, the Prometheus base unit.
+// ObserveDuration records seconds, the Prometheus base unit.
+func TestHistogramObserveDuration(t *testing.T) {
 	d := NewHistogram("mct_d_seconds", "t", []float64{1, 2})
 	d.ObserveDuration(1500 * time.Millisecond)
 	if d.Count() != 1 || d.Sum() != 1.5 {
 		t.Errorf("after ObserveDuration(1.5s): Count = %d, Sum = %g, want 1, 1.5", d.Count(), d.Sum())
+	}
+	if got := d.Snapshot(); got[0] != 0 || got[1] != 1 || got[2] != 0 {
+		t.Errorf("after ObserveDuration(1.5s): buckets = %v, want [0 1 0]", got)
 	}
 }
 
