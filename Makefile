@@ -155,9 +155,13 @@ cluster-smoke:
 # byte-identical cold/warm responses on both paths. The SHARDS
 # differential tests (sampled vs exact stack distances, rate adaptation,
 # the zero-alloc observe pin) and the tenant-quota/header-validation
-# suite ride along, all under the race detector.
+# suite ride along. So do the two cross-checks of the one-pass oracle
+# stack the MRC split runs on: the ladder against independent per-size
+# fully-associative caches (every verdict, 1–16 rungs, three
+# geometries), and the stack against the profiler's exact mode at
+# power-of-two capacities. All under the race detector.
 mrc-smoke:
-	$(GO) test -race -count=1 -run 'TestMRCSmoke|TestProfilerMatchesExactReference|TestSampledErrorBounds|TestCurveMonotone|TestRateAdaptation|TestObserveBatchAllocs|TestMRC|TestTenant' -timeout 300s ./cmd/mctd ./internal/mrc ./internal/service
+	$(GO) test -race -count=1 -run 'TestMRCSmoke|TestProfilerMatchesExactReference|TestSampledErrorBounds|TestCurveMonotone|TestRateAdaptation|TestObserveBatchAllocs|TestMRC|TestTenant|TestLadder|TestLRUStack' -timeout 300s ./cmd/mctd ./internal/mrc ./internal/service ./internal/classify ./internal/cache
 
 # Cluster scaling benchmark: 3-node fleet vs single node on a 24-cell
 # sweep with a 60ms injected per-cell occupancy (the one-core proxy for
@@ -185,9 +189,9 @@ vulncheck:
 		echo "vulncheck: govulncheck not installed; skipping"; \
 	fi
 
-# Short fuzz passes over the binary trace decoder, the fault-spec parsers
-# and the Prometheus exposition parser; CI runs the seed corpora via
-# `make test`, this target digs deeper locally.
+# Short fuzz passes over the binary trace decoder, the fault-spec parsers,
+# the Prometheus exposition parser and the MRC spec normalizer; CI runs
+# the seed corpora via `make test`, this target digs deeper locally.
 fuzz:
 	$(GO) test -fuzz FuzzReadTrace -fuzztime 30s ./internal/trace
 	$(GO) test -fuzz 'FuzzRoundTrip$$' -fuzztime 30s ./internal/trace
@@ -195,6 +199,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzParse$$' -fuzztime 30s ./internal/faultinject
 	$(GO) test -fuzz FuzzParseNetSpec -fuzztime 30s ./internal/faultinject
 	$(GO) test -fuzz FuzzParseProm -fuzztime 30s ./internal/obs
+	$(GO) test -fuzz FuzzMRCSpecNormalize -fuzztime 30s ./internal/service
 
 # Drop all memoized experiment results (results/cache is also safely
 # deletable by hand; entries are invalidated automatically when the code

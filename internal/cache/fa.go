@@ -4,22 +4,20 @@ import "repro/internal/mem"
 
 // FullyAssociative is a fully-associative cache over line addresses with
 // true LRU replacement, implemented as an open-addressing hash index plus
-// an intrusive doubly-linked recency list. It backs the classic (Hill)
-// miss classifier: a reference that misses a set-associative cache but
-// hits a fully-associative LRU cache of equal capacity is a conflict miss.
-//
-// The structure is also reused directly as the storage for the small
+// an intrusive doubly-linked recency list. It is the storage for the small
 // fully-associative assist buffers (victim/prefetch/bypass), which the
-// paper sizes at 8–16 entries.
+// paper sizes at 8–16 entries, and the independent reference the classic
+// (Hill) classifier's LRUStack is tested against: a reference that misses
+// a set-associative cache but hits a fully-associative LRU cache of equal
+// capacity is a conflict miss.
 //
 // Everything lives in two contiguous slabs allocated at construction:
 // an arena of nodes linked by int32 indices (no per-entry heap nodes),
 // and a pointer-free linear-probing hash table mapping line -> arena
 // index (no map inserts on the hot path). Capacity is fixed, so the
 // table is sized once, never grows, and every operation — Reference,
-// Insert, Remove — performs zero heap allocations. This is the oracle
-// classifier's per-access workload, so the constant factors here bound
-// every accuracy experiment's throughput.
+// Insert, Remove — performs zero heap allocations. LRUStack shares the
+// table and the arena layout.
 type FullyAssociative struct {
 	capacity int
 	len      int
@@ -186,22 +184,6 @@ func (f *FullyAssociative) Reference(line mem.LineAddr) bool {
 	f.evictIfFull()
 	f.insertFront(line)
 	return false
-}
-
-// ReferenceBatch performs one LRU reference per line, recording each hit
-// verdict in hits (which must be at least as long as lines). References
-// are applied in slice order — the recency each reference observes
-// includes every earlier reference in the batch, exactly as if Reference
-// had been called in a loop. The batch entry point exists to amortize call
-// overhead in the oracle classifier's struct-of-arrays kernel.
-func (f *FullyAssociative) ReferenceBatch(lines []mem.LineAddr, hits []bool) {
-	if len(lines) == 0 {
-		return
-	}
-	hits = hits[:len(lines)]
-	for i, line := range lines {
-		hits[i] = f.Reference(line)
-	}
 }
 
 // Contains reports presence without updating recency.

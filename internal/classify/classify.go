@@ -16,6 +16,8 @@
 package classify
 
 import (
+	"fmt"
+
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -70,41 +72,100 @@ func (k Kind) Grouped() core.Class {
 	return core.Capacity
 }
 
-// Oracle tracks the state needed for classic classification alongside a
-// real cache: the set of lines ever touched and a fully-associative LRU
-// cache of equal capacity. The oracle must observe every access (hits
-// included) to keep the fully-associative recency exact.
+// history is the reference state an oracle needs and a ladder's rungs
+// share: the line fold, the set of lines ever touched, and one LRU stack
+// cut into a region at every rung's capacity. One reference per access
+// answers first touch and fully-associative hit for every rung at once
+// (Mattson's inclusion property; see cache.LRUStack).
 //
 // The touched set is a paged bitmap (mem.LineSet) rather than a hash set:
-// Observe runs once per memory access for every accuracy experiment, and
-// the bitmap answers "first touch?" with bit arithmetic instead of a map
-// insert, allocation-free at steady state.
-type Oracle struct {
+// it is consulted once per memory access for every accuracy experiment,
+// and the bitmap answers "first touch?" with bit arithmetic instead of a
+// map insert, allocation-free at steady state.
+type history struct {
 	geom    mem.Geometry
-	fa      *cache.FullyAssociative
+	stack   cache.LRUStack // by value: one indirection fewer per access
 	touched mem.LineSet
 
-	counts [numMissKinds]uint64
+	// referenceBatch results, sized to the largest batch seen: whether
+	// each line was touched before, and the stack region it held.
+	lines   []mem.LineAddr
+	seen    []bool
+	regions []int32
+}
 
-	// ObserveBatch staging scratch, sized to the largest batch seen.
-	lines []mem.LineAddr
-	seen  []bool
-	faHit []bool
+// newHistory builds the shared state for rungs with the given
+// configurations, which must share a line size and ascend in capacity.
+func newHistory(cfgs []cache.Config) (*history, error) {
+	if len(cfgs) == 0 {
+		return nil, fmt.Errorf("classify: no cache configurations")
+	}
+	capacities := make([]int, len(cfgs))
+	for i, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		if cfg.LineSize != cfgs[0].LineSize {
+			return nil, fmt.Errorf("classify: line size %d differs from the first rung's %d", cfg.LineSize, cfgs[0].LineSize)
+		}
+		capacities[i] = cfg.Size / cfg.LineSize
+	}
+	geom, err := mem.NewGeometry(cfgs[0].LineSize, cfgs[0].Sets())
+	if err != nil {
+		return nil, err
+	}
+	stack, err := cache.NewLRUStack(capacities)
+	if err != nil {
+		return nil, err
+	}
+	return &history{geom: geom, stack: *stack}, nil
+}
+
+// referenceBatch references a batch of accesses staged per structure —
+// line fold, then the touched bitmap, then the stack — leaving the
+// results in h.seen and h.regions. Order within each structure is
+// preserved, so the results equal referencing one access at a time, as
+// Observe does.
+func (h *history) referenceBatch(addrs []mem.Addr) {
+	n := len(addrs)
+	if cap(h.lines) < n {
+		h.lines = make([]mem.LineAddr, n)
+		h.seen = make([]bool, n)
+		h.regions = make([]int32, n)
+	}
+	h.lines, h.seen, h.regions = h.lines[:n], h.seen[:n], h.regions[:n]
+	lines, seen, regions := h.lines, h.seen, h.regions
+	for i, addr := range addrs {
+		lines[i] = h.geom.Line(addr)
+	}
+	for i, line := range lines {
+		seen[i] = h.touched.TestAndSet(line)
+	}
+	for i, line := range lines {
+		regions[i] = int32(h.stack.Reference(line))
+	}
+}
+
+// Oracle classifies misses at one capacity: a rung of a reference
+// history. The oracle must observe every access (hits included) to keep
+// the fully-associative recency exact.
+//
+// A one-size oracle (NewOracle) owns its history. The rungs of a Ladder
+// share one, so they advance together through Ladder.AccessBatch; calling
+// Observe on one of them would advance the others' history too.
+type Oracle struct {
+	h      *history
+	rung   int32 // this oracle's region in h.stack
+	counts [numMissKinds]uint64
 }
 
 // NewOracle builds an oracle for a cache with the given configuration.
 func NewOracle(cfg cache.Config) (*Oracle, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	geom, err := mem.NewGeometry(cfg.LineSize, cfg.Sets())
+	h, err := newHistory([]cache.Config{cfg})
 	if err != nil {
 		return nil, err
 	}
-	return &Oracle{
-		geom: geom,
-		fa:   cache.NewFullyAssociative(cfg.Size / cfg.LineSize),
-	}, nil
+	return &Oracle{h: h}, nil
 }
 
 // MustNewOracle is NewOracle that panics on error.
@@ -116,6 +177,21 @@ func MustNewOracle(cfg cache.Config) *Oracle {
 	return o
 }
 
+// verdict is the miss kind of an access whose line was (or was not) seen
+// before and held the given stack region: it would have hit the
+// fully-associative cache at this rung's capacity iff the region is at or
+// inside the rung's.
+func (o *Oracle) verdict(seen bool, region int32) Kind {
+	switch {
+	case !seen:
+		return Compulsory
+	case region <= o.rung:
+		return Conflict
+	default:
+		return Capacity
+	}
+}
+
 // Observe records one access and returns the oracle's verdict: Hit when
 // the real cache hit, else the miss kind the access has under classic
 // classification. The caller decides whether the real cache actually
@@ -124,21 +200,14 @@ func MustNewOracle(cfg cache.Config) *Oracle {
 // taxonomy is only meaningful for misses, but the touched set and the
 // fully-associative state must advance on every access either way).
 func (o *Oracle) Observe(addr mem.Addr, realHit bool) Kind {
-	line := o.geom.Line(addr)
-	seen := o.touched.TestAndSet(line)
-	faHit := o.fa.Reference(line)
+	h := o.h
+	line := h.geom.Line(addr)
+	seen := h.touched.TestAndSet(line)
+	region := int32(h.stack.Reference(line))
 	if realHit {
 		return Hit
 	}
-	var k Kind
-	switch {
-	case !seen:
-		k = Compulsory
-	case faHit:
-		k = Conflict
-	default:
-		k = Capacity
-	}
+	k := o.verdict(seen, region)
 	o.counts[k]++
 	return k
 }
@@ -146,45 +215,32 @@ func (o *Oracle) Observe(addr mem.Addr, realHit bool) Kind {
 // ObserveBatch records a block of accesses, writing each verdict to kinds
 // (same length as addrs; realHit[i] reports whether access i hit the real
 // cache). It is Observe staged per structure over the batch: line
-// extraction, then the touched bitmap, then the fully-associative LRU,
-// then the verdicts — each structure's state walked in one tight loop
-// rather than interleaved per record. Ordering within each structure is
-// preserved (record i's LRU reference precedes record i+1's), so the
-// verdicts and counters are identical to calling Observe in a loop.
+// extraction, then the touched bitmap, then the LRU stack, then the
+// verdicts — each structure's state walked in one tight loop rather than
+// interleaved per record. Ordering within each structure is preserved
+// (record i's LRU reference precedes record i+1's), so the verdicts and
+// counters are identical to calling Observe in a loop.
 func (o *Oracle) ObserveBatch(addrs []mem.Addr, realHit []bool, kinds []Kind) {
-	n := len(addrs)
-	if n == 0 {
+	if len(addrs) == 0 {
 		return
 	}
+	o.h.referenceBatch(addrs)
+	o.classify(realHit, kinds)
+}
+
+// classify turns the history's most recent referenceBatch into verdicts
+// for this rung, given which accesses hit its real cache.
+func (o *Oracle) classify(realHit []bool, kinds []Kind) {
+	seen, regions := o.h.seen, o.h.regions
+	n := len(seen)
 	realHit = realHit[:n]
 	kinds = kinds[:n]
-	if cap(o.lines) < n {
-		o.lines = make([]mem.LineAddr, n)
-		o.seen = make([]bool, n)
-		o.faHit = make([]bool, n)
-	}
-	lines, seen, faHit := o.lines[:n], o.seen[:n], o.faHit[:n]
-	for i, addr := range addrs {
-		lines[i] = o.geom.Line(addr)
-	}
-	for i, line := range lines {
-		seen[i] = o.touched.TestAndSet(line)
-	}
-	o.fa.ReferenceBatch(lines, faHit)
-	for i := range lines {
-		if realHit[i] {
+	for i, hit := range realHit {
+		if hit {
 			kinds[i] = Hit
 			continue
 		}
-		var k Kind
-		switch {
-		case !seen[i]:
-			k = Compulsory
-		case faHit[i]:
-			k = Conflict
-		default:
-			k = Capacity
-		}
+		k := o.verdict(seen[i], regions[i])
 		o.counts[k]++
 		kinds[i] = k
 	}
@@ -297,21 +353,14 @@ type Run struct {
 }
 
 // NewRun builds the lockstep measurement over a cache configuration with an
-// MCT storing tagBits bits per entry (0 = full tags).
+// MCT storing tagBits bits per entry (0 = full tags). It is the one-rung
+// Ladder.
 func NewRun(cfg cache.Config, tagBits int) (*Run, error) {
-	c, err := cache.New(cfg)
+	l, err := NewLadder([]cache.Config{cfg}, tagBits)
 	if err != nil {
 		return nil, err
 	}
-	cc, err := core.Attach(c, tagBits)
-	if err != nil {
-		return nil, err
-	}
-	o, err := NewOracle(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Run{CC: cc, Oracle: o}, nil
+	return l.Rungs[0], nil
 }
 
 // Access plays one access through both models, updating the accuracy
@@ -334,6 +383,17 @@ func (r *Run) Access(addr mem.Addr, isStore bool) {
 // that report individual accesses. Steady-state allocation-free: the
 // result arrays grow to the largest batch and are reused.
 func (r *Run) AccessBatch(addrs []mem.Addr, stores []bool) {
+	r.accessCache(addrs, stores)
+	if len(addrs) == 0 {
+		return
+	}
+	r.Oracle.ObserveBatch(addrs, r.Hits, r.Kinds)
+	r.record()
+}
+
+// accessCache sizes the result arrays to the batch and plays it through
+// the real cache and MCT.
+func (r *Run) accessCache(addrs []mem.Addr, stores []bool) {
 	n := len(addrs)
 	if cap(r.Hits) < n {
 		r.Hits = make([]bool, n)
@@ -343,14 +403,71 @@ func (r *Run) AccessBatch(addrs []mem.Addr, stores []bool) {
 	r.Hits = r.Hits[:n]
 	r.Kinds = r.Kinds[:n]
 	r.Classes = r.Classes[:n]
-	if n == 0 {
-		return
+	if n > 0 {
+		r.CC.AccessBatch(addrs, stores, r.Hits, r.Classes)
 	}
-	r.CC.AccessBatch(addrs, stores, r.Hits, r.Classes)
-	r.Oracle.ObserveBatch(addrs, r.Hits, r.Kinds)
+}
+
+// record folds the batch's miss verdicts into the accuracy accumulator.
+func (r *Run) record() {
 	for i, hit := range r.Hits {
 		if !hit {
 			r.Acc.Record(r.Kinds[i], r.Classes[i])
 		}
+	}
+}
+
+// Ladder is one accuracy measurement at several cache sizes over the same
+// access stream. Each rung is a Run with its own real cache, MCT, counts
+// and Accuracy; the rungs' oracles share one reference history, so a
+// batch costs one line fold, one first-touch test and one LRU-stack
+// reference per access however many sizes are measured. Every rung's
+// results equal those of a separate Run fed the same stream.
+type Ladder struct {
+	// Rungs holds one Run per configuration, in the order given. Drive
+	// them only through Ladder.AccessBatch: their oracles share state.
+	Rungs []*Run
+
+	h *history
+}
+
+// NewLadder builds the measurement at each configuration, with an MCT
+// storing tagBits bits per entry (0 = full tags). The configurations must
+// share a line size and be given in strictly ascending capacity.
+func NewLadder(cfgs []cache.Config, tagBits int) (*Ladder, error) {
+	h, err := newHistory(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	l := &Ladder{Rungs: make([]*Run, len(cfgs)), h: h}
+	for i, cfg := range cfgs {
+		c, err := cache.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		cc, err := core.Attach(c, tagBits)
+		if err != nil {
+			return nil, err
+		}
+		l.Rungs[i] = &Run{CC: cc, Oracle: &Oracle{h: h, rung: int32(i)}}
+	}
+	return l, nil
+}
+
+// AccessBatch plays a block of accesses through every rung: each rung's
+// real cache and MCT, then one shared history reference per access, then
+// each rung's verdicts and accuracy. Per-record results are left in each
+// rung's Hits/Kinds/Classes, as Run.AccessBatch leaves them.
+func (l *Ladder) AccessBatch(addrs []mem.Addr, stores []bool) {
+	for _, r := range l.Rungs {
+		r.accessCache(addrs, stores)
+	}
+	if len(addrs) == 0 {
+		return
+	}
+	l.h.referenceBatch(addrs)
+	for _, r := range l.Rungs {
+		r.Oracle.classify(r.Hits, r.Kinds)
+		r.record()
 	}
 }

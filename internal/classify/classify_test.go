@@ -285,22 +285,36 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 // at zero allocations per batch: once the result arrays and the oracle's
 // staging scratch have grown to the working batch size, replaying batches
 // must not touch the heap. This is the kernel every batch consumer
-// (mctsim -trace, the service upload path, perf's sim.endtoend.batch)
-// sits on.
+// (mctsim -trace, the service upload and MRC paths, perf's
+// sim.endtoend.batch) sits on; the 3-rung case is the MRC ladder over its
+// shared stack.
 func TestAccessBatchSteadyStateAllocs(t *testing.T) {
-	run, err := NewRun(benchConfig(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	addrs := benchAddrs(256)
 	stores := make([]bool, len(addrs))
 	for i := range stores {
 		stores[i] = i%5 == 0
 	}
-	run.AccessBatch(addrs, stores) // warm: grow results and scratch, touch lines
-	if avg := testing.AllocsPerRun(1000, func() {
-		run.AccessBatch(addrs, stores)
-	}); avg != 0 {
-		t.Fatalf("Run.AccessBatch steady state allocates %v allocs/batch, want 0", avg)
+	run, err := NewRun(benchConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfgs []cache.Config
+	for _, kb := range []int{8, 32, 128} {
+		cfgs = append(cfgs, cache.Config{Name: "L1D", Size: kb << 10, LineSize: 64, Assoc: 2})
+	}
+	ladder, err := NewLadder(cfgs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, accessBatch := range map[string]func([]mem.Addr, []bool){
+		"1 rung":  run.AccessBatch,
+		"3 rungs": ladder.AccessBatch,
+	} {
+		accessBatch(addrs, stores) // warm: grow results and scratch, touch lines
+		if avg := testing.AllocsPerRun(1000, func() {
+			accessBatch(addrs, stores)
+		}); avg != 0 {
+			t.Errorf("%s: AccessBatch steady state allocates %v allocs/batch, want 0", name, avg)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/assist"
@@ -308,8 +309,12 @@ func mixedInstrs(n int, pcBase mem.Addr) []trace.Instr {
 }
 
 // allocsForRun reports the allocations of one full run (construction
-// included) over an n-instruction stream.
+// included) over an n-instruction stream. The collector is off while it
+// measures (SetGCPercent(-1) also waits out a cycle in progress): a GC
+// cycle starting inside the sample spawns background mark workers, whose
+// goroutines and worker nodes count as mallocs of the sample too.
 func allocsForRun(n int, run func(n int)) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	return testing.AllocsPerRun(1, func() { run(n) })
 }
 

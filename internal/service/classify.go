@@ -132,8 +132,8 @@ func normalizeGeometry(assoc, line *int, tagBits int, index *string) error {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	*index = scheme.String()
-	if tagBits < 0 {
-		return fmt.Errorf("%w: tag_bits must be >= 0", ErrBadRequest)
+	if tagBits < 0 || tagBits > 64 {
+		return fmt.Errorf("%w: tag_bits must be in [0, 64], got %d", ErrBadRequest, tagBits)
 	}
 	return nil
 }

@@ -3,11 +3,13 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/url"
 	"slices"
 	"strconv"
 	"strings"
 
+	"repro/internal/cache"
 	"repro/internal/classify"
 	"repro/internal/mem"
 	"repro/internal/mrc"
@@ -17,10 +19,15 @@ import (
 // mrcSlug keys spec-path MRC profiles in the memo cache.
 const mrcSlug = "svc-mrc"
 
-// maxMRCSizes bounds how many cache sizes one request may profile: each
-// size costs a full classifying cache + oracle, so the list is the
-// request's compute knob.
+// maxMRCSizes bounds how many cache sizes one request may profile. Every
+// size shares one oracle stack, but each still costs its own real cache
+// and MCT per access, so the list remains the request's compute knob.
 const maxMRCSizes = 16
+
+// maxMRCLines bounds each size's capacity in lines (8 MB of 64-byte
+// lines): a size's real cache, and the largest size's oracle stack, are
+// allocated up front, so the bound caps a request's resident memory.
+const maxMRCLines = 1 << 17
 
 // MRCSpec describes one miss-ratio-curve request: which access stream
 // to profile (a named workload, or the uploaded trace), the SHARDS
@@ -38,8 +45,10 @@ type MRCSpec struct {
 	Seed uint64 `json:"seed,omitempty"`
 
 	// SizesKB is the ascending ladder of cache sizes to report points
-	// at (default 4..256 KB doubling). Each size gets its own
-	// classifier run for the MCT conflict/capacity split.
+	// at (default 4..256 KB doubling), at most maxMRCSizes of them, each
+	// at most maxMRCLines lines. Each size gets its own real cache and
+	// MCT for the conflict/capacity split; the oracle behind the split
+	// is one LRU stack shared by every size.
 	SizesKB []int `json:"sizes_kb,omitempty"`
 	// Assoc, LineSize, TagBits, Index, IndexSeed describe the per-size
 	// cache geometry, exactly as in ClassifySpec.
@@ -76,6 +85,11 @@ func (sp *MRCSpec) normalize(upload bool, maxAccesses uint64, maxSet int) error 
 		if kb <= 0 {
 			return fmt.Errorf("%w: sizes_kb entries must be positive, got %d", ErrBadRequest, kb)
 		}
+		// normalizeGeometry made LineSize non-zero; a negative one fails
+		// Validate below.
+		if kb > math.MaxInt/1024 || kb*1024/sp.LineSize > maxMRCLines {
+			return fmt.Errorf("%w: size %dKB exceeds the limit of %d lines", ErrBadRequest, kb, maxMRCLines)
+		}
 		if err := cacheConfig(kb, sp.LineSize, sp.Assoc, sp.Index, sp.IndexSeed).Validate(); err != nil {
 			return fmt.Errorf("%w: size %dKB: %v", ErrBadRequest, kb, err)
 		}
@@ -83,7 +97,7 @@ func (sp *MRCSpec) normalize(upload bool, maxAccesses uint64, maxSet int) error 
 	if sp.Rate == 0 {
 		sp.Rate = mrc.DefaultRate
 	}
-	if sp.Rate <= 0 || sp.Rate > 1 {
+	if !(sp.Rate > 0 && sp.Rate <= 1) { // also rejects NaN
 		return fmt.Errorf("%w: rate %v outside (0, 1]", ErrBadRequest, sp.Rate)
 	}
 	if sp.MaxSampled < 0 {
@@ -174,11 +188,22 @@ type MRCSummary struct {
 	Points      int     `json:"points"`
 }
 
+// ladder builds the classifier for the spec's sizes: one rung per size,
+// all sharing one oracle stack.
+func (spec MRCSpec) ladder() (*classify.Ladder, error) {
+	cfgs := make([]cache.Config, len(spec.SizesKB))
+	for i, kb := range spec.SizesKB {
+		cfgs[i] = cacheConfig(kb, spec.LineSize, spec.Assoc, spec.Index, spec.IndexSeed)
+	}
+	return classify.NewLadder(cfgs, spec.TagBits)
+}
+
 // stream is the MRC kernel as a streamFunc: it plays every memory
-// access of src through one SHARDS profiler
-// and one classifier run per requested size, a struct-of-arrays batch
-// at a time: the batch's memory ops are compacted once, then fanned to
-// the profiler and every run (which never mutate the shared slices).
+// access of src through one SHARDS profiler and one classifier ladder
+// (a real cache and MCT per requested size over one shared oracle
+// stack), a struct-of-arrays batch at a time: the batch's memory ops
+// are compacted once, then fed to the profiler and the ladder (which
+// never mutate the shared slices).
 // charge, when non-nil, is called once per batch with the newly
 // sampled-reference count — the tenant quota hook; its error aborts
 // the stream mid-flight. After the source drains cleanly, the points
@@ -186,13 +211,9 @@ type MRCSummary struct {
 func (spec MRCSpec) stream(ctx context.Context, src trace.BatchSource, emit func(v any) error, charge func(samples uint64) error) (stats, error) {
 	var st stats
 	prof := mrc.New(mrc.Config{Rate: spec.Rate, MaxSampled: spec.MaxSampled, LineSize: spec.LineSize})
-	runs := make([]*classify.Run, len(spec.SizesKB))
-	for i, kb := range spec.SizesKB {
-		run, err := classify.NewRun(cacheConfig(kb, spec.LineSize, spec.Assoc, spec.Index, spec.IndexSeed), spec.TagBits)
-		if err != nil {
-			return st, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		runs[i] = run
+	ladder, err := spec.ladder()
+	if err != nil {
+		return st, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	batch := trace.NewBatch(trace.DefaultBatchSize)
 	addrs := make([]mem.Addr, 0, trace.DefaultBatchSize)
@@ -214,9 +235,7 @@ func (spec MRCSpec) stream(ctx context.Context, src trace.BatchSource, emit func
 			}
 		}
 		prof.ObserveBatch(addrs)
-		for _, run := range runs {
-			run.AccessBatch(addrs, stores)
-		}
+		ladder.AccessBatch(addrs, stores)
 		st.Records += uint64(len(addrs))
 		if charge != nil {
 			cur := prof.SampledRefs()
@@ -232,7 +251,7 @@ func (spec MRCSpec) stream(ctx context.Context, src trace.BatchSource, emit func
 	ps := prof.Stats()
 	st.Samples = ps.Sampled
 	for i, kb := range spec.SizesKB {
-		run := runs[i]
+		run := ladder.Rungs[i]
 		lines := uint64(kb) * 1024 / uint64(spec.LineSize)
 		compulsory, capacity, conflict := run.Oracle.Counts()
 		misses := run.Acc.Misses()

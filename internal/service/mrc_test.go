@@ -3,9 +3,11 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -358,6 +360,30 @@ func TestMRCMaxSampledQuota(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", resp.StatusCode, readAll(t, resp.Body))
+	}
+}
+
+// TestMRCSpecRejectsUnbuildable pins the normalize checks that keep an
+// accepted spec buildable: a size over maxMRCLines (including one whose
+// byte size would overflow), a NaN rate on the upload query, and tag bits
+// the MCT cannot store are all 400s before any work is admitted.
+func TestMRCSpecRejectsUnbuildable(t *testing.T) {
+	for name, sp := range map[string]MRCSpec{
+		"over the line limit": {Workload: "gcc", SizesKB: []int{16 << 10}},
+		"byte size overflows": {Workload: "gcc", SizesKB: []int{1<<54 + 4}},
+		"tag bits over 64":    {Workload: "gcc", TagBits: 65},
+	} {
+		if err := sp.normalize(false, 0, 0); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: normalize = %v, want ErrBadRequest", name, err)
+		}
+	}
+	top := MRCSpec{Workload: "gcc", SizesKB: []int{8 << 10}}
+	if err := top.normalize(false, 0, 0); err != nil {
+		t.Errorf("a size of exactly maxMRCLines lines rejected: %v", err)
+	}
+	var up MRCSpec
+	if err := up.fromQuery(url.Values{"rate": {"NaN"}}, 0); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("rate=NaN: fromQuery = %v, want ErrBadRequest", err)
 	}
 }
 
