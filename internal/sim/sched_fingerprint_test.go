@@ -117,30 +117,57 @@ func schedFingerprints(t *testing.T) map[string]string {
 	bounded.MaxCycles = 7_777
 	record("maxcycles/swim", Run(bench("swim"), schedSystems[0].make(), Options{Instructions: 1 << 30, CPU: bounded}))
 
-	// Two-thread SMT co-runs over one shared hierarchy.
-	for _, pair := range [][2]string{{"swim", "gcc"}, {"tomcatv", "vortex"}} {
+	// SMT co-runs over one shared hierarchy: each thread runs its suite
+	// benchmark at its own seed, and the cell hashes every thread's
+	// metrics with the shared counters.
+	smt := func(key string, cfg cpu.Config, hc hier.Config, s int, names []string, perThread uint64) {
+		sys := schedSystems[s].make()
+		h := hier.MustNew(hc, sys)
+		streams := make([]trace.Stream, len(names))
+		for i, n := range names {
+			streams[i] = bench(n).Stream(workload.DefaultSeed + uint64(i))
+		}
+		ms := cpu.MustNewSMT(cfg, h, len(names)).Run(streams, perThread)
+		record(key, struct {
+			CPU  []cpu.Metrics
+			Sys  assist.Stats
+			Hier hier.Stats
+		}{ms, sys.Stats(), h.Stats()})
+	}
+	pairs := [][]string{{"swim", "gcc"}, {"tomcatv", "vortex"}}
+	for _, pair := range pairs {
 		for _, s := range []int{0, 2} {
-			sys := schedSystems[s].make()
-			h := hier.MustNew(hier.DefaultConfig(), sys)
-			ms := cpu.MustNewSMT(cpu.DefaultConfig(), h, 2).Run([]trace.Stream{
-				bench(pair[0]).Stream(workload.DefaultSeed),
-				bench(pair[1]).Stream(workload.DefaultSeed + 1),
-			}, schedInstrs/2)
-			record(fmt.Sprintf("smt/%s+%s/%s", pair[0], pair[1], schedSystems[s].name),
-				struct {
-					CPU  []cpu.Metrics
-					Sys  assist.Stats
-					Hier hier.Stats
-				}{ms, sys.Stats(), h.Stats()})
+			smt(fmt.Sprintf("smt/%s+%s/%s", pair[0], pair[1], schedSystems[s].name),
+				cpu.DefaultConfig(), hier.DefaultConfig(), s, pair, schedInstrs/2)
 		}
 	}
+	// Two threads on the narrow shape (8-entry partitions, one retire per
+	// thread per cycle) and on rob96 (48-entry partitions, a partial mask
+	// word), at one MSHR and sixteen; four threads on rob256; and a
+	// two-thread run cut by MaxCycles.
+	for _, pair := range pairs {
+		for _, sh := range schedShapes()[:2] {
+			for _, mshrs := range []int{1, 16} {
+				hc := hier.DefaultConfig()
+				hc.MSHRs = mshrs
+				smt(fmt.Sprintf("smt-shape/%s+%s/%s/mshr%d", pair[0], pair[1], sh.name, mshrs),
+					sh.cfg, hc, 0, pair, schedInstrs/2)
+			}
+		}
+	}
+	quad := []string{"swim", "gcc", "tomcatv", "vortex"}
+	for _, s := range []int{0, 2} {
+		smt("smt4/rob256/"+schedSystems[s].name, schedShapes()[2].cfg, hier.DefaultConfig(), s, quad, schedInstrs/4)
+	}
+	smt("smt-maxcycles/swim+gcc", bounded, hier.DefaultConfig(), 0, pairs[0], 1<<30)
 	return out
 }
 
 // TestSchedulerFingerprintsMatchScan pins the OoO timing model's issue
 // stage to the timing the scan-based scheduler produced, across the
 // paper-sim cells, non-default CPU shapes at one and sixteen MSHRs, an
-// I-cache-attached run, a MaxCycles-bounded run and two-thread SMT.
+// I-cache-attached run, a MaxCycles-bounded run, and SMT co-runs at two
+// and four threads on those shapes.
 func TestSchedulerFingerprintsMatchScan(t *testing.T) {
 	matchFingerprints(t, schedFingerprintPath, schedFPUpdating(), "SCHED_FP_UPDATE=1", schedFingerprints(t))
 }
