@@ -103,15 +103,18 @@ obs-smoke:
 # byte for byte); the cache geometry tests pin the skewed/random row
 # hashes (dispersion, seed determinism, exact eviction addresses); the
 # scalar-vs-batch differential covers all three schemes via
-# diffGeometries. The scheduler fingerprint test pins the OoO timing
-# model's wakeup/select issue stage to the timing of the scan-based one it
-# replaced (paper-sim cells, odd CPU shapes, I-cache, MaxCycles and SMT
-# runs), and the CPU and SMT allocation guards pin their run loops as
-# allocation-free per instruction. `make race` runs these once; the
-# focused -count=1 re-run keeps a cached pass from masking a regression.
+# diffGeometries. The scheduler fingerprint test pins the one OoO core's
+# wakeup/select scheduler, at one thread and as SMT, to the timing of the
+# scan-based and polling cores it replaced (paper-sim cells, odd CPU
+# shapes, I-cache, MaxCycles, and two- and four-thread co-runs). The
+# allocation guards pin its run loop as allocation-free per instruction
+# at one and two threads, and the SMT tests pin each thread's FP-queue
+# share and its fetch through the instruction cache. `make race` runs
+# these once; the focused -count=1 re-run keeps a cached pass from masking
+# a regression.
 geom-smoke:
 	$(GO) test -race -count=1 -run 'TestModuloGeometryFingerprintsMatchSeed|TestSchedulerFingerprintsMatchScan|TestClassifyBatchMatchesScalar' ./internal/sim
-	$(GO) test -race -count=1 -run 'TestRunAllocationsIndependentOfLength|TestSMTRunAllocationsIndependentOfLength' ./internal/cpu
+	$(GO) test -race -count=1 -run 'TestRunAllocationsIndependentOfLength|TestSMTRunAllocationsIndependentOfLength|TestSMTFPQueueShareBinds|TestSMTFetchesThroughICache' ./internal/cpu
 	$(GO) test -race -count=1 -run 'TestIndexScheme|TestConfigValidateRejectsUnknownScheme|TestModuloRowsMatchGeometry|TestSkewed|TestRandom|TestEvictionAddressExactUnderSkew|TestFillMakesHitAllSchemes|TestLoadMissAccounting|TestCacheAccessSteadyStateAllocs' ./internal/cache
 
 # Crash smoke: the kill -9 durability gate. Boots mctd as a real
@@ -190,8 +193,9 @@ vulncheck:
 	fi
 
 # Short fuzz passes over the binary trace decoder, the fault-spec parsers,
-# the Prometheus exposition parser and the MRC spec normalizer; CI runs
-# the seed corpora via `make test`, this target digs deeper locally.
+# the Prometheus exposition parser and the classify and MRC spec
+# normalizers; CI runs the seed corpora via `make test`, this target digs
+# deeper locally.
 fuzz:
 	$(GO) test -fuzz FuzzReadTrace -fuzztime 30s ./internal/trace
 	$(GO) test -fuzz 'FuzzRoundTrip$$' -fuzztime 30s ./internal/trace
@@ -200,6 +204,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParseNetSpec -fuzztime 30s ./internal/faultinject
 	$(GO) test -fuzz FuzzParseProm -fuzztime 30s ./internal/obs
 	$(GO) test -fuzz FuzzMRCSpecNormalize -fuzztime 30s ./internal/service
+	$(GO) test -fuzz FuzzClassifySpecNormalize -fuzztime 30s ./internal/service
 
 # Drop all memoized experiment results (results/cache is also safely
 # deletable by hand; entries are invalidated automatically when the code

@@ -71,7 +71,7 @@ func runSMT(a, b string) (float64, float64) {
 	sys := assist.MustNewBaseline(sim.L1Config(), 0)
 	h := hier.MustNew(hier.DefaultConfig(), sys)
 	core := cpu.MustNewSMT(cpu.DefaultConfig(), h, 2)
-	ms := core.Run([]trace.Stream{ba.Stream(1), bb.Stream(2)}, perThread)
+	ms := core.RunThreads([]trace.Stream{ba.Stream(1), bb.Stream(2)}, perThread)
 	combined := (float64(ms[0].Instructions) + float64(ms[1].Instructions)) / float64(ms[0].Cycles)
 
 	solo := 0.0

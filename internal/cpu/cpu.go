@@ -15,6 +15,25 @@
 // the cycle its operands arrive and becomes an issue candidate then.
 // Nothing polls a waiting instruction.
 //
+// The core runs one or more hardware threads, following SMTSIM's
+// simultaneous-multithreading organization so Section 5.6's multithreading
+// discussion gets measured numbers. A single-threaded CPU is the
+// one-thread case; with n threads:
+//
+//   - each thread has its own ROB partition of ROBSize/n entries, queue
+//     shares of IntQSize/n and FPQSize/n, a retire width of IssueWidth/n,
+//     its own register alias table and front end; the branch-counter table
+//     is shared (PCs differ per thread's code layout);
+//   - fetch is round-robin: each cycle one thread fetches up to the full
+//     fetch width, skipping threads that cannot fetch (SMTSIM's RR.8
+//     baseline policy);
+//   - issue is simultaneous and shared: up to IssueWidth instructions per
+//     cycle, taken in rounds of one per thread, oldest-first within a
+//     thread, sharing the ALU/LSU pools;
+//   - all threads share one memory hierarchy, so they fight over cache
+//     sets, MSHRs, buffer ports, and buses — the conflict-generation
+//     mechanism the paper's multithreading section is about.
+//
 // Branches are predicted with a 2-bit-counter table at fetch; a
 // misprediction stops fetch until the branch issues plus a pipeline
 // refill penalty, approximating SMTSIM's wrong-path fetch cost without
@@ -131,8 +150,8 @@ type armedEntry struct {
 
 // wakeHeap is a binary min-heap of armed entries keyed by arrival cycle.
 // Each slot is armed at most once while it is occupied and leaves the
-// heap before it can issue, so ROBSize bounds the heap and a heap
-// preallocated to that capacity never grows.
+// heap before it can issue, so the ROB partition bounds the heap and a
+// heap preallocated to that capacity never grows.
 type wakeHeap []armedEntry
 
 func (h *wakeHeap) push(a armedEntry) {
@@ -172,78 +191,76 @@ func (h *wakeHeap) pop() armedEntry {
 	return top
 }
 
-// CPU is the processor state for one run.
-type CPU struct {
-	cfg  Config
-	h    *hier.Hierarchy
-	pred []uint8
-
+// thread is one hardware context: its ROB partition, queue occupancy,
+// rename table, front end and wakeup/select state. ROB slots and mask
+// bits are indices into the thread's own partition.
+type thread struct {
 	rob        []robEntry
 	head, tail int // ring; count tracks occupancy
 	count      int
-	intQ, fpQ  int // unissued occupancy per queue
+	queued     [2]int // unissued occupancy of the integer and FP queues
 
 	// The wakeup/select scheduler. Masks are bitsets over ROB slots,
-	// words uint64s each. cons holds one mask per producer slot (slot p's
-	// at cons[p*words:]): the unissued entries whose operands wait on p's
-	// result. ready holds the entries whose operands are available, the
-	// only ones the issue stage visits. An entry whose producers have all
-	// issued is armed (see arm): into next when its operands arrive by
-	// the next issue stage, which covers every dispatch-time arming and
-	// every single-cycle wakeup without a heap operation, into wake when
-	// they arrive later.
-	words int
+	// words = len(ready) uint64s each. cons holds one mask per producer
+	// slot (slot p's at cons[p*words:]): the unissued entries whose operands
+	// wait on p's result. ready holds the entries whose operands are
+	// available, the only ones the issue stage visits. An entry whose
+	// producers have all issued is armed (see arm): into next when its
+	// operands arrive by the next issue stage, which covers every
+	// dispatch-time arming and every single-cycle wakeup without a heap
+	// operation, into wake when they arrive later.
 	cons  []uint64
 	ready []uint64
 	next  []uint64
 	wake  wakeHeap
+	walk  readyWalk
 
 	// rat is the register alias table: the ROB slot of each architectural
 	// register's latest in-flight producer, -1 once that producer retires.
 	rat [trace.NumRegs]int
 
-	fetchResume  uint64
-	blockedOn    int // ROB slot of unresolved mispredicted branch, -1 none
-	metrics      Metrics
-	streamEnded  bool
-	retireTarget uint64
+	stream      trace.Stream
+	target      uint64 // retire target; 0 runs to stream end
+	streamEnded bool
+	fetchResume uint64
+	blockedOn   int // ROB slot of unresolved mispredicted branch, -1 none
 
 	// Instruction-fetch line tracking: fetchLine is 1 + the line of the
-	// last I-fetch (0 = none yet); pending holds an instruction stalled on
-	// an instruction-cache miss.
+	// last I-fetch (0 = none yet); pending marks an instruction stalled on
+	// an instruction-cache miss, held decoded in the free tail slot.
 	fetchLine mem.LineAddr
 	pending   bool
-	pendingIn trace.Instr
 
-	// scratchIn is the fetch stage's decode buffer. Streams are consumed
-	// through the trace.Stream interface, so a loop-local Instr passed to
-	// Next escapes and costs one heap allocation per instruction; reusing
-	// a field keeps fetch allocation-free.
-	scratchIn trace.Instr
+	// metrics accumulates the thread's counters, except Loads, Stores
+	// and Branches: retire counts every op class in retiredOps, an
+	// indexed increment rather than a branch on the class, and the run
+	// reads those three from it at the end.
+	metrics    Metrics
+	retiredOps [trace.NumOpClasses]uint64
 }
 
-// New builds a CPU over a memory hierarchy.
+// CPU is the processor state for one run: the hardware threads and the
+// resources they share.
+type CPU struct {
+	cfg  Config
+	h    *hier.Hierarchy
+	pred []uint8
+
+	threads []thread
+	// Each thread's share of the retire width and of the integer and FP
+	// queues, and the functional units of each pool.
+	retireWidth int
+	queueCap    [2]int
+	poolSize    units
+	fetchRR     int // next thread offered the fetch stage
+}
+
+// New builds a single-threaded CPU over a memory hierarchy.
 func New(cfg Config, h *hier.Hierarchy) (*CPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	words := (cfg.ROBSize + 63) / 64
-	c := &CPU{
-		cfg:       cfg,
-		h:         h,
-		pred:      make([]uint8, cfg.PredictorSz),
-		rob:       make([]robEntry, cfg.ROBSize),
-		words:     words,
-		cons:      make([]uint64, cfg.ROBSize*words),
-		ready:     make([]uint64, words),
-		next:      make([]uint64, words),
-		wake:      make(wakeHeap, 0, cfg.ROBSize),
-		blockedOn: -1,
-	}
-	for i := range c.rat {
-		c.rat[i] = -1
-	}
-	return c, nil
+	return newCore(cfg, h, 1), nil
 }
 
 // MustNew is New that panics on error.
@@ -255,8 +272,71 @@ func MustNew(cfg Config, h *hier.Hierarchy) *CPU {
 	return c
 }
 
+// NewSMT builds a core of nthreads hardware threads over a shared
+// hierarchy; run it with RunThreads. Each thread gets a ROB partition of
+// cfg.ROBSize/nthreads and the instruction queues are split the same way,
+// mirroring a static partition of the paper's two 32-entry queues.
+func NewSMT(cfg Config, h *hier.Hierarchy, nthreads int) (*CPU, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if nthreads < 1 || nthreads > 8 {
+		return nil, fmt.Errorf("cpu: SMT supports 1-8 threads, got %d", nthreads)
+	}
+	if cfg.ROBSize/nthreads < 4 {
+		return nil, fmt.Errorf("cpu: ROB of %d too small for %d threads", cfg.ROBSize, nthreads)
+	}
+	return newCore(cfg, h, nthreads), nil
+}
+
+// MustNewSMT is NewSMT that panics on error.
+func MustNewSMT(cfg Config, h *hier.Hierarchy, nthreads int) *CPU {
+	c, err := NewSMT(cfg, h, nthreads)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// newCore allocates a validated core of n threads.
+func newCore(cfg Config, h *hier.Hierarchy, n int) *CPU {
+	c := &CPU{
+		cfg:         cfg,
+		h:           h,
+		pred:        make([]uint8, cfg.PredictorSz),
+		threads:     make([]thread, n),
+		retireWidth: max(1, cfg.IssueWidth/n),
+		queueCap:    [2]int{max(1, cfg.IntQSize/n), max(1, cfg.FPQSize/n)},
+		poolSize:    units{poolInt: cfg.IntALUs, poolFP: cfg.FPALUs, poolMem: cfg.LSUs},
+	}
+	size := cfg.ROBSize / n
+	words := (size + 63) / 64
+	for i := range c.threads {
+		t := &c.threads[i]
+		t.rob = make([]robEntry, size)
+		t.cons = make([]uint64, size*words)
+		t.ready = make([]uint64, words)
+		t.next = make([]uint64, words)
+		t.wake = make(wakeHeap, 0, size)
+		t.blockedOn = -1
+		for r := range t.rat {
+			t.rat[r] = -1
+		}
+	}
+	return c
+}
+
 // Run executes up to maxInstrs instructions from the stream (or until it
-// ends) and returns the metrics. A zero maxInstrs means run to stream end.
+// ends) on a single-threaded CPU and returns the metrics. A zero maxInstrs
+// means run to stream end.
+func (c *CPU) Run(s trace.Stream, maxInstrs uint64) Metrics {
+	return c.RunThreads([]trace.Stream{s}, maxInstrs)[0]
+}
+
+// RunThreads executes one stream per thread until every thread has
+// retired maxInstrsPerThread instructions (or every stream has ended and
+// drained), returning per-thread metrics with the shared cycle count
+// filled in. A zero maxInstrsPerThread means run to stream end.
 //
 // The loop is event-driven where it can be: when a cycle retires nothing,
 // issues nothing, hits no structural limit, and fetches nothing, every
@@ -267,8 +347,14 @@ func MustNew(cfg Config, h *hier.Hierarchy) *CPU {
 // Low-IPC (memory-bound) regions, where most cycles are pure stall, are
 // exactly where stepping would burn most of the time. Within stepped
 // cycles the issue stage touches only ready instructions (see issue).
-func (c *CPU) Run(s trace.Stream, maxInstrs uint64) Metrics {
-	c.retireTarget = maxInstrs
+func (c *CPU) RunThreads(streams []trace.Stream, maxInstrsPerThread uint64) []Metrics {
+	if len(streams) != len(c.threads) {
+		panic(fmt.Sprintf("cpu: %d streams for %d threads", len(streams), len(c.threads)))
+	}
+	for i := range c.threads {
+		c.threads[i].stream = streams[i]
+		c.threads[i].target = maxInstrsPerThread
+	}
 	cycle := uint64(0)
 	for {
 		cycle++
@@ -276,12 +362,12 @@ func (c *CPU) Run(s trace.Stream, maxInstrs uint64) Metrics {
 			break
 		}
 		retired := c.retire(cycle)
-		if c.retireTarget != 0 && c.metrics.Instructions >= c.retireTarget {
+		if c.allRetired() {
 			break
 		}
 		issued, limited := c.issue(cycle)
-		fetched := c.fetch(cycle, s)
-		if c.count == 0 && c.streamEnded {
+		fetched := c.fetch(cycle)
+		if c.drained() {
 			break
 		}
 		if retired == 0 && issued == 0 && fetched == 0 && !limited {
@@ -293,144 +379,245 @@ func (c *CPU) Run(s trace.Stream, maxInstrs uint64) Metrics {
 			}
 		}
 	}
-	c.metrics.Cycles = cycle
-	return c.metrics
+	ms := make([]Metrics, len(c.threads))
+	for i := range c.threads {
+		ms[i] = c.threads[i].metrics
+		ms[i].Cycles = cycle
+		ops := &c.threads[i].retiredOps
+		ms[i].Loads, ms[i].Stores, ms[i].Branches = ops[trace.Load], ops[trace.Store], ops[trace.Branch]
+	}
+	return ms
+}
+
+// allRetired reports whether every thread has met its retire target.
+func (c *CPU) allRetired() bool {
+	for i := range c.threads {
+		if !c.threads[i].reachedTarget() {
+			return false
+		}
+	}
+	return true
+}
+
+// drained reports whether every thread's stream has ended and its ROB
+// emptied.
+func (c *CPU) drained() bool {
+	for i := range c.threads {
+		if t := &c.threads[i]; t.count > 0 || !t.streamEnded {
+			return false
+		}
+	}
+	return true
+}
+
+func (t *thread) reachedTarget() bool {
+	return t.target != 0 && t.metrics.Instructions >= t.target
 }
 
 // nextEvent returns the earliest future cycle at which the machine's state
-// can change while the pipeline is quiescent: the earliest arrival among
-// armed entries, the ROB head's completion, or the fetch-resume cycle. ok
-// is false when no such event exists. It reads three values and scans
-// nothing.
+// can change while the pipeline is quiescent: over all threads, the
+// earliest arrival among armed entries, the ROB head's completion, or the
+// fetch-resume cycle. ok is false when no such event exists. It reads
+// three values per thread and scans nothing.
 //
 // This is sound because a quiescent cycle (nothing retired, issued, or
-// fetched; no structural-hazard retry pending, so the ready set is empty)
-// can only be ended by one of those times arriving. An issue needs a
-// ready entry, and an entry becomes ready only when its armed arrival
+// fetched; no structural-hazard retry pending, so every ready set is
+// empty) can only be ended by one of those times arriving. An issue needs
+// a ready entry, and an entry becomes ready only when its armed arrival
 // cycle comes: next is empty, since only a cycle that issued or fetched
 // fills it, so the earliest arrival is the heap's minimum. Entries not
-// yet armed wait on a producer that must itself issue first. A retirement needs the head to complete. The front end
-// waits on retirement, on queue space or the blocking branch (both freed
-// only by an issue), or on fetchResume. Any other instruction completing
+// yet armed wait on a producer that must itself issue first. A retirement
+// needs a head to complete. A front end waits on retirement, on queue
+// space or the blocking branch (both freed only by an issue), or on
+// fetchResume; the round-robin fetch pointer offered every thread the
+// stage and is back where it started. Any other instruction completing
 // changes no state: nothing waits on its result except armed entries,
 // whose arrival cycles already account for it.
 func (c *CPU) nextEvent(cycle uint64) (uint64, bool) {
 	earliest := ^uint64(0)
-	if len(c.wake) > 0 {
-		earliest = c.wake[0].at
-	}
-	if c.count > 0 {
-		if e := &c.rob[c.head]; e.issued && e.done < earliest {
-			earliest = e.done
+	for i := range c.threads {
+		t := &c.threads[i]
+		if len(t.wake) > 0 && t.wake[0].at < earliest {
+			earliest = t.wake[0].at
 		}
-	}
-	if !c.streamEnded && c.fetchResume > cycle && c.fetchResume < earliest {
-		earliest = c.fetchResume
+		if t.count > 0 {
+			if e := &t.rob[t.head]; e.issued && e.done < earliest {
+				earliest = e.done
+			}
+		}
+		if !t.streamEnded && t.fetchResume > cycle && t.fetchResume < earliest {
+			earliest = t.fetchResume
+		}
 	}
 	return earliest, earliest != ^uint64(0)
 }
 
-// retire commits completed instructions in order, up to issue width,
-// returning how many retired.
+// retire commits completed instructions in order, each thread up to its
+// share of the issue width, returning how many retired.
 func (c *CPU) retire(cycle uint64) int {
-	n := 0
-	for ; n < c.cfg.IssueWidth && c.count > 0; n++ {
-		e := &c.rob[c.head]
-		if !e.issued || e.done > cycle {
-			return n
+	total := 0
+	for ti := range c.threads {
+		t := &c.threads[ti]
+		for n := 0; n < c.retireWidth && t.count > 0; n++ {
+			e := &t.rob[t.head]
+			if !e.issued || e.done > cycle {
+				break
+			}
+			t.metrics.Instructions++
+			if d := e.in.Dest; d != trace.RegZero && t.rat[d] == t.head {
+				t.rat[d] = -1 // the value is architectural state now
+			}
+			if op := int(e.in.Op); op < trace.NumOpClasses {
+				t.retiredOps[op]++
+			}
+			t.head++
+			if t.head == len(t.rob) {
+				t.head = 0
+			}
+			t.count--
+			total++
 		}
-		c.metrics.Instructions++
-		if d := e.in.Dest; d != trace.RegZero && c.rat[d] == c.head {
-			c.rat[d] = -1 // the value is architectural state now
-		}
-		switch e.in.Op {
-		case trace.Load:
-			c.metrics.Loads++
-		case trace.Store:
-			c.metrics.Stores++
-		case trace.Branch:
-			c.metrics.Branches++
-		}
-		c.head++
-		if c.head == c.cfg.ROBSize {
-			c.head = 0
-		}
-		c.count--
 	}
-	return n
+	return total
 }
 
-// issue selects ready instructions oldest first, respecting functional
-// unit counts and issue width. First every armed entry whose operands
-// arrive by this cycle joins the ready set; then the ready set is walked
-// in ring order from the ROB head: slot order over [head, size) then
-// [0, head) is exactly age order for the occupied window, and slots
-// outside it carry no bits. An entry that hits a structural limit stays
-// ready and is retried next cycle. Instructions woken by this cycle's
-// issues arrive no earlier than next cycle (every operation latency is at
-// least one cycle and the hierarchy never completes an access in the
-// cycle it starts), so they are armed, never added to the set being
-// walked: the walk sees exactly the entries a poll of every waiting
-// instruction would find ready.
-func (c *CPU) issue(cycle uint64) (nIssued int, limited bool) {
-	for i, w := range c.next {
-		c.ready[i] |= w
+// issue selects ready instructions, respecting functional unit counts and
+// issue width. First every thread's armed entries whose operands arrive
+// by this cycle join its ready set. Then issue goes in rounds: each round
+// offers every thread with ready entries left, thread 0 first, one issue,
+// taken oldest first from its ready set (see readyWalk). An entry that hits a
+// structural limit is passed over, stays ready and is retried next cycle.
+// Instructions woken by this cycle's issues arrive no earlier than next
+// cycle (every operation latency is at least one cycle and the hierarchy
+// never completes an access in the cycle it starts), so they are armed,
+// never added to the sets being walked: the walk sees exactly the entries
+// a poll of every waiting instruction would find ready.
+func (c *CPU) issue(cycle uint64) (issued int, limited bool) {
+	active := uint(0) // bit ti: thread ti's walk has entries left
+	for ti := range c.threads {
+		t := &c.threads[ti]
+		any := uint64(0)
+		for i, w := range t.next {
+			t.ready[i] |= w
+			t.next[i] = 0
+			any |= t.ready[i]
+		}
+		for len(t.wake) > 0 && t.wake[0].at <= cycle {
+			idx := t.wake.pop().slot
+			t.ready[idx>>6] |= uint64(1) << uint(idx&63)
+			any = 1
+		}
+		if any != 0 {
+			active |= 1 << uint(ti)
+			t.startWalk()
+		}
 	}
-	clear(c.next)
-	for len(c.wake) > 0 && c.wake[0].at <= cycle {
-		idx := c.wake.pop().slot
-		c.ready[idx>>6] |= uint64(1) << uint(idx&63)
-	}
-	issued, lsu, ialu, falu := 0, 0, 0, 0
-	size := c.cfg.ROBSize
-	lo, hi := c.head, size
-	for seg := 0; seg < 2; seg++ {
-		for base := lo &^ 63; base < hi; base += 64 {
-			w := c.ready[base>>6]
-			if lo > base {
-				w &= ^uint64(0) << uint(lo-base)
+	var u units
+	for active != 0 {
+		for ts := active; ts != 0; ts &= ts - 1 {
+			ti := bits.TrailingZeros(ts)
+			// One instruction per thread per round, unless no other
+			// thread has entries left: this one would get every later
+			// round, so it takes them now.
+			quota := 1
+			if active == 1<<uint(ti) {
+				quota = c.cfg.IssueWidth - issued
 			}
-			if hi-base < 64 {
-				w &= uint64(1)<<uint(hi-base) - 1
+			n, lim, more := c.issueThread(&c.threads[ti], cycle, quota, &u)
+			limited = limited || lim
+			if issued += n; issued >= c.cfg.IssueWidth {
+				return issued, limited
 			}
-			for w != 0 {
-				idx := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				if !c.tryIssue(idx, cycle, &lsu, &ialu, &falu) {
-					limited = true
-					continue
-				}
-				if issued++; issued >= c.cfg.IssueWidth {
-					return issued, limited
-				}
+			if !more {
+				active &^= 1 << uint(ti)
 			}
 		}
-		lo, hi = 0, c.head
 	}
 	return issued, limited
 }
 
-// tryIssue attempts to issue the ready entry in ROB slot idx at cycle,
-// charging the functional-unit counters and waking the entry's consumers.
-// It returns false when the entry is structurally limited (a functional
-// unit or MSHR was exhausted — the entry could retry as soon as next
-// cycle, so the event-skipping fast path must not engage).
-func (c *CPU) tryIssue(idx int, cycle uint64, lsu, ialu, falu *int) bool {
-	e := &c.rob[idx]
-	fp := e.in.Op.IsFP()
-	switch {
-	case e.in.Op.IsMem():
-		if *lsu >= c.cfg.LSUs {
-			return false
+// units counts the functional units of each pool taken this cycle,
+// shared by all threads.
+type units [3]int
+
+// The functional-unit pools, and each op class's pool and queue. The
+// tables cover every byte so a trace's unknown class reads as an integer
+// op, as ExecLatency treats it.
+const (
+	poolInt = iota
+	poolFP
+	poolMem
+)
+
+var (
+	opPool  = [256]uint8{trace.FPOp: poolFP, trace.FPDiv: poolFP, trace.Load: poolMem, trace.Store: poolMem}
+	opQueue = [256]uint8{trace.FPOp: 1, trace.FPDiv: 1}
+)
+
+// readyWalk is the issue stage's position in a thread's ready set this
+// cycle. The walk visits it oldest first, in ring order from the ROB head:
+// the head's word from the head up, the words after it, wrapping to word
+// 0, and last the head's word again below the head. That is exactly age
+// order for the occupied window (slots outside it, and slots past the
+// partition's end, carry no bits). A word is read when the walk reaches
+// it; issuing clears only bits the walk has already passed, so the
+// snapshot stays exact.
+type readyWalk struct {
+	w    uint64 // unvisited ready bits of the word at base
+	base int    // first slot of the current word
+	k    int    // words stepped past the head's word
+}
+
+func (t *thread) startWalk() {
+	t.walk = readyWalk{
+		w:    t.ready[t.head>>6] &^ (uint64(1)<<uint(t.head&63) - 1),
+		base: t.head &^ 63,
+	}
+}
+
+// issueThread continues thread t's walk, issuing up to quota entries. It
+// reports how many issued, whether any hit a structural limit, and
+// whether the walk may have entries left.
+func (c *CPU) issueThread(t *thread, cycle uint64, quota int, u *units) (n int, limited, more bool) {
+	w, base, k := t.walk.w, t.walk.base, t.walk.k
+	for {
+		for w == 0 {
+			if k++; k > len(t.ready) {
+				return n, limited, false
+			}
+			wi := t.head>>6 + k
+			if wi >= len(t.ready) {
+				wi -= len(t.ready)
+			}
+			base, w = wi<<6, t.ready[wi]
+			if k == len(t.ready) {
+				w &= uint64(1)<<uint(t.head&63) - 1
+			}
 		}
-	case fp:
-		if *falu >= c.cfg.FPALUs {
-			return false
+		idx := base + bits.TrailingZeros64(w)
+		w &= w - 1
+		if !c.tryIssue(t, idx, cycle, u) {
+			limited = true
+			continue
 		}
-	default:
-		if *ialu >= c.cfg.IntALUs {
-			return false
+		if n++; n == quota {
+			t.walk = readyWalk{w: w, base: base, k: k}
+			return n, limited, true
 		}
+	}
+}
+
+// tryIssue attempts to issue the ready entry in thread t's ROB slot idx at
+// cycle, charging the shared functional-unit counters and waking the
+// entry's consumers. It returns false when the entry is structurally
+// limited (a functional unit or MSHR was exhausted — the entry could
+// retry as soon as next cycle, so the event-skipping fast path must not
+// engage).
+func (c *CPU) tryIssue(t *thread, idx int, cycle uint64, u *units) bool {
+	e := &t.rob[idx]
+	pool := opPool[e.in.Op]
+	if u[pool] >= c.poolSize[pool] {
+		return false
 	}
 
 	var done uint64
@@ -441,8 +628,8 @@ func (c *CPU) tryIssue(idx int, cycle uint64, lsu, ialu, falu *int) bool {
 			// MSHRs exhausted: the load waits; it will retry. Count it
 			// and consume the LSU slot so younger loads don't bypass
 			// the stall this cycle.
-			c.metrics.LoadStallRetries++
-			*lsu++
+			t.metrics.LoadStallRetries++
+			u[poolMem]++
 			return false
 		}
 		done = res.Done
@@ -452,8 +639,8 @@ func (c *CPU) tryIssue(idx int, cycle uint64, lsu, ialu, falu *int) bool {
 		// retirement do not wait for the line.
 		res := c.h.Access(cycle, mem.Access{Addr: e.in.Addr, PC: e.in.PC, Type: mem.Store})
 		if res.Stall {
-			c.metrics.LoadStallRetries++
-			*lsu++
+			t.metrics.LoadStallRetries++
+			u[poolMem]++
 			return false
 		}
 		done = cycle + 1
@@ -463,25 +650,15 @@ func (c *CPU) tryIssue(idx int, cycle uint64, lsu, ialu, falu *int) bool {
 
 	e.issued = true
 	e.done = done
-	c.ready[idx>>6] &^= uint64(1) << uint(idx&63)
-	c.wakeConsumers(idx, cycle, done)
-	if e.in.Op.IsMem() {
-		*lsu++
-	} else if fp {
-		*falu++
-	} else {
-		*ialu++
-	}
-	if fp {
-		c.fpQ--
-	} else {
-		c.intQ--
-	}
+	t.ready[idx>>6] &^= uint64(1) << uint(idx&63)
+	t.wakeConsumers(idx, cycle, done)
+	u[pool]++
+	t.queued[opQueue[e.in.Op]]--
 	// A resolving mispredicted branch restarts fetch after the refill
 	// penalty.
-	if c.blockedOn == idx {
-		c.blockedOn = -1
-		c.fetchResume = done + uint64(c.cfg.MispredictPenalty)
+	if t.blockedOn == idx {
+		t.blockedOn = -1
+		t.fetchResume = done + uint64(c.cfg.MispredictPenalty)
 	}
 	return true
 }
@@ -489,8 +666,9 @@ func (c *CPU) tryIssue(idx int, cycle uint64, lsu, ialu, falu *int) bool {
 // wakeConsumers delivers producer idx's completion cycle to every entry
 // waiting on it, arming each one whose last outstanding producer this was,
 // and clears idx's consumer mask for the slot's next occupant.
-func (c *CPU) wakeConsumers(idx int, cycle, done uint64) {
-	mask := c.cons[idx*c.words : (idx+1)*c.words]
+func (t *thread) wakeConsumers(idx int, cycle, done uint64) {
+	words := len(t.ready)
+	mask := t.cons[idx*words : (idx+1)*words]
 	for wi, w := range mask {
 		if w == 0 {
 			continue
@@ -499,99 +677,109 @@ func (c *CPU) wakeConsumers(idx int, cycle, done uint64) {
 		for w != 0 {
 			j := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			e := &c.rob[j]
+			e := &t.rob[j]
 			if done > e.readyAt {
 				e.readyAt = done
 			}
 			if e.waits--; e.waits == 0 {
-				c.arm(j, cycle)
+				t.arm(j, cycle)
 			}
 		}
 	}
 }
 
-// fetch brings new instructions into the ROB and queues, in order, unless
-// the front end is squashed by an unresolved misprediction. When an
-// instruction cache is attached to the hierarchy, crossing into a new
-// instruction line costs an I-fetch; a miss stalls the front end until
-// the line arrives.
-func (c *CPU) fetch(cycle uint64, s trace.Stream) (dispatched int) {
-	if c.streamEnded || cycle < c.fetchResume || c.blockedOn >= 0 {
-		return 0
+// fetch offers the fetch stage to one thread per cycle, round-robin,
+// passing it on while the offered thread fetches nothing, and returns how
+// many instructions were dispatched.
+func (c *CPU) fetch(cycle uint64) int {
+	for range c.threads {
+		t := &c.threads[c.fetchRR]
+		if c.fetchRR++; c.fetchRR == len(c.threads) {
+			c.fetchRR = 0
+		}
+		if n := c.fetchThread(t, cycle); n > 0 {
+			return n
+		}
 	}
-	if c.retireTarget != 0 && c.metrics.Instructions >= c.retireTarget {
+	return 0
+}
+
+// fetchThread brings thread t's next instructions into its ROB partition
+// and queues, in order, unless its front end is squashed by an unresolved
+// misprediction. When an instruction cache is attached to the hierarchy,
+// crossing into a new instruction line costs an I-fetch; a miss stalls the
+// front end until the line arrives.
+func (c *CPU) fetchThread(t *thread, cycle uint64) (dispatched int) {
+	if t.streamEnded || cycle < t.fetchResume || t.blockedOn >= 0 || t.reachedTarget() {
 		return 0
 	}
 	for n := 0; n < c.cfg.FetchWidth; n++ {
-		if c.count >= c.cfg.ROBSize {
+		if t.count >= len(t.rob) {
 			return dispatched
 		}
 		// Peek queue-space before consuming. Since streams are infinite or
 		// long, consuming then failing to place would lose instructions;
 		// stop before reading when either queue is full.
-		if c.intQ >= c.cfg.IntQSize || c.fpQ >= c.cfg.FPQSize {
+		if t.queued[0] >= c.queueCap[0] || t.queued[1] >= c.queueCap[1] {
 			return dispatched
 		}
-		in := &c.scratchIn
-		if c.pending {
-			// An instruction held back by an instruction-cache stall.
-			*in = c.pendingIn
-			c.pending = false
-		} else if !s.Next(in) {
-			c.streamEnded = true
+		// Instructions decode straight into the free tail slot (a
+		// loop-local Instr passed to the trace.Stream interface would
+		// escape and cost an allocation per instruction).
+		idx := t.tail
+		e := &t.rob[idx]
+		in := &e.in
+		if t.pending {
+			// Held back by an instruction-cache stall, already decoded.
+			t.pending = false
+		} else if !t.stream.Next(in) {
+			t.streamEnded = true
 			return dispatched
 		}
 		// Crossing into a new instruction line costs an I-fetch; a miss
 		// holds the instruction and stalls the front end until the line
 		// arrives (a no-op single-cycle hit when no I-cache is attached).
-		if line := mem.LineAddr(uint64(in.PC)>>6) + 1; line != c.fetchLine {
+		if line := mem.LineAddr(uint64(in.PC)>>6) + 1; line != t.fetchLine {
 			res := c.h.IFetch(cycle, in.PC)
 			if res.Stall {
-				c.fetchResume = res.RetryAt
-				c.pendingIn, c.pending = *in, true
+				t.fetchResume = res.RetryAt
+				t.pending = true
 				return dispatched
 			}
-			c.fetchLine = line
+			t.fetchLine = line
 			if res.Done > cycle+1 {
-				c.fetchResume = res.Done
-				c.pendingIn, c.pending = *in, true
+				t.fetchResume = res.Done
+				t.pending = true
 				return dispatched
 			}
 		}
-		idx := c.tail
-		e := &c.rob[idx]
 		// Field-wise reset: a composite literal here costs a duffcopy of
 		// the whole entry per fetched instruction.
-		e.in = *in
 		e.issued = false
 		e.done = 0
 		e.waits = 0
 		e.readyAt = 0
-		c.depend(idx, in.Src1)
+		t.depend(idx, in.Src1)
 		if in.Src2 != in.Src1 {
-			c.depend(idx, in.Src2) // a repeated register names one producer
+			t.depend(idx, in.Src2) // a repeated register names one producer
 		}
 		if e.waits == 0 {
-			c.arm(idx, cycle)
+			t.arm(idx, cycle)
 		}
 		if in.Dest != trace.RegZero {
-			c.rat[in.Dest] = idx
+			t.rat[in.Dest] = idx
 		}
-		c.tail++
-		if c.tail == c.cfg.ROBSize {
-			c.tail = 0
+		t.tail++
+		if t.tail == len(t.rob) {
+			t.tail = 0
 		}
-		c.count++
+		t.count++
 		dispatched++
-		if in.Op.IsFP() {
-			c.fpQ++
-		} else {
-			c.intQ++
-		}
+		t.queued[opQueue[in.Op]]++
 		if in.Op == trace.Branch {
 			if c.predict(in.PC) != in.Taken {
-				c.metrics.Mispredicts++
-				c.blockedOn = idx
+				t.metrics.Mispredicts++
+				t.blockedOn = idx
 				c.train(in.PC, in.Taken)
 				return dispatched // fetch squashed until the branch resolves
 			}
@@ -606,27 +794,27 @@ func (c *CPU) fetch(cycle uint64, s trace.Stream) (dispatched int) {
 // in cycle's issue or fetch stage, so the next issue stage is at cycle+1
 // at the earliest: an entry arriving by then goes into next, later ones
 // into the heap.
-func (c *CPU) arm(idx int, cycle uint64) {
-	if at := c.rob[idx].readyAt; at > cycle+1 {
-		c.wake.push(armedEntry{at: at, slot: idx})
+func (t *thread) arm(idx int, cycle uint64) {
+	if at := t.rob[idx].readyAt; at > cycle+1 {
+		t.wake.push(armedEntry{at: at, slot: idx})
 		return
 	}
-	c.next[idx>>6] |= uint64(1) << uint(idx&63)
+	t.next[idx>>6] |= uint64(1) << uint(idx&63)
 }
 
 // depend links the entry dispatching into ROB slot idx to the in-flight
 // producer of source register reg, if there is one: an issued producer's
 // completion cycle bounds readyAt, an unissued one is counted in waits and
 // records idx in its consumer mask.
-func (c *CPU) depend(idx int, reg uint8) {
+func (t *thread) depend(idx int, reg uint8) {
 	if reg == trace.RegZero {
 		return
 	}
-	p := c.rat[reg]
+	p := t.rat[reg]
 	if p < 0 {
 		return // no in-flight producer: the value is architectural state
 	}
-	e, pe := &c.rob[idx], &c.rob[p]
+	e, pe := &t.rob[idx], &t.rob[p]
 	if pe.issued {
 		if pe.done > e.readyAt {
 			e.readyAt = pe.done
@@ -634,7 +822,7 @@ func (c *CPU) depend(idx int, reg uint8) {
 		return
 	}
 	e.waits++
-	c.cons[p*c.words+idx>>6] |= uint64(1) << uint(idx&63)
+	t.cons[p*len(t.ready)+idx>>6] |= uint64(1) << uint(idx&63)
 }
 
 // predict reads the 2-bit counter for pc.

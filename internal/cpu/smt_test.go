@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/assist"
+	"repro/internal/cache"
 	"repro/internal/hier"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
-func newSMT(t *testing.T, nthreads int) *SMT {
+func newSMT(t *testing.T, nthreads int) *CPU {
 	t.Helper()
 	h := hier.MustNew(hier.DefaultConfig(), assist.MustNewBaseline(dmConfig(), 0))
 	return MustNewSMT(DefaultConfig(), h, nthreads)
@@ -54,7 +55,7 @@ func TestSMTValidation(t *testing.T) {
 
 func TestSMTSingleThreadRuns(t *testing.T) {
 	s := newSMT(t, 1)
-	ms := s.Run([]trace.Stream{intStream(5000, 0x1000)}, 0)
+	ms := s.RunThreads([]trace.Stream{intStream(5000, 0x1000)}, 0)
 	if len(ms) != 1 {
 		t.Fatalf("metrics count = %d", len(ms))
 	}
@@ -68,7 +69,7 @@ func TestSMTSingleThreadRuns(t *testing.T) {
 
 func TestSMTBothThreadsProgress(t *testing.T) {
 	s := newSMT(t, 2)
-	ms := s.Run([]trace.Stream{
+	ms := s.RunThreads([]trace.Stream{
 		intStream(4000, 0x1000),
 		intStream(4000, 0x2000),
 	}, 0)
@@ -87,10 +88,10 @@ func TestSMTThroughputExceedsSingleThread(t *testing.T) {
 	// Two memory-stalled threads overlap each other's stalls: combined
 	// throughput must beat one thread alone on the same core.
 	single := newSMT(t, 1)
-	m1 := single.Run([]trace.Stream{loadStream(2000, 0x100000, true)}, 0)
+	m1 := single.RunThreads([]trace.Stream{loadStream(2000, 0x100000, true)}, 0)
 
 	dual := newSMT(t, 2)
-	m2 := dual.Run([]trace.Stream{
+	m2 := dual.RunThreads([]trace.Stream{
 		loadStream(2000, 0x100000, true),
 		loadStream(2000, 0x40000000, true),
 	}, 0)
@@ -117,7 +118,7 @@ func TestSMTCacheInterferenceVisible(t *testing.T) {
 			}
 			return trace.NewSliceStream(ins)
 		}
-		ms := s.Run([]trace.Stream{
+		ms := s.RunThreads([]trace.Stream{
 			mkStream(0x0000),
 			mkStream(base2),
 		}, 0)
@@ -132,7 +133,7 @@ func TestSMTCacheInterferenceVisible(t *testing.T) {
 
 func TestSMTRetireTarget(t *testing.T) {
 	s := newSMT(t, 2)
-	ms := s.Run([]trace.Stream{
+	ms := s.RunThreads([]trace.Stream{
 		intStream(100000, 0x1000),
 		intStream(100000, 0x2000),
 	}, 2000)
@@ -146,7 +147,7 @@ func TestSMTRetireTarget(t *testing.T) {
 func TestSMTDeterministic(t *testing.T) {
 	run := func() []Metrics {
 		s := newSMT(t, 2)
-		return s.Run([]trace.Stream{
+		return s.RunThreads([]trace.Stream{
 			loadStream(1500, 0x100000, false),
 			intStream(1500, 0x2000),
 		}, 0)
@@ -166,12 +167,62 @@ func TestSMTRunAllocationsIndependentOfLength(t *testing.T) {
 	a, b := mixedInstrs(100_000, 0x1000), mixedInstrs(100_000, 0x90000)
 	run := func(n int) {
 		h := hier.MustNew(hier.DefaultConfig(), assist.MustNewBaseline(dmConfig(), 0))
-		MustNewSMT(DefaultConfig(), h, 2).Run([]trace.Stream{
+		MustNewSMT(DefaultConfig(), h, 2).RunThreads([]trace.Stream{
 			trace.NewSliceStream(a[:n]), trace.NewSliceStream(b[:n]),
 		}, 0)
 	}
 	short, long := allocsForRun(10_000, run), allocsForRun(100_000, run)
 	if short != long {
 		t.Errorf("SMT New+Run allocations grow with length: %v at 10k, %v at 100k instructions per thread", short, long)
+	}
+}
+
+// TestSMTFPQueueShareBinds checks that each thread's FP queue share is
+// FPQSize/n, not the integer share: on an FP-heavy co-run a tiny FP queue
+// caps the overlap of independent dependence chains and must cost cycles.
+func TestSMTFPQueueShareBinds(t *testing.T) {
+	fpHeavy := func(pcBase mem.Addr) trace.Stream {
+		ins := make([]trace.Instr, 4000)
+		for i := range ins {
+			r := uint8(1 + i%8) // eight interleaved dependence chains
+			ins[i] = trace.Instr{PC: pcBase + mem.Addr(i%16*4), Op: trace.FPOp, Dest: r, Src1: r}
+		}
+		return trace.NewSliceStream(ins)
+	}
+	cycles := func(fpq int) uint64 {
+		cfg := DefaultConfig()
+		cfg.FPQSize = fpq
+		h := hier.MustNew(hier.DefaultConfig(), assist.MustNewBaseline(dmConfig(), 0))
+		ms := MustNewSMT(cfg, h, 2).RunThreads([]trace.Stream{fpHeavy(0x1000), fpHeavy(0x2000)}, 0)
+		return ms[0].Cycles
+	}
+	small, large := cycles(4), cycles(32)
+	if small <= large {
+		t.Errorf("FPQSize 4 took %d cycles, FPQSize 32 took %d: the FP queue share does not bind", small, large)
+	}
+}
+
+// TestSMTFetchesThroughICache checks that every thread's front end goes
+// through the hierarchy's instruction side: a co-run over an attached
+// L1I records fetches and misses, and the misses cost cycles.
+func TestSMTFetchesThroughICache(t *testing.T) {
+	a, b := mixedInstrs(20_000, 0x1000), mixedInstrs(20_000, 0x90000)
+	run := func(icache bool) (uint64, hier.IStats) {
+		h := hier.MustNew(hier.DefaultConfig(), assist.MustNewBaseline(dmConfig(), 0))
+		if icache {
+			h.AttachI(assist.MustNewBaseline(cache.Config{Name: "L1I", Size: 1 << 10, LineSize: 64, Assoc: 1}, 0))
+		}
+		ms := MustNewSMT(DefaultConfig(), h, 2).RunThreads([]trace.Stream{
+			trace.NewSliceStream(a), trace.NewSliceStream(b),
+		}, 0)
+		return ms[0].Cycles, h.IFetchStats()
+	}
+	perfect, _ := run(false)
+	cycles, st := run(true)
+	if st.Fetches == 0 || st.Misses == 0 {
+		t.Fatalf("I-side stats %+v: the threads did not fetch through the I-cache", st)
+	}
+	if cycles <= perfect {
+		t.Errorf("I-misses cost nothing: %d cycles with a 1KB L1I, %d with a perfect one", cycles, perfect)
 	}
 }

@@ -158,7 +158,7 @@ func smtRun(a, b string, perThread, seed uint64, factory sim.SystemFactory) (flo
 	sys := factory()
 	h := hier.MustNew(hier.DefaultConfig(), sys)
 	core := cpu.MustNewSMT(cpu.DefaultConfig(), h, 2)
-	ms := core.Run([]trace.Stream{
+	ms := core.RunThreads([]trace.Stream{
 		ba.Stream(seed),
 		bb.Stream(seed + 1),
 	}, perThread)

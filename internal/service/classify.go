@@ -84,6 +84,9 @@ func (sp *ClassifySpec) normalize(upload bool, maxAccesses uint64) error {
 	if err := normalizeGeometry(&sp.Assoc, &sp.LineSize, sp.TagBits, &sp.Index); err != nil {
 		return err
 	}
+	if err := checkSizeKB(sp.SizeKB, sp.LineSize); err != nil {
+		return err
+	}
 	if err := sp.cacheConfig().Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}

@@ -255,6 +255,9 @@ func TestClassifyRejectsBadSpecs(t *testing.T) {
 		"bad geometry":     fmt.Sprintf(`{"workload":%q,"size_kb":3,"line":48}`, anyWorkload(t)),
 		"over accesses":    fmt.Sprintf(`{"workload":%q,"accesses":5000}`, anyWorkload(t)),
 		"unknown field":    `{"wrkload":"typo"}`,
+		"over max lines":   fmt.Sprintf(`{"workload":%q,"size_kb":1073741824}`, anyWorkload(t)),
+		"overflowing size": fmt.Sprintf(`{"workload":%q,"size_kb":9223372036854775807}`, anyWorkload(t)),
+		"negative size":    fmt.Sprintf(`{"workload":%q,"size_kb":-32}`, anyWorkload(t)),
 	} {
 		resp := postJSON(t, srv.URL+"/v1/classify", body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -24,10 +24,25 @@ const mrcSlug = "svc-mrc"
 // and MCT per access, so the list remains the request's compute knob.
 const maxMRCSizes = 16
 
-// maxMRCLines bounds each size's capacity in lines (8 MB of 64-byte
-// lines): a size's real cache, and the largest size's oracle stack, are
-// allocated up front, so the bound caps a request's resident memory.
+// maxMRCLines bounds the capacity in lines (8 MB of 64-byte lines) of
+// every cache a spec names, the classify spec's and each MRC size: a
+// size's real cache, and the largest size's oracle stack, are allocated
+// up front, so the bound caps a request's resident memory.
 const maxMRCLines = 1 << 17
+
+// checkSizeKB validates one spec cache size of kb kilobytes over lines of
+// line bytes: positive and at most maxMRCLines lines, a byte count that
+// overflows int included. normalizeGeometry made line non-zero; a
+// negative one fails cache validation afterwards.
+func checkSizeKB(kb, line int) error {
+	if kb <= 0 {
+		return fmt.Errorf("%w: cache sizes must be positive, got %dKB", ErrBadRequest, kb)
+	}
+	if kb > math.MaxInt/1024 || kb*1024/line > maxMRCLines {
+		return fmt.Errorf("%w: size %dKB exceeds the limit of %d lines", ErrBadRequest, kb, maxMRCLines)
+	}
+	return nil
+}
 
 // MRCSpec describes one miss-ratio-curve request: which access stream
 // to profile (a named workload, or the uploaded trace), the SHARDS
@@ -82,13 +97,8 @@ func (sp *MRCSpec) normalize(upload bool, maxAccesses uint64, maxSet int) error 
 		return err
 	}
 	for _, kb := range sp.SizesKB {
-		if kb <= 0 {
-			return fmt.Errorf("%w: sizes_kb entries must be positive, got %d", ErrBadRequest, kb)
-		}
-		// normalizeGeometry made LineSize non-zero; a negative one fails
-		// Validate below.
-		if kb > math.MaxInt/1024 || kb*1024/sp.LineSize > maxMRCLines {
-			return fmt.Errorf("%w: size %dKB exceeds the limit of %d lines", ErrBadRequest, kb, maxMRCLines)
+		if err := checkSizeKB(kb, sp.LineSize); err != nil {
+			return err
 		}
 		if err := cacheConfig(kb, sp.LineSize, sp.Assoc, sp.Index, sp.IndexSeed).Validate(); err != nil {
 			return fmt.Errorf("%w: size %dKB: %v", ErrBadRequest, kb, err)

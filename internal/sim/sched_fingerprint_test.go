@@ -16,11 +16,12 @@ import (
 )
 
 // schedFingerprintPath is the committed golden file for the timing model's
-// issue scheduler. It was generated by the scan-based issue stage (every
-// unissued ROB entry polled each cycle), so the test proves the
-// wakeup/select scheduler reproduces its timing bit for bit: each cell
-// hashes the full %+v rendering of its sim.Result (or, for SMT cells, of
-// the per-thread metrics and the shared hierarchy's counters).
+// issue scheduler. It was generated by polling schedulers (every unissued
+// ROB entry polled each cycle): the single-threaded cells by the
+// scan-based issue stage, the SMT cells by the separate SMT core. The test
+// proves the one wakeup/select core reproduces their timing bit for bit:
+// each cell hashes the full %+v rendering of its sim.Result (or, for SMT
+// cells, of the per-thread metrics and the shared hierarchy's counters).
 const schedFingerprintPath = "testdata/sched_fingerprints.json"
 
 // Set SCHED_FP_UPDATE=1 to regenerate the golden file instead of checking
@@ -127,7 +128,7 @@ func schedFingerprints(t *testing.T) map[string]string {
 		for i, n := range names {
 			streams[i] = bench(n).Stream(workload.DefaultSeed + uint64(i))
 		}
-		ms := cpu.MustNewSMT(cfg, h, len(names)).Run(streams, perThread)
+		ms := cpu.MustNewSMT(cfg, h, len(names)).RunThreads(streams, perThread)
 		record(key, struct {
 			CPU  []cpu.Metrics
 			Sys  assist.Stats
