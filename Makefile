@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race ci bench bench-smoke batch-smoke chaos-smoke serve-smoke obs-smoke geom-smoke crash-smoke chaosnet-smoke cluster-smoke mrc-smoke bench-cluster bench-mrc vulncheck fuzz clean-cache
+.PHONY: build vet test race ci bench-smoke bench-diff batch-smoke chaos-smoke serve-smoke obs-smoke geom-smoke crash-smoke chaosnet-smoke cluster-smoke mrc-smoke vulncheck fuzz clean-cache
 
 build:
 	$(GO) build ./...
@@ -26,19 +26,28 @@ race:
 
 ci: vet race bench-smoke batch-smoke chaos-smoke serve-smoke obs-smoke geom-smoke crash-smoke chaosnet-smoke cluster-smoke mrc-smoke vulncheck
 
-# Full hot-path benchmark sweep: the Go benchmarks for each package plus
-# the paperbench -bench report (BENCH_pr2.json). Use this for recorded
-# numbers; bench-smoke is the fast CI variant.
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/cache ./internal/classify
-	$(GO) run ./cmd/paperbench -bench
-
 # CI smoke: compile and execute every benchmark for one iteration so a
 # benchmark that panics or allocates unboundedly fails the gate without
 # paying full measurement time (the allocation *numbers* are pinned by
-# the AllocsPerRun regression tests under `make race`).
+# the AllocsPerRun regression tests under `make race`). This also runs
+# BenchmarkFleetSweep, which fails unless a 3-node fleet's sweep output
+# is byte-identical to a single node's and at least 2.2x faster, and
+# BenchmarkObserveBatch, the MRC profiler's sampled and exact observe
+# paths over 1M swim references.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Parent-vs-change benchmark protocol: check out BASE and HEAD as git
+# worktrees under .bench_build/diff/, run every BENCHMARK.json workload
+# in 10 alternating pairs (perfbench/run.sh --trace 0, one build dir per
+# side) and print per-metric medians, wins, the parent's quartiles and a
+# verdict. Exits non-zero on a regression beyond a metric's bound or a
+# larger share of failed operations. Not part of ci: it measures, it
+# does not gate. Usage: make bench-diff BASE=<rev> SEED=<n>
+BASE ?= HEAD~1
+SEED ?= 1
+bench-diff:
+	$(GO) run ./cmd/benchdiff -base $(BASE) -seed $(SEED)
 
 # Batch-kernel smoke: the scalar-vs-batch differential property tests
 # under the race detector, then the tool pipeline end to end — generate a
@@ -165,22 +174,6 @@ cluster-smoke:
 # power-of-two capacities. All under the race detector.
 mrc-smoke:
 	$(GO) test -race -count=1 -run 'TestMRCSmoke|TestProfilerMatchesExactReference|TestSampledErrorBounds|TestCurveMonotone|TestRateAdaptation|TestObserveBatchAllocs|TestMRC|TestTenant|TestLadder|TestLRUStack' -timeout 300s ./cmd/mctd ./internal/mrc ./internal/service ./internal/classify ./internal/cache
-
-# Cluster scaling benchmark: 3-node fleet vs single node on a 24-cell
-# sweep with a 60ms injected per-cell occupancy (the one-core proxy for
-# I/O-bound cell time; see the TestClusterScalingBench comment for the
-# methodology). Writes BENCH_pr9.json at the repo root. Not part of ci —
-# it measures, it doesn't gate.
-bench-cluster:
-	MCT_BENCH_CLUSTER=1 MCT_BENCH_CLUSTER_OUT=$(CURDIR)/BENCH_pr9.json \
-		$(GO) test -count=1 -run TestClusterScalingBench -v ./internal/service
-
-# MRC profiler throughput: sampled (rate 0.01) and exact observe paths
-# over a 1M-reference swim trace, written to BENCH_pr10.json at the repo
-# root. Not part of ci — it measures, it doesn't gate.
-bench-mrc:
-	MCT_BENCH_MRC=1 MCT_BENCH_MRC_OUT=$(CURDIR)/BENCH_pr10.json \
-		$(GO) test -count=1 -run TestMRCThroughputBench -v ./internal/mrc
 
 # Known-vulnerability scan, best effort: runs when govulncheck is on PATH
 # and never fails the build on environments without it (the container this

@@ -209,6 +209,7 @@ func BenchmarkAblationBufferSize(b *testing.B) {
 // instructions simulated per second through the full CPU+hierarchy stack.
 func BenchmarkRawSimulationThroughput(b *testing.B) {
 	bench, _ := workload.ByName("gcc")
+	b.ReportAllocs()
 	b.ResetTimer()
 	var instrs uint64
 	for i := 0; i < b.N; i++ {

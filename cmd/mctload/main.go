@@ -5,7 +5,7 @@
 // retries honoring Retry-After, opt-in hedging), reports latency
 // percentiles, error rates and the retry taxonomy, scrapes the server's
 // Prometheus exposition for the service-side view, and writes the
-// machine-readable BENCH_pr8.json snapshot.
+// machine-readable report (mctload.json by default).
 //
 // Usage:
 //
@@ -52,7 +52,7 @@ func mctloadMain(args []string, stdout, stderr io.Writer) int {
 		retries     = fs.Int("retries", 1, "max attempts per logical request (1 = no retries; raise for chaos runs)")
 		hedgeAfter  = fs.Duration("hedge-after", 0, "hedge classify requests still unanswered after this delay (0 = off)")
 		chaosSpec   = fs.String("chaos", "", "client-side network fault injection, e.g. 'reset=0.05,latency=20ms' (see internal/faultinject)")
-		out         = fs.String("out", "BENCH_pr8.json", "machine-readable report path (empty = skip)")
+		out         = fs.String("out", "mctload.json", "machine-readable report path (empty = skip)")
 		quiet       = fs.Bool("quiet", false, "suppress the result table")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -25,7 +25,7 @@ func TestMctloadEndToEnd(t *testing.T) {
 		svc.Drain(ctx)
 	})
 
-	out := filepath.Join(t.TempDir(), "BENCH_pr5.json")
+	out := filepath.Join(t.TempDir(), "mctload.json")
 	var stdout, stderr bytes.Buffer
 	code := mctloadMain([]string{
 		"-url", srv.URL,

@@ -9,7 +9,6 @@
 //	           [-progress] [-nocache] [-cachedir DIR]
 //	           [-task-timeout D] [-retries N] [-retry-backoff D] [-strict]
 //	           [-resume] [-checkpointdir DIR] [-inject SPEC] [-fsync MODE]
-//	           [-bench] [-benchout FILE]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //	           [-trace-out FILE] [-slow-factor N]
 //
@@ -42,13 +41,6 @@
 // internal/faultinject.Parse: "error:2", "hang@fig5", "panic", ...) for
 // chaos-testing that machinery against the real binary.
 //
-// -bench switches to the performance harness: instead of regenerating the
-// paper's artifacts it benchmarks the simulation hot paths (cache access,
-// oracle observe, fully-associative reference, workload generation,
-// end-to-end instructions/second) and writes the machine-readable report
-// to -benchout (default BENCH_pr6.json; see DESIGN.md for the schema) so
-// the repo accumulates a performance trajectory PR over PR.
-//
 // -cpuprofile/-memprofile write pprof profiles covering the whole run —
 // started through internal/runner before any worker-pool fan-out, so the
 // profile captures the experiment workers, not just main.
@@ -72,7 +64,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/perf"
 	"repro/internal/runner"
 	"repro/internal/stats"
 )
@@ -107,10 +98,8 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 		inject       = fs.String("inject", "", "fault-injection schedule for chaos testing, e.g. 'error:2' or 'hang@fig5,panic@sim' (see internal/faultinject)")
 		fsyncMode    = fs.String("fsync", "off", "fsync policy for checkpoint/cache writes: off (process-crash safe only), data, always")
 
-		bench    = fs.Bool("bench", false, "benchmark the simulation hot paths and write -benchout instead of running experiments")
-		benchOut = fs.String("benchout", "BENCH_pr7.json", "machine-readable benchmark report path (with -bench)")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile covering the whole run (worker pool included)")
-		memProf  = fs.String("memprofile", "", "write a heap profile at the end of the run")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile covering the whole run (worker pool included)")
+		memProf = fs.String("memprofile", "", "write a heap profile at the end of the run")
 
 		traceOut   = fs.String("trace-out", "", "write finished trace spans (one per task attempt, batch, cache lookup) as NDJSON to this file")
 		slowFactor = fs.Float64("slow-factor", 8, "log task attempts slower than this multiple of their label's running median (0 = off)")
@@ -157,8 +146,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 		defer obs.SetSlowLog(0, 0, nil)
 	}
 
-	// Profiles bracket everything below — experiment fan-outs and the
-	// bench harness both run inside them.
+	// Profiles bracket everything below, the experiment fan-outs included.
 	if *cpuProf != "" {
 		stop, err := runner.StartCPUProfile(*cpuProf)
 		if err != nil {
@@ -177,24 +165,6 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "paperbench:", err)
 			}
 		}()
-	}
-
-	if *bench {
-		start := time.Now()
-		report := perf.NewReport(perf.Components())
-		if err := report.WriteJSON(*benchOut); err != nil {
-			fmt.Fprintln(stderr, "paperbench:", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, report.Table())
-		for _, c := range report.Components {
-			if c.Name == "sim.endtoend" {
-				fmt.Fprintf(stdout, "end-to-end: %.0f instrs/sec (%.1f ns/instr)\n",
-					c.Metrics["instrs_per_sec"], c.Metrics["ns_per_instr"])
-			}
-		}
-		fmt.Fprintf(stderr, "(bench: report written to %s in %.1fs)\n", *benchOut, time.Since(start).Seconds())
-		return 0
 	}
 
 	p := experiments.Default()

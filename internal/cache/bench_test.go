@@ -6,10 +6,8 @@ import (
 	"repro/internal/mem"
 )
 
-// Hot-path benchmarks for the cache layer. The same components are
-// measured by internal/perf (paperbench -bench) for the BENCH_*.json
-// trajectory; these exist so `go test -bench` works per-package during
-// development.
+// Hot-path benchmarks for the cache layer; perfbench measures the same
+// layers end to end.
 
 func benchAddrs(n int) []mem.Addr {
 	addrs := make([]mem.Addr, 0, n)

@@ -2,7 +2,7 @@
 // a fixed fleet of workers drives mixed classify/sweep traffic at either
 // the maximum closed-loop rate or a target QPS, measuring per-request
 // latency and error rates. cmd/mctload wraps it as a CLI and writes the
-// BENCH_pr8.json report (client-side results plus the server's own
+// mctload.json report (client-side results plus the server's own
 // histograms scraped from the Prometheus endpoint).
 //
 // "Closed loop" means each worker issues its next request only after the

@@ -76,7 +76,7 @@ func TestPercentile(t *testing.T) {
 			t.Errorf("Percentile(%v) = %d, want %d", c.q, got, c.want)
 		}
 	}
-	if got := perf.Percentile(nil, 0.5); got != 0 {
+	if got := perf.Percentile([]time.Duration(nil), 0.5); got != 0 {
 		t.Errorf("Percentile(empty) = %d, want 0", got)
 	}
 }

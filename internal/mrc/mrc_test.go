@@ -3,12 +3,10 @@ package mrc_test
 import (
 	"fmt"
 	"math"
-	"os"
 	"testing"
 
 	"repro/internal/mem"
 	"repro/internal/mrc"
-	"repro/internal/perf"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -243,40 +241,29 @@ func TestObserveBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestMRCThroughputBench is the env-gated BENCH writer: profiler
-// throughput at the production sampling rate and in exact mode, written
-// to MCT_BENCH_MRC_OUT (BENCH_pr10.json via make bench-mrc). It
-// measures; it does not gate.
-func TestMRCThroughputBench(t *testing.T) {
-	if os.Getenv("MCT_BENCH_MRC") == "" {
-		t.Skip("set MCT_BENCH_MRC=1 to run the MRC throughput benchmark")
-	}
-	addrs := collectAddrs(t, "swim", 1_000_000)
-	measure := func(name string, rate float64, maxSampled int) perf.Result {
-		br := testing.Benchmark(func(b *testing.B) {
+// BenchmarkObserveBatch measures profiler throughput over 1M swim
+// references, fed in 4096-reference batches, at the production sampling
+// rate and in exact mode.
+func BenchmarkObserveBatch(b *testing.B) {
+	addrs := collectAddrs(b, "swim", 1_000_000)
+	for _, m := range []struct {
+		name       string
+		rate       float64
+		maxSampled int
+	}{
+		{"sampled", 0.01, 0},
+		{"exact", 1, -1},
+	} {
+		b.Run(m.name, func(b *testing.B) {
 			b.ReportAllocs()
-			p := mrc.New(mrc.Config{Rate: rate, MaxSampled: maxSampled, LineSize: lineSize})
+			p := mrc.New(mrc.Config{Rate: m.rate, MaxSampled: m.maxSampled, LineSize: lineSize})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for off := 0; off < len(addrs); off += 4096 {
 					p.ObserveBatch(addrs[off:min(off+4096, len(addrs))])
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(addrs)), "ns/ref")
 		})
-		res := perf.ResultOf(name, br, len(addrs))
-		res.Metrics = map[string]float64{"refs_per_sec": res.OpsPerSec, "sampling_rate": rate}
-		return res
 	}
-	report := perf.NewReport([]perf.Result{
-		measure("mrc.observe.sampled", 0.01, 0),
-		measure("mrc.observe.exact", 1, -1),
-	})
-	out := os.Getenv("MCT_BENCH_MRC_OUT")
-	if out == "" {
-		out = "BENCH_pr10.json"
-	}
-	if err := report.WriteJSON(out); err != nil {
-		t.Fatalf("writing %s: %v", out, err)
-	}
-	t.Log("\n" + report.Table().String())
 }

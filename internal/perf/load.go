@@ -1,8 +1,13 @@
+// Package perf holds the mctload report (LoadReport and the server-side
+// metrics folded into it) and the repo's one nearest-rank percentile rule,
+// Percentile, shared by mctload, the load generator and cmd/benchdiff.
 package perf
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -11,8 +16,8 @@ import (
 	"repro/internal/stats"
 )
 
-// LoadReportSchema versions the BENCH load-test JSON format (written by
-// cmd/mctload as BENCH_pr8.json). Schema 2 added the Server section:
+// LoadReportSchema versions the load-test JSON format cmd/mctload writes
+// (by default to mctload.json). Schema 2 added the Server section:
 // server-side histograms and counters folded in from the service's
 // Prometheus exposition, so one file carries both sides of the run.
 // Schema 3 added the client-resilience fields to each LoadResult —
@@ -38,12 +43,7 @@ type Latency struct {
 // samples using the nearest-rank definition: the smallest sample such
 // that at least q·n samples are <= it, i.e. index ceil(q·n)-1. Zero when
 // empty; NaN and q below 0 clamp to the min sample, q above 1 to the max.
-//
-// The previous implementation rounded the rank half-up
-// (int(q·n + 0.5) - 1), which understates percentiles whenever q·n has
-// fractional part below one half — e.g. p60 of 4 samples picked index 1
-// (the 50th percentile) instead of index 2.
-func Percentile(sorted []time.Duration, q float64) time.Duration {
+func Percentile[T ~int64 | ~float64](sorted []T, q float64) T {
 	if len(sorted) == 0 {
 		return 0
 	}
@@ -53,14 +53,8 @@ func Percentile(sorted []time.Duration, q float64) time.Duration {
 	if q >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	// 0 < q < 1 here, so the rank lies in [1, n].
+	return sorted[int(math.Ceil(q*float64(len(sorted))))-1]
 }
 
 // SummarizeLatency sorts samples in place and extracts the summary.
@@ -189,7 +183,7 @@ func MergeServerMetrics(ms ...*ServerMetrics) *ServerMetrics {
 	return out
 }
 
-// LoadReport is the full load-test snapshot written to BENCH_pr5.json.
+// LoadReport is the full load-test snapshot cmd/mctload writes.
 type LoadReport struct {
 	Schema      int     `json:"schema"`
 	CodeVersion string  `json:"code_version"`
@@ -215,7 +209,7 @@ type LoadReport struct {
 	Servers map[string]*ServerMetrics `json:"servers,omitempty"`
 }
 
-// NewLoadReport stamps results with the environment, mirroring NewReport.
+// NewLoadReport stamps results with the environment.
 func NewLoadReport(target string, duration time.Duration, concurrency int, qps float64, results []LoadResult) LoadReport {
 	return LoadReport{
 		Schema:      LoadReportSchema,
@@ -232,9 +226,14 @@ func NewLoadReport(target string, duration time.Duration, concurrency int, qps f
 	}
 }
 
-// WriteJSON writes the report to path, indented for diffability.
+// WriteJSON writes the report to path, indented for diffability and
+// newline-terminated.
 func (r LoadReport) WriteJSON(path string) error {
-	return writeJSONFile(path, r)
+	data, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return fmt.Errorf("perf: encoding report: %w", err)
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // Table renders the load report in the house table style.

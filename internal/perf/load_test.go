@@ -10,7 +10,7 @@ import (
 // naivePercentile is the reference nearest-rank definition, written the
 // obvious way: the smallest sample with at least q·n samples at or below
 // it. The production Percentile must agree with this everywhere.
-func naivePercentile(sorted []time.Duration, q float64) time.Duration {
+func naivePercentile[T ~int64 | ~float64](sorted []T, q float64) T {
 	n := len(sorted)
 	if n == 0 {
 		return 0
@@ -68,6 +68,28 @@ func TestPercentileTable(t *testing.T) {
 			t.Errorf("%s: Percentile(%v, %g) = %v, want %v", c.name, c.sorted, c.q, got, c.want)
 		}
 	}
+
+	// The same rule over float64 samples, as cmd/benchdiff ranks metric
+	// values: nearest rank, never interpolated between neighbours.
+	fcases := []struct {
+		name   string
+		sorted []float64
+		q      float64
+		want   float64
+	}{
+		{"float empty", nil, 0.5, 0},
+		{"float p25 of 4", []float64{0.5, 1.5, 2.5, 3.5}, 0.25, 0.5},
+		{"float p26 of 4", []float64{0.5, 1.5, 2.5, 3.5}, 0.26, 1.5},
+		{"float p60 of 4", []float64{0.5, 1.5, 2.5, 3.5}, 0.6, 2.5},
+		{"float p75 of 10", []float64{1.1, 2.2, 3.3, 4.4, 5.5, 6.6, 7.7, 8.8, 9.9, 11}, 0.75, 8.8},
+		{"float NaN q clamps", []float64{-1, 0, 1}, math.NaN(), -1},
+		{"float q above 1 clamps", []float64{-1, 0, 1}, 2, 1},
+	}
+	for _, c := range fcases {
+		if got := Percentile(c.sorted, c.q); got != c.want {
+			t.Errorf("%s: Percentile(%v, %g) = %v, want %v", c.name, c.sorted, c.q, got, c.want)
+		}
+	}
 }
 
 func TestPercentileMatchesNaiveReference(t *testing.T) {
@@ -80,11 +102,18 @@ func TestPercentileMatchesNaiveReference(t *testing.T) {
 			acc += time.Duration(1+rng.Intn(50)) * time.Millisecond
 			sorted[i] = acc
 		}
+		floats := make([]float64, n)
+		for i, d := range sorted {
+			floats[i] = float64(d) / float64(time.Millisecond) / 3
+		}
 		for _, q := range qs {
 			got := Percentile(sorted, q)
 			want := naivePercentile(sorted, q)
 			if got != want {
 				t.Fatalf("n=%d q=%g: Percentile = %v, naive reference = %v", n, q, got, want)
+			}
+			if got, want := Percentile(floats, q), naivePercentile(floats, q); got != want {
+				t.Fatalf("n=%d q=%g: float Percentile = %v, naive reference = %v", n, q, got, want)
 			}
 		}
 	}

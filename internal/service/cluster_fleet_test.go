@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -42,7 +40,7 @@ type fleetNode struct {
 // up front — the static-peer-list deployment model. The optional hooks
 // adjust one node's service config, cluster config, or wrap its
 // listener (chaos injection) / handler (latency middleware).
-func bootFleet(t *testing.T, n int,
+func bootFleet(t testing.TB, n int,
 	cfgMut func(i int, cfg *Config),
 	clMut func(i int, cfg *cluster.Config),
 	wrapLn func(i int, ln net.Listener) net.Listener,
@@ -554,9 +552,12 @@ func TestClusterChaosSmoke(t *testing.T) {
 		cs.Forwards, cs.ForwardFails, cs.CacheFills, cs.Ejections, cs.Restores)
 }
 
-// TestClusterScalingBench measures 3-node fleet throughput against a
-// single node and writes BENCH_pr9.json. Gated behind MCT_BENCH_CLUSTER
-// because it is a benchmark, not a correctness test.
+// BenchmarkFleetSweep measures 3-node fleet throughput against a
+// single node on a 24-cell seeded sweep and reports the ratio as
+// speedup_x. Each iteration boots a fresh single node and a fresh fleet,
+// so every cell is computed and no memo hit counts. It fails when the
+// fleet's NDJSON differs from the single node's or the speedup falls
+// below 2.2x.
 //
 // Methodology (one-core container): per-cell occupancy is modeled with
 // an injected 60ms delay (the I/O-bound proxy — real cell compute at
@@ -568,10 +569,7 @@ func TestClusterChaosSmoke(t *testing.T) {
 // distribution layer's job. On a multi-core host the same harness
 // measures CPU-bound scaling instead, with the per-node compute gate
 // bounding local work.
-func TestClusterScalingBench(t *testing.T) {
-	if os.Getenv("MCT_BENCH_CLUSTER") == "" {
-		t.Skip("set MCT_BENCH_CLUSTER=1 to run the cluster scaling bench")
-	}
+func BenchmarkFleetSweep(b *testing.B) {
 	const cells = 24
 	const delay = 60 * time.Millisecond
 	body := seedSweepBody(cells, 200)
@@ -579,61 +577,32 @@ func TestClusterScalingBench(t *testing.T) {
 	restore := faultinject.Install(faultinject.Delay("sweep/", delay))
 	defer restore()
 
-	_, ref := newTestService(t, Config{Workers: 1})
-	singleStart := time.Now()
-	rr := postJSON(t, ref.URL+"/v1/sweep", body)
-	refBytes := readAll(t, rr.Body)
-	rr.Body.Close()
-	singleElapsed := time.Since(singleStart)
-	if rr.StatusCode != http.StatusOK {
-		t.Fatalf("single-node sweep: status %d", rr.StatusCode)
+	sweep := func(url string) ([]byte, time.Duration) {
+		start := time.Now()
+		resp := postJSON(b, url+"/v1/sweep", body)
+		out := readAll(b, resp.Body)
+		resp.Body.Close()
+		elapsed := time.Since(start)
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("sweep on %s: status %d", url, resp.StatusCode)
+		}
+		return out, elapsed
 	}
-
-	nodes := bootFleet(t, 3, func(i int, cfg *Config) { cfg.Workers = 1 }, nil, nil, nil)
-	fleetStart := time.Now()
-	fr := postJSON(t, nodes[0].url+"/v1/sweep", body)
-	fleetBytes := readAll(t, fr.Body)
-	fr.Body.Close()
-	fleetElapsed := time.Since(fleetStart)
-	if fr.StatusCode != http.StatusOK {
-		t.Fatalf("fleet sweep: status %d", fr.StatusCode)
+	var single, fleet time.Duration
+	for i := 0; i < b.N; i++ {
+		_, ref := newTestService(b, Config{Workers: 1})
+		refBytes, s := sweep(ref.URL)
+		nodes := bootFleet(b, 3, func(i int, cfg *Config) { cfg.Workers = 1 }, nil, nil, nil)
+		fleetBytes, f := sweep(nodes[0].url)
+		if !bytes.Equal(refBytes, fleetBytes) {
+			b.Fatal("fleet NDJSON differs from single-node under the bench workload")
+		}
+		single += s
+		fleet += f
 	}
-
-	identical := bytes.Equal(refBytes, fleetBytes)
-	speedup := singleElapsed.Seconds() / fleetElapsed.Seconds()
-	t.Logf("single=%v fleet=%v speedup=%.2fx byte_identical=%v", singleElapsed, fleetElapsed, speedup, identical)
-	if !identical {
-		t.Error("fleet NDJSON differs from single-node under the bench workload")
-	}
+	speedup := single.Seconds() / fleet.Seconds()
+	b.ReportMetric(speedup, "speedup_x")
 	if speedup < 2.2 {
-		t.Errorf("fleet speedup %.2fx < 2.2x", speedup)
-	}
-
-	if out := os.Getenv("MCT_BENCH_CLUSTER_OUT"); out != "" {
-		report := map[string]any{
-			"schema":             1,
-			"bench":              "cluster-scaling",
-			"nodes":              3,
-			"cells":              cells,
-			"cell_delay_ms":      delay.Milliseconds(),
-			"workers_per_node":   1,
-			"gomaxprocs":         runtime.GOMAXPROCS(0),
-			"single_elapsed_sec": singleElapsed.Seconds(),
-			"fleet_elapsed_sec":  fleetElapsed.Seconds(),
-			"speedup":            speedup,
-			"byte_identical":     identical,
-			"forwards":           nodes[0].cl.Counters().Forwards,
-			"methodology": "one-core container: per-cell occupancy modeled as a 60ms injected delay " +
-				"(I/O-bound proxy); single-node baseline is a serial Workers=1 pool, the fleet overlaps " +
-				"occupancy across 3 nodes and in-flight forwards. See DESIGN.md §13.",
-		}
-		enc, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(enc, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("bench report written to %s", out)
+		b.Fatalf("fleet speedup %.2fx < 2.2x", speedup)
 	}
 }

@@ -22,7 +22,7 @@ import (
 
 // newTestService boots an in-process service over httptest with a fresh
 // cache directory, and tears both down with the test.
-func newTestService(t *testing.T, cfg Config) (*Service, *httptest.Server) {
+func newTestService(t testing.TB, cfg Config) (*Service, *httptest.Server) {
 	t.Helper()
 	if cfg.CacheDir == "" {
 		cfg.CacheDir = t.TempDir() + "/cache"
@@ -52,7 +52,7 @@ func anyWorkload(t *testing.T) string {
 	return names[0]
 }
 
-func postJSON(t *testing.T, url string, body string) *http.Response {
+func postJSON(t testing.TB, url string, body string) *http.Response {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -61,7 +61,7 @@ func postJSON(t *testing.T, url string, body string) *http.Response {
 	return resp
 }
 
-func readAll(t *testing.T, r io.Reader) []byte {
+func readAll(t testing.TB, r io.Reader) []byte {
 	t.Helper()
 	b, err := io.ReadAll(r)
 	if err != nil {

@@ -83,7 +83,7 @@ func writeVerdict(w *bytes.Buffer, i, addr uint64, store, hit bool, kind classif
 	fmt.Fprintf(w, "%d 0x%x %t %s %s\n", i, addr, store, kind, class.String())
 }
 
-func newDiffRun(t *testing.T, cfg cache.Config, tagBits int) *classify.Run {
+func newDiffRun(t testing.TB, cfg cache.Config, tagBits int) *classify.Run {
 	t.Helper()
 	run, err := classify.NewRun(cfg, tagBits)
 	if err != nil {
@@ -239,25 +239,7 @@ func TestClassifyBatchedSteadyStateAllocs(t *testing.T) {
 	if !ok {
 		t.Fatal("workload gcc not registered")
 	}
-	var v2 bytes.Buffer
-	w, err := trace.NewWriterV2(&v2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb := trace.NewStreamBatcher(trace.NewLimit(b.Stream(workload.DefaultSeed), 4*trace.DefaultBatchSize))
-	batch := trace.NewBatch(trace.DefaultBatchSize)
-	for sb.ReadBatch(batch, trace.DefaultBatchSize) > 0 {
-		if err := w.WriteBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	m, err := trace.OpenMapped(v2.Bytes(), trace.Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mappedV2(t, b.Stream(workload.DefaultSeed), 4*trace.DefaultBatchSize)
 	run := newDiffRun(t, cache.Config{Name: "L1D", Size: 16 << 10, LineSize: 64, Assoc: 1}, 0)
 	bc := NewBatchClassifier(run, 0)
 	bc.ClassifyAll(m) // warm: touch every line, size all scratch
@@ -266,5 +248,61 @@ func TestClassifyBatchedSteadyStateAllocs(t *testing.T) {
 		bc.ClassifyAll(m)
 	}); avg != 0 {
 		t.Fatalf("batched classification steady state allocates %v allocs/replay, want 0", avg)
+	}
+}
+
+// mappedV2 renders the first n instructions of s as an in-memory
+// fixed-stride v2 trace image and opens it for replay.
+func mappedV2(tb testing.TB, s trace.Stream, n uint64) *trace.Mapped {
+	tb.Helper()
+	var v2 bytes.Buffer
+	w, err := trace.NewWriterV2(&v2, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sb := trace.NewStreamBatcher(trace.NewLimit(s, n))
+	batch := trace.NewBatch(trace.DefaultBatchSize)
+	for sb.ReadBatch(batch, trace.DefaultBatchSize) > 0 {
+		if err := w.WriteBatch(batch); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	m, err := trace.OpenMapped(v2.Bytes(), trace.Limits{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// BenchmarkClassifyTrace measures the trace-ingest path (decode, cache,
+// MCT, oracle and accuracy over a binary trace) on the 200k-instruction
+// gcc cell: the record-at-a-time reference and the struct-of-arrays
+// batch kernel replay the same in-memory v2 image, so their ns/instr are
+// directly comparable and the ratio is the batch kernel's speedup.
+func BenchmarkClassifyTrace(b *testing.B) {
+	const instrs = 200_000
+	gcc, ok := workload.ByName("gcc")
+	if !ok {
+		b.Fatal("workload gcc not registered")
+	}
+	m := mappedV2(b, gcc.Stream(workload.DefaultSeed), instrs)
+	for _, k := range []struct {
+		name     string
+		classify func(*classify.Run, *trace.Mapped)
+	}{
+		{"scalar", func(run *classify.Run, m *trace.Mapped) { ClassifyScalar(run, m) }},
+		{"batch", func(run *classify.Run, m *trace.Mapped) { ClassifyBatched(run, m, 0) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.Rewind()
+				k.classify(newDiffRun(b, L1Config(), 0), m)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/instrs, "ns/instr")
+		})
 	}
 }
