@@ -116,13 +116,16 @@ obs-smoke:
 # wakeup/select scheduler, at one thread and as SMT, to the timing of the
 # scan-based and polling cores it replaced (paper-sim cells, odd CPU
 # shapes, I-cache, MaxCycles, and two- and four-thread co-runs). The
-# allocation guards pin its run loop as allocation-free per instruction
-# at one and two threads, and the SMT tests pin each thread's FP-queue
+# assist outcome corpus pins every assist policy's functional outcomes
+# (baseline, victim, next-line and RPT prefetch, exclusion, AMB), access
+# by access, across the refactor that made them policies of the one
+# assist.Engine. The allocation guards pin its run loop as
+# allocation-free per instruction at one and two threads, and the SMT tests pin each thread's FP-queue
 # share and its fetch through the instruction cache. `make race` runs
 # these once; the focused -count=1 re-run keeps a cached pass from masking
 # a regression.
 geom-smoke:
-	$(GO) test -race -count=1 -run 'TestModuloGeometryFingerprintsMatchSeed|TestSchedulerFingerprintsMatchScan|TestClassifyBatchMatchesScalar' ./internal/sim
+	$(GO) test -race -count=1 -run 'TestModuloGeometryFingerprintsMatchSeed|TestSchedulerFingerprintsMatchScan|TestAssistOutcomesMatchGolden|TestClassifyBatchMatchesScalar' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestRunAllocationsIndependentOfLength|TestSMTRunAllocationsIndependentOfLength|TestSMTFPQueueShareBinds|TestSMTFetchesThroughICache' ./internal/cpu
 	$(GO) test -race -count=1 -run 'TestIndexScheme|TestConfigValidateRejectsUnknownScheme|TestModuloRowsMatchGeometry|TestSkewed|TestRandom|TestEvictionAddressExactUnderSkew|TestFillMakesHitAllSchemes|TestLoadMissAccounting|TestCacheAccessSteadyStateAllocs' ./internal/cache
 

@@ -5,7 +5,8 @@
 //	go run ./examples/victimtuning
 //
 // This is the Section-5.1 experiment as a library user would run it: pick
-// a workload, build victim.System variants, and compare through sim.Run.
+// a workload, build victim caches with victim.MustNew, and compare
+// through sim.Run.
 package main
 
 import (

@@ -13,13 +13,11 @@
 package amb
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/assist"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/mem"
 )
 
 // Combo selects which optimizations the buffer applies.
@@ -69,214 +67,46 @@ func (c Combo) Name() string {
 	}
 }
 
-// System is the Adaptive Miss Buffer assist system.
-type System struct {
-	combo  Combo
-	l1     *cache.Cache
-	mct    *core.MCT
-	buffer *assist.Buffer
-	geom   mem.Geometry
-
-	stats assist.Stats
+// policy maps the combination onto the assist engine. The out-conflict
+// filter routes each miss by its own classification: conflict misses are
+// victim-cached, capacity misses prefetched and/or excluded.
+func (c Combo) policy() assist.Policy {
+	pol := assist.Policy{
+		Filter: core.OutConflict,
+		OnHit: [3]assist.HitAction{
+			// Conflict-targeted victim entries are served in place (the
+			// no-swap policy that won in Sec 5.1), so the contended set
+			// doesn't ping-pong; excluded lines remain until bumped.
+			assist.OriginVictim: assist.ServeInPlace,
+			assist.OriginBypass: assist.ServeInPlace,
+			// Stream-buffer semantics: consume into the cache.
+			assist.OriginPrefetch: assist.Consume,
+		},
+	}
+	if c.Victim {
+		pol.Stash = assist.WhenFiltered
+	}
+	if c.Prefetch {
+		pol.Prefetch = assist.UnlessFiltered
+		pol.OnHit[assist.OriginPrefetch] = assist.ConsumeAndPrefetch
+	}
+	if c.Exclude {
+		// A bypassed capacity miss seeds the MCT so the line can later
+		// classify as conflict. A prefetched line hit under exclusion
+		// stays in the buffer as an exclusion line (paper Sec 5.5).
+		pol.Bypass = assist.UnlessFiltered
+		pol.OnHit[assist.OriginPrefetch] = assist.Retag
+	}
+	return pol
 }
 
 // New builds an AMB with the given combination over an entries-deep buffer
 // (8 in the paper's main results, 16 in the large variant).
-func New(cfg cache.Config, tagBits, entries int, combo Combo) (*System, error) {
-	l1, err := cache.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	mct, err := core.New(core.Config{Sets: cfg.Sets(), TagBits: tagBits})
-	if err != nil {
-		return nil, err
-	}
-	if entries <= 0 {
-		return nil, fmt.Errorf("amb: buffer needs positive entries, got %d", entries)
-	}
-	return &System{
-		combo:  combo,
-		l1:     l1,
-		mct:    mct,
-		buffer: assist.NewBuffer(entries),
-		geom:   l1.Geometry(),
-	}, nil
+func New(cfg cache.Config, tagBits, entries int, combo Combo) (*assist.Engine, error) {
+	return assist.NewEngine("amb-"+combo.Name(), cfg, tagBits, entries, combo.policy())
 }
 
 // MustNew is New that panics on error.
-func MustNew(cfg cache.Config, tagBits, entries int, combo Combo) *System {
-	s, err := New(cfg, tagBits, entries, combo)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Name implements assist.System.
-func (s *System) Name() string { return "amb-" + s.combo.Name() }
-
-// Combo returns the active combination.
-func (s *System) Combo() Combo { return s.combo }
-
-// Buffer exposes the shared buffer.
-func (s *System) Buffer() *assist.Buffer { return s.buffer }
-
-// L1 exposes the underlying cache.
-func (s *System) L1() *cache.Cache { return s.l1 }
-
-// Access implements assist.System.
-func (s *System) Access(acc mem.Access) assist.Outcome {
-	isStore := acc.Type == mem.Store
-	s.stats.Accesses++
-	if s.l1.Access(acc.Addr, acc.Type) {
-		s.stats.L1Hits++
-		return assist.Outcome{L1Hit: true}
-	}
-
-	set := s.geom.Set(acc.Addr)
-	tag := s.geom.Tag(acc.Addr)
-	class := s.mct.ClassifyMiss(set, tag)
-	line := s.geom.Line(acc.Addr)
-
-	if entry, ok := s.buffer.Hit(line, isStore); ok {
-		s.stats.BufferHits++
-		s.stats.BufferHitsByOrigin[entry.Origin]++
-		return s.onBufferHit(acc, class, line, entry, isStore)
-	}
-
-	s.stats.Misses++
-	if class == core.Conflict {
-		s.stats.ConflictMisses++
-	} else {
-		s.stats.CapacityMisses++
-	}
-	return s.onBufferMiss(acc, class, line, set, tag, isStore)
-}
-
-// onBufferHit dispatches on the entry's origin.
-func (s *System) onBufferHit(acc mem.Access, class core.Class, line mem.LineAddr, entry assist.Entry, isStore bool) assist.Outcome {
-	switch entry.Origin {
-	case assist.OriginVictim:
-		// Conflict-targeted victim entries are served in place (the
-		// no-swap policy that won in Sec 5.1); the line stays buffered so
-		// the contended set doesn't ping-pong.
-		return assist.Outcome{Class: class, BufferHit: true}
-
-	case assist.OriginPrefetch:
-		if s.combo.Exclude {
-			// PrefExcl/VicPreExc transition: the prefetched line stays in
-			// the buffer as an exclusion line (paper Sec 5.5).
-			s.buffer.Insert(line, assist.Entry{
-				Origin:   assist.OriginBypass,
-				Dirty:    entry.Dirty || isStore,
-				Conflict: entry.Conflict,
-				Used:     true,
-			})
-			return assist.Outcome{Class: class, BufferHit: true}
-		}
-		// Stream-buffer semantics: consume into the cache, keep streaming.
-		s.buffer.Remove(line)
-		ev := assist.FillWithMCT(s.l1, s.mct, acc.Addr, isStore || entry.Dirty, class)
-		wb := ev.Occurred && ev.Dirty
-		var pfs []mem.LineAddr
-		if s.combo.Prefetch {
-			pfs = s.maybePrefetch(acc.Addr)
-		}
-		return assist.Outcome{Class: class, BufferHit: true, CacheFill: true, Writeback: wb, Prefetches: pfs}
-
-	default: // OriginBypass
-		// Excluded lines remain until bumped.
-		return assist.Outcome{Class: class, BufferHit: true}
-	}
-}
-
-// onBufferMiss routes the miss to the most appropriate optimization.
-func (s *System) onBufferMiss(acc mem.Access, class core.Class, line mem.LineAddr, set, tag uint64, isStore bool) assist.Outcome {
-	conflict := class == core.Conflict
-
-	if conflict && s.combo.Victim {
-		// Conflict miss: fill the cache and victim-stash the displaced
-		// line — it is the likely next conflict victim in this set.
-		ev := assist.FillWithMCT(s.l1, s.mct, acc.Addr, isStore, class)
-		wb := false
-		filled := false
-		if ev.Occurred {
-			s.stats.BufferFills++
-			dropped, wasFull := s.buffer.Insert(ev.Line, assist.Entry{
-				Origin:   assist.OriginVictim,
-				Dirty:    ev.Dirty,
-				Conflict: ev.Conflict,
-			})
-			wb = wasFull && dropped.Entry.Dirty
-			filled = true
-		}
-		return assist.Outcome{Class: class, CacheFill: true, BufferFill: filled, Writeback: wb}
-	}
-
-	if !conflict && s.combo.Exclude {
-		// Capacity miss under exclusion: bypass into the buffer, seed the
-		// MCT so the line can later classify as conflict, and optionally
-		// keep the stream going with a prefetch.
-		s.stats.Bypasses++
-		s.stats.BufferFills++
-		s.mct.Seed(set, tag)
-		dropped, wasFull := s.buffer.Insert(line, assist.Entry{
-			Origin: assist.OriginBypass,
-			Dirty:  isStore,
-		})
-		var pfs []mem.LineAddr
-		if s.combo.Prefetch {
-			pfs = s.maybePrefetch(acc.Addr)
-		}
-		return assist.Outcome{
-			Class:      class,
-			BufferFill: true,
-			Writeback:  wasFull && dropped.Entry.Dirty,
-			Prefetches: pfs,
-		}
-	}
-
-	// Normal fill path; capacity misses may still trigger a prefetch.
-	ev := assist.FillWithMCT(s.l1, s.mct, acc.Addr, isStore, class)
-	wb := ev.Occurred && ev.Dirty
-	var pfs []mem.LineAddr
-	if !conflict && s.combo.Prefetch {
-		pfs = s.maybePrefetch(acc.Addr)
-	}
-	return assist.Outcome{Class: class, CacheFill: true, Writeback: wb, Prefetches: pfs}
-}
-
-// maybePrefetch requests the next line unless it is already present.
-func (s *System) maybePrefetch(addr mem.Addr) []mem.LineAddr {
-	next := s.geom.NextLine(addr)
-	nline := s.geom.Line(next)
-	if s.l1.Contains(next) || s.buffer.Contains(nline) {
-		return nil
-	}
-	s.stats.PrefetchesIssued++
-	return []mem.LineAddr{nline}
-}
-
-// Contains implements assist.System.
-func (s *System) Contains(addr mem.Addr) (inL1, inBuffer bool) {
-	return s.l1.Contains(addr), s.buffer.Contains(s.geom.Line(addr))
-}
-
-// PrefetchArrived implements assist.System.
-func (s *System) PrefetchArrived(line mem.LineAddr) bool {
-	addr := mem.Addr(uint64(line) << s.geom.LineShift())
-	if s.l1.Contains(addr) || s.buffer.Contains(line) {
-		return false
-	}
-	s.buffer.Insert(line, assist.Entry{Origin: assist.OriginPrefetch})
-	return true
-}
-
-// Stats implements assist.System.
-func (s *System) Stats() assist.Stats {
-	out := s.stats
-	bs := s.buffer.Stats()
-	out.PrefetchesUseful = bs.PrefetchesUseful
-	out.PrefetchesWasted = bs.PrefetchesWasted
-	return out
+func MustNew(cfg cache.Config, tagBits, entries int, combo Combo) *assist.Engine {
+	return assist.Must(New(cfg, tagBits, entries, combo))
 }

@@ -16,7 +16,7 @@ func dmConfig() cache.Config {
 func load(a mem.Addr) mem.Access { return mem.Access{Addr: a, Type: mem.Load} }
 
 // drive completes prefetches immediately.
-func drive(s *System, acc mem.Access) assist.Outcome {
+func drive(s *assist.Engine, acc mem.Access) assist.Outcome {
 	out := s.Access(acc)
 	for _, pf := range out.Prefetches {
 		s.PrefetchArrived(pf)
@@ -146,7 +146,7 @@ func TestVicPreExcRoutesByClass(t *testing.T) {
 	// Use the pair: b bypassed too; a's seed makes b's set... construct a
 	// clean conflict: fill c directly then evict it.
 	s2 := MustNew(dmConfig(), 0, 8, VicPreExc)
-	s2.mct.Seed(0, s2.geom.Tag(a)) // force a to classify conflict
+	s2.MCT().Seed(0, s2.L1().Geometry().Tag(a)) // force a to classify conflict
 	out = s2.Access(load(a))
 	if out.Class != core.Conflict {
 		t.Fatalf("forced class = %v", out.Class)
@@ -172,7 +172,7 @@ func TestComboGainsOverSinglesOnMixedStream(t *testing.T) {
 	// A stream with both a hot conflict pair and a sequential scan: the
 	// combined VictPref policy should cover more misses than either
 	// single policy — the core AMB claim.
-	mixed := func(s *System) float64 {
+	mixed := func(s *assist.Engine) float64 {
 		a, b := mem.Addr(0x0000), mem.Addr(0x4000)
 		for i := 0; i < 300; i++ {
 			drive(s, load(a))
@@ -200,5 +200,3 @@ func TestNewValidation(t *testing.T) {
 		t.Error("bad tag bits accepted")
 	}
 }
-
-var _ assist.System = (*System)(nil)

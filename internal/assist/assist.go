@@ -1,14 +1,18 @@
 // Package assist defines the cache-assist abstraction shared by every
 // Section-5 architecture in the paper: a functional System interface that
 // couples the L1 data cache, the Miss Classification Table, and a small
-// fully-associative assist buffer, plus the buffer itself.
+// fully-associative assist buffer, plus the buffer itself and the one
+// Engine that runs them.
 //
 // The paper's four applications (victim caching, next-line prefetching,
 // cache exclusion, and the Adaptive Miss Buffer) are all "flavors of a
 // cache assist buffer ... in each case the structure is very similar"
-// (Sec 4). Each flavor implements System in its own package; the timing
-// hierarchy (internal/hier) wraps any System with banks, ports, buses, and
-// MSHRs, so functional policy behavior and timing are cleanly separated.
+// (Sec 4). The Engine runs that shared structure; each flavor's package
+// supplies only a Policy: what a buffer hit does, whether a miss bypasses
+// the L1, and whether a fill stashes its victim or prefetches the next
+// line. The timing hierarchy (internal/hier) wraps any System with banks,
+// ports, buses, and MSHRs, so functional policy behavior and timing are
+// cleanly separated.
 package assist
 
 import (

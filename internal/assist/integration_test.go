@@ -26,17 +26,30 @@ func dmConfig() cache.Config {
 func systems() map[string]assist.System {
 	cfg := dmConfig()
 	return map[string]assist.System{
-		"baseline":  assist.MustNewBaseline(cfg, 0),
-		"vc-trad":   victim.MustNew(cfg, 0, 4, victim.Traditional),
-		"vc-both":   victim.MustNew(cfg, 0, 4, victim.FilterBothPolicy),
-		"pf-all":    prefetch.MustNew(cfg, 0, 4, prefetch.Policy{PrefetchOnBufferHit: true}),
-		"pf-or":     prefetch.MustNew(cfg, 0, 4, prefetch.Policy{Filter: core.OrConflict}),
-		"rpt":       prefetch.MustNewRPT(cfg, 0, 4, 64),
-		"excl-cap":  exclude.MustNew(cfg, 0, 4, exclude.ModeCapacity),
-		"excl-mat":  exclude.MustNew(cfg, 0, 4, exclude.ModeMAT),
-		"pseudo":    pseudo.MustNew(cfg, 0, true),
-		"amb-vpe":   amb.MustNew(cfg, 0, 4, amb.VicPreExc),
-		"amb-vpref": amb.MustNew(cfg, 0, 4, amb.VictPref),
+		"baseline":           assist.MustNewBaseline(cfg, 0),
+		"vc-trad":            victim.MustNew(cfg, 0, 4, victim.Traditional),
+		"vc-filter-swaps":    victim.MustNew(cfg, 0, 4, victim.FilterSwapsPolicy),
+		"vc-filter-fills":    victim.MustNew(cfg, 0, 4, victim.FilterFillsPolicy),
+		"vc-both":            victim.MustNew(cfg, 0, 4, victim.FilterBothPolicy),
+		"pf-all":             prefetch.MustNew(cfg, 0, 4, prefetch.Policy{PrefetchOnBufferHit: true}),
+		"pf-in":              prefetch.MustNew(cfg, 0, 4, prefetch.Policy{Filter: core.InConflict}),
+		"pf-out":             prefetch.MustNew(cfg, 0, 4, prefetch.Policy{Filter: core.OutConflict}),
+		"pf-and":             prefetch.MustNew(cfg, 0, 4, prefetch.Policy{Filter: core.AndConflict}),
+		"pf-or":              prefetch.MustNew(cfg, 0, 4, prefetch.Policy{Filter: core.OrConflict}),
+		"rpt":                prefetch.MustNewRPT(cfg, 0, 4, 64),
+		"excl-conflict":      exclude.MustNew(cfg, 0, 4, exclude.ModeConflict),
+		"excl-conflict-hist": exclude.MustNew(cfg, 0, 4, exclude.ModeConflictHistory),
+		"excl-cap":           exclude.MustNew(cfg, 0, 4, exclude.ModeCapacity),
+		"excl-capacity-hist": exclude.MustNew(cfg, 0, 4, exclude.ModeCapacityHistory),
+		"excl-mat":           exclude.MustNew(cfg, 0, 4, exclude.ModeMAT),
+		"pseudo":             pseudo.MustNew(cfg, 0, true),
+		"amb-vict":           amb.MustNew(cfg, 0, 4, amb.Vict),
+		"amb-pref":           amb.MustNew(cfg, 0, 4, amb.Pref),
+		"amb-excl":           amb.MustNew(cfg, 0, 4, amb.Excl),
+		"amb-vpref":          amb.MustNew(cfg, 0, 4, amb.VictPref),
+		"amb-prefexcl":       amb.MustNew(cfg, 0, 4, amb.PrefExcl),
+		"amb-victexcl":       amb.MustNew(cfg, 0, 4, amb.VictExcl),
+		"amb-vpe":            amb.MustNew(cfg, 0, 4, amb.VicPreExc),
 	}
 }
 

@@ -76,11 +76,93 @@ const (
 	DefaultEntries = 16
 )
 
+// New builds an exclusion system with an entries-deep bypass buffer
+// (DefaultEntries reproduces the paper). Excluded lines are served in
+// place and remain in the buffer until bumped (the paper's short-term
+// spatial locality window).
+func New(cfg cache.Config, tagBits, entries int, mode Mode) (*assist.Engine, error) {
+	pol := assist.Policy{
+		Filter: core.OutConflict, // matches exactly the conflict-classified misses
+		OnHit:  [3]assist.HitAction{assist.OriginBypass: assist.ServeInPlace},
+	}
+	switch mode {
+	case ModeMAT:
+		m := new(mat)
+		pol.Touch, pol.Exclude = m.touch, m.exclude
+	case ModeConflict:
+		pol.Bypass = assist.WhenFiltered
+	case ModeCapacity:
+		pol.Bypass = assist.UnlessFiltered
+	case ModeConflictHistory, ModeCapacityHistory:
+		h := &history{capacity: mode == ModeCapacityHistory}
+		pol.Record, pol.Exclude = h.record, h.exclude
+	}
+	return assist.NewEngine(mode.String(), cfg, tagBits, entries, pol)
+}
+
+// MustNew is New that panics on error.
+func MustNew(cfg cache.Config, tagBits, entries int, mode Mode) *assist.Engine {
+	return assist.Must(New(cfg, tagBits, entries, mode))
+}
+
+// region decomposes an address into the MAT's (index, tag).
+func region(addr mem.Addr) (idx uint64, tag uint64) {
+	r := uint64(addr) >> regionShift
+	return r % matEntries, r / matEntries
+}
+
 // matEntry is one tagged region counter.
 type matEntry struct {
 	tag   uint64
 	count uint8
 	valid bool
+}
+
+// mat is Johnson and Hwu's memory access table of per-region access
+// counters.
+type mat [matEntries]matEntry
+
+// touch performs the per-access MAT update: increment the region's
+// saturating counter, with tag-conflict hysteresis (a mismatching region
+// decays the resident counter and claims the entry when it reaches zero).
+// It never asks for a prefetch.
+func (m *mat) touch(acc mem.Access) (mem.Addr, bool) {
+	idx, tag := region(acc.Addr)
+	e := &m[idx]
+	if !e.valid || e.tag != tag {
+		if e.valid && e.count > 0 {
+			e.count--
+			return 0, false
+		}
+		*e = matEntry{tag: tag, count: 1, valid: true}
+		return 0, false
+	}
+	if e.count < matCounterMax {
+		e.count++
+	}
+	return 0, false
+}
+
+// count reads the counter for addr's region (0 when another region owns
+// the entry).
+func (m *mat) count(addr mem.Addr) uint8 {
+	idx, tag := region(addr)
+	e := m[idx]
+	if !e.valid || e.tag != tag {
+		return 0
+	}
+	return e.count
+}
+
+// exclude bypasses a miss whose region is colder than the region of the
+// line it would displace.
+func (m *mat) exclude(l1 *cache.Cache, addr mem.Addr, _ core.Class) bool {
+	victim, full := l1.VictimCandidate(addr)
+	if !full {
+		return false
+	}
+	victimAddr := mem.Addr(uint64(victim.Addr) << l1.Geometry().LineShift())
+	return m.count(addr) < m.count(victimAddr)
 }
 
 // histEntry tracks per-region miss-classification history for the history
@@ -92,115 +174,17 @@ type histEntry struct {
 	valid    bool
 }
 
-// System is the cache-exclusion assist system.
-type System struct {
-	mode   Mode
-	noSeed bool
-	l1     *cache.Cache
-	mct    *core.MCT
-	buffer *assist.Buffer
-	geom   mem.Geometry
-
-	mat  []matEntry
-	hist []histEntry
-
-	stats assist.Stats
+// history is the region history table; capacity selects which history
+// the mode excludes on.
+type history struct {
+	table    [matEntries]histEntry
+	capacity bool
 }
 
-// New builds an exclusion system with an entries-deep bypass buffer
-// (DefaultEntries reproduces the paper).
-func New(cfg cache.Config, tagBits, entries int, mode Mode) (*System, error) {
-	l1, err := cache.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	mct, err := core.New(core.Config{Sets: cfg.Sets(), TagBits: tagBits})
-	if err != nil {
-		return nil, err
-	}
-	if entries <= 0 {
-		return nil, fmt.Errorf("exclude: buffer needs positive entries, got %d", entries)
-	}
-	s := &System{
-		mode:   mode,
-		l1:     l1,
-		mct:    mct,
-		buffer: assist.NewBuffer(entries),
-		geom:   l1.Geometry(),
-	}
-	switch mode {
-	case ModeMAT:
-		s.mat = make([]matEntry, matEntries)
-	case ModeConflictHistory, ModeCapacityHistory:
-		s.hist = make([]histEntry, matEntries)
-	}
-	return s, nil
-}
-
-// MustNew is New that panics on error.
-func MustNew(cfg cache.Config, tagBits, entries int, mode Mode) *System {
-	s, err := New(cfg, tagBits, entries, mode)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// DisableSeeding turns off the Sec-5.3 MCT seeding of bypassed lines. It
-// exists for the ablation benchmark that demonstrates why the paper needed
-// the seeding rule: without it, a bypassed line can never later be
-// classified as a conflict miss.
-func (s *System) DisableSeeding() { s.noSeed = true }
-
-// Name implements assist.System.
-func (s *System) Name() string { return s.mode.String() }
-
-// Buffer exposes the bypass buffer.
-func (s *System) Buffer() *assist.Buffer { return s.buffer }
-
-// L1 exposes the underlying cache.
-func (s *System) L1() *cache.Cache { return s.l1 }
-
-// region decomposes an address into the MAT's (index, tag).
-func region(addr mem.Addr) (idx uint64, tag uint64) {
-	r := uint64(addr) >> regionShift
-	return r % matEntries, r / matEntries
-}
-
-// touchMAT performs the per-access MAT update: increment the region's
-// saturating counter, with tag-conflict hysteresis (a mismatching region
-// decays the resident counter and claims the entry when it reaches zero).
-func (s *System) touchMAT(addr mem.Addr) {
+// record notes a classified miss for addr's region.
+func (h *history) record(addr mem.Addr, class core.Class) {
 	idx, tag := region(addr)
-	e := &s.mat[idx]
-	if !e.valid || e.tag != tag {
-		if e.valid && e.count > 0 {
-			e.count--
-			return
-		}
-		*e = matEntry{tag: tag, count: 1, valid: true}
-		return
-	}
-	if e.count < matCounterMax {
-		e.count++
-	}
-}
-
-// matCount reads the counter for addr's region (0 when another region owns
-// the entry).
-func (s *System) matCount(addr mem.Addr) uint8 {
-	idx, tag := region(addr)
-	e := s.mat[idx]
-	if !e.valid || e.tag != tag {
-		return 0
-	}
-	return e.count
-}
-
-// recordHistory notes a classified miss for addr's region.
-func (s *System) recordHistory(addr mem.Addr, class core.Class) {
-	idx, tag := region(addr)
-	e := &s.hist[idx]
+	e := &h.table[idx]
 	if !e.valid || e.tag != tag {
 		*e = histEntry{tag: tag, valid: true}
 	}
@@ -213,104 +197,16 @@ func (s *System) recordHistory(addr mem.Addr, class core.Class) {
 	}
 }
 
-// shouldExclude applies the mode's exclusion predicate to a classified
-// miss.
-func (s *System) shouldExclude(addr mem.Addr, class core.Class) bool {
-	switch s.mode {
-	case ModeMAT:
-		// Exclude when the missing line's region is colder than the
-		// region of the line it would displace.
-		victim, full := s.l1.VictimCandidate(addr)
-		if !full {
-			return false
-		}
-		victimAddr := mem.Addr(uint64(victim.Addr) << s.geom.LineShift())
-		return s.matCount(addr) < s.matCount(victimAddr)
-	case ModeConflict:
-		return class == core.Conflict
-	case ModeCapacity:
-		return class == core.Capacity
-	case ModeConflictHistory:
-		idx, tag := region(addr)
-		e := s.hist[idx]
-		return e.valid && e.tag == tag && e.conflict > e.capacity
-	case ModeCapacityHistory:
-		idx, tag := region(addr)
-		e := s.hist[idx]
-		return e.valid && e.tag == tag && e.capacity > e.conflict
-	default:
+// exclude bypasses a miss from a region whose history leans toward the
+// mode's class.
+func (h *history) exclude(_ *cache.Cache, addr mem.Addr, _ core.Class) bool {
+	idx, tag := region(addr)
+	e := h.table[idx]
+	if !e.valid || e.tag != tag {
 		return false
 	}
+	if h.capacity {
+		return e.capacity > e.conflict
+	}
+	return e.conflict > e.capacity
 }
-
-// Access implements assist.System.
-func (s *System) Access(acc mem.Access) assist.Outcome {
-	isStore := acc.Type == mem.Store
-	s.stats.Accesses++
-	if s.mode == ModeMAT {
-		s.touchMAT(acc.Addr)
-	}
-	if s.l1.Access(acc.Addr, acc.Type) {
-		s.stats.L1Hits++
-		return assist.Outcome{L1Hit: true}
-	}
-
-	set := s.geom.Set(acc.Addr)
-	tag := s.geom.Tag(acc.Addr)
-	class := s.mct.ClassifyMiss(set, tag)
-	if s.hist != nil {
-		s.recordHistory(acc.Addr, class)
-	}
-	line := s.geom.Line(acc.Addr)
-
-	if entry, ok := s.buffer.Hit(line, isStore); ok {
-		// Excluded lines are served in place and remain in the buffer
-		// until bumped (the paper's short-term spatial locality window).
-		s.stats.BufferHits++
-		s.stats.BufferHitsByOrigin[entry.Origin]++
-		return assist.Outcome{Class: class, BufferHit: true}
-	}
-
-	s.stats.Misses++
-	if class == core.Conflict {
-		s.stats.ConflictMisses++
-	} else {
-		s.stats.CapacityMisses++
-	}
-
-	if s.shouldExclude(acc.Addr, class) {
-		// Divert the line to the bypass buffer and seed the MCT with its
-		// tag so a future miss on it can still classify as conflict (the
-		// Sec 5.3 modification; without it no bypassed line could ever be
-		// identified).
-		s.stats.Bypasses++
-		s.stats.BufferFills++
-		if !s.noSeed {
-			s.mct.Seed(set, tag)
-		}
-		dropped, wasFull := s.buffer.Insert(line, assist.Entry{
-			Origin:   assist.OriginBypass,
-			Dirty:    isStore,
-			Conflict: class == core.Conflict,
-		})
-		return assist.Outcome{
-			Class:      class,
-			BufferFill: true,
-			Writeback:  wasFull && dropped.Entry.Dirty,
-		}
-	}
-
-	ev := assist.FillWithMCT(s.l1, s.mct, acc.Addr, isStore, class)
-	return assist.Outcome{Class: class, CacheFill: true, Writeback: ev.Occurred && ev.Dirty}
-}
-
-// Contains implements assist.System.
-func (s *System) Contains(addr mem.Addr) (inL1, inBuffer bool) {
-	return s.l1.Contains(addr), s.buffer.Contains(s.geom.Line(addr))
-}
-
-// PrefetchArrived implements assist.System; exclusion never prefetches.
-func (s *System) PrefetchArrived(mem.LineAddr) bool { return false }
-
-// Stats implements assist.System.
-func (s *System) Stats() assist.Stats { return s.stats }

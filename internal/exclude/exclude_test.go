@@ -3,6 +3,7 @@ package exclude
 import (
 	"testing"
 
+	"repro/internal/assist"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -87,6 +88,11 @@ func TestConflictModeProtectsCapacityPath(t *testing.T) {
 	if out.Class != core.Conflict || !out.BufferFill || out.CacheFill {
 		t.Fatalf("conflict miss should bypass: %+v", out)
 	}
+	// The bypass entry carries the miss's classification as its conflict
+	// bit; no buffer decision reads it, so only this probe pins it.
+	if e, ok := s.Buffer().Probe(s.L1().Geometry().Line(a)); !ok || e.Origin != assist.OriginBypass || !e.Conflict {
+		t.Errorf("bypass entry = %+v (present %v), want a bypass entry with its conflict bit set", e, ok)
+	}
 	// b stays resident: the ping-pong is broken.
 	if inL1, _ := s.Contains(b); !inL1 {
 		t.Error("conflict exclusion should protect the resident line")
@@ -162,23 +168,23 @@ func TestDirtyBypassDropWritesBack(t *testing.T) {
 }
 
 func TestMATCounterSaturation(t *testing.T) {
-	s := MustNew(dmConfig(), 0, 16, ModeMAT)
+	m := new(mat)
 	for i := 0; i < 1000; i++ {
-		s.touchMAT(0x1000)
+		m.touch(load(0x1000))
 	}
-	if got := s.matCount(0x1000); got != matCounterMax {
+	if got := m.count(0x1000); got != matCounterMax {
 		t.Errorf("saturated count = %d, want %d", got, matCounterMax)
 	}
 	// Tag conflict: a different region at the same index decays and
 	// eventually claims the entry.
 	alias := mem.Addr(0x1000 + matEntries<<regionShift)
 	for i := 0; i < int(matCounterMax)+2; i++ {
-		s.touchMAT(alias)
+		m.touch(load(alias))
 	}
-	if got := s.matCount(alias); got == 0 {
+	if got := m.count(alias); got == 0 {
 		t.Error("aliasing region never claimed the MAT entry")
 	}
-	if got := s.matCount(0x1000); got != 0 {
+	if got := m.count(0x1000); got != 0 {
 		t.Errorf("displaced region still reports count %d", got)
 	}
 }

@@ -11,12 +11,9 @@
 package prefetch
 
 import (
-	"fmt"
-
 	"repro/internal/assist"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/mem"
 )
 
 // Policy configures the next-line prefetcher's filtering.
@@ -40,143 +37,32 @@ func (p Policy) Name() string {
 	return "pf-skip-" + p.Filter.String()
 }
 
-// System is the next-line prefetch assist system.
-type System struct {
-	pol    Policy
-	l1     *cache.Cache
-	mct    *core.MCT
-	buffer *assist.Buffer
-	geom   mem.Geometry
-
-	stats assist.Stats
+// policy maps the configuration onto the assist engine: a miss prefetches
+// the next line into the buffer unless it matches the filter, and a
+// buffer hit moves the line into the cache (stream-buffer style).
+func (p Policy) policy() assist.Policy {
+	ap := assist.Policy{
+		Filter:   p.Filter,
+		OnHit:    [3]assist.HitAction{assist.OriginPrefetch: assist.Consume},
+		Prefetch: assist.UnlessFiltered,
+	}
+	if p.Filter == core.NoFilter {
+		// NoFilter matches every miss, so "skip on a match" would never
+		// prefetch; the conventional baseline prefetches everything.
+		ap.Prefetch = assist.Always
+	}
+	if p.PrefetchOnBufferHit {
+		ap.OnHit[assist.OriginPrefetch] = assist.ConsumeAndPrefetch
+	}
+	return ap
 }
 
 // New builds a next-line prefetch system with an entries-deep buffer.
-func New(cfg cache.Config, tagBits, entries int, pol Policy) (*System, error) {
-	l1, err := cache.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	mct, err := core.New(core.Config{Sets: cfg.Sets(), TagBits: tagBits})
-	if err != nil {
-		return nil, err
-	}
-	if entries <= 0 {
-		return nil, fmt.Errorf("prefetch: buffer needs positive entries, got %d", entries)
-	}
-	return &System{
-		pol:    pol,
-		l1:     l1,
-		mct:    mct,
-		buffer: assist.NewBuffer(entries),
-		geom:   l1.Geometry(),
-	}, nil
+func New(cfg cache.Config, tagBits, entries int, pol Policy) (*assist.Engine, error) {
+	return assist.NewEngine(pol.Name(), cfg, tagBits, entries, pol.policy())
 }
 
 // MustNew is New that panics on error.
-func MustNew(cfg cache.Config, tagBits, entries int, pol Policy) *System {
-	s, err := New(cfg, tagBits, entries, pol)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Name implements assist.System.
-func (s *System) Name() string { return s.pol.Name() }
-
-// Buffer exposes the prefetch buffer.
-func (s *System) Buffer() *assist.Buffer { return s.buffer }
-
-// L1 exposes the underlying cache.
-func (s *System) L1() *cache.Cache { return s.l1 }
-
-// Access implements assist.System.
-func (s *System) Access(acc mem.Access) assist.Outcome {
-	isStore := acc.Type == mem.Store
-	s.stats.Accesses++
-	if s.l1.Access(acc.Addr, acc.Type) {
-		s.stats.L1Hits++
-		return assist.Outcome{L1Hit: true}
-	}
-
-	set := s.geom.Set(acc.Addr)
-	tag := s.geom.Tag(acc.Addr)
-	class := s.mct.ClassifyMiss(set, tag)
-	line := s.geom.Line(acc.Addr)
-
-	if entry, ok := s.buffer.Hit(line, isStore); ok {
-		s.stats.BufferHits++
-		s.stats.BufferHitsByOrigin[entry.Origin]++
-		// Move the line into the cache; the prefetch buffer entry is
-		// consumed (stream-buffer style), and the stream continues.
-		s.buffer.Remove(line)
-		ev := assist.FillWithMCT(s.l1, s.mct, acc.Addr, isStore || entry.Dirty, class)
-		wb := ev.Occurred && ev.Dirty
-		var pfs []mem.LineAddr
-		if s.pol.PrefetchOnBufferHit {
-			pfs = s.maybePrefetch(acc.Addr)
-		}
-		return assist.Outcome{Class: class, BufferHit: true, CacheFill: true, Writeback: wb, Prefetches: pfs}
-	}
-
-	s.stats.Misses++
-	if class == core.Conflict {
-		s.stats.ConflictMisses++
-	} else {
-		s.stats.CapacityMisses++
-	}
-	ev := assist.FillWithMCT(s.l1, s.mct, acc.Addr, isStore, class)
-	wb := false
-	evictedBit := false
-	if ev.Occurred {
-		wb = ev.Dirty
-		evictedBit = ev.Conflict
-	}
-	// Filtered next-line prefetch: skip when the miss matches the
-	// conflict filter (NoFilter never matches conflict semantics here —
-	// Eval always true — so invert: baseline prefetches everything).
-	var pfs []mem.LineAddr
-	if s.pol.Filter == core.NoFilter || !s.pol.Filter.Eval(class == core.Conflict, evictedBit) {
-		pfs = s.maybePrefetch(acc.Addr)
-	}
-	return assist.Outcome{Class: class, CacheFill: true, Writeback: wb, Prefetches: pfs}
-}
-
-// maybePrefetch returns the next line as a prefetch target unless it is
-// already present in the cache or buffer.
-func (s *System) maybePrefetch(addr mem.Addr) []mem.LineAddr {
-	next := s.geom.NextLine(addr)
-	nline := s.geom.Line(next)
-	if s.l1.Contains(next) || s.buffer.Contains(nline) {
-		return nil
-	}
-	s.stats.PrefetchesIssued++
-	return []mem.LineAddr{nline}
-}
-
-// Contains implements assist.System.
-func (s *System) Contains(addr mem.Addr) (inL1, inBuffer bool) {
-	return s.l1.Contains(addr), s.buffer.Contains(s.geom.Line(addr))
-}
-
-// PrefetchArrived implements assist.System: the completed prefetch lands
-// in the buffer (unless it raced a demand fill into the cache).
-func (s *System) PrefetchArrived(line mem.LineAddr) bool {
-	addr := mem.Addr(uint64(line) << s.geom.LineShift())
-	if s.l1.Contains(addr) || s.buffer.Contains(line) {
-		return false
-	}
-	s.buffer.Insert(line, assist.Entry{Origin: assist.OriginPrefetch})
-	return true
-}
-
-// Stats implements assist.System, folding the buffer's prefetch
-// usefulness accounting into the system counters.
-func (s *System) Stats() assist.Stats {
-	out := s.stats
-	bs := s.buffer.Stats()
-	out.PrefetchesUseful = bs.PrefetchesUseful
-	out.PrefetchesWasted = bs.PrefetchesWasted
-	return out
+func MustNew(cfg cache.Config, tagBits, entries int, pol Policy) *assist.Engine {
+	return assist.Must(New(cfg, tagBits, entries, pol))
 }

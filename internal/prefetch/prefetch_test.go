@@ -198,9 +198,16 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cache.Config{Size: 1}, 0, 8, Policy{}); err == nil {
 		t.Error("bad cache config accepted")
 	}
-	// RPT with a non-power-of-two table falls back to 512 rather than
-	// erroring (documented behavior).
-	if s, err := NewRPT(dmConfig(), 0, 8, 300); err != nil || s == nil {
-		t.Error("RPT should accept and round a bad table size")
+}
+
+func TestNewRPTTableSize(t *testing.T) {
+	for _, tc := range []struct {
+		size int
+		ok   bool
+	}{{0, false}, {-1, false}, {300, false}, {64, true}, {512, true}} {
+		s, err := NewRPT(dmConfig(), 0, 8, tc.size)
+		if ok := err == nil && s != nil; ok != tc.ok {
+			t.Errorf("NewRPT table size %d: accepted=%v err=%v, want accepted=%v", tc.size, ok, err, tc.ok)
+		}
 	}
 }

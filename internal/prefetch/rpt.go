@@ -1,13 +1,14 @@
 package prefetch
 
 import (
+	"fmt"
+
 	"repro/internal/assist"
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/mem"
 )
 
-// RPT is Chen and Baer's reference prediction table: a PC-indexed table of
+// rpt is Chen and Baer's reference prediction table: a PC-indexed table of
 // (last address, stride, 2-bit state) entries that issues a prefetch for
 // lastAddr+stride once a load settles into a steady stride. The paper
 // examined it as the sophisticated alternative to next-line prefetching
@@ -15,7 +16,14 @@ import (
 // it is implemented here so that comparison can be reproduced (see the
 // ablation bench) and to document the cost difference the paper stresses:
 // the RPT is read and updated on every memory access, while the filtered
-// next-line prefetcher touches its state only on misses.
+// next-line prefetcher touches its state only on misses. update is the
+// engine's per-access hook, so its prediction rides on hits and misses
+// alike.
+type rpt struct {
+	table []rptEntry
+	mask  uint64
+}
+
 type rptState uint8
 
 const (
@@ -33,63 +41,31 @@ type rptEntry struct {
 	valid    bool
 }
 
-// RPTSystem is an assist.System that prefetches via a reference prediction
-// table into the same small buffer the other policies use.
-type RPTSystem struct {
-	l1     *cache.Cache
-	mct    *core.MCT
-	buffer *assist.Buffer
-	geom   mem.Geometry
-	table  []rptEntry
-	mask   uint64
-
-	stats assist.Stats
-}
-
-// NewRPT builds the RPT system; tableSize must be a power of two (Chen and
-// Baer evaluate 512; we default callers to that).
-func NewRPT(cfg cache.Config, tagBits, entries, tableSize int) (*RPTSystem, error) {
-	l1, err := cache.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	mct, err := core.New(core.Config{Sets: cfg.Sets(), TagBits: tagBits})
-	if err != nil {
-		return nil, err
-	}
+// NewRPT builds the RPT system: an entries-deep buffer fed by a
+// tableSize-entry table, where tableSize must be a positive power of two
+// (Chen and Baer evaluate 512). A prefetched line hit in the buffer moves
+// into the cache.
+func NewRPT(cfg cache.Config, tagBits, entries, tableSize int) (*assist.Engine, error) {
 	if tableSize <= 0 || tableSize&(tableSize-1) != 0 {
-		tableSize = 512
+		return nil, fmt.Errorf("prefetch: RPT table size must be a positive power of two, got %d", tableSize)
 	}
-	return &RPTSystem{
-		l1:     l1,
-		mct:    mct,
-		buffer: assist.NewBuffer(entries),
-		geom:   l1.Geometry(),
-		table:  make([]rptEntry, tableSize),
-		mask:   uint64(tableSize - 1),
-	}, nil
+	r := &rpt{table: make([]rptEntry, tableSize), mask: uint64(tableSize - 1)}
+	return assist.NewEngine("pf-rpt", cfg, tagBits, entries, assist.Policy{
+		OnHit: [3]assist.HitAction{assist.OriginPrefetch: assist.Consume},
+		Touch: r.update,
+	})
 }
 
 // MustNewRPT is NewRPT that panics on error.
-func MustNewRPT(cfg cache.Config, tagBits, entries, tableSize int) *RPTSystem {
-	s, err := NewRPT(cfg, tagBits, entries, tableSize)
-	if err != nil {
-		panic(err)
-	}
-	return s
+func MustNewRPT(cfg cache.Config, tagBits, entries, tableSize int) *assist.Engine {
+	return assist.Must(NewRPT(cfg, tagBits, entries, tableSize))
 }
-
-// Name implements assist.System.
-func (s *RPTSystem) Name() string { return "pf-rpt" }
-
-// Buffer exposes the prefetch buffer.
-func (s *RPTSystem) Buffer() *assist.Buffer { return s.buffer }
 
 // update advances the RPT entry for this access per the Chen–Baer state
 // machine and returns a prefetch address when the entry is predicting.
-func (s *RPTSystem) update(acc mem.Access) (mem.Addr, bool) {
-	idx := (uint64(acc.PC) >> 2) & s.mask
-	e := &s.table[idx]
+func (r *rpt) update(acc mem.Access) (mem.Addr, bool) {
+	idx := (uint64(acc.PC) >> 2) & r.mask
+	e := &r.table[idx]
 	if !e.valid || e.tag != acc.PC {
 		*e = rptEntry{tag: acc.PC, lastAddr: acc.Addr, state: rptInitial, valid: true}
 		return 0, false
@@ -127,69 +103,4 @@ func (s *RPTSystem) update(acc mem.Access) (mem.Addr, bool) {
 		return mem.Addr(int64(acc.Addr) + e.stride), true
 	}
 	return 0, false
-}
-
-// Access implements assist.System. Unlike the next-line system, the RPT is
-// consulted and updated on every access, hit or miss.
-func (s *RPTSystem) Access(acc mem.Access) assist.Outcome {
-	isStore := acc.Type == mem.Store
-	s.stats.Accesses++
-	target, predict := s.update(acc)
-	var pfs []mem.LineAddr
-	if predict && !s.l1.Contains(target) && !s.buffer.Contains(s.geom.Line(target)) {
-		s.stats.PrefetchesIssued++
-		pfs = []mem.LineAddr{s.geom.Line(target)}
-	}
-
-	if s.l1.Access(acc.Addr, acc.Type) {
-		s.stats.L1Hits++
-		return assist.Outcome{L1Hit: true, Prefetches: pfs}
-	}
-	set := s.geom.Set(acc.Addr)
-	tag := s.geom.Tag(acc.Addr)
-	class := s.mct.ClassifyMiss(set, tag)
-	line := s.geom.Line(acc.Addr)
-
-	if entry, ok := s.buffer.Hit(line, isStore); ok {
-		s.stats.BufferHits++
-		s.stats.BufferHitsByOrigin[entry.Origin]++
-		s.buffer.Remove(line)
-		ev := assist.FillWithMCT(s.l1, s.mct, acc.Addr, isStore || entry.Dirty, class)
-		wb := ev.Occurred && ev.Dirty
-		return assist.Outcome{Class: class, BufferHit: true, CacheFill: true, Writeback: wb, Prefetches: pfs}
-	}
-
-	s.stats.Misses++
-	if class == core.Conflict {
-		s.stats.ConflictMisses++
-	} else {
-		s.stats.CapacityMisses++
-	}
-	ev := assist.FillWithMCT(s.l1, s.mct, acc.Addr, isStore, class)
-	wb := ev.Occurred && ev.Dirty
-	return assist.Outcome{Class: class, CacheFill: true, Writeback: wb, Prefetches: pfs}
-}
-
-// Contains implements assist.System.
-func (s *RPTSystem) Contains(addr mem.Addr) (inL1, inBuffer bool) {
-	return s.l1.Contains(addr), s.buffer.Contains(s.geom.Line(addr))
-}
-
-// PrefetchArrived implements assist.System.
-func (s *RPTSystem) PrefetchArrived(line mem.LineAddr) bool {
-	addr := mem.Addr(uint64(line) << s.geom.LineShift())
-	if s.l1.Contains(addr) || s.buffer.Contains(line) {
-		return false
-	}
-	s.buffer.Insert(line, assist.Entry{Origin: assist.OriginPrefetch})
-	return true
-}
-
-// Stats implements assist.System.
-func (s *RPTSystem) Stats() assist.Stats {
-	out := s.stats
-	bs := s.buffer.Stats()
-	out.PrefetchesUseful = bs.PrefetchesUseful
-	out.PrefetchesWasted = bs.PrefetchesWasted
-	return out
 }

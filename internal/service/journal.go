@@ -114,12 +114,13 @@ type RecoveryStats struct {
 
 // Recover replays the job journal into the registry and re-drives every
 // unfinished job: spec jobs re-run through their endpoint's row (a
-// sweep's finished cells replay from the memo cache via the checkpoint,
-// so only interrupted cells recompute; a classify or MRC spec resolves
-// as one supervised cell), and uploads — whose request bodies were never
-// retained — are marked failed. Re-driven work runs in background
-// goroutines that Drain waits for. After replay the journal is compacted
-// to the still-live records.
+// sweep's finished cells replay from the memo cache through lookupCell
+// and runner.Memo, not from the sweep checkpoint, which is written but
+// never read, so only interrupted cells recompute; a classify or MRC
+// spec resolves as one supervised cell), and uploads — whose request
+// bodies were never retained — are marked failed. Re-driven work runs in
+// background goroutines that Drain waits for. After replay the journal
+// is compacted to the still-live records.
 //
 // Call once, after New and before serving traffic.
 func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
@@ -239,10 +240,10 @@ func mustRecord(rec jobRecord) []byte {
 }
 
 // redrive re-executes one journaled job in the background. The result
-// stream has no client attached — the value of the re-run is that it
-// lands in the memo cache and checkpoint, so the client's retried
-// request (same idempotency key or same spec) replays byte-identical
-// instead of recomputing.
+// stream has no client attached — the value of the re-run is that its
+// cells land in the memo cache, so the client's retried request (same
+// idempotency key or same spec) replays them byte-identical through
+// lookupCell and runner.Memo instead of recomputing.
 func (s *Service) redrive(ctx context.Context, id, kind string, rawSpec json.RawMessage) {
 	s.recoverWG.Add(1)
 	go func() {

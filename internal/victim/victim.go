@@ -12,12 +12,9 @@
 package victim
 
 import (
-	"fmt"
-
 	"repro/internal/assist"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/mem"
 )
 
 // Policy selects which of the paper's Figure-3 victim configurations to
@@ -59,145 +56,33 @@ func (p Policy) Name() string {
 	}
 }
 
-// System is the victim-cache assist system.
-type System struct {
-	pol    Policy
-	l1     *cache.Cache
-	mct    *core.MCT
-	buffer *assist.Buffer
-	geom   mem.Geometry
-
-	stats assist.Stats
+// policy maps the configuration onto the assist engine: every miss stashes
+// the line it evicts, and a buffer hit swaps the line back into the cache.
+func (p Policy) policy() assist.Policy {
+	ap := assist.Policy{
+		Filter: p.Filter,
+		OnHit:  [3]assist.HitAction{assist.OriginVictim: assist.Swap},
+		Stash:  assist.Always,
+	}
+	if p.FilterSwaps {
+		// A conflict-classified hit is served in place to avoid
+		// ping-ponging the pair of lines through the swap path.
+		ap.OnHit[assist.OriginVictim] = assist.SwapUnlessFiltered
+	}
+	if p.FilterFills {
+		// Evictions that fail the conflict filter are dropped.
+		ap.Stash = assist.WhenFiltered
+	}
+	return ap
 }
 
 // New builds a victim-cache system over the L1 configuration with an
 // entries-deep buffer (the paper uses eight).
-func New(cfg cache.Config, tagBits, entries int, pol Policy) (*System, error) {
-	l1, err := cache.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	mct, err := core.New(core.Config{Sets: cfg.Sets(), TagBits: tagBits})
-	if err != nil {
-		return nil, err
-	}
-	if entries <= 0 {
-		return nil, fmt.Errorf("victim: buffer needs positive entries, got %d", entries)
-	}
-	return &System{
-		pol:    pol,
-		l1:     l1,
-		mct:    mct,
-		buffer: assist.NewBuffer(entries),
-		geom:   l1.Geometry(),
-	}, nil
+func New(cfg cache.Config, tagBits, entries int, pol Policy) (*assist.Engine, error) {
+	return assist.NewEngine(pol.Name(), cfg, tagBits, entries, pol.policy())
 }
 
 // MustNew is New that panics on error.
-func MustNew(cfg cache.Config, tagBits, entries int, pol Policy) *System {
-	s, err := New(cfg, tagBits, entries, pol)
-	if err != nil {
-		panic(err)
-	}
-	return s
+func MustNew(cfg cache.Config, tagBits, entries int, pol Policy) *assist.Engine {
+	return assist.Must(New(cfg, tagBits, entries, pol))
 }
-
-// Name implements assist.System.
-func (s *System) Name() string { return s.pol.Name() }
-
-// Buffer exposes the underlying buffer for diagnostics and tests.
-func (s *System) Buffer() *assist.Buffer { return s.buffer }
-
-// L1 exposes the underlying cache.
-func (s *System) L1() *cache.Cache { return s.l1 }
-
-// Access implements assist.System.
-func (s *System) Access(acc mem.Access) assist.Outcome {
-	isStore := acc.Type == mem.Store
-	s.stats.Accesses++
-	if s.l1.Access(acc.Addr, acc.Type) {
-		s.stats.L1Hits++
-		return assist.Outcome{L1Hit: true}
-	}
-
-	set := s.geom.Set(acc.Addr)
-	tag := s.geom.Tag(acc.Addr)
-	class := s.mct.ClassifyMiss(set, tag)
-	line := s.geom.Line(acc.Addr)
-
-	if entry, ok := s.buffer.Hit(line, isStore); ok {
-		s.stats.BufferHits++
-		s.stats.BufferHitsByOrigin[entry.Origin]++
-		// Swap filtering: a conflict-classified hit is served in place to
-		// avoid ping-ponging the pair of lines through the swap path.
-		if s.pol.FilterSwaps && s.pol.Filter.Eval(class == core.Conflict, entry.Conflict) {
-			return assist.Outcome{Class: class, BufferHit: true}
-		}
-		// Swap: buffer line moves into the cache, the displaced cache line
-		// moves into the buffer (becoming MRU, per Jouppi).
-		s.buffer.Remove(line)
-		s.stats.Swaps++
-		ev := assist.FillWithMCT(s.l1, s.mct, acc.Addr, isStore || entry.Dirty, class)
-		if ev.Occurred {
-			s.stashVictim(ev, class, true)
-		}
-		return assist.Outcome{Class: class, BufferHit: true, Swap: true}
-	}
-
-	// Full miss: line comes from the L2; the L1 eviction is offered to the
-	// buffer subject to fill filtering.
-	s.stats.Misses++
-	if class == core.Conflict {
-		s.stats.ConflictMisses++
-	} else {
-		s.stats.CapacityMisses++
-	}
-	ev := assist.FillWithMCT(s.l1, s.mct, acc.Addr, isStore, class)
-	writeback := false
-	filled := false
-	if ev.Occurred {
-		accept := true
-		if s.pol.FilterFills {
-			accept = s.pol.Filter.Eval(class == core.Conflict, ev.Conflict)
-		}
-		if accept {
-			writeback = s.stashVictim(ev, class, false)
-			filled = true
-		} else if ev.Dirty {
-			writeback = true
-		}
-	}
-	return assist.Outcome{
-		Class:      class,
-		CacheFill:  true,
-		BufferFill: filled,
-		Writeback:  writeback,
-	}
-}
-
-// stashVictim inserts an evicted cache line into the buffer, returning
-// whether the insertion displaced a dirty buffer entry (needing a
-// writeback). fromSwap distinguishes swap traffic from miss fills in the
-// statistics (Table 1 counts them separately).
-func (s *System) stashVictim(ev cache.Eviction, class core.Class, fromSwap bool) bool {
-	if !fromSwap {
-		s.stats.BufferFills++
-	}
-	dropped, wasFull := s.buffer.Insert(ev.Line, assist.Entry{
-		Origin:   assist.OriginVictim,
-		Dirty:    ev.Dirty,
-		Conflict: ev.Conflict,
-	})
-	return wasFull && dropped.Entry.Dirty
-}
-
-// Contains implements assist.System.
-func (s *System) Contains(addr mem.Addr) (inL1, inBuffer bool) {
-	return s.l1.Contains(addr), s.buffer.Contains(s.geom.Line(addr))
-}
-
-// PrefetchArrived implements assist.System; victim caches never prefetch.
-func (s *System) PrefetchArrived(mem.LineAddr) bool { return false }
-
-// Stats implements assist.System.
-func (s *System) Stats() assist.Stats { return s.stats }

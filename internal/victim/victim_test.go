@@ -16,7 +16,7 @@ func load(a mem.Addr) mem.Access  { return mem.Access{Addr: a, Type: mem.Load} }
 func store(a mem.Addr) mem.Access { return mem.Access{Addr: a, Type: mem.Store} }
 
 // pingPong drives n rounds of the canonical A/B conflict pair.
-func pingPong(s *System, n int) {
+func pingPong(s *assist.Engine, n int) {
 	a, b := mem.Addr(0x0000), mem.Addr(0x4000)
 	for i := 0; i < n; i++ {
 		s.Access(load(a))
