@@ -56,15 +56,12 @@ const (
 
 func (c Choice) holds(f core.Filter, conflict, evictedBit bool) bool {
 	switch c {
+	case Never:
+		return false
 	case Always:
 		return true
-	case WhenFiltered:
-		return f.Eval(conflict, evictedBit)
-	case UnlessFiltered:
-		return !f.Eval(conflict, evictedBit)
-	default:
-		return false
 	}
+	return f.Eval(conflict, evictedBit) == (c == WhenFiltered)
 }
 
 // Policy holds the decisions that tell one assist flavor from another.
@@ -223,7 +220,11 @@ func (e *Engine) Access(acc mem.Access) Outcome {
 		e.stats.CapacityMisses++
 	}
 	evictedBit := false
-	if e.bypasses(acc.Addr, class) {
+	bypass := e.pol.Bypass.holds(e.pol.Filter, conflict, false)
+	if e.pol.Exclude != nil {
+		bypass = e.pol.Exclude(e.l1, acc.Addr, class)
+	}
+	if bypass {
 		// Divert the line to the buffer and seed the MCT with its tag so
 		// a future miss on it can still classify as conflict (the Sec 5.3
 		// modification; without it no bypassed line could ever be
@@ -262,7 +263,8 @@ func (e *Engine) bufferHit(addr mem.Addr, line mem.LineAddr, entry Entry, out *O
 			return
 		}
 		// The buffer line moves into the cache and the displaced cache
-		// line takes its place at MRU, per Jouppi.
+		// line takes its place at MRU, per Jouppi. Removing first frees
+		// the slot, so the stash never drops a line.
 		e.buf.Remove(line)
 		e.stats.Swaps++
 		if ev := FillWithMCT(e.l1, e.mct, addr, entry.Dirty, out.Class); ev.Occurred {
@@ -281,14 +283,6 @@ func (e *Engine) bufferHit(addr mem.Addr, line mem.LineAddr, entry Entry, out *O
 		entry.Origin = OriginBypass
 		e.buf.Insert(line, entry)
 	}
-}
-
-// bypasses reports whether a buffer miss goes around the L1.
-func (e *Engine) bypasses(addr mem.Addr, class core.Class) bool {
-	if e.pol.Exclude != nil {
-		return e.pol.Exclude(e.l1, addr, class)
-	}
-	return e.pol.Bypass.holds(e.pol.Filter, class == core.Conflict, false)
 }
 
 // stash puts a line the L1 evicted into the buffer as a victim and
