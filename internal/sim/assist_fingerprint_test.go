@@ -82,7 +82,7 @@ const outcomeFields = 9
 
 // appendOutcome appends every field of out, and the two Contains bits
 // probed before the access, to rec. A fixed binary record rather than %+v
-// keeps the 600-cell corpus to a few seconds.
+// keeps the 592-cell corpus to a few seconds.
 func appendOutcome(rec []byte, inL1, inBuf bool, out assist.Outcome) []byte {
 	var flags uint16
 	for i, bit := range [...]bool{inL1, inBuf, out.L1Hit, out.SecondaryHit, out.BufferHit, out.Swap, out.BufferFill, out.CacheFill, out.Writeback} {
