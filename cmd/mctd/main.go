@@ -67,10 +67,9 @@ func mctdMain(args []string, stdout, stderr io.Writer, ready chan<- string) int 
 		maxBytes    = fs.Uint64("max-bytes", 1<<28, "max bytes in an uploaded trace (0 = unlimited)")
 		maxAccesses = fs.Uint64("max-accesses", 5_000_000, "max accesses in a classify spec")
 
-		tenantSamples = fs.Uint64("tenant-samples", 0, "per-tenant MRC sampled-reference budget per window (0 = unlimited)")
-		tenantBytes   = fs.Uint64("tenant-bytes", 0, "per-tenant MRC upload-byte budget per window (0 = unlimited)")
-		tenantSet     = fs.Int("tenant-set", 0, "max sampled-set size an MRC request may ask for (0 = the profiler default)")
-		tenantWindow  = fs.Duration("tenant-window", time.Hour, "tenant quota accounting window")
+		tenantAccesses = fs.Uint64("tenant-accesses", 0, "per-tenant MRC access budget per window (0 = unlimited)")
+		tenantBytes    = fs.Uint64("tenant-bytes", 0, "per-tenant MRC upload-byte budget per window (0 = unlimited)")
+		tenantWindow   = fs.Duration("tenant-window", time.Hour, "tenant quota accounting window")
 
 		taskTimeout  = fs.Duration("task-timeout", 0, "per-task attempt deadline (0 = unbounded)")
 		retries      = fs.Int("retries", 2, "extra attempts per task for failures marked transient")
@@ -185,10 +184,9 @@ func mctdMain(args []string, stdout, stderr io.Writer, ready chan<- string) int 
 		Limits:          trace.Limits{MaxRecords: *maxRecords, MaxBytes: *maxBytes},
 		MaxSpecAccesses: *maxAccesses,
 		Tenant: service.TenantQuota{
-			MaxSamples:    *tenantSamples,
-			MaxBytes:      *tenantBytes,
-			MaxSampledSet: *tenantSet,
-			Window:        *tenantWindow,
+			MaxAccesses: *tenantAccesses,
+			MaxBytes:    *tenantBytes,
+			Window:      *tenantWindow,
 		},
 		TaskTimeout: *taskTimeout,
 		Retries:     *retries,

@@ -106,8 +106,8 @@ func TestMRCSmoke(t *testing.T) {
 	if m["mct_mrc_requests_total"] < 4 {
 		t.Errorf("mct_mrc_requests_total = %v, want >= 4", m["mct_mrc_requests_total"])
 	}
-	if m["mct_mrc_samples_total"] <= 0 {
-		t.Errorf("mct_mrc_samples_total = %v, want > 0", m["mct_mrc_samples_total"])
+	if m["mct_records_total"] <= 0 {
+		t.Errorf("mct_records_total = %v, want > 0", m["mct_records_total"])
 	}
 }
 

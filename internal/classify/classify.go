@@ -76,7 +76,8 @@ func (k Kind) Grouped() core.Class {
 // share: the line fold, the set of lines ever touched, and one LRU stack
 // cut into a region at every rung's capacity. One reference per access
 // answers first touch and fully-associative hit for every rung at once
-// (Mattson's inclusion property; see cache.LRUStack).
+// (Mattson's inclusion property; see cache.LRUStack), and a histogram of
+// the regions referenced gives every rung's fully-associative miss count.
 //
 // The touched set is a paged bitmap (mem.LineSet) rather than a hash set:
 // it is consulted once per memory access for every accuracy experiment,
@@ -86,6 +87,9 @@ type history struct {
 	geom    mem.Geometry
 	stack   cache.LRUStack // by value: one indirection fewer per access
 	touched mem.LineSet
+	// regionRefs[r] counts the references that found their line in stack
+	// region r; the last entry counts lines absent from the stack.
+	regionRefs []uint64
 
 	// referenceBatch results, sized to the largest batch seen: whether
 	// each line was touched before, and the stack region it held.
@@ -118,7 +122,7 @@ func newHistory(cfgs []cache.Config) (*history, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &history{geom: geom, stack: *stack}, nil
+	return &history{geom: geom, stack: *stack, regionRefs: make([]uint64, len(cfgs)+1)}, nil
 }
 
 // referenceBatch references a batch of accesses staged per structure —
@@ -142,7 +146,9 @@ func (h *history) referenceBatch(addrs []mem.Addr) {
 		seen[i] = h.touched.TestAndSet(line)
 	}
 	for i, line := range lines {
-		regions[i] = int32(h.stack.Reference(line))
+		r := h.stack.Reference(line)
+		h.regionRefs[r]++
+		regions[i] = int32(r)
 	}
 }
 
@@ -203,7 +209,9 @@ func (o *Oracle) Observe(addr mem.Addr, realHit bool) Kind {
 	h := o.h
 	line := h.geom.Line(addr)
 	seen := h.touched.TestAndSet(line)
-	region := int32(h.stack.Reference(line))
+	r := h.stack.Reference(line)
+	h.regionRefs[r]++
+	region := int32(r)
 	if realHit {
 		return Hit
 	}
@@ -250,6 +258,18 @@ func (o *Oracle) classify(realHit []bool, kinds []Kind) {
 // capacity, and conflict.
 func (o *Oracle) Counts() (compulsory, capacity, conflict uint64) {
 	return o.counts[Compulsory], o.counts[Capacity], o.counts[Conflict]
+}
+
+// FAMisses returns how many of the accesses observed so far missed a
+// fully-associative LRU cache of this oracle's capacity: those whose line
+// was outside the stack regions the capacity covers. Over a ladder's
+// shared history every rung counts the same stream.
+func (o *Oracle) FAMisses() uint64 {
+	var n uint64
+	for _, c := range o.h.regionRefs[o.rung+1:] {
+		n += c
+	}
+	return n
 }
 
 // Accuracy accumulates the agreement between the MCT's on-the-fly verdicts

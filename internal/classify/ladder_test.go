@@ -35,18 +35,24 @@ func doubling(first, n int) []int {
 // built from independent parts: its own real cache and MCT, its own
 // fully-associative LRU cache of equal capacity, and a map of touched
 // lines shared by the rungs (the first-touch test is size-independent).
+// scalar is a one-size Run at the rung's configuration, fed the same
+// stream one access at a time through the oracle's scalar Observe.
 type perSizeReference struct {
-	cc     *core.ClassifyingCache
-	fa     *cache.FullyAssociative
-	counts [3]uint64 // compulsory, capacity, conflict
-	acc    classify.Accuracy
+	cc       *core.ClassifyingCache
+	fa       *cache.FullyAssociative
+	faMisses uint64
+	counts   [3]uint64 // compulsory, capacity, conflict
+	acc      classify.Accuracy
+	scalar   *classify.Run
 }
 
 // TestLadderMatchesPerSizeReferences is the differential gate for the
 // shared multi-capacity stack: suite streams played through a Ladder in
 // irregular batches must give, at every rung and every access, the same
 // real-cache hit, MCT class and oracle verdict as independent per-size
-// references, and the same final counts and accuracy. Ladders of 1, 3, 7
+// references, and the same final counts and accuracy. Each rung's
+// FAMisses, and that of a scalar one-size Run, must equal its
+// fully-associative reference's miss count. Ladders of 1, 3, 7
 // and 16 rungs run over direct-mapped, 2-way and skewed 2-way geometries;
 // the 16-rung ladder spans 2 to 65536 lines, its top far above the
 // working set of any stream here.
@@ -122,7 +128,11 @@ func checkLadder(cfgs []cache.Config, addrs []mem.Addr, stores []bool) (counts [
 		if err != nil {
 			return counts, err
 		}
-		refs[k] = &perSizeReference{cc: cc, fa: cache.NewFullyAssociative(cfg.Size / cfg.LineSize)}
+		scalar, err := classify.NewRun(cfg, 0)
+		if err != nil {
+			return counts, err
+		}
+		refs[k] = &perSizeReference{cc: cc, fa: cache.NewFullyAssociative(cfg.Size / cfg.LineSize), scalar: scalar}
 	}
 	touched := make(map[mem.LineAddr]bool)
 	lineShift := uint(6) // 64-byte lines
@@ -139,6 +149,10 @@ func checkLadder(cfgs []cache.Config, addrs []mem.Addr, stores []bool) (counts [
 			for k, ref := range refs {
 				hit, ev := ref.cc.Access(addrs[i], stores[i])
 				faHit := ref.fa.Reference(line)
+				if !faHit {
+					ref.faMisses++
+				}
+				ref.scalar.Access(addrs[i], stores[i])
 				want := classify.Hit
 				if !hit {
 					switch {
@@ -170,6 +184,9 @@ func checkLadder(cfgs []cache.Config, addrs []mem.Addr, stores []bool) (counts [
 		}
 		if rung.Acc != ref.acc {
 			return counts, fmt.Errorf("at %dB: ladder accuracy %+v, reference %+v", cfgs[k].Size, rung.Acc, ref.acc)
+		}
+		if got, scalar := rung.Oracle.FAMisses(), ref.scalar.Oracle.FAMisses(); got != ref.faMisses || scalar != ref.faMisses {
+			return counts, fmt.Errorf("at %dB: fully-associative misses: ladder %d, scalar run %d, reference %d", cfgs[k].Size, got, scalar, ref.faMisses)
 		}
 		for i, c := range ref.counts {
 			counts[i] += c

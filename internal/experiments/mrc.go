@@ -13,7 +13,7 @@ import (
 
 // mrcRates are the sampling rates the study validates against the exact
 // (rate-1, unbounded) Mattson profile. 0.1 is the conservative setting;
-// 0.01 is SHARDS' fixed-rate operating point and the service default.
+// 0.01 is SHARDS' fixed-rate operating point.
 var mrcRates = []float64{0.1, 0.01}
 
 // mrcLadder is the capacity ladder (in cache lines) the curves are
@@ -42,8 +42,9 @@ type MRCRow struct {
 }
 
 // MRCResult is the sampled-MRC validation study: how far SHARDS-style
-// spatial sampling strays from exact stack distances on this suite, at
-// the rates the /v1/mrc endpoint actually serves.
+// spatial sampling strays from exact stack distances on this suite. The
+// /v1/mrc endpoint serves the exact curve (from the classifier ladder's
+// LRU stack), so this is a study of the sampler, not of a service answer.
 type MRCResult struct {
 	Rows []MRCRow
 	// MeanMAE and WorstErr aggregate per rate across the suite (keyed by

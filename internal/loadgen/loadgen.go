@@ -261,7 +261,7 @@ func (c Config) oneRequest(ctx context.Context, cl *client.Client, target string
 	case isMRC:
 		class = "mrc"
 		path = "/v1/mrc"
-		body = fmt.Sprintf(`{"workload":%q,"accesses":%d,"sizes_kb":[4,8,16,32],"rate":0.05}`,
+		body = fmt.Sprintf(`{"workload":%q,"accesses":%d,"sizes_kb":[4,8,16,32]}`,
 			names[int(rng/7)%len(names)], 4000+variant*1000)
 	case isClassify:
 		class = "classify"

@@ -114,12 +114,6 @@ func (sp ClassifySpec) cacheConfig() cache.Config {
 	return cacheConfig(sp.SizeKB, sp.LineSize, sp.Assoc, sp.Index, sp.IndexSeed)
 }
 
-// stream is the classify kernel as a streamFunc (classification is
-// never metered, so charge is ignored).
-func (sp ClassifySpec) stream(ctx context.Context, src trace.BatchSource, emit func(v any) error, _ func(uint64) error) (stats, error) {
-	return runClassify(ctx, sp, src, emit)
-}
-
 // normalizeGeometry fills the geometry defaults every spec kind shares
 // and canonicalizes the index scheme, so equivalent spellings ("",
 // "modulo"; "skew", "skewed") share one memoization-cache key.
@@ -253,10 +247,10 @@ type ClassifySummary struct {
 	OverallAcc  float64 `json:"mct_overall_accuracy"`
 }
 
-// runClassify plays every memory access of src through the classifying
-// cache and the oracle, one struct-of-arrays batch at a time, emitting
-// NDJSON records per the spec's emit mode through emit (one call per
-// line, already marshaled). Batches bound the resident state: an upload
+// stream is the classify kernel as a streamFunc: it plays every memory
+// access of src through the classifying cache and the oracle, one
+// struct-of-arrays batch at a time, emitting NDJSON records per the
+// spec's emit mode through emit (one call per line, already marshaled). Batches bound the resident state: an upload
 // is decoded ~256 records at a time straight off the request body, never
 // buffered whole, and the steady state allocates nothing per record. The
 // context is checked once per batch so an abandoned request stops doing
@@ -264,7 +258,7 @@ type ClassifySummary struct {
 // trace.Reader's decode error, truncation, or limit violation): a failed
 // source aborts the run before the summary line, so a truncated or
 // over-limit upload never masquerades as a complete classification.
-func runClassify(ctx context.Context, spec ClassifySpec, src trace.BatchSource, emit func(v any) error) (stats, error) {
+func (spec ClassifySpec) stream(ctx context.Context, src trace.BatchSource, emit func(v any) error) (stats, error) {
 	var st stats
 	run, err := classify.NewRun(spec.cacheConfig(), spec.TagBits)
 	if err != nil {

@@ -94,7 +94,7 @@ func init() {
 		},
 		upload: func(s *Service, q url.Values) (streamFunc, error) {
 			var m MRCSpec
-			err := m.fromQuery(q, s.cfg.Tenant.MaxSampledSet)
+			err := m.fromQuery(q)
 			return m.stream, err
 		},
 	}}
@@ -129,16 +129,13 @@ type spec interface {
 }
 
 // streamFunc runs one access source through an endpoint's kernel,
-// emitting NDJSON records in order. charge, when non-nil, meters the
-// run once per batch with the newly sampled references; its error
-// aborts the stream.
-type streamFunc func(ctx context.Context, src trace.BatchSource, emit func(v any) error, charge func(samples uint64) error) (stats, error)
+// emitting NDJSON records in order.
+type streamFunc func(ctx context.Context, src trace.BatchSource, emit func(v any) error) (stats, error)
 
 // stats counts a request's work for job accounting and tenant charging.
 type stats struct {
 	Records uint64 `json:"records"`
 	Emitted uint64 `json:"emitted"`
-	Samples uint64 `json:"samples,omitempty"`
 }
 
 // artifact is the memoized product of a single-cell spec: the complete,
@@ -266,10 +263,10 @@ func (s *Service) serveSpec(w http.ResponseWriter, r *http.Request, ep *endpoint
 	}
 	if ep.metered && out.misses > 0 {
 		// Charge only cold computes: a warm hit replays cached bytes
-		// without reprocessing a single sample. Record-then-compare
+		// without reprocessing a single access. Record-then-compare
 		// semantics mean an over-budget result still serves — the NEXT
 		// request hits the precheck.
-		_ = s.tenants.charge(tenant, out.stats.Samples, 0)
+		_ = s.tenants.charge(tenant, out.stats.Records, 0)
 	}
 	// The body is complete in memory, so the job is final before its
 	// first byte goes out: a client that has seen any of the response
@@ -304,23 +301,13 @@ func (s *Service) serveUpload(w http.ResponseWriter, r *http.Request, ep *endpoi
 		}
 		return s.reject(w, id, err)
 	}
-
-	var charge func(samples uint64) error
+	var src trace.BatchSource = rd
 	if ep.metered {
-		charge = func(samples uint64) error {
-			nb := body.take()
-			s.mrcSamples.Add(samples)
-			s.mrcIngest.Add(nb)
-			if cerr := s.tenants.charge(tenant, samples, nb); cerr != nil {
-				s.quotaRejects.Add(1)
-				return cerr
-			}
-			return nil
-		}
+		src = &meteredSource{BatchSource: rd, s: s, tenant: tenant, body: body}
 	}
 	nw := newNDJSONWriter(w)
 	_, sp := obs.Start(r.Context(), ep.kind+".upload")
-	st, err := stream(r.Context(), rd, nw.emit, charge)
+	st, err := stream(r.Context(), src, nw.emit)
 	sp.Int("records", int64(st.Records))
 	sp.Err(err)
 	sp.End()
@@ -478,12 +465,11 @@ func (s *Service) lookupCell(ctx context.Context, c cell) (json.RawMessage, bool
 // replay agree byte for byte.
 func (s *Service) streamRaw(ctx context.Context, run streamFunc, src trace.Stream) (json.RawMessage, error) {
 	var buf bytes.Buffer
-	st, err := run(ctx, trace.NewStreamBatcher(src), (&ndjsonWriter{w: &buf}).emit, nil)
+	st, err := run(ctx, trace.NewStreamBatcher(src), (&ndjsonWriter{w: &buf}).emit)
 	if err != nil {
 		return nil, err
 	}
 	s.records.Add(st.Records)
-	s.mrcSamples.Add(st.Samples)
 	return json.Marshal(artifact{Body: buf.Bytes(), Stats: st})
 }
 
@@ -495,8 +481,8 @@ func (s *Service) experimentCell(id, slug string, p experiments.Params) cell {
 }
 
 // countingReader counts bytes read from an upload body so ingest can be
-// charged per batch. Single-goroutine: the trace reader and the charge
-// callback both run on the request goroutine.
+// charged per batch. Single-goroutine: the trace reader and the
+// meteredSource charging it both run on the request goroutine.
 type countingReader struct {
 	r        io.Reader
 	n, taken uint64
@@ -513,4 +499,39 @@ func (c *countingReader) take() uint64 {
 	d := c.n - c.taken
 	c.taken = c.n
 	return d
+}
+
+// meteredSource charges a tenant for an upload as the kernel reads it:
+// each batch charges the records it holds and the body bytes read since
+// the previous batch. Crossing the budget ends the source mid-stream,
+// and Err reports the quota error, which the handler appends as the
+// trailing error record.
+type meteredSource struct {
+	trace.BatchSource
+	s      *Service
+	tenant string
+	body   *countingReader
+	err    error
+}
+
+func (m *meteredSource) ReadBatch(b *trace.Batch, max int) int {
+	if m.err != nil {
+		return 0
+	}
+	n := m.BatchSource.ReadBatch(b, max)
+	nb := m.body.take()
+	m.s.mrcIngest.Add(nb)
+	if err := m.s.tenants.charge(m.tenant, uint64(n), nb); err != nil {
+		m.s.quotaRejects.Add(1)
+		m.err = err
+		return 0
+	}
+	return n
+}
+
+func (m *meteredSource) Err() error {
+	if m.err != nil {
+		return m.err
+	}
+	return m.BatchSource.Err()
 }

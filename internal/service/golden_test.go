@@ -66,7 +66,7 @@ func goldenCases(t *testing.T) []goldenCase {
 		{name: "400-bad-magic", req: uploadReq("/v1/classify", []byte("this is not a trace, not even close"))},
 		{name: "413-too-large", cfg: Config{Limits: trace.Limits{MaxRecords: 100}},
 			req: uploadReq("/v1/classify", buildTrace(t, 200))},
-		{name: "429-tenant-quota", cfg: Config{Tenant: TenantQuota{MaxSamples: 10}},
+		{name: "429-tenant-quota", cfg: Config{Tenant: TenantQuota{MaxAccesses: 10}},
 			setup: []goldenRequest{{path: "/v1/mrc", ctype: "application/json", hdr: tenant, body: []byte(quotaSpec)}},
 			req:   goldenRequest{path: "/v1/mrc", ctype: "application/json", hdr: tenant, body: []byte(quotaSpec)}},
 	}

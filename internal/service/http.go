@@ -20,7 +20,7 @@ import (
 //	POST /v1/classify   classify a workload spec (JSON) or an uploaded
 //	                    binary trace (any other content type) — NDJSON
 //	POST /v1/sweep      run an experiment sweep — NDJSON
-//	POST /v1/mrc        SHARDS-sampled miss-ratio curve with the MCT
+//	POST /v1/mrc        exact LRU miss-ratio curve with the MCT
 //	                    conflict/capacity split per size, from a spec
 //	                    (JSON) or an uploaded trace — NDJSON
 //	GET  /v1/jobs/{id}  job status, attempts, partial failures

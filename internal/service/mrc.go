@@ -12,7 +12,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/classify"
 	"repro/internal/mem"
-	"repro/internal/mrc"
 	"repro/internal/trace"
 )
 
@@ -45,9 +44,9 @@ func checkSizeKB(kb, line int) error {
 }
 
 // MRCSpec describes one miss-ratio-curve request: which access stream
-// to profile (a named workload, or the uploaded trace), the SHARDS
-// sampling parameters, and the cache-geometry ladder to split
-// conflict/capacity at. The normalized spec is the memoization payload,
+// to profile (a named workload, or the uploaded trace) and the
+// cache-geometry ladder to report the curve and split conflict/capacity
+// at. The normalized spec is the memoization payload,
 // so every field must deterministically change the result — which is
 // also why the tenant is NOT part of the spec: two tenants asking the
 // same question share one cached answer.
@@ -73,18 +72,18 @@ type MRCSpec struct {
 	Index     string `json:"index,omitempty"`
 	IndexSeed uint64 `json:"index_seed,omitempty"`
 
-	// Rate is the initial SHARDS sampling rate in (0, 1] (0 = the
-	// profiler default, 0.01). MaxSampled caps the tracked-line set,
-	// bounding profiler memory (0 = the profiler default; subject to
-	// the per-tenant cap).
+	// Rate and MaxSampled are accepted and ignored: they tuned a sampled
+	// estimate the curve no longer comes from. They stay decodable so
+	// older clients and journaled specs still parse; normalize zeroes
+	// them.
 	Rate       float64 `json:"rate,omitempty"`
 	MaxSampled int     `json:"max_sampled,omitempty"`
 }
 
 // normalize fills defaults and validates. upload marks the trace-upload
-// path; maxSet is the tenant quota's sampled-set cap (0 = profiler
-// default only).
-func (sp *MRCSpec) normalize(upload bool, maxAccesses uint64, maxSet int) error {
+// path.
+func (sp *MRCSpec) normalize(upload bool, maxAccesses uint64) error {
+	sp.Rate, sp.MaxSampled = 0, 0
 	if len(sp.SizesKB) == 0 {
 		sp.SizesKB = []int{4, 8, 16, 32, 64, 128, 256}
 	}
@@ -104,41 +103,19 @@ func (sp *MRCSpec) normalize(upload bool, maxAccesses uint64, maxSet int) error 
 			return fmt.Errorf("%w: size %dKB: %v", ErrBadRequest, kb, err)
 		}
 	}
-	if sp.Rate == 0 {
-		sp.Rate = mrc.DefaultRate
-	}
-	if !(sp.Rate > 0 && sp.Rate <= 1) { // also rejects NaN
-		return fmt.Errorf("%w: rate %v outside (0, 1]", ErrBadRequest, sp.Rate)
-	}
-	if sp.MaxSampled < 0 {
-		return fmt.Errorf("%w: max_sampled must be >= 0 (the service never profiles unbounded)", ErrBadRequest)
-	}
-	if sp.MaxSampled == 0 {
-		sp.MaxSampled = mrc.DefaultMaxSampled
-	}
-	// The sampled set is the profiler's resident memory; the cap is a
-	// quota dimension, so exceeding it is 429, not 400.
-	setCap := mrc.DefaultMaxSampled
-	if maxSet > 0 {
-		setCap = maxSet
-	}
-	if sp.MaxSampled > setCap {
-		return fmt.Errorf("%w: max_sampled %d exceeds the per-tenant sampled-set cap %d",
-			ErrQuota, sp.MaxSampled, setCap)
-	}
 	return normalizeSource(sp.Workload, &sp.Seed, &sp.Accesses, upload, maxAccesses)
 }
 
 func (sp *MRCSpec) prepare(s *Service) error {
-	return sp.normalize(false, s.cfg.MaxSpecAccesses, s.cfg.Tenant.MaxSampledSet)
+	return sp.normalize(false, s.cfg.MaxSpecAccesses)
 }
 
 // fromQuery maps an upload's query parameters onto the spec and
 // normalizes it for the upload path. sizes_kb is comma-separated
 // ("sizes_kb=4,8,32").
-func (sp *MRCSpec) fromQuery(q url.Values, maxSet int) error {
+func (sp *MRCSpec) fromQuery(q url.Values) error {
 	if err := queryInts(q, queryInt{"assoc", &sp.Assoc}, queryInt{"line", &sp.LineSize},
-		queryInt{"tag_bits", &sp.TagBits}, queryInt{"max_sampled", &sp.MaxSampled}); err != nil {
+		queryInt{"tag_bits", &sp.TagBits}); err != nil {
 		return err
 	}
 	if v := q.Get("sizes_kb"); v != "" {
@@ -150,17 +127,10 @@ func (sp *MRCSpec) fromQuery(q url.Values, maxSet int) error {
 			sp.SizesKB = append(sp.SizesKB, n)
 		}
 	}
-	if v := q.Get("rate"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return fmt.Errorf("%w: query rate=%q is not a number", ErrBadRequest, v)
-		}
-		sp.Rate = f
-	}
 	if err := queryIndex(q, &sp.Index, &sp.IndexSeed); err != nil {
 		return err
 	}
-	return sp.normalize(true, 0, maxSet)
+	return sp.normalize(true, 0)
 }
 
 // mrcMCT is the per-size conflict/capacity split from the classifier's
@@ -175,9 +145,9 @@ type mrcMCT struct {
 	MissRatio  float64 `json:"miss_ratio"`
 }
 
-// mrcPoint is one NDJSON record of an MRC response: the SHARDS-sampled
-// LRU miss-ratio estimate at a capacity, plus the exact simulated split
-// at that geometry.
+// mrcPoint is one NDJSON record of an MRC response: the exact
+// fully-associative LRU miss ratio at a capacity, plus the simulated
+// split at that geometry.
 type mrcPoint struct {
 	SizeKB    int     `json:"size_kb"`
 	Lines     uint64  `json:"lines"`
@@ -185,17 +155,11 @@ type mrcPoint struct {
 	MCT       mrcMCT  `json:"mct"`
 }
 
-// MRCSummary is the trailing NDJSON record: the profiler's sampling
-// telemetry, enough for a client to judge estimate quality.
+// MRCSummary is the trailing NDJSON record: what was profiled.
 type MRCSummary struct {
-	Workload    string  `json:"workload,omitempty"`
-	Accesses    uint64  `json:"accesses"`
-	Sampled     uint64  `json:"sampled"`
-	SampledSet  int     `json:"sampled_set"`
-	Evicted     uint64  `json:"evicted"`
-	RateInitial float64 `json:"rate_initial"`
-	RateFinal   float64 `json:"rate_final"`
-	Points      int     `json:"points"`
+	Workload string `json:"workload,omitempty"`
+	Accesses uint64 `json:"accesses"`
+	Points   int    `json:"points"`
 }
 
 // ladder builds the classifier for the spec's sizes: one rung per size,
@@ -209,18 +173,15 @@ func (spec MRCSpec) ladder() (*classify.Ladder, error) {
 }
 
 // stream is the MRC kernel as a streamFunc: it plays every memory
-// access of src through one SHARDS profiler and one classifier ladder
-// (a real cache and MCT per requested size over one shared oracle
-// stack), a struct-of-arrays batch at a time: the batch's memory ops
-// are compacted once, then fed to the profiler and the ladder (which
-// never mutate the shared slices).
-// charge, when non-nil, is called once per batch with the newly
-// sampled-reference count — the tenant quota hook; its error aborts
-// the stream mid-flight. After the source drains cleanly, the points
-// stream in ascending size order followed by the summary.
-func (spec MRCSpec) stream(ctx context.Context, src trace.BatchSource, emit func(v any) error, charge func(samples uint64) error) (stats, error) {
+// access of src through one classifier ladder (a real cache and MCT per
+// requested size over one shared oracle stack), a struct-of-arrays
+// batch at a time, the batch's memory ops compacted once. Each point's
+// miss ratio is its rung's fully-associative miss count over the
+// accesses, exact by Mattson inclusion. After the source drains
+// cleanly, the points stream in ascending size order followed by the
+// summary.
+func (spec MRCSpec) stream(ctx context.Context, src trace.BatchSource, emit func(v any) error) (stats, error) {
 	var st stats
-	prof := mrc.New(mrc.Config{Rate: spec.Rate, MaxSampled: spec.MaxSampled, LineSize: spec.LineSize})
 	ladder, err := spec.ladder()
 	if err != nil {
 		return st, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -228,7 +189,6 @@ func (spec MRCSpec) stream(ctx context.Context, src trace.BatchSource, emit func
 	batch := trace.NewBatch(trace.DefaultBatchSize)
 	addrs := make([]mem.Addr, 0, trace.DefaultBatchSize)
 	stores := make([]bool, 0, trace.DefaultBatchSize)
-	var lastSampled uint64
 	for {
 		if cerr := ctx.Err(); cerr != nil {
 			return st, cerr
@@ -244,42 +204,33 @@ func (spec MRCSpec) stream(ctx context.Context, src trace.BatchSource, emit func
 				stores = append(stores, batch.Op[i] == trace.Store)
 			}
 		}
-		prof.ObserveBatch(addrs)
 		ladder.AccessBatch(addrs, stores)
 		st.Records += uint64(len(addrs))
-		if charge != nil {
-			cur := prof.SampledRefs()
-			if err := charge(cur - lastSampled); err != nil {
-				return st, err
-			}
-			lastSampled = cur
-		}
 	}
 	if err := src.Err(); err != nil {
 		return st, err
 	}
-	ps := prof.Stats()
-	st.Samples = ps.Sampled
+	ratio := func(n uint64) float64 {
+		if st.Records == 0 {
+			return 0
+		}
+		return float64(n) / float64(st.Records)
+	}
 	for i, kb := range spec.SizesKB {
 		run := ladder.Rungs[i]
-		lines := uint64(kb) * 1024 / uint64(spec.LineSize)
 		compulsory, capacity, conflict := run.Oracle.Counts()
 		misses := run.Acc.Misses()
-		var mr float64
-		if st.Records > 0 {
-			mr = float64(misses) / float64(st.Records)
-		}
 		pt := mrcPoint{
 			SizeKB:    kb,
-			Lines:     lines,
-			MissRatio: prof.MissRatio(lines),
+			Lines:     uint64(kb) * 1024 / uint64(spec.LineSize),
+			MissRatio: ratio(run.Oracle.FAMisses()),
 			MCT: mrcMCT{
 				Accesses:   st.Records,
 				Misses:     misses,
 				Conflict:   conflict,
 				Capacity:   capacity,
 				Compulsory: compulsory,
-				MissRatio:  mr,
+				MissRatio:  ratio(misses),
 			},
 		}
 		if err := emit(struct {
@@ -289,16 +240,7 @@ func (spec MRCSpec) stream(ctx context.Context, src trace.BatchSource, emit func
 		}
 		st.Emitted++
 	}
-	sum := MRCSummary{
-		Workload:    spec.Workload,
-		Accesses:    st.Records,
-		Sampled:     ps.Sampled,
-		SampledSet:  ps.SampledSet,
-		Evicted:     ps.Evicted,
-		RateInitial: ps.RateInitial,
-		RateFinal:   ps.RateFinal,
-		Points:      len(spec.SizesKB),
-	}
+	sum := MRCSummary{Workload: spec.Workload, Accesses: st.Records, Points: len(spec.SizesKB)}
 	if err := emit(struct {
 		Summary MRCSummary `json:"summary"`
 	}{sum}); err != nil {

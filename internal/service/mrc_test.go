@@ -5,12 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/mrc"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // mrcLines parses an NDJSON MRC response into point lines and the
@@ -70,6 +74,42 @@ func checkMRCInvariants(t *testing.T, points []mrcPoint) {
 	}
 }
 
+// TestMRCMissRatioIsExact pins /v1/mrc's curve to the exact
+// fully-associative LRU miss ratio: on every suite benchmark, at the
+// default sizes and accesses, each point's miss_ratio must equal the mrc
+// profiler's exact mode (rate 1, unbounded set) fed the same accesses.
+// The default sizes are powers of two in lines, exact bucket edges of
+// the profiler's histogram, so the two agree up to float rounding.
+func TestMRCMissRatioIsExact(t *testing.T) {
+	_, srv := newTestService(t, Config{})
+	for _, b := range workload.Suite() {
+		resp := postJSON(t, srv.URL+"/v1/mrc", fmt.Sprintf(`{"workload":%q}`, b.Name))
+		body := readAll(t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", b.Name, resp.StatusCode, body)
+		}
+		points, sum := mrcLines(t, body)
+
+		exact := mrc.New(mrc.Config{Rate: 1, MaxSampled: -1})
+		src := workloadStream(b.Name, workload.DefaultSeed, sum.Accesses)
+		var in trace.Instr
+		var n uint64
+		for src.Next(&in) {
+			exact.Observe(in.Addr)
+			n++
+		}
+		if n != sum.Accesses || n == 0 {
+			t.Fatalf("%s: profiled %d accesses, the response reports %d", b.Name, n, sum.Accesses)
+		}
+		for _, p := range points {
+			if want := exact.MissRatio(p.Lines); math.Abs(p.MissRatio-want) > 1e-12 {
+				t.Errorf("%s at %dKB: miss_ratio %v, exact %v", b.Name, p.SizeKB, p.MissRatio, want)
+			}
+		}
+	}
+}
+
 func TestMRCSpecStreamsPoints(t *testing.T) {
 	_, srv := newTestService(t, Config{})
 	w := anyWorkload(t)
@@ -96,8 +136,8 @@ func TestMRCSpecStreamsPoints(t *testing.T) {
 	if sum.Accesses != 50000 {
 		t.Errorf("summary accesses = %d, want 50000", sum.Accesses)
 	}
-	if sum.Sampled == 0 || sum.RateInitial <= 0 || sum.Points != 5 {
-		t.Errorf("summary telemetry incomplete: %+v", sum)
+	if sum.Points != 5 {
+		t.Errorf("summary points = %d, want 5", sum.Points)
 	}
 
 	jr := postJSONGet(t, srv.URL+"/v1/jobs/"+jobID)
@@ -145,10 +185,10 @@ func TestMRCColdWarmByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMRCUpload drives the trace-upload path: geometry and sampling from
-// query parameters, invariants on the result, and determinism across
-// re-uploads of the same bytes (no memoization on this path — the
-// profile itself must be deterministic).
+// TestMRCUpload drives the trace-upload path: geometry from query
+// parameters (the ignored rate included), invariants on the result, and
+// determinism across re-uploads of the same bytes (no memoization on
+// this path — the profile itself must be deterministic).
 func TestMRCUpload(t *testing.T) {
 	_, srv := newTestService(t, Config{})
 	raw := buildTraceV2(t, 40000)
@@ -263,11 +303,11 @@ func TestTenantIDFallbackChain(t *testing.T) {
 }
 
 // TestTenantQuotaSpecPath: record-then-compare semantics — the request
-// that crosses the sample budget still serves (its work was already
+// that crosses the access budget still serves (its work was already
 // admitted), and the next request from that tenant is rejected 429
 // before admission while another tenant sails through.
 func TestTenantQuotaSpecPath(t *testing.T) {
-	s, srv := newTestService(t, Config{Tenant: TenantQuota{MaxSamples: 10}})
+	s, srv := newTestService(t, Config{Tenant: TenantQuota{MaxAccesses: 10}})
 	w := anyWorkload(t)
 
 	do := func(tenant, body string) *http.Response {
@@ -284,8 +324,8 @@ func TestTenantQuotaSpecPath(t *testing.T) {
 		return resp
 	}
 
-	// Cold compute: samples far beyond the 10-ref budget, still 200.
-	body := fmt.Sprintf(`{"workload":%q,"accesses":20000,"sizes_kb":[8],"rate":1}`, w)
+	// Cold compute: accesses far beyond the 10-access budget, still 200.
+	body := fmt.Sprintf(`{"workload":%q,"accesses":20000,"sizes_kb":[8]}`, w)
 	r1 := do("greedy", body)
 	readAll(t, r1.Body)
 	r1.Body.Close()
@@ -350,50 +390,33 @@ func TestTenantQuotaUploadMidStream(t *testing.T) {
 	}
 }
 
-// TestMRCMaxSampledQuota: asking for a bigger tracked set than the
-// tenant cap is a quota rejection (429), not a validation error.
-func TestMRCMaxSampledQuota(t *testing.T) {
-	_, srv := newTestService(t, Config{Tenant: TenantQuota{MaxSampledSet: 1024}})
-	w := anyWorkload(t)
-	resp := postJSON(t, srv.URL+"/v1/mrc",
-		fmt.Sprintf(`{"workload":%q,"accesses":1000,"max_sampled":100000}`, w))
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429: %s", resp.StatusCode, readAll(t, resp.Body))
-	}
-}
-
 // TestMRCSpecRejectsUnbuildable pins the normalize checks that keep an
 // accepted spec buildable: a size over maxMRCLines (including one whose
-// byte size would overflow), a NaN rate on the upload query, and tag bits
-// the MCT cannot store are all 400s before any work is admitted.
+// byte size would overflow) and tag bits the MCT cannot store are 400s
+// before any work is admitted.
 func TestMRCSpecRejectsUnbuildable(t *testing.T) {
 	for name, sp := range map[string]MRCSpec{
 		"over the line limit": {Workload: "gcc", SizesKB: []int{16 << 10}},
 		"byte size overflows": {Workload: "gcc", SizesKB: []int{1<<54 + 4}},
 		"tag bits over 64":    {Workload: "gcc", TagBits: 65},
 	} {
-		if err := sp.normalize(false, 0, 0); !errors.Is(err, ErrBadRequest) {
+		if err := sp.normalize(false, 0); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: normalize = %v, want ErrBadRequest", name, err)
 		}
 	}
 	top := MRCSpec{Workload: "gcc", SizesKB: []int{8 << 10}}
-	if err := top.normalize(false, 0, 0); err != nil {
+	if err := top.normalize(false, 0); err != nil {
 		t.Errorf("a size of exactly maxMRCLines lines rejected: %v", err)
-	}
-	var up MRCSpec
-	if err := up.fromQuery(url.Values{"rate": {"NaN"}}, 0); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("rate=NaN: fromQuery = %v, want ErrBadRequest", err)
 	}
 }
 
 func TestTenantLedgerWindowReset(t *testing.T) {
-	l := newTenantLedger(TenantQuota{MaxSamples: 5, Window: time.Hour})
+	l := newTenantLedger(TenantQuota{MaxAccesses: 5, Window: time.Hour})
 	clock := time.Now()
 	l.now = func() time.Time { return clock }
 
 	if err := l.charge("t", 10, 0); err == nil {
-		t.Fatal("10 of 5 samples should exceed quota")
+		t.Fatal("10 of 5 accesses should exceed quota")
 	}
 	if err := l.precheck("t"); err == nil {
 		t.Fatal("precheck should still reject inside the window")

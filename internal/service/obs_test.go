@@ -180,7 +180,7 @@ func TestTraceRootSpanRecordsFailures(t *testing.T) {
 		status            int
 	}{
 		{"400 spec", "application/json", "/v1/classify", []byte(`{"workload":"no-such-workload"}`), http.StatusBadRequest},
-		{"400 mrc spec", "application/json", "/v1/mrc", []byte(`{"workload":"x","rate":7}`), http.StatusBadRequest},
+		{"400 mrc spec", "application/json", "/v1/mrc", []byte(`{"workload":"x"}`), http.StatusBadRequest},
 		{"400 sweep", "application/json", "/v1/sweep", []byte(`{"experiments":["fig99"]}`), http.StatusBadRequest},
 		{"truncated upload", "application/octet-stream", "/v1/classify?emit=summary", truncated, http.StatusOK},
 	} {

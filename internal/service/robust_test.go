@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/faultinject"
+	"repro/internal/workload"
 )
 
 // The service mirrors the client's idempotency header rather than
@@ -91,18 +92,22 @@ func drainT(t *testing.T, s *Service) {
 // the client's retried request replays as pure cache hits. A transient
 // fault injected into the job's first task attempt during recovery must
 // be retried away — which only happens if the re-drive runs as a
-// supervised runner task labelled <kind>/... like a live request.
+// supervised runner task labelled <kind>/... like a live request. The
+// mrc-sampled case is an MRC spec as older releases journaled it, with
+// the sampling knobs that are now accepted and ignored.
 func TestRecoverRedrivesUnfinishedJobs(t *testing.T) {
 	w := anyWorkload(t)
 	for _, tc := range []struct {
-		kind string
-		spec any
+		name, kind string
+		spec       any
 	}{
-		{"sweep", SweepSpec{Experiments: []string{"fig1"}, Quick: true}},
-		{"classify", ClassifySpec{Workload: w, Accesses: 4000, SizeKB: 8, Emit: EmitSummary}},
-		{"mrc", MRCSpec{Workload: w, Accesses: 4000, SizesKB: []int{8, 32}}},
+		{"sweep", "sweep", SweepSpec{Experiments: []string{"fig1"}, Quick: true}},
+		{"classify", "classify", ClassifySpec{Workload: w, Accesses: 4000, SizeKB: 8, Emit: EmitSummary}},
+		{"mrc", "mrc", MRCSpec{Workload: w, Accesses: 4000, SizesKB: []int{8, 32}}},
+		{"mrc-sampled", "mrc", json.RawMessage(fmt.Sprintf(`{"workload":%q,"accesses":4000,"seed":%d,"sizes_kb":[8,32],`+
+			`"assoc":2,"line":64,"index":"modulo","rate":0.01,"max_sampled":8192}`, w, workload.DefaultSeed))},
 	} {
-		t.Run(tc.kind, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			dirs := newSharedDirs(t)
 
 			// Simulate the pre-crash instance by journaling create+start with

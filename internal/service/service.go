@@ -92,9 +92,8 @@ type Config struct {
 	// Brownout.Enabled).
 	Brownout BrownoutConfig
 
-	// Tenant bounds per-tenant MRC consumption (samples processed,
-	// bytes ingested, sampled-set size). The zero value accounts but
-	// never rejects.
+	// Tenant bounds per-tenant MRC consumption (accesses profiled,
+	// bytes ingested). The zero value accounts but never rejects.
 	Tenant TenantQuota
 
 	// Cluster shards memoizable cells (classify specs, sweep cells)
@@ -180,7 +179,6 @@ type Service struct {
 	// counters.
 	tenants      *tenantLedger
 	mrcReqs      counter // /v1/mrc requests past the shed gate
-	mrcSamples   counter // SHARDS-sampled references processed
 	mrcIngest    counter // uploaded trace bytes ingested by /v1/mrc
 	quotaRejects counter // requests rejected by tenant quota
 
@@ -323,8 +321,6 @@ func (s *Service) buildRegistry() *obs.Registry {
 		func() float64 { b, _ := s.arts.size(); return float64(b) })
 	r.Counter("mct_mrc_requests_total", "MRC requests past the shed gate.",
 		func() float64 { return float64(s.mrcReqs.Load()) })
-	r.Counter("mct_mrc_samples_total", "SHARDS-sampled references processed by MRC profiling.",
-		func() float64 { return float64(s.mrcSamples.Load()) })
 	r.Counter("mct_mrc_ingest_bytes_total", "Uploaded trace bytes ingested by /v1/mrc.",
 		func() float64 { return float64(s.mrcIngest.Load()) })
 	r.Counter("mct_mrc_quota_rejected_total", "Requests rejected or aborted by tenant quota.",

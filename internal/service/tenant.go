@@ -22,19 +22,15 @@ const TenantHeader = "X-Mct-Tenant"
 var ErrQuota = errors.New("service: tenant quota exceeded")
 
 // TenantQuota bounds what one tenant may consume per accounting window.
-// The zero value means unlimited samples and bytes with the default
-// sampled-set cap — accounting still runs, nothing rejects.
+// The zero value means unlimited accesses and bytes — accounting still
+// runs, nothing rejects.
 type TenantQuota struct {
-	// MaxSamples caps SHARDS-sampled references processed per window
+	// MaxAccesses caps memory accesses profiled per window
 	// (0 = unlimited).
-	MaxSamples uint64
+	MaxAccesses uint64
 	// MaxBytes caps uploaded trace bytes ingested per window
 	// (0 = unlimited).
 	MaxBytes uint64
-	// MaxSampledSet caps the per-request max_sampled a tenant may ask
-	// for — the profiler's resident-memory knob (0 = the profiler
-	// default; requests above the cap are rejected with 429).
-	MaxSampledSet int
 	// MaxTenants bounds the ledger itself (0 = 4096; the stalest
 	// tenant's window is evicted at the cap, so ledger memory stays
 	// proportional to configuration, never to offered identities).
@@ -57,7 +53,7 @@ func (q TenantQuota) withDefaults() TenantQuota {
 // tenantUsage is one tenant's consumption in its current window.
 type tenantUsage struct {
 	winStart time.Time
-	samples  uint64
+	accesses uint64
 	bytes    uint64
 }
 
@@ -76,9 +72,9 @@ func newTenantLedger(q TenantQuota) *tenantLedger {
 	return &tenantLedger{q: q.withDefaults(), m: map[string]*tenantUsage{}, now: time.Now}
 }
 
-// charge records samples and bytes against tenant and reports whether
+// charge records accesses and bytes against tenant and reports whether
 // the tenant is now over quota. Charging zero is a pure precheck.
-func (l *tenantLedger) charge(tenant string, samples, bytes uint64) error {
+func (l *tenantLedger) charge(tenant string, accesses, bytes uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	now := l.now()
@@ -93,11 +89,11 @@ func (l *tenantLedger) charge(tenant string, samples, bytes uint64) error {
 	if now.Sub(u.winStart) > l.q.Window {
 		*u = tenantUsage{winStart: now}
 	}
-	u.samples += samples
+	u.accesses += accesses
 	u.bytes += bytes
-	if l.q.MaxSamples > 0 && u.samples > l.q.MaxSamples {
-		return fmt.Errorf("%w: tenant %q used %d sampled refs of %d this window",
-			ErrQuota, tenant, u.samples, l.q.MaxSamples)
+	if l.q.MaxAccesses > 0 && u.accesses > l.q.MaxAccesses {
+		return fmt.Errorf("%w: tenant %q used %d accesses of %d this window",
+			ErrQuota, tenant, u.accesses, l.q.MaxAccesses)
 	}
 	if l.q.MaxBytes > 0 && u.bytes > l.q.MaxBytes {
 		return fmt.Errorf("%w: tenant %q ingested %d bytes of %d this window",
