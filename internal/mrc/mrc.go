@@ -389,5 +389,5 @@ func (p *Profiler) Stats() Stats {
 }
 
 // SampledRefs returns the running count of hash-passing references —
-// the unit the service's per-tenant quota accounting charges.
+// the work the sampler actually did, which the mrc study reports.
 func (p *Profiler) SampledRefs() uint64 { return p.sampled }

@@ -46,10 +46,10 @@ func checkSizeKB(kb, line int) error {
 // MRCSpec describes one miss-ratio-curve request: which access stream
 // to profile (a named workload, or the uploaded trace) and the
 // cache-geometry ladder to report the curve and split conflict/capacity
-// at. The normalized spec is the memoization payload,
-// so every field must deterministically change the result — which is
-// also why the tenant is NOT part of the spec: two tenants asking the
-// same question share one cached answer.
+// at. The normalized spec is the memoization payload, so every field
+// must deterministically change the result — which is also why the
+// tenant is NOT part of the spec: two tenants asking the same question
+// share one cached answer.
 type MRCSpec struct {
 	// Workload names a synthetic benchmark; empty on the upload path.
 	Workload string `json:"workload,omitempty"`
