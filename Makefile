@@ -167,12 +167,14 @@ cluster-smoke:
 # generated v2 trace to /v1/mrc and runs a spec request, and requires a
 # monotone non-increasing curve, an MCT split that accounts for every
 # miss (conflict+capacity+compulsory == misses <= accesses), and
-# byte-identical cold/warm responses on both paths. The SHARDS
-# differential tests (sampled vs exact stack distances, rate adaptation,
-# the zero-alloc observe pin) and the tenant-quota/header-validation
-# suite ride along. So do the two cross-checks of the one-pass oracle
-# stack the MRC split runs on: the ladder against independent per-size
-# fully-associative caches (every verdict, 1–16 rungs, three
+# byte-identical cold/warm responses on both paths. TestMRCMissRatioIsExact
+# requires the curve to equal the exact Mattson miss ratio on every suite
+# benchmark. The SHARDS study's differential tests (sampled vs exact stack
+# distances, rate adaptation, the zero-alloc observe pin) and the
+# tenant-quota/header-validation suite ride along. So do the two
+# cross-checks of the one-pass oracle stack the curve and the MRC split
+# run on: the ladder against independent per-size fully-associative
+# caches (every verdict and FA-miss count, 1–16 rungs, three
 # geometries), and the stack against the profiler's exact mode at
 # power-of-two capacities. All under the race detector.
 mrc-smoke:
@@ -189,8 +191,8 @@ vulncheck:
 	fi
 
 # Short fuzz passes over the binary trace decoder, the fault-spec parsers,
-# the Prometheus exposition parser and the classify and MRC spec
-# normalizers; CI runs the seed corpora via `make test`, this target digs
+# the Prometheus exposition parser, the classify and MRC spec
+# normalizers and the peer cell decoder; CI runs the seed corpora via `make test`, this target digs
 # deeper locally.
 fuzz:
 	$(GO) test -fuzz FuzzReadTrace -fuzztime 30s ./internal/trace
@@ -201,6 +203,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParseProm -fuzztime 30s ./internal/obs
 	$(GO) test -fuzz FuzzMRCSpecNormalize -fuzztime 30s ./internal/service
 	$(GO) test -fuzz FuzzClassifySpecNormalize -fuzztime 30s ./internal/service
+	$(GO) test -fuzz FuzzForwardedCell -fuzztime 30s ./internal/service
 
 # Drop all memoized experiment results (results/cache is also safely
 # deletable by hand; entries are invalidated automatically when the code

@@ -153,9 +153,10 @@ func sweepRunID(p experiments.Params, arts []experiments.Artifact, seeds []uint6
 // runSweep executes the sweep's cells through the supervised worker
 // pool, each memoized under the same (slug, Params) key cmd/paperbench
 // uses — a sweep the CLI already computed replays from cache, and vice
-// versa. Progress is checkpointed per cell, so a sweep killed mid-flight
-// and resubmitted recomputes only the unfinished cells (the finished
-// ones hit the cache). Clustered, each cell routes through memoCell —
+// versa. A sweep killed mid-flight and resubmitted recomputes only the
+// unfinished cells because the finished ones replay through lookupCell
+// from runner.Memo; the per-cell checkpoint written below is never read
+// back. Clustered, each cell routes through memoCell —
 // remote-owned cells forward to their ring owner — and the fan-out
 // widens beyond local compute capacity so forwards overlap while the
 // compute gate keeps local work bounded. Returns the NDJSON lines in
