@@ -25,8 +25,8 @@ var ErrQuota = errors.New("service: tenant quota exceeded")
 // The zero value means unlimited accesses and bytes — accounting still
 // runs, nothing rejects.
 type TenantQuota struct {
-	// MaxAccesses caps memory accesses profiled per window
-	// (0 = unlimited).
+	// MaxAccesses caps the accesses profiled per window: a cold spec's
+	// accesses, an upload's trace records (0 = unlimited).
 	MaxAccesses uint64
 	// MaxBytes caps uploaded trace bytes ingested per window
 	// (0 = unlimited).
