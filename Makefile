@@ -73,7 +73,7 @@ batch-smoke:
 
 # Chaos smoke: the fault-tolerance acceptance tests (injected transient
 # faults converge to byte-identical output; hangs are cut by -task-timeout;
-# kill + -resume recomputes only unfinished cells) under the race detector.
+# kill + rerun recomputes only unfinished cells) under the race detector.
 # `make race` already runs these once; this target re-runs them -count=1
 # as a focused gate so a cached pass never masks a supervision regression.
 chaos-smoke:
@@ -192,8 +192,8 @@ vulncheck:
 
 # Short fuzz passes over the binary trace decoder, the fault-spec parsers,
 # the Prometheus exposition parser, the classify and MRC spec
-# normalizers and the peer cell decoder; CI runs the seed corpora via `make test`, this target digs
-# deeper locally.
+# normalizers, the peer cell decoder and journal segment replay; CI runs
+# the seed corpora via `make test`, this target digs deeper locally.
 fuzz:
 	$(GO) test -fuzz FuzzReadTrace -fuzztime 30s ./internal/trace
 	$(GO) test -fuzz 'FuzzRoundTrip$$' -fuzztime 30s ./internal/trace
@@ -204,6 +204,7 @@ fuzz:
 	$(GO) test -fuzz FuzzMRCSpecNormalize -fuzztime 30s ./internal/service
 	$(GO) test -fuzz FuzzClassifySpecNormalize -fuzztime 30s ./internal/service
 	$(GO) test -fuzz FuzzForwardedCell -fuzztime 30s ./internal/service
+	$(GO) test -fuzz FuzzJournalReplay -fuzztime 30s ./internal/journal
 
 # Drop all memoized experiment results (results/cache is also safely
 # deletable by hand; entries are invalidated automatically when the code

@@ -35,26 +35,25 @@ func TestMctdHelperProcess(t *testing.T) {
 
 // TestCrashRecoverySIGKILL is the crash-smoke acceptance test: SIGKILL
 // mctd in the middle of a multi-cell sweep, reboot it on the same
-// journal/cache/checkpoint directories, and require that (a) the job is
+// journal and cache directories, and require that (a) the job is
 // still listed and re-driven to completion, (b) the cells that finished
 // before the kill resume from the memo cache instead of recomputing, and
 // (c) the recovered sweep's NDJSON output is byte-identical to an
 // uninterrupted run on clean state.
 //
 // The kill point is deterministic: the first life runs with
-// -inject hang@sweep/fig4, so fig1 and fig2 complete (and checkpoint)
-// while fig4 hangs pre-compute; the parent watches the checkpoint file
-// until both finished cells are recorded, then kills -9.
+// -inject hang@sweep/fig4, so fig1 and fig2 complete (and are memoized)
+// while fig4 hangs pre-compute; the parent watches the memo cache until
+// both finished cells' entries exist, then kills -9.
 func TestCrashRecoverySIGKILL(t *testing.T) {
 	dir := t.TempDir()
-	cacheDir, ckptDir, jobsDir := dir+"/cache", dir+"/ckpt", dir+"/jobs"
+	cacheDir, jobsDir := dir+"/cache", dir+"/jobs"
 	const spec = `{"experiments":["fig1","fig2","fig4"],"quick":true,"accesses":3000,"instructions":3000}`
 
 	// Life 1: a real subprocess, because a goroutine cannot be SIGKILLed.
 	args := []string{
 		"-listen", "127.0.0.1:0",
 		"-cachedir", cacheDir,
-		"-checkpointdir", ckptDir,
 		"-journaldir", jobsDir,
 		"-inject", "hang@sweep/fig4",
 	}
@@ -103,7 +102,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	}
 
 	// Kick off the sweep; the request hangs on the fig4 cell, so fire and
-	// forget — the journal and checkpoint are the observable progress.
+	// forget — the journal and memo cache are the observable progress.
 	go func() {
 		resp, err := http.Post(base+"/v1/sweep", "application/json", strings.NewReader(spec))
 		if err == nil {
@@ -112,10 +111,10 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		}
 	}()
 
-	// Wait until both non-hanging cells are checkpointed: MarkDone runs
-	// strictly after the cell's result landed in the memo cache, so once
-	// the checkpoint lists two cells the kill cannot lose their work.
-	waitCheckpointCells(t, ckptDir, 2)
+	// Wait until both non-hanging cells are memoized: runner.Memo renames
+	// each entry into place before the cell reports done, so once both
+	// entries exist the kill cannot lose their work.
+	waitCacheSlugs(t, cacheDir, "fig1", "fig2")
 
 	if err := cmd.Process.Kill(); err != nil { // SIGKILL: no drain, no defers
 		t.Fatal(err)
@@ -128,7 +127,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	// Life 2: reboot on the same state (in-process is fine — recovery,
 	// not death, is under test now). No fault injection this time.
 	base2, shutdown2 := bootMctd(t,
-		"-cachedir", cacheDir, "-checkpointdir", ckptDir, "-journaldir", jobsDir)
+		"-cachedir", cacheDir, "-journaldir", jobsDir)
 	waitJobState(t, base2, jobID, "done")
 
 	m := scrape(t, http.DefaultClient, base2)
@@ -241,28 +240,36 @@ func TestChaosnetConvergence(t *testing.T) {
 	}
 }
 
-// waitCheckpointCells polls dir until some sweep checkpoint lists at
-// least n finished cells.
-func waitCheckpointCells(t *testing.T, dir string, n int) {
+// waitCacheSlugs polls the memo cache dir until it holds an entry for
+// every named slug.
+func waitCacheSlugs(t *testing.T, dir string, slugs ...string) {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
+		seen := map[string]bool{}
 		matches, _ := filepath.Glob(filepath.Join(dir, "*.json"))
 		for _, path := range matches {
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				continue
 			}
-			var f struct {
-				Done map[string]string `json:"done"`
+			var e struct {
+				Slug string `json:"slug"`
 			}
-			if json.Unmarshal(raw, &f) == nil && len(f.Done) >= n {
-				return
+			if json.Unmarshal(raw, &e) == nil {
+				seen[e.Slug] = true
 			}
+		}
+		all := true
+		for _, slug := range slugs {
+			all = all && seen[slug]
+		}
+		if all {
+			return
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	t.Fatalf("no checkpoint in %s reached %d finished cells", dir, n)
+	t.Fatalf("memo cache %s never held entries for all of %v", dir, slugs)
 }
 
 // sweepJobIDFromJournal replays the job journal and returns the sweep

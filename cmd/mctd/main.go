@@ -54,10 +54,9 @@ func mctdMain(args []string, stdout, stderr io.Writer, ready chan<- string) int 
 
 		cacheDir = fs.String("cachedir", runner.DefaultCacheDir, "on-disk result cache directory (shared with paperbench)")
 		noCache  = fs.Bool("nocache", false, "disable the result cache")
-		ckptDir  = fs.String("checkpointdir", runner.DefaultCheckpointDir, "sweep checkpoint directory")
 
 		journalDir = fs.String("journaldir", "results/jobs", "durable job journal directory; jobs interrupted by a crash are re-driven at boot (empty = journaling off)")
-		fsyncMode  = fs.String("fsync", "data", "fsync policy for journal/checkpoint/cache writes: off (process-crash safe only), data (batch boundaries), always")
+		fsyncMode  = fs.String("fsync", "data", "fsync policy for journal and cache writes: off (process-crash safe only), data (batch boundaries), always")
 
 		chaosSpec  = fs.String("chaos", "", "network fault injection on the listener, e.g. 'reset=0.05,latency=20ms,jitter=10ms' (see internal/faultinject)")
 		injectSpec = fs.String("inject", "", "task fault-injection schedule, e.g. 'error:2' or 'hang@sweep' (see internal/faultinject)")
@@ -116,8 +115,8 @@ func mctdMain(args []string, stdout, stderr io.Writer, ready chan<- string) int 
 		fmt.Fprintln(stderr, "mctd:", err)
 		return 2
 	}
-	// The runner's checkpoint and cache writers share the process-wide
-	// policy: one -fsync flag governs every durable write in the daemon.
+	// The runner's cache writer shares the process-wide policy: one
+	// -fsync flag governs every durable write in the daemon.
 	runner.SetSyncPolicy(fsync)
 	defer runner.SetSyncPolicy(durable.PolicyOff)
 
@@ -180,7 +179,6 @@ func mctdMain(args []string, stdout, stderr io.Writer, ready chan<- string) int 
 		AdmitWait:       *admitWait,
 		CacheDir:        *cacheDir,
 		NoCache:         *noCache,
-		CheckpointDir:   *ckptDir,
 		Limits:          trace.Limits{MaxRecords: *maxRecords, MaxBytes: *maxBytes},
 		MaxSpecAccesses: *maxAccesses,
 		Tenant: service.TenantQuota{

@@ -51,7 +51,6 @@ func TestServeSmoke(t *testing.T) {
 			"-capacity", fmt.Sprint(capacity),
 			"-waiters", "0",
 			"-cachedir", t.TempDir() + "/cache",
-			"-checkpointdir", t.TempDir() + "/ckpt",
 			"-journaldir", t.TempDir() + "/jobs",
 		}, io.Discard, &logBuf, ready)
 	}()
@@ -310,7 +309,6 @@ func bootMctd(t *testing.T, extraArgs ...string) (string, func()) {
 	args := append([]string{
 		"-listen", "127.0.0.1:0",
 		"-cachedir", t.TempDir() + "/cache",
-		"-checkpointdir", t.TempDir() + "/ckpt",
 		"-journaldir", t.TempDir() + "/jobs",
 	}, extraArgs...)
 	ready := make(chan string, 1)

@@ -16,7 +16,7 @@ import (
 )
 
 func TestMctloadEndToEnd(t *testing.T) {
-	svc := service.New(service.Config{CacheDir: t.TempDir() + "/cache", CheckpointDir: t.TempDir() + "/ckpt"})
+	svc := service.New(service.Config{CacheDir: t.TempDir() + "/cache"})
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
 		srv.Close()

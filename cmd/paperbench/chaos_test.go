@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,21 +12,17 @@ import (
 // These tests chaos-test the real binary's supervision machinery: fault
 // schedules injected via -inject must leave stdout byte-identical
 // (acceptance criterion of the fault-tolerance work), hangs must be cut
-// by -task-timeout, and an interrupted run must resume from its
-// checkpoint recomputing only the unfinished cells.
+// by -task-timeout, and an interrupted run rerun with the same command
+// must recompute only the unfinished cells.
 //
 // The default tests use a fast experiment subset; set
 // PAPERBENCH_CHAOS_FULL=1 to run the full -experiment all convergence
 // check (adds a few minutes).
 
-// chaosRun invokes paperbench with a private cache/checkpoint dir layout
-// under root.
+// chaosRun invokes paperbench with a private cache dir under root.
 func chaosRun(t *testing.T, root string, extra ...string) (code int, stdout, stderr string) {
 	t.Helper()
-	args := append([]string{
-		"-cachedir", filepath.Join(root, "cache"),
-		"-checkpointdir", filepath.Join(root, "checkpoint"),
-	}, extra...)
+	args := append([]string{"-cachedir", filepath.Join(root, "cache")}, extra...)
 	var out, errB bytes.Buffer
 	code = paperbenchMain(args, &out, &errB)
 	return code, out.String(), errB.String()
@@ -132,10 +129,11 @@ func TestPartialFailureExitPolicy(t *testing.T) {
 }
 
 // TestKillAndResumeRecomputesOnlyUnfinishedCells is the acceptance test
-// for checkpoint/resume: run 1 is "killed" mid-sweep (simulated by a
-// panic fault that takes down its second experiment), run 2 resumes and
-// must replay the finished experiment from cache — verified by the cache
-// hit counter — while recomputing only the failed one.
+// for resume: run 1 is "killed" mid-sweep (simulated by a panic fault
+// that takes down its second experiment), run 2 is the same command
+// without the fault and must replay the finished experiment from the
+// memo cache — verified by the cache hit counter — while recomputing
+// only the failed one.
 func TestKillAndResumeRecomputesOnlyUnfinishedCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resume test runs real experiments")
@@ -143,7 +141,7 @@ func TestKillAndResumeRecomputesOnlyUnfinishedCells(t *testing.T) {
 	root := t.TempDir()
 	sel := []string{"-quick", "-experiment", "fig1,cosched"}
 
-	// Run 1: fig1 completes and checkpoints; cosched dies to an injected
+	// Run 1: fig1 completes and is memoized; cosched dies to an injected
 	// panic. -strict makes the partial failure visible in the exit code.
 	code, out1, err1 := chaosRun(t, root, append(sel, "-strict", "-inject", "panic@cosched", "-retries", "0")...)
 	if code != 1 {
@@ -153,24 +151,29 @@ func TestKillAndResumeRecomputesOnlyUnfinishedCells(t *testing.T) {
 		t.Errorf("run 1 should report the panic:\n%s", err1)
 	}
 
-	// The checkpoint must have recorded fig1 (and only fig1).
-	ckpts, _ := os.ReadDir(filepath.Join(root, "checkpoint"))
-	if len(ckpts) != 1 {
-		t.Fatalf("checkpoint dir has %d files, want 1", len(ckpts))
+	// The memo cache must hold fig1's entry and nothing else: the failed
+	// cell was not memoized.
+	entries, _ := filepath.Glob(filepath.Join(root, "cache", "*.json"))
+	if len(entries) != 1 {
+		t.Fatalf("cache dir has %d entries, want 1: %v", len(entries), entries)
 	}
-	raw, _ := os.ReadFile(filepath.Join(root, "checkpoint", ckpts[0].Name()))
-	if !strings.Contains(string(raw), `"fig1"`) || strings.Contains(string(raw), `"cosched"`) {
-		t.Fatalf("checkpoint should record exactly fig1:\n%s", raw)
+	raw, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entry struct {
+		Slug string `json:"slug"`
+	}
+	if err := json.Unmarshal(raw, &entry); err != nil || entry.Slug != "fig1" {
+		t.Fatalf("cache entry should be fig1's (err %v):\n%s", err, raw)
 	}
 
-	// Run 2: resume without the fault. fig1 must come from cache (hit
-	// counter ≥ 1 and the cached marker on stderr), cosched recomputes.
-	code, out2, err2 := chaosRun(t, root, append(sel, "-resume")...)
+	// Run 2: the same command without the fault. fig1 must come from
+	// cache (hit counter ≥ 1 and the cached marker on stderr), cosched
+	// recomputes.
+	code, out2, err2 := chaosRun(t, root, sel...)
 	if code != 0 {
 		t.Fatalf("run 2 exit %d:\n%s", code, err2)
-	}
-	if !strings.Contains(err2, "resume: checkpoint lists 1 completed experiment(s): fig1") {
-		t.Errorf("run 2 should announce the resumed progress:\n%s", err2)
 	}
 	if !strings.Contains(err2, "(fig1: cached)") {
 		t.Errorf("fig1 must replay from cache on resume:\n%s", err2)
@@ -194,42 +197,6 @@ func TestKillAndResumeRecomputesOnlyUnfinishedCells(t *testing.T) {
 	// clean output: fig1's block printed, cosched's did not.
 	if !strings.Contains(out1, "MCT classification accuracy") || strings.Contains(out1, "co-schedule ranking") {
 		t.Errorf("run 1 stdout should contain fig1's table only:\n%s", out1)
-	}
-
-	// Full success removed the checkpoint: nothing left to resume.
-	ckpts, _ = os.ReadDir(filepath.Join(root, "checkpoint"))
-	if len(ckpts) != 0 {
-		t.Errorf("completed run left %d checkpoint file(s) behind", len(ckpts))
-	}
-}
-
-// TestResumeWithoutCheckpointIsHarmless: -resume on a fresh configuration
-// just runs everything.
-func TestResumeWithoutCheckpointIsHarmless(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real experiment")
-	}
-	code, _, stderr := chaosRun(t, t.TempDir(), "-quick", "-experiment", "fig2", "-resume")
-	if code != 0 {
-		t.Fatalf("exit %d:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "resume: no checkpoint") {
-		t.Errorf("missing fresh-resume notice:\n%s", stderr)
-	}
-}
-
-// TestResumeUnderNoCacheWarns: -resume needs the cache; under -nocache it
-// must degrade to a warning, not fail.
-func TestResumeUnderNoCacheWarns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real experiment")
-	}
-	code, _, stderr := chaosRun(t, t.TempDir(), "-quick", "-experiment", "fig2", "-resume", "-nocache")
-	if code != 0 {
-		t.Fatalf("exit %d:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "-resume needs the result cache") {
-		t.Errorf("missing -nocache warning:\n%s", stderr)
 	}
 }
 

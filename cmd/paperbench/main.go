@@ -8,7 +8,7 @@
 //	           [-instructions N] [-accesses N] [-seed N] [-quick]
 //	           [-progress] [-nocache] [-cachedir DIR]
 //	           [-task-timeout D] [-retries N] [-retry-backoff D] [-strict]
-//	           [-resume] [-checkpointdir DIR] [-inject SPEC] [-fsync MODE]
+//	           [-inject SPEC] [-fsync MODE]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //	           [-trace-out FILE] [-slow-factor N]
 //
@@ -33,11 +33,9 @@
 // succeeded and a failure summary (task labels, indices, attempt counts)
 // to stderr for those that did not. The exit code is non-zero only when
 // every selected experiment failed, or when any failed under -strict.
-// Completed experiments are checkpointed to results/checkpoint/ (atomic
-// write-temp-then-rename, keyed by a run ID over parameters, selection,
-// and code version); a run killed mid-sweep and restarted with -resume
-// replays the checkpointed cells from the memo cache and recomputes only
-// the remainder. -inject installs a fault-injection schedule (see
+// A run killed mid-sweep and restarted with the same command replays the
+// finished experiments from the memo cache and recomputes only the
+// remainder. -inject installs a fault-injection schedule (see
 // internal/faultinject.Parse: "error:2", "hang@fig5", "panic", ...) for
 // chaos-testing that machinery against the real binary.
 //
@@ -93,10 +91,8 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 		retries      = fs.Int("retries", 2, "extra attempts per task for failures marked transient")
 		retryBackoff = fs.Duration("retry-backoff", runner.DefaultBackoff, "base retry backoff (exponential, deterministic jitter)")
 		strict       = fs.Bool("strict", false, "exit non-zero if ANY experiment failed (default: only if all failed)")
-		resume       = fs.Bool("resume", false, "resume an interrupted run: replay checkpointed experiments from the cache, recompute the rest")
-		ckptDir      = fs.String("checkpointdir", runner.DefaultCheckpointDir, "sweep checkpoint directory")
 		inject       = fs.String("inject", "", "fault-injection schedule for chaos testing, e.g. 'error:2' or 'hang@fig5,panic@sim' (see internal/faultinject)")
-		fsyncMode    = fs.String("fsync", "off", "fsync policy for checkpoint/cache writes: off (process-crash safe only), data, always")
+		fsyncMode    = fs.String("fsync", "off", "fsync policy for cache writes: off (process-crash safe only), data, always")
 
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile covering the whole run (worker pool included)")
 		memProf = fs.String("memprofile", "", "write a heap profile at the end of the run")
@@ -108,8 +104,8 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Checkpoint and cache writes follow one durability policy. Off by
-	// default for the CLI: temp+rename already survives process crashes
+	// Cache writes follow the -fsync durability policy. Off by default
+	// for the CLI: temp+rename already survives process crashes
 	// (including SIGKILL); fsync only buys power-loss safety, at real
 	// latency cost per experiment.
 	fsync, err := durable.ParsePolicy(*fsyncMode)
@@ -238,48 +234,26 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	}
 	all := wanted["all"]
 
-	// Spans from this run carry the checkpoint run ID as their default
-	// trace, so an NDJSON trace file joins back to the exact configuration
-	// (parameters, selection, code version) that produced it.
+	// Spans from this run carry the run ID as their default trace, so an
+	// NDJSON trace file joins back to the exact configuration (parameters,
+	// selection, code version) that produced it.
 	obs.SetDefaultTrace("paperbench-" + runID(p, wanted))
 	defer obs.SetDefaultTrace("")
 
-	// Sweep checkpoint: keyed by (parameters, selection, code version) so
-	// a rerun of the same configuration finds its own progress and nothing
-	// else's. Checkpointing needs the cache (it records cache keys), so
-	// -nocache disables it.
-	var ckpt *runner.Checkpoint
-	if cache != nil {
-		ckpt = runner.OpenCheckpoint(*ckptDir, runID(p, wanted))
-		if *resume {
-			if n := ckpt.Len(); n > 0 {
-				fmt.Fprintf(stderr, "(resume: checkpoint lists %d completed experiment(s): %s)\n",
-					n, strings.Join(ckpt.DoneSlugs(), ", "))
-			} else {
-				fmt.Fprintln(stderr, "(resume: no checkpoint for this configuration; running everything)")
-			}
-		} else if ckpt.Len() > 0 {
-			// A stale checkpoint from an interrupted identical run: without
-			// -resume the run starts over, so drop the old progress record.
-			ckpt.Reset()
-		}
-	} else if *resume {
-		fmt.Fprintln(stderr, "paperbench: -resume needs the result cache; ignoring it under -nocache")
-	}
-
+	// The first CSV write failure stops the run (no further experiments
+	// start) and makes it exit 1 through the normal return path, so every
+	// deferred cleanup above still runs.
+	var csvErr error
 	emit := func(slug string, t *stats.Table) {
 		fmt.Fprintln(stdout, t)
-		if *csvDir == "" {
+		if *csvDir == "" || csvErr != nil {
 			return
 		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(stderr, "paperbench:", err)
-			os.Exit(1)
+		if csvErr = os.MkdirAll(*csvDir, 0o755); csvErr == nil {
+			csvErr = os.WriteFile(filepath.Join(*csvDir, slug+".csv"), []byte(t.CSV()), 0o644)
 		}
-		path := filepath.Join(*csvDir, slug+".csv")
-		if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
-			fmt.Fprintln(stderr, "paperbench:", err)
-			os.Exit(1)
+		if csvErr != nil {
+			fmt.Fprintln(stderr, "paperbench:", csvErr)
 		}
 	}
 
@@ -289,7 +263,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 		for _, n := range names {
 			hit = hit || wanted[n]
 		}
-		if !hit {
+		if !hit || csvErr != nil {
 			return
 		}
 		ran++
@@ -316,7 +290,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	run([]string{"fig1"}, func() error {
-		r, err := memoize(cache, ckpt, "fig1", p, stderr, *resume, func() (experiments.Fig1Result, error) { return experiments.Figure1(p) })
+		r, err := memoize(cache, "fig1", p, stderr, func() (experiments.Fig1Result, error) { return experiments.Figure1(p) })
 		if err != nil {
 			return err
 		}
@@ -329,7 +303,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	})
 
 	run([]string{"fig2"}, func() error {
-		r, err := memoize(cache, ckpt, "fig2", p, stderr, *resume, func() (experiments.Fig2Result, error) { return experiments.Figure2(p) })
+		r, err := memoize(cache, "fig2", p, stderr, func() (experiments.Fig2Result, error) { return experiments.Figure2(p) })
 		if err != nil {
 			return err
 		}
@@ -339,7 +313,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	})
 
 	run([]string{"fig3", "table1"}, func() error {
-		r, err := memoize(cache, ckpt, "fig3", p, stderr, *resume, func() (experiments.Fig3Result, error) { return experiments.Figure3(p) })
+		r, err := memoize(cache, "fig3", p, stderr, func() (experiments.Fig3Result, error) { return experiments.Figure3(p) })
 		if err != nil {
 			return err
 		}
@@ -357,7 +331,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	})
 
 	run([]string{"fig4"}, func() error {
-		r, err := memoize(cache, ckpt, "fig4", p, stderr, *resume, func() (experiments.Fig4Result, error) { return experiments.Figure4(p) })
+		r, err := memoize(cache, "fig4", p, stderr, func() (experiments.Fig4Result, error) { return experiments.Figure4(p) })
 		if err != nil {
 			return err
 		}
@@ -368,7 +342,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	})
 
 	run([]string{"fig5"}, func() error {
-		r, err := memoize(cache, ckpt, "fig5", p, stderr, *resume, func() (experiments.Fig5Result, error) { return experiments.Figure5(p) })
+		r, err := memoize(cache, "fig5", p, stderr, func() (experiments.Fig5Result, error) { return experiments.Figure5(p) })
 		if err != nil {
 			return err
 		}
@@ -379,7 +353,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	})
 
 	run([]string{"pseudo"}, func() error {
-		r, err := memoize(cache, ckpt, "pseudo", p, stderr, *resume, func() (experiments.PseudoResult, error) { return experiments.PseudoAssoc(p) })
+		r, err := memoize(cache, "pseudo", p, stderr, func() (experiments.PseudoResult, error) { return experiments.PseudoAssoc(p) })
 		if err != nil {
 			return err
 		}
@@ -392,7 +366,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	})
 
 	run([]string{"fig6", "fig7"}, func() error {
-		r, err := memoize(cache, ckpt, "fig6", p, stderr, *resume, func() (experiments.Fig6Result, error) { return experiments.Figure6(p) })
+		r, err := memoize(cache, "fig6", p, stderr, func() (experiments.Fig6Result, error) { return experiments.Figure6(p) })
 		if err != nil {
 			return err
 		}
@@ -412,7 +386,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	})
 
 	run([]string{"replacement"}, func() error {
-		r, err := memoize(cache, ckpt, "replacement", p, stderr, *resume, func() (experiments.ReplacementResult, error) { return experiments.Replacement(p) })
+		r, err := memoize(cache, "replacement", p, stderr, func() (experiments.ReplacementResult, error) { return experiments.Replacement(p) })
 		if err != nil {
 			return err
 		}
@@ -422,7 +396,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	})
 
 	run([]string{"remap"}, func() error {
-		r, err := memoize(cache, ckpt, "remap", p, stderr, *resume, func() (experiments.RemapResult, error) { return experiments.Remap(p) })
+		r, err := memoize(cache, "remap", p, stderr, func() (experiments.RemapResult, error) { return experiments.Remap(p) })
 		if err != nil {
 			return err
 		}
@@ -435,7 +409,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	})
 
 	run([]string{"depth"}, func() error {
-		r, err := memoize(cache, ckpt, "depth", p, stderr, *resume, func() (experiments.DepthResult, error) { return experiments.MCTDepth(p) })
+		r, err := memoize(cache, "depth", p, stderr, func() (experiments.DepthResult, error) { return experiments.MCTDepth(p) })
 		if err != nil {
 			return err
 		}
@@ -446,7 +420,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	})
 
 	run([]string{"geometry"}, func() error {
-		r, err := memoize(cache, ckpt, "geometry", p, stderr, *resume, func() (experiments.GeometryResult, error) { return experiments.GeometryStudy(p) })
+		r, err := memoize(cache, "geometry", p, stderr, func() (experiments.GeometryResult, error) { return experiments.GeometryStudy(p) })
 		if err != nil {
 			return err
 		}
@@ -458,7 +432,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	})
 
 	run([]string{"smt"}, func() error {
-		r, err := memoize(cache, ckpt, "smt", p, stderr, *resume, func() (experiments.SMTResult, error) { return experiments.SMTStudy(p) })
+		r, err := memoize(cache, "smt", p, stderr, func() (experiments.SMTResult, error) { return experiments.SMTStudy(p) })
 		if err != nil {
 			return err
 		}
@@ -470,7 +444,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	})
 
 	run([]string{"icache"}, func() error {
-		r, err := memoize(cache, ckpt, "icache", p, stderr, *resume, func() (experiments.ICacheResult, error) { return experiments.ICacheStudy(p) })
+		r, err := memoize(cache, "icache", p, stderr, func() (experiments.ICacheResult, error) { return experiments.ICacheStudy(p) })
 		if err != nil {
 			return err
 		}
@@ -482,7 +456,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	})
 
 	run([]string{"sweep"}, func() error {
-		r, err := memoize(cache, ckpt, "sweep", p, stderr, *resume, func() (experiments.SweepResult, error) { return experiments.ConfigSweep(p) })
+		r, err := memoize(cache, "sweep", p, stderr, func() (experiments.SweepResult, error) { return experiments.ConfigSweep(p) })
 		if err != nil {
 			return err
 		}
@@ -494,7 +468,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	})
 
 	run([]string{"cosched"}, func() error {
-		r, err := memoize(cache, ckpt, "cosched", p, stderr, *resume, func() (experiments.CoScheduleResult, error) { return experiments.CoSchedule(p) })
+		r, err := memoize(cache, "cosched", p, stderr, func() (experiments.CoScheduleResult, error) { return experiments.CoSchedule(p) })
 		if err != nil {
 			return err
 		}
@@ -504,7 +478,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	})
 
 	run([]string{"mrc"}, func() error {
-		r, err := memoize(cache, ckpt, "mrc", p, stderr, *resume, func() (experiments.MRCResult, error) { return experiments.MRCStudy(p) })
+		r, err := memoize(cache, "mrc", p, stderr, func() (experiments.MRCResult, error) { return experiments.MRCStudy(p) })
 		if err != nil {
 			return err
 		}
@@ -529,27 +503,21 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "(cache: %d corrupt entr(ies) quarantined under %s)\n", q, filepath.Join(*cacheDir, runner.QuarantineDirName))
 		}
 	}
+	if csvErr != nil {
+		return 1
+	}
 	if failed > 0 {
 		fmt.Fprintf(stderr, "paperbench: %d of %d experiment group(s) failed\n", failed, ran)
 		if *strict || failed == ran {
 			return 1
 		}
-		fmt.Fprintln(stderr, "paperbench: partial results above; rerun with -resume to retry the failures (-strict makes this exit non-zero)")
-		return 0
-	}
-	// Full success: the run is complete, so there is nothing to resume.
-	if err := ckpt.Remove(); err != nil {
-		fmt.Fprintln(stderr, "paperbench: removing checkpoint:", err)
+		fmt.Fprintln(stderr, "paperbench: partial results above; rerun the same command: finished experiments replay from the cache (-strict makes this exit non-zero)")
 	}
 	return 0
 }
 
-// runID derives the checkpoint identity of this invocation: a digest of
-// the parameters, the normalized experiment selection, and the code
-// version — everything that decides which cells the run computes and
-// what their cache keys are. Deterministic, so a rerun of the same
-// configuration (with or without -resume) maps to the same checkpoint
-// file.
+// runID names this invocation's default trace: a digest of the
+// parameters, the normalized experiment selection, and the code version.
 func runID(p experiments.Params, wanted map[string]bool) string {
 	sel := make([]string, 0, len(wanted))
 	for w := range wanted {
@@ -591,32 +559,16 @@ func label(s string) string {
 	return s
 }
 
-// memoize wraps one experiment in the on-disk cache and records its
-// completion in the sweep checkpoint. On a hit the experiment is skipped
-// entirely; the returned value is always the JSON round-trip of the
-// computed one, so stdout is byte-identical whether the result was
-// computed or replayed (cache diagnostics go to stderr). Failed
-// experiments are neither cached nor checkpointed — a later -resume run
+// memoize wraps one experiment in the on-disk cache. On a hit the
+// experiment is skipped entirely; the returned value is always the JSON
+// round-trip of the computed one, so stdout is byte-identical whether
+// the result was computed or replayed (cache diagnostics go to stderr).
+// Failed experiments are not cached, so rerunning the same command
 // recomputes exactly those.
-func memoize[T any](c *runner.Cache, ckpt *runner.Checkpoint, slug string, p experiments.Params, stderr io.Writer, resume bool, f func() (T, error)) (T, error) {
+func memoize[T any](c *runner.Cache, slug string, p experiments.Params, stderr io.Writer, f func() (T, error)) (T, error) {
 	v, hit, err := runner.Memo(c, slug, p, f)
-	if err != nil {
-		return v, err
-	}
-	if hit {
+	if err == nil && hit {
 		fmt.Fprintf(stderr, "(%s: cached)\n", slug)
 	}
-	if resume {
-		if _, done := ckpt.DoneKey(slug); done && !hit {
-			// The checkpoint promised this cell but the cache could not
-			// deliver it (entry quarantined, cache cleared): recomputed.
-			fmt.Fprintf(stderr, "(resume: %s was checkpointed but missed the cache; recomputed)\n", slug)
-		}
-	}
-	if key, kerr := runner.Key(slug, p); kerr == nil {
-		if cerr := ckpt.MarkDone(slug, key); cerr != nil {
-			fmt.Fprintf(stderr, "paperbench: checkpointing %s: %v\n", slug, cerr)
-		}
-	}
-	return v, nil
+	return v, err
 }

@@ -149,6 +149,44 @@ func TestTraceOutWritesSpans(t *testing.T) {
 	}
 }
 
+// TestCSVWriteFailureExitsThroughReturn: a -csvdir that cannot be
+// created fails the run with exit code 1 and the path on stderr, and
+// returns through paperbenchMain rather than exiting the process, so the
+// deferred cleanups still run — here, the -trace-out exporter's Close,
+// which must leave a parseable span file behind.
+func TestCSVWriteFailureExitsThroughReturn(t *testing.T) {
+	dir := t.TempDir()
+	notDir := filepath.Join(dir, "not-a-dir")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spans := filepath.Join(dir, "spans.ndjson")
+	var out, errB bytes.Buffer
+	code := paperbenchMain([]string{"-quick", "-experiment", "fig2", "-nocache",
+		"-csvdir", notDir, "-trace-out", spans}, &out, &errB)
+	if code != 1 {
+		t.Fatalf("exit code %d, want 1:\n%s", code, errB.String())
+	}
+	if !strings.Contains(errB.String(), notDir) {
+		t.Errorf("stderr should name the CSV path %s:\n%s", notDir, errB.String())
+	}
+	raw, err := os.ReadFile(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var rec obs.SpanRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("trace line is not a span record: %v\n%s", err, line)
+		}
+		n++
+	}
+	if n == 0 {
+		t.Error("-trace-out file holds no spans; the exporter was not closed")
+	}
+}
+
 // TestUnknownExperimentExitCode keeps the CLI contract: an unknown
 // -experiment value is a usage error naming the valid selections, and a
 // selection mixing valid and invalid names runs nothing rather than

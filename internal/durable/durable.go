@@ -1,7 +1,7 @@
 // Package durable centralizes the fsync policy behind every
-// crash-safety-critical write in the repo: the service's job journal,
-// the runner's sweep checkpoints, and the memoization cache's entry
-// writer. All three already used the temp-file + rename discipline,
+// crash-safety-critical write in the repo: the service's job journal
+// and the memoization cache's entry writer. Both use the temp-file +
+// rename discipline,
 // which protects against torn files from a crashed *process* — but not
 // against power loss, where the rename can be durable while the file's
 // data blocks are not (or vice versa). Closing that hole requires
@@ -20,9 +20,9 @@
 //     compaction, and close — but not on every record append. Process
 //     crashes lose nothing; power loss may lose the records appended
 //     since the last boundary, never the file's integrity (CRC framing
-//     detects the torn tail). Checkpoint and cache writes sync fully
-//     under this policy (they are rare, whole-file writes where the
-//     boundary IS the write). The mctd default.
+//     detects the torn tail). Cache writes sync fully under this
+//     policy (they are rare, whole-file writes where the boundary IS
+//     the write). The mctd default.
 //   - PolicyAlways: fsync file and directory on every durable write,
 //     including each journal append. Survives power loss at the cost of
 //     one fsync (or two) per record.

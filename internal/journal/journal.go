@@ -19,9 +19,10 @@
 //   - Bit rot / partial corruption in the middle of a segment: framing
 //     is unrecoverable past the damage, so the segment is quarantined
 //     (moved aside with a .reason sidecar, mirroring the cache's
-//     convention) and replay continues with the next segment. The
-//     records lost are bounded by one segment; the ops runbook in
-//     README.md covers the diagnosis.
+//     convention), its intact frames before the damage are put back in
+//     place, and replay continues with the next segment. The records
+//     lost are those after the damage in one segment; the ops runbook
+//     in README.md covers the diagnosis.
 //
 // Replay is idempotent by design contract: the caller's records must
 // tolerate being applied twice (the service keys them by job ID and
@@ -212,7 +213,7 @@ func (j *Journal) Replay(fn func(payload []byte) error) (ReplayStats, error) {
 				reason = fmt.Sprintf("torn frame at offset %d in a non-final segment", tornAt)
 			}
 			st.Quarantined++
-			j.quarantine(seg.path, reason)
+			j.quarantine(seg.path, reason, tornAt)
 		}
 	}
 	return st, nil
@@ -259,9 +260,11 @@ func replaySegment(path string, fn func([]byte) error) (n int, tornAt int64, cor
 	return n, -1, "", nil
 }
 
-// quarantine moves a damaged segment aside with a .reason sidecar.
-// Caller holds j.mu. Never fatal.
-func (j *Journal) quarantine(path, reason string) {
+// quarantine moves a damaged segment aside with a .reason sidecar, then
+// writes its first keep bytes — the intact frames this replay already
+// delivered — back in place, so a replay after a crash that preceded
+// compaction delivers them again. Caller holds j.mu. Never fatal.
+func (j *Journal) quarantine(path, reason string, keep int64) {
 	qdir := filepath.Join(j.dir, QuarantineDirName)
 	dst := filepath.Join(qdir, filepath.Base(path))
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
@@ -274,6 +277,16 @@ func (j *Journal) quarantine(path, reason string) {
 	}
 	_ = os.WriteFile(dst+".reason", []byte(reason+"\n"), 0o644)
 	j.logf("journal: quarantined corrupt segment %s: %s", path, reason)
+	if keep <= 0 {
+		return
+	}
+	raw, err := os.ReadFile(dst)
+	if err == nil {
+		err = durable.WriteFileAtomic(path, raw[:keep], 0o644, j.opts.Sync)
+	}
+	if err != nil {
+		j.logf("journal: restoring the intact frames of %s: %v", path, err)
+	}
 }
 
 // rotateLocked closes the active segment (fsyncing per policy) and

@@ -11,7 +11,7 @@ import (
 )
 
 func TestRunAgainstInProcessService(t *testing.T) {
-	svc := service.New(service.Config{CacheDir: t.TempDir() + "/cache", CheckpointDir: t.TempDir() + "/ckpt"})
+	svc := service.New(service.Config{CacheDir: t.TempDir() + "/cache"})
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
 		srv.Close()

@@ -250,11 +250,11 @@ func (c *Cache) store(slug, key string, result json.RawMessage) error {
 	if err != nil {
 		return fmt.Errorf("runner: encoding cache entry %s: %w", slug, err)
 	}
-	// Same temp+rename discipline as before, now fsyncing file and
-	// directory when the process-wide sync policy demands power-loss
-	// durability (a torn cache entry is only quarantine noise, but a
-	// memoized result the checkpoint already references must not
-	// evaporate after the checkpoint said it exists).
+	// Temp+rename, fsyncing file and directory when the process-wide
+	// sync policy demands power-loss durability (a torn cache entry is
+	// only quarantine noise, but a re-driven job replays finished cells
+	// from the memo, so an entry must not evaporate after its cell
+	// reported done).
 	if err := durable.WriteFileAtomic(c.path(key), data, 0o644, writeSyncPolicy()); err != nil {
 		return fmt.Errorf("runner: committing cache entry %s: %w", slug, err)
 	}

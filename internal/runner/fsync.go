@@ -7,19 +7,19 @@ import (
 )
 
 // syncPolicy is the process-wide durability policy for the runner's
-// whole-file writers (checkpoint snapshots, cache entries). It is
-// process-wide for the same reason SetDefaultOptions is: checkpoints
-// and cache entries are opened deep inside experiment fan-outs, far
-// from any flag parsing, and durability is an operator decision about
-// the host (its storage, its power story), not about one sweep.
+// whole-file writer, the memo cache's entry store. It is process-wide
+// for the same reason SetDefaultOptions is: cache entries are written
+// deep inside experiment fan-outs, far from any flag parsing, and
+// durability is an operator decision about the host (its storage, its
+// power story), not about one sweep.
 //
 // The default is durable.PolicyOff — the seed behavior: temp+rename
 // atomicity against process crashes, no fsync. cmd/mctd and
 // cmd/paperbench raise it from their -fsync flags.
 var syncPolicy atomic.Int32
 
-// SetSyncPolicy installs the process-wide fsync policy for checkpoint
-// and cache writes. Safe to call concurrently with writers; each write
+// SetSyncPolicy installs the process-wide fsync policy for cache
+// writes. Safe to call concurrently with writers; each write
 // snapshots the policy once.
 func SetSyncPolicy(p durable.Policy) { syncPolicy.Store(int32(p)) }
 

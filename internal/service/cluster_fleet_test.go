@@ -73,9 +73,8 @@ func bootFleet(t testing.TB, n int,
 			t.Fatal(err)
 		}
 		cfg := Config{
-			CacheDir:      t.TempDir() + "/cache",
-			CheckpointDir: t.TempDir() + "/ckpt",
-			Cluster:       cl,
+			CacheDir: t.TempDir() + "/cache",
+			Cluster:  cl,
 		}
 		if cfgMut != nil {
 			cfgMut(i, &cfg)

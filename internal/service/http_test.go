@@ -27,9 +27,6 @@ func newTestService(t testing.TB, cfg Config) (*Service, *httptest.Server) {
 	if cfg.CacheDir == "" {
 		cfg.CacheDir = t.TempDir() + "/cache"
 	}
-	if cfg.CheckpointDir == "" {
-		cfg.CheckpointDir = t.TempDir() + "/ckpt"
-	}
 	s := New(cfg)
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {

@@ -115,9 +115,8 @@ type RecoveryStats struct {
 // Recover replays the job journal into the registry and re-drives every
 // unfinished job: spec jobs re-run through their endpoint's row (a
 // sweep's finished cells replay from the memo cache through lookupCell
-// and runner.Memo, not from the sweep checkpoint, which is written but
-// never read, so only interrupted cells recompute; a classify or MRC
-// spec resolves as one supervised cell), and uploads — whose request
+// and runner.Memo, so only interrupted cells recompute; a classify or
+// MRC spec resolves as one supervised cell), and uploads — whose request
 // bodies were never retained — are marked failed. Re-driven work runs in
 // background goroutines that Drain waits for. After replay the journal
 // is compacted to the still-live records.

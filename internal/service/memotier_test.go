@@ -253,7 +253,7 @@ func TestMemoTierConcurrentReplays(t *testing.T) {
 // classify artifact, answered by the disk cache (file read, envelope and
 // artifact decode) and by the memory tier.
 func BenchmarkResolveSpecWarm(b *testing.B) {
-	s := New(Config{CacheDir: b.TempDir(), CheckpointDir: b.TempDir()})
+	s := New(Config{CacheDir: b.TempDir()})
 	defer func() { _ = s.Drain(context.Background()) }()
 	sp := &ClassifySpec{Workload: "tomcatv", Accesses: 9600, Emit: EmitMisses}
 	if err := sp.prepare(s); err != nil {

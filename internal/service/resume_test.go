@@ -12,7 +12,7 @@ import (
 
 // TestSweepKillAndResume exercises the service's crash/cancel-resume
 // contract: a sweep interrupted mid-flight leaves exactly its finished
-// cells in the memoization cache (checkpointed per cell, not per sweep),
+// cells in the memoization cache (memoized per cell, not per sweep),
 // and resubmitting the same sweep recomputes ONLY the unfinished cells.
 // The assertion rides the cache-hit counters — per job and on /metrics —
 // never wall-clock heuristics.

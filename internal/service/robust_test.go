@@ -27,17 +27,17 @@ func TestIdemHeaderMatchesClientPackage(t *testing.T) {
 
 // --- journal write-through + recovery ---
 
-// sharedDirs pins cache/checkpoint/journal dirs so a "restarted"
-// service instance sees its predecessor's state.
-type sharedDirs struct{ cache, ckpt, jnl string }
+// sharedDirs pins cache/journal dirs so a "restarted" service instance
+// sees its predecessor's state.
+type sharedDirs struct{ cache, jnl string }
 
 func newSharedDirs(t *testing.T) sharedDirs {
 	base := t.TempDir()
-	return sharedDirs{cache: base + "/cache", ckpt: base + "/ckpt", jnl: base + "/jobs"}
+	return sharedDirs{cache: base + "/cache", jnl: base + "/jobs"}
 }
 
 func (d sharedDirs) config() Config {
-	return Config{CacheDir: d.cache, CheckpointDir: d.ckpt, JournalDir: d.jnl}
+	return Config{CacheDir: d.cache, JournalDir: d.jnl}
 }
 
 // TestJournalWriteThroughAndRestoreFinished: a completed job's records

@@ -47,9 +47,13 @@ type Config struct {
 	AdmitWait  time.Duration
 
 	// CacheDir roots the memoization cache (shared with cmd/paperbench);
-	// NoCache disables it. CheckpointDir roots sweep checkpoints.
-	CacheDir      string
-	NoCache       bool
+	// NoCache disables it.
+	CacheDir string
+	NoCache  bool
+
+	// Deprecated: CheckpointDir is ignored. Sweeps write no checkpoint;
+	// a resubmitted or re-driven sweep replays its finished cells from
+	// the memo cache under CacheDir.
 	CheckpointDir string
 
 	// Limits bounds uploaded traces; MaxSpecAccesses bounds spec-path
@@ -76,7 +80,7 @@ type Config struct {
 	// it crash recovery and post-restart idempotency accounting.
 	JournalDir string
 	// Fsync is the durability policy for the journal (and, via cmd/mctd,
-	// for checkpoint/cache writes): PolicyOff survives process crashes
+	// for cache writes): PolicyOff survives process crashes
 	// (page cache), PolicyData also survives power loss for completed
 	// jobs, PolicyAlways fsyncs every record.
 	Fsync durable.Policy
@@ -126,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheDir == "" {
 		c.CacheDir = runner.DefaultCacheDir
-	}
-	if c.CheckpointDir == "" {
-		c.CheckpointDir = runner.DefaultCheckpointDir
 	}
 	if c.Limits == (trace.Limits{}) {
 		c.Limits = trace.Limits{MaxRecords: 10_000_000, MaxBytes: 1 << 28}

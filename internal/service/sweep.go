@@ -3,13 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/runner"
@@ -97,7 +93,7 @@ type sweepSummary struct {
 }
 
 // sweepCellDef is one unit of sweep work: an artifact at concrete
-// parameters, with the ID that names it in checkpoints and output.
+// parameters, with the ID that names it in output.
 type sweepCellDef struct {
 	art    experiments.Artifact
 	p      experiments.Params
@@ -129,34 +125,12 @@ func sweepCells(p experiments.Params, arts []experiments.Artifact, seeds []uint6
 	return cells
 }
 
-// sweepRunID keys a sweep's checkpoint by everything that defines it —
-// parameters, selection, seeds, code version — mirroring cmd/paperbench's
-// scheme so a rerun of the same configuration finds its own progress and
-// nothing else's. The seeds component is appended only when present, so
-// pre-Seeds sweeps keep their historical checkpoint IDs.
-func sweepRunID(p experiments.Params, arts []experiments.Artifact, seeds []uint64) string {
-	sel := make([]string, 0, len(arts))
-	for _, a := range arts {
-		sel = append(sel, a.Slug)
-	}
-	sort.Strings(sel)
-	enc, _ := json.Marshal(p)
-	h := sha256.New()
-	fmt.Fprintf(h, "svc\x00code=%s\x00params=%s\x00sel=%s", runner.CodeVersion(), enc, strings.Join(sel, ","))
-	if len(seeds) > 0 {
-		senc, _ := json.Marshal(seeds)
-		fmt.Fprintf(h, "\x00seeds=%s", senc)
-	}
-	return "svc-" + hex.EncodeToString(h.Sum(nil))[:16]
-}
-
 // runSweep executes the sweep's cells through the supervised worker
 // pool, each memoized under the same (slug, Params) key cmd/paperbench
 // uses — a sweep the CLI already computed replays from cache, and vice
 // versa. A sweep killed mid-flight and resubmitted recomputes only the
 // unfinished cells because the finished ones replay through lookupCell
-// from runner.Memo; the per-cell checkpoint written below is never read
-// back. Clustered, each cell routes through memoCell —
+// from runner.Memo. Clustered, each cell routes through memoCell —
 // remote-owned cells forward to their ring owner — and the fan-out
 // widens beyond local compute capacity so forwards overlap while the
 // compute gate keeps local work bounded. Returns the NDJSON lines in
@@ -164,11 +138,6 @@ func sweepRunID(p experiments.Params, arts []experiments.Artifact, seeds []uint6
 // under partial results).
 func (s *Service) runSweep(ctx context.Context, p experiments.Params, arts []experiments.Artifact, seeds []uint64) ([]sweepLine, uint64, uint64, error) {
 	cells := sweepCells(p, arts, seeds)
-
-	var ckpt *runner.Checkpoint
-	if s.cache != nil && s.cfg.CheckpointDir != "" {
-		ckpt = runner.OpenCheckpoint(s.cfg.CheckpointDir, sweepRunID(p, arts, seeds))
-	}
 
 	// Job-scoped supervision: the options ride the context into the pool,
 	// so everything this job fans out inherits the policy without global
@@ -196,9 +165,6 @@ func (s *Service) runSweep(ctx context.Context, p experiments.Params, arts []exp
 			raw, hit, err := s.lookupCell(tctx, c)
 			if err != nil {
 				return memoResult{}, err
-			}
-			if key, kerr := runner.Key(c.slug, c.payload); kerr == nil {
-				_ = ckpt.MarkDone(def.id, key)
 			}
 			return memoResult{raw, hit}, nil
 		})
@@ -239,10 +205,6 @@ func (s *Service) runSweep(ctx context.Context, p experiments.Params, arts []exp
 				misses++
 			}
 		}
-	}
-	if err == nil && ckpt != nil && len(failed) == 0 {
-		// Complete: nothing left to resume.
-		_ = ckpt.Remove()
 	}
 	return lines, hits, misses, err
 }
