@@ -16,35 +16,43 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestFig2QuickGolden pins the exact stdout of
-// `paperbench -quick -experiment fig2` against a committed golden file —
-// a whole-pipeline regression net over the workload generators, the
-// cache model, the MCT, the runner's ordered merge, and the table
-// renderer at once. Regenerate with: go test ./cmd/paperbench -update
+// `paperbench -quick -experiment fig2` and of `-quick -experiment all`
+// against committed golden files — a whole-pipeline regression net over
+// the workload generators, the cache model, the MCT, the runner's ordered
+// merge, and every experiment's report at once. Regenerate with:
+// go test ./cmd/paperbench -run TestFig2QuickGolden -update
 func TestFig2QuickGolden(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := paperbenchMain(
-		[]string{"-quick", "-experiment", "fig2", "-cachedir", filepath.Join(t.TempDir(), "cache")},
-		&stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit code %d, stderr:\n%s", code, stderr.String())
-	}
+	for _, tc := range []struct{ experiment, golden string }{
+		{"fig2", "fig2_quick.golden"},
+		{"all", "all_quick.golden"},
+	} {
+		t.Run(tc.experiment, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := paperbenchMain(
+				[]string{"-quick", "-experiment", tc.experiment, "-cachedir", filepath.Join(t.TempDir(), "cache")},
+				&stdout, &stderr)
+			if code != 0 {
+				t.Fatalf("exit code %d, stderr:\n%s", code, stderr.String())
+			}
 
-	golden := filepath.Join("testdata", "fig2_quick.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Errorf("fig2 -quick output drifted from %s.\n--- got ---\n%s\n--- want ---\n%s",
-			golden, stdout.String(), want)
+			golden := filepath.Join("testdata", tc.golden)
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("reading golden (run with -update to create): %v", err)
+			}
+			if !bytes.Equal(stdout.Bytes(), want) {
+				t.Errorf("-quick -experiment %s output drifted from %s.\n--- got ---\n%s\n--- want ---\n%s",
+					tc.experiment, golden, stdout.String(), want)
+			}
+		})
 	}
 }
 
