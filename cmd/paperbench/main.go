@@ -4,13 +4,18 @@
 //
 // Usage:
 //
-//	paperbench [-experiment all|fig1|fig2|fig3|table1|fig4|fig5|pseudo|fig6|fig7]
+//	paperbench [-experiment NAME[,NAME...]]
 //	           [-instructions N] [-accesses N] [-seed N] [-quick]
 //	           [-progress] [-nocache] [-cachedir DIR]
 //	           [-task-timeout D] [-retries N] [-retry-backoff D] [-strict]
 //	           [-inject SPEC] [-fsync MODE]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //	           [-trace-out FILE] [-slow-factor N]
+//
+// Each NAME is an artifact of the experiment registry
+// (internal/experiments.Artifacts) or "all", the default; -h lists them.
+// paperbench runs the selected registry rows in registry order and prints
+// each row's own report.
 //
 // The default scale (see internal/experiments.Default) is sized to finish
 // in minutes on a laptop while giving stable statistics; -quick shrinks it
@@ -77,7 +82,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		which    = fs.String("experiment", "all", "which artifact to regenerate: all, fig1, fig2, fig3, table1, fig4, fig5, pseudo, fig6, fig7, replacement, remap, cosched, depth, geometry, smt, icache, sweep")
+		which    = fs.String("experiment", experiments.SelectAll, "comma-separated artifacts to regenerate: "+strings.Join(experiments.SelectionNames(), ", "))
 		instrs   = fs.Uint64("instructions", 0, "instructions per timing run (0 = default scale)")
 		memAcc   = fs.Uint64("accesses", 0, "memory accesses per functional run (0 = default scale)")
 		seed     = fs.Uint64("seed", 0, "workload seed (0 = repo default)")
@@ -216,7 +221,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 		defer runner.SetReporter(nil)
 	}
 
-	// Validate the selection against the experiment registry before running
+	// Resolve the selection against the experiment registry before running
 	// anything: a typo'd -experiment must fail loudly with the valid names,
 	// not silently run nothing. The same validation guards the service's
 	// sweep endpoint (internal/service), so the two front ends agree on
@@ -228,11 +233,11 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 		selection = append(selection, w)
 		wanted[w] = true
 	}
-	if err := experiments.ValidateSelection(selection); err != nil {
+	arts, err := experiments.Select(selection)
+	if err != nil {
 		fmt.Fprintln(stderr, "paperbench:", err)
 		return 2
 	}
-	all := wanted["all"]
 
 	// Spans from this run carry the run ID as their default trace, so an
 	// NDJSON trace file joins back to the exact configuration (parameters,
@@ -240,31 +245,14 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	obs.SetDefaultTrace("paperbench-" + runID(p, wanted))
 	defer obs.SetDefaultTrace("")
 
-	// The first CSV write failure stops the run (no further experiments
-	// start) and makes it exit 1 through the normal return path, so every
-	// deferred cleanup above still runs.
-	var csvErr error
-	emit := func(slug string, t *stats.Table) {
-		fmt.Fprintln(stdout, t)
-		if *csvDir == "" || csvErr != nil {
-			return
-		}
-		if csvErr = os.MkdirAll(*csvDir, 0o755); csvErr == nil {
-			csvErr = os.WriteFile(filepath.Join(*csvDir, slug+".csv"), []byte(t.CSV()), 0o644)
-		}
-		if csvErr != nil {
-			fmt.Fprintln(stderr, "paperbench:", csvErr)
-		}
-	}
-
+	out := &report{stdout: stdout, stderr: stderr, csvDir: *csvDir, wanted: wanted}
 	ran, failed := 0, 0
-	run := func(names []string, f func() error) {
-		hit := all
-		for _, n := range names {
-			hit = hit || wanted[n]
-		}
-		if !hit || csvErr != nil {
-			return
+	for _, a := range arts {
+		// The first CSV write failure stops the run: no further experiment
+		// starts, and the run exits 1 through the normal return path, so
+		// every deferred cleanup above still runs.
+		if out.csvErr != nil {
+			break
 		}
 		ran++
 		start := time.Now()
@@ -277,225 +265,26 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 					err = fmt.Errorf("panic: %v", r)
 				}
 			}()
-			return f()
+			rep, hit, err := a.Memo(cache, p)
+			if err != nil {
+				return err
+			}
+			if hit {
+				fmt.Fprintf(stderr, "(%s: cached)\n", a.Slug)
+			}
+			rep(out)
+			return nil
 		}()
 		if err != nil {
 			failed++
-			renderFailure(stderr, names[0], err)
+			renderFailure(stderr, a.Slug, err)
 		}
 		// Blank separator between experiment blocks (deterministic, so it
 		// belongs on stdout); the timing is diagnostic and goes to stderr.
 		fmt.Fprintln(stdout)
-		fmt.Fprintf(stderr, "(%s in %.1fs)\n", names[0], time.Since(start).Seconds())
+		fmt.Fprintf(stderr, "(%s in %.1fs)\n", a.Slug, time.Since(start).Seconds())
 	}
 
-	run([]string{"fig1"}, func() error {
-		r, err := memoize(cache, "fig1", p, stderr, func() (experiments.Fig1Result, error) { return experiments.Figure1(p) })
-		if err != nil {
-			return err
-		}
-		emit("fig1", r.Table())
-		fmt.Fprintf(stdout, "paper: 88%%/86%% conflict/capacity on 16KB DM, 91%%/92%% on 64KB DM; ≥87%% of misses overall\n")
-		fmt.Fprintf(stdout, "here : %.0f%%/%.0f%% on 16KB DM, %.0f%%/%.0f%% on 64KB DM\n",
-			100*r.MeanConflictAcc["16KB-DM"], 100*r.MeanCapacityAcc["16KB-DM"],
-			100*r.MeanConflictAcc["64KB-DM"], 100*r.MeanCapacityAcc["64KB-DM"])
-		return nil
-	})
-
-	run([]string{"fig2"}, func() error {
-		r, err := memoize(cache, "fig2", p, stderr, func() (experiments.Fig2Result, error) { return experiments.Figure2(p) })
-		if err != nil {
-			return err
-		}
-		emit("fig2", r.Table())
-		fmt.Fprintln(stdout, "paper: 8-12 bits ≈ full-tag accuracy; 1 bit excludes ~half of capacity misses cheaply")
-		return nil
-	})
-
-	run([]string{"fig3", "table1"}, func() error {
-		r, err := memoize(cache, "fig3", p, stderr, func() (experiments.Fig3Result, error) { return experiments.Figure3(p) })
-		if err != nil {
-			return err
-		}
-		if all || wanted["fig3"] {
-			emit("fig3", r.Table())
-			fmt.Fprintln(stdout, r.Chart("geomean speedup over no victim cache (| marks 1.0)", 0))
-			fmt.Fprintf(stdout, "paper: combined filtering ≈ +3%% over the traditional victim cache; here %+.1f%%\n",
-				100*(r.CombinedOverTraditional()-1))
-		}
-		if all || wanted["table1"] {
-			emit("table1", r.Table1Text())
-			fmt.Fprintln(stdout, "paper Table 1: fills 6.6 -> 2.6 (more than halved), swaps 1.7 -> 0.1, total HR -0.3pp")
-		}
-		return nil
-	})
-
-	run([]string{"fig4"}, func() error {
-		r, err := memoize(cache, "fig4", p, stderr, func() (experiments.Fig4Result, error) { return experiments.Figure4(p) })
-		if err != nil {
-			return err
-		}
-		emit("fig4", r.Table())
-		fmt.Fprintf(stdout, "paper: ~+25%% prefetch accuracy from filtering, little speedup by itself; here %+.0f%% accuracy\n",
-			100*r.AccuracyGain())
-		return nil
-	})
-
-	run([]string{"fig5"}, func() error {
-		r, err := memoize(cache, "fig5", p, stderr, func() (experiments.Fig5Result, error) { return experiments.Figure5(p) })
-		if err != nil {
-			return err
-		}
-		emit("fig5", r.Table())
-		hr, sp := r.CapacityBeatsMAT()
-		fmt.Fprintf(stdout, "paper: the simple capacity filter beats the MAT on hit rate and speedup; here hitrate=%v speedup=%v\n", hr, sp)
-		return nil
-	})
-
-	run([]string{"pseudo"}, func() error {
-		r, err := memoize(cache, "pseudo", p, stderr, func() (experiments.PseudoResult, error) { return experiments.PseudoAssoc(p) })
-		if err != nil {
-			return err
-		}
-		emit("pseudo", r.Table())
-		base, mct := r.MissRates()
-		fmt.Fprintf(stdout, "paper: MCT policy +1.5%% over base PA, within 0.9%% of true 2-way, miss rate 10.22%%->9.83%%\n")
-		fmt.Fprintf(stdout, "here : %+.1f%% over base PA, %.1f%% vs 2-way, miss rate %.2f%%->%.2f%%\n",
-			100*(r.MCTOverBase()-1), 100*(r.MCTVsTwoWay()-1), 100*base, 100*mct)
-		return nil
-	})
-
-	run([]string{"fig6", "fig7"}, func() error {
-		r, err := memoize(cache, "fig6", p, stderr, func() (experiments.Fig6Result, error) { return experiments.Figure6(p) })
-		if err != nil {
-			return err
-		}
-		if all || wanted["fig6"] {
-			emit("fig6", r.Table())
-			fmt.Fprintln(stdout, r.Chart("geomean speedup over no buffer (| marks 1.0)", 0))
-			sn, s := r.BestSingleGain()
-			cn, c := r.BestComboGain()
-			fmt.Fprintf(stdout, "paper: best combo ≈ 2x the best single policy's gain (~16%% better), ~30%% miss-rate cut\n")
-			fmt.Fprintf(stdout, "here : best single %s %+.1f%%, best combo %s %+.1f%%, miss-rate cut %.0f%%\n",
-				sn, 100*(s-1), cn, 100*(c-1), 100*r.MissRateReduction())
-		}
-		if all || wanted["fig7"] {
-			emit("fig7", r.Figure7Table())
-		}
-		return nil
-	})
-
-	run([]string{"replacement"}, func() error {
-		r, err := memoize(cache, "replacement", p, stderr, func() (experiments.ReplacementResult, error) { return experiments.Replacement(p) })
-		if err != nil {
-			return err
-		}
-		emit("replacement", r.Table())
-		fmt.Fprintln(stdout, "paper Sec 5.6: modest on this suite by the paper's own admission; the bias must not hurt")
-		return nil
-	})
-
-	run([]string{"remap"}, func() error {
-		r, err := memoize(cache, "remap", p, stderr, func() (experiments.RemapResult, error) { return experiments.Remap(p) })
-		if err != nil {
-			return err
-		}
-		emit("remap", r.Table())
-		ra, rc, ma, mc := r.RemapEfficiency()
-		fmt.Fprintf(stdout, "paper Sec 5.6: count only conflict misses to avoid pointless remaps\n")
-		fmt.Fprintf(stdout, "here : all-miss counting %d remaps (mean miss %.2f%%); conflict-only %d remaps (mean miss %.2f%%)\n",
-			ra, 100*ma, rc, 100*mc)
-		return nil
-	})
-
-	run([]string{"depth"}, func() error {
-		r, err := memoize(cache, "depth", p, stderr, func() (experiments.DepthResult, error) { return experiments.MCTDepth(p) })
-		if err != nil {
-			return err
-		}
-		emit("depth", r.Table())
-		fmt.Fprintln(stdout, "extension the paper set aside: deeper eviction history buys conflict accuracy")
-		fmt.Fprintln(stdout, "but loses capacity accuracy to false matches — the one-deep table is the sweet spot")
-		return nil
-	})
-
-	run([]string{"geometry"}, func() error {
-		r, err := memoize(cache, "geometry", p, stderr, func() (experiments.GeometryResult, error) { return experiments.GeometryStudy(p) })
-		if err != nil {
-			return err
-		}
-		emit("geometry", r.Table())
-		fmt.Fprintf(stdout, "beyond the paper: the MCT assumes modulo indexing; under conflict-destroying defenses\n")
-		fmt.Fprintf(stdout, "here : suite conflict accuracy %.1f%% (modulo) -> %.1f%% (skewed) -> %.1f%% (random)\n",
-			100*r.MeanConflictAcc["modulo"], 100*r.MeanConflictAcc["skewed"], 100*r.MeanConflictAcc["random"])
-		return nil
-	})
-
-	run([]string{"smt"}, func() error {
-		r, err := memoize(cache, "smt", p, stderr, func() (experiments.SMTResult, error) { return experiments.SMTStudy(p) })
-		if err != nil {
-			return err
-		}
-		emit("smt", r.Table())
-		fmt.Fprintf(stdout, "paper Sec 5.6: the techniques \"apply to an even greater extent with multithreaded caches\"\n")
-		fmt.Fprintf(stdout, "here : AMB gains %+.1f%% on 2-thread shared caches vs %+.1f%% on solo runs\n",
-			100*(r.PairGain()-1), 100*(r.SingleGain-1))
-		return nil
-	})
-
-	run([]string{"icache"}, func() error {
-		r, err := memoize(cache, "icache", p, stderr, func() (experiments.ICacheResult, error) { return experiments.ICacheStudy(p) })
-		if err != nil {
-			return err
-		}
-		emit("icache", r.Table())
-		fmt.Fprintf(stdout, "paper: techniques \"should, in general, also apply to the instruction cache\"\n")
-		fmt.Fprintf(stdout, "here : bare 8KB L1I costs %.1f%%; a 32-entry filtered victim buffer recovers %+.1f%%\n",
-			100*(1-r.ICacheCost()), 100*(r.VictimGain()-1))
-		return nil
-	})
-
-	run([]string{"sweep"}, func() error {
-		r, err := memoize(cache, "sweep", p, stderr, func() (experiments.SweepResult, error) { return experiments.ConfigSweep(p) })
-		if err != nil {
-			return err
-		}
-		emit("sweep", r.Table())
-		fmt.Fprintf(stdout, "generalization: worst-case overall accuracy %.1f%% across the grid;\n", 100*r.MinOverallAcc())
-		fmt.Fprintln(stdout, "conflict share collapses with associativity, which is why the paper")
-		fmt.Fprintln(stdout, "points at multithreaded and OLTP workloads rather than bigger caches")
-		return nil
-	})
-
-	run([]string{"cosched"}, func() error {
-		r, err := memoize(cache, "cosched", p, stderr, func() (experiments.CoScheduleResult, error) { return experiments.CoSchedule(p) })
-		if err != nil {
-			return err
-		}
-		emit("cosched", r.Table())
-		fmt.Fprintln(stdout, "paper Sec 5.6: jobs producing inordinate conflict misses together are bad co-schedule candidates")
-		return nil
-	})
-
-	run([]string{"mrc"}, func() error {
-		r, err := memoize(cache, "mrc", p, stderr, func() (experiments.MRCResult, error) { return experiments.MRCStudy(p) })
-		if err != nil {
-			return err
-		}
-		emit("mrc", r.Table())
-		fmt.Fprintf(stdout, "extension: SHARDS-style sampling at rate 0.01 stays within %.3f mean / %.3f worst\n",
-			r.MeanMAE["0.01"], r.WorstErr["0.01"])
-		fmt.Fprintln(stdout, "absolute miss-ratio error of exact stack distances (what /v1/mrc serves)")
-		return nil
-	})
-
-	if ran == 0 {
-		// Unreachable for registry-validated selections, but kept as a
-		// defensive gate: the run must never "succeed" having run nothing.
-		fmt.Fprintf(stderr, "paperbench: selection %q ran no experiments\n", *which)
-		fs.Usage()
-		return 2
-	}
 	if cache != nil {
 		hits, misses := cache.Stats()
 		fmt.Fprintf(stderr, "(cache: %d hit(s), %d miss(es) under %s)\n", hits, misses, *cacheDir)
@@ -503,7 +292,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "(cache: %d corrupt entr(ies) quarantined under %s)\n", q, filepath.Join(*cacheDir, runner.QuarantineDirName))
 		}
 	}
-	if csvErr != nil {
+	if out.csvErr != nil {
 		return 1
 	}
 	if failed > 0 {
@@ -559,16 +348,33 @@ func label(s string) string {
 	return s
 }
 
-// memoize wraps one experiment in the on-disk cache. On a hit the
-// experiment is skipped entirely; the returned value is always the JSON
-// round-trip of the computed one, so stdout is byte-identical whether
-// the result was computed or replayed (cache diagnostics go to stderr).
-// Failed experiments are not cached, so rerunning the same command
-// recomputes exactly those.
-func memoize[T any](c *runner.Cache, slug string, p experiments.Params, stderr io.Writer, f func() (T, error)) (T, error) {
-	v, hit, err := runner.Memo(c, slug, p, f)
-	if err == nil && hit {
-		fmt.Fprintf(stderr, "(%s: cached)\n", slug)
-	}
-	return v, err
+// report writes experiment reports: tables and lines to stdout, and each
+// table also as <name>.csv under csvDir when one is set. After the first
+// CSV write failure it writes no further CSVs and keeps the error.
+type report struct {
+	stdout, stderr io.Writer
+	csvDir         string
+	wanted         map[string]bool
+	csvErr         error
 }
+
+func (r *report) Wants(name string) bool {
+	return r.wanted[experiments.SelectAll] || r.wanted[name]
+}
+
+func (r *report) Table(name string, t *stats.Table) {
+	fmt.Fprintln(r.stdout, t)
+	if r.csvDir == "" || r.csvErr != nil {
+		return
+	}
+	if r.csvErr = os.MkdirAll(r.csvDir, 0o755); r.csvErr == nil {
+		r.csvErr = os.WriteFile(filepath.Join(r.csvDir, name+".csv"), []byte(t.CSV()), 0o644)
+	}
+	if r.csvErr != nil {
+		fmt.Fprintln(r.stderr, "paperbench:", r.csvErr)
+	}
+}
+
+func (r *report) Println(a ...any) { fmt.Fprintln(r.stdout, a...) }
+
+func (r *report) Printf(format string, a ...any) { fmt.Fprintf(r.stdout, format, a...) }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/obs"
 )
 
@@ -221,5 +222,17 @@ func TestUnknownExperimentExitCode(t *testing.T) {
 	}
 	if !strings.Contains(errB.String(), `unknown experiment "nope"`) {
 		t.Errorf("missing diagnostic for the typo, stderr:\n%s", errB.String())
+	}
+
+	// -h is a usage exit whose -experiment help names every selection.
+	out.Reset()
+	errB.Reset()
+	if code := paperbenchMain([]string{"-h"}, &out, &errB); code != 2 {
+		t.Fatalf("-h: exit code %d, want 2", code)
+	}
+	for _, name := range experiments.SelectionNames() {
+		if !strings.Contains(errB.String(), name) {
+			t.Errorf("-h output does not name %q:\n%s", name, errB.String())
+		}
 	}
 }

@@ -1,8 +1,10 @@
 // Package experiments reproduces, one function per artifact, every table
 // and figure in the paper's evaluation: Figures 1–7, Table 1, and the
-// Section 5.4 pseudo-associative results. Each function returns both the
-// raw series and a formatted text table; cmd/paperbench prints them and
-// bench_test.go reports their headline metrics.
+// Section 5.4 pseudo-associative results, plus the studies beyond it.
+// Each function returns the raw series, and its result type renders a
+// formatted text table. The registry (Artifacts) binds each function to
+// its report; cmd/paperbench and the mctd sweep endpoint run artifacts
+// only through it, and bench_test.go reports their headline metrics.
 package experiments
 
 import (
@@ -48,11 +50,14 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// The four cache configurations of Figure 1.
-var figure1Configs = []struct {
+// namedConfig is one cache configuration of a study, with its label.
+type namedConfig struct {
 	Name string
 	Cfg  cache.Config
-}{
+}
+
+// The four cache configurations of Figure 1.
+var figure1Configs = []namedConfig{
 	{"16KB-DM", cache.Config{Name: "L1D", Size: 16 << 10, LineSize: 64, Assoc: 1}},
 	{"16KB-2way", cache.Config{Name: "L1D", Size: 16 << 10, LineSize: 64, Assoc: 2}},
 	{"64KB-DM", cache.Config{Name: "L1D", Size: 64 << 10, LineSize: 64, Assoc: 1}},

@@ -8,7 +8,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/runner"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -46,16 +45,11 @@ func Figure2(p Params) (Fig2Result, error) {
 			bits := Fig2TagBits[pi]
 			var acc classify.Accuracy
 			for _, b := range suite {
-				r, err := classify.NewRun(cfg, bits)
+				a, _, err := measure(b, cfg, bits, p)
 				if err != nil {
 					return Fig2Point{}, fmt.Errorf("experiments: figure 2 bits=%d: %w", bits, err)
 				}
-				s := b.MemStream(p.Seed)
-				var in trace.Instr
-				for n := uint64(0); n < p.MemAccesses && s.Next(&in); n++ {
-					r.Access(in.Addr, in.Op == trace.Store)
-				}
-				acc.Merge(r.Acc)
+				acc.Merge(a)
 			}
 			return Fig2Point{
 				TagBits:       bits,

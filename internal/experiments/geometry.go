@@ -1,14 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/classify"
-	"repro/internal/runner"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -19,10 +15,7 @@ import (
 // The MCT itself always indexes by the modulo geometry: the question is
 // precisely whether the paper's table still identifies conflicts once the
 // cache underneath stops agreeing with it about what a "set" is.
-var geometryConfigs = []struct {
-	Name string
-	Cfg  cache.Config
-}{
+var geometryConfigs = []namedConfig{
 	{"modulo", cache.Config{Name: "L1D", Size: 16 << 10, LineSize: 64, Assoc: 2, Indexing: cache.IndexModulo}},
 	{"skewed", cache.Config{Name: "L1D", Size: 16 << 10, LineSize: 64, Assoc: 2, Indexing: cache.IndexSkewed}},
 	{"random", cache.Config{Name: "L1D", Size: 16 << 10, LineSize: 64, Assoc: 2, Indexing: cache.IndexRandom}},
@@ -32,12 +25,8 @@ var geometryConfigs = []struct {
 // fully-associative oracle (which is index-independent, so it is the same
 // ground truth for all three schemes).
 type GeometryCell struct {
-	Scheme        string
-	ConflictAcc   float64
-	CapacityAcc   float64
-	OverallAcc    float64
-	ConflictShare float64
-	MissRate      float64
+	Scheme string
+	AccuracyCell
 }
 
 // GeometryRow is one benchmark across the index schemes.
@@ -65,78 +54,32 @@ type GeometryResult struct {
 // GeometryStudy measures MCT classification accuracy for every benchmark
 // under modulo, skewed, and randomized indexing.
 func GeometryStudy(p Params) (GeometryResult, error) {
-	p = p.withDefaults()
-	suite := workload.Suite()
-
-	tasks := make([]runner.Task[GeometryCell], 0, len(suite)*len(geometryConfigs))
-	for _, b := range suite {
-		b := b
-		for ci := range geometryConfigs {
-			gc := geometryConfigs[ci]
-			tasks = append(tasks, runner.NewTask("geometry/"+b.Name+"/"+gc.Name,
-				func(context.Context) (GeometryCell, error) {
-					return geometryCell(b, gc.Name, gc.Cfg, p)
-				}))
-		}
-	}
-	cells, err := runner.Map(context.Background(), tasks)
+	rows, means, err := accuracyGrid("geometry", geometryConfigs, p)
 	if err != nil {
 		return GeometryResult{}, err
 	}
-
 	res := GeometryResult{
-		Rows:              make([]GeometryRow, len(suite)),
+		Rows:              make([]GeometryRow, len(rows)),
 		MeanConflictAcc:   map[string]float64{},
 		MeanCapacityAcc:   map[string]float64{},
 		MeanOverallAcc:    map[string]float64{},
 		MeanMissRate:      map[string]float64{},
 		MeanConflictShare: map[string]float64{},
 	}
-	for bi, b := range suite {
-		row := GeometryRow{Bench: b.Name, Cells: make([]GeometryCell, len(geometryConfigs))}
-		copy(row.Cells, cells[bi*len(geometryConfigs):(bi+1)*len(geometryConfigs)])
-		res.Rows[bi] = row
+	for bi, b := range workload.Suite() {
+		res.Rows[bi] = GeometryRow{Bench: b.Name}
+		for ci, gc := range geometryConfigs {
+			res.Rows[bi].Cells = append(res.Rows[bi].Cells, GeometryCell{gc.Name, rows[bi][ci]})
+		}
 	}
 	for ci, gc := range geometryConfigs {
-		var conf, capa, all, miss, share []float64
-		for _, r := range res.Rows {
-			c := r.Cells[ci]
-			if c.ConflictShare > 0.001 {
-				conf = append(conf, c.ConflictAcc)
-			}
-			capa = append(capa, c.CapacityAcc)
-			all = append(all, c.OverallAcc)
-			miss = append(miss, c.MissRate)
-			share = append(share, c.ConflictShare)
-		}
-		res.MeanConflictAcc[gc.Name] = stats.Mean(conf)
-		res.MeanCapacityAcc[gc.Name] = stats.Mean(capa)
-		res.MeanOverallAcc[gc.Name] = stats.Mean(all)
-		res.MeanMissRate[gc.Name] = stats.Mean(miss)
-		res.MeanConflictShare[gc.Name] = stats.Mean(share)
+		res.MeanConflictAcc[gc.Name] = means[ci].ConflictAcc
+		res.MeanCapacityAcc[gc.Name] = means[ci].CapacityAcc
+		res.MeanOverallAcc[gc.Name] = means[ci].OverallAcc
+		res.MeanMissRate[gc.Name] = means[ci].MissRate
+		res.MeanConflictShare[gc.Name] = means[ci].ConflictShare
 	}
 	return res, nil
-}
-
-func geometryCell(b *workload.Benchmark, name string, cfg cache.Config, p Params) (GeometryCell, error) {
-	r, err := classify.NewRun(cfg, TagBitsFull)
-	if err != nil {
-		return GeometryCell{}, fmt.Errorf("experiments: geometry %s/%s: %w", b.Name, name, err)
-	}
-	s := b.MemStream(p.Seed)
-	var in trace.Instr
-	for n := uint64(0); n < p.MemAccesses && s.Next(&in); n++ {
-		r.Access(in.Addr, in.Op == trace.Store)
-	}
-	acc := r.Acc
-	return GeometryCell{
-		Scheme:        name,
-		ConflictAcc:   acc.ConflictAccuracy(),
-		CapacityAcc:   acc.CapacityAccuracy(),
-		OverallAcc:    acc.OverallAccuracy(),
-		ConflictShare: acc.ConflictShare(),
-		MissRate:      r.CC.Cache().Stats().MissRate(),
-	}, nil
 }
 
 // Table renders the accuracy-vs-indexing study.

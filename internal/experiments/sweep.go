@@ -8,7 +8,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/runner"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -52,17 +51,11 @@ func ConfigSweep(p Params) (SweepResult, error) {
 			var agg classify.Accuracy
 			var accesses, misses uint64
 			for _, b := range workload.Suite() {
-				r, err := classify.NewRun(cfg, TagBitsFull)
+				acc, st, err := measure(b, cfg, TagBitsFull, p)
 				if err != nil {
 					return c, fmt.Errorf("experiments: sweep %dKB/%d-way: %w", c.SizeKB, c.Assoc, err)
 				}
-				s := b.MemStream(p.Seed)
-				var in trace.Instr
-				for n := uint64(0); n < p.MemAccesses && s.Next(&in); n++ {
-					r.Access(in.Addr, in.Op == trace.Store)
-				}
-				agg.Merge(r.Acc)
-				st := r.CC.Cache().Stats()
+				agg.Merge(acc)
 				accesses += st.Accesses
 				misses += st.Misses
 			}
