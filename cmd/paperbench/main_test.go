@@ -96,7 +96,7 @@ func TestNoCacheBypassesDisk(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	var out, errB bytes.Buffer
 	if code := paperbenchMain(
-		[]string{"-quick", "-experiment", "fig2", "-nocache", "-cachedir", dir},
+		[]string{"-quick", "-experiment", "remap", "-nocache", "-cachedir", dir},
 		&out, &errB); code != 0 {
 		t.Fatalf("exit %d:\n%s", code, errB.String())
 	}
@@ -117,7 +117,7 @@ func TestNoCacheBypassesDisk(t *testing.T) {
 func TestTraceOutWritesSpans(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "spans.ndjson")
 	var traced, plain, errB bytes.Buffer
-	args := []string{"-quick", "-experiment", "fig2", "-nocache"}
+	args := []string{"-quick", "-experiment", "remap", "-nocache"}
 	if code := paperbenchMain(append(args, "-trace-out", out), &traced, &errB); code != 0 {
 		t.Fatalf("exit %d:\n%s", code, errB.String())
 	}
@@ -176,7 +176,7 @@ func TestCSVWriteFailureExitsThroughReturn(t *testing.T) {
 	}
 	spans := filepath.Join(dir, "spans.ndjson")
 	var out, errB bytes.Buffer
-	code := paperbenchMain([]string{"-quick", "-experiment", "fig2", "-nocache",
+	code := paperbenchMain([]string{"-quick", "-experiment", "remap", "-nocache",
 		"-csvdir", notDir, "-trace-out", spans}, &out, &errB)
 	if code != 1 {
 		t.Fatalf("exit code %d, want 1:\n%s", code, errB.String())

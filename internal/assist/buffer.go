@@ -68,12 +68,6 @@ func NewBuffer(capacity int) *Buffer {
 	}
 }
 
-// Capacity returns the buffer's entry count.
-func (b *Buffer) Capacity() int { return b.capacity }
-
-// Len returns the number of resident lines.
-func (b *Buffer) Len() int { return len(b.lines) }
-
 // Stats returns a snapshot of the counters.
 func (b *Buffer) Stats() BufferStats { return b.stats }
 
@@ -175,11 +169,4 @@ func (b *Buffer) Insert(line mem.LineAddr, e Entry) (Evicted, bool) {
 	b.entries = append(b.entries, e)
 	b.stamps = append(b.stamps, b.clock)
 	return ev, evicted
-}
-
-// Lines returns the resident lines in unspecified order (for tests).
-func (b *Buffer) Lines() []mem.LineAddr {
-	out := make([]mem.LineAddr, len(b.lines))
-	copy(out, b.lines)
-	return out
 }

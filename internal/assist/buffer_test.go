@@ -142,11 +142,11 @@ func TestBufferCapacityProperty(t *testing.T) {
 			default:
 				b.Probe(line)
 			}
-			if b.Len() > 8 {
+			if len(b.lines) > 8 {
 				return false
 			}
 		}
-		return len(b.Lines()) == b.Len()
+		return len(b.entries) == len(b.lines) && len(b.stamps) == len(b.lines)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -91,9 +91,6 @@ func (s *System) Name() string {
 	return fmt.Sprintf("%dway-lru", s.assoc)
 }
 
-// MCT exposes the classification table.
-func (s *System) MCT() *core.MCT { return s.mct }
-
 // Access implements assist.System.
 func (s *System) Access(acc mem.Access) assist.Outcome {
 	isStore := acc.Type == mem.Store

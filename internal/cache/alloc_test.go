@@ -46,17 +46,20 @@ func TestCacheAccessSteadyStateAllocs(t *testing.T) {
 }
 
 func TestFAReferenceSteadyStateAllocs(t *testing.T) {
-	fa := NewFullyAssociative(256)
-	// Warm past capacity so every Reference below churns the eviction
-	// path too, not just the move-to-front path.
+	s, err := NewLRUStack([]int{64, 128, 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm past the top region so every Reference below churns the
+	// eviction and region-demotion paths too, not just the hash probe.
 	for l := mem.LineAddr(0); l < 512; l++ {
-		fa.Reference(l)
+		s.Reference(l)
 	}
 	i := 0
 	if avg := testing.AllocsPerRun(1000, func() {
-		fa.Reference(mem.LineAddr(i & 511))
+		s.Reference(mem.LineAddr(i & 511))
 		i++
 	}); avg != 0 {
-		t.Fatalf("FullyAssociative.Reference steady state allocates %v allocs/op, want 0", avg)
+		t.Fatalf("LRUStack.Reference steady state allocates %v allocs/op, want 0", avg)
 	}
 }

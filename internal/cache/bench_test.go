@@ -47,17 +47,20 @@ func BenchmarkCacheFill(b *testing.B) {
 	}
 }
 
-// BenchmarkFAReference measures the fully-associative LRU's combined
-// lookup/move-to-front/evict path: a 512-line working set over 256
-// capacity, so half the references miss and evict.
-func BenchmarkFAReference(b *testing.B) {
-	fa := NewFullyAssociative(256)
+// BenchmarkLRUStackReference measures the oracle stack's combined
+// lookup/move-to-front/demote/evict path: a 512-line working set cycled
+// over a 256-line top region, so every reference misses and evicts.
+func BenchmarkLRUStackReference(b *testing.B) {
+	s, err := NewLRUStack([]int{64, 128, 256})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for l := mem.LineAddr(0); l < 512; l++ {
-		fa.Reference(l)
+		s.Reference(l)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fa.Reference(mem.LineAddr(i & 511))
+		s.Reference(mem.LineAddr(i & 511))
 	}
 }

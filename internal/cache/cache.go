@@ -113,14 +113,6 @@ type Stats struct {
 	Writebacks uint64
 }
 
-// HitRate returns hits/accesses.
-func (s Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 // MissRate returns misses/accesses.
 func (s Stats) MissRate() float64 {
 	if s.Accesses == 0 {
@@ -197,10 +189,6 @@ func (c *Cache) Geometry() mem.Geometry { return c.geom }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats clears the counters without touching contents. Experiments use
-// this to discard cache-warming effects when a warmup phase is configured.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // rowOf computes the non-modulo row for way w. Callers branch on scheme
 // before the per-way loop; only skewed/random reach here.
@@ -312,17 +300,6 @@ func (c *Cache) ConflictBit(addr mem.Addr) (bit, present bool) {
 	return c.ways[i].Conflict, true
 }
 
-// SetConflictBit overwrites the conflict bit of the line holding addr,
-// reporting whether the line was present.
-func (c *Cache) SetConflictBit(addr mem.Addr, bit bool) bool {
-	i := c.findSlot(c.geom.Line(addr))
-	if i < 0 {
-		return false
-	}
-	c.ways[i].Conflict = bit
-	return true
-}
-
 // VictimCandidate returns a copy of the line that a Fill to addr would
 // displace right now (the LRU line among the candidate slots), and whether
 // the fill would displace anything at all. Policies that must decide
@@ -404,19 +381,6 @@ func (c *Cache) Invalidate(addr mem.Addr) (Line, bool) {
 	return l, true
 }
 
-// LinesInSet returns copies of the valid lines currently in row s (under
-// modulo indexing, exactly set s), for diagnostics and tests.
-func (c *Cache) LinesInSet(s uint64) []Line {
-	ways := c.ways[int(s)*c.assoc : (int(s)+1)*c.assoc]
-	out := make([]Line, 0, len(ways))
-	for _, l := range ways {
-		if l.Valid {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // ValidLines returns the total number of valid lines in the cache.
 func (c *Cache) ValidLines() int {
 	n := 0
@@ -426,11 +390,4 @@ func (c *Cache) ValidLines() int {
 		}
 	}
 	return n
-}
-
-// Flush invalidates every line (statistics are preserved).
-func (c *Cache) Flush() {
-	for i := range c.ways {
-		c.ways[i] = Line{}
-	}
 }

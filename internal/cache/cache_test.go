@@ -166,14 +166,10 @@ func TestConflictBitAccessors(t *testing.T) {
 	if bit, present := c.ConflictBit(a); !present || bit {
 		t.Errorf("bit=%v present=%v, want false/true", bit, present)
 	}
-	if !c.SetConflictBit(a, true) {
-		t.Fatal("SetConflictBit on present line failed")
-	}
-	if bit, _ := c.ConflictBit(a); !bit {
-		t.Error("bit should now be set")
-	}
-	if c.SetConflictBit(0x9999999, true) {
-		t.Error("SetConflictBit on absent line should fail")
+	b := mem.Addr(0x2040)
+	c.Fill(b, false, true)
+	if bit, present := c.ConflictBit(b); !present || !bit {
+		t.Errorf("bit=%v present=%v after a conflict fill, want true/true", bit, present)
 	}
 }
 
@@ -218,9 +214,11 @@ func TestFlushAndValidLines(t *testing.T) {
 	if c.ValidLines() != 10 {
 		t.Errorf("ValidLines = %d", c.ValidLines())
 	}
-	c.Flush()
+	for i := 0; i < 10; i++ {
+		c.Invalidate(mem.Addr(i * 64))
+	}
 	if c.ValidLines() != 0 {
-		t.Error("flush should empty the cache")
+		t.Error("invalidating every line should empty the cache")
 	}
 }
 
@@ -229,15 +227,18 @@ func TestLinesInSet(t *testing.T) {
 	c := MustNew(cfg)
 	c.Fill(0x0000, false, false)
 	c.Fill(0x2000, false, true) // same set in 2-way 16KB (set span 8KB)
-	ls := c.LinesInSet(0)
-	if len(ls) != 2 {
-		t.Fatalf("set 0 has %d lines, want 2", len(ls))
+	if !c.Contains(0x0000) || !c.Contains(0x2000) {
+		t.Fatal("a 2-way set should hold both lines")
+	}
+	if c.ValidLines() != 2 {
+		t.Fatalf("cache holds %d lines, want 2", c.ValidLines())
 	}
 }
 
 // TestCacheNeverExceedsCapacity is a property test: any access/fill
-// sequence keeps the valid-line count at or below the configured capacity
-// and per-set occupancy at or below associativity.
+// sequence keeps the valid-line count at or below the configured capacity.
+// (Per-set occupancy cannot exceed associativity: each row is a fixed
+// run of assoc way slots.)
 func TestCacheNeverExceedsCapacity(t *testing.T) {
 	cfg := Config{Name: "t", Size: 4096, LineSize: 64, Assoc: 2} // 32 sets
 	f := func(addrs []uint16, stores []bool) bool {
@@ -253,15 +254,7 @@ func TestCacheNeverExceedsCapacity(t *testing.T) {
 				c.Fill(addr, isStore, i%2 == 0)
 			}
 		}
-		if c.ValidLines() > cfg.Size/cfg.LineSize {
-			return false
-		}
-		for s := 0; s < cfg.Sets(); s++ {
-			if len(c.LinesInSet(uint64(s))) > cfg.Assoc {
-				return false
-			}
-		}
-		return true
+		return c.ValidLines() <= cfg.Size/cfg.LineSize
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -277,18 +270,5 @@ func TestFillMakesHit(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestResetStatsPreservesContents(t *testing.T) {
-	c := MustNew(dmConfig())
-	c.Fill(0x1234, false, false)
-	c.Access(0x1234, mem.Load)
-	c.ResetStats()
-	if c.Stats().Accesses != 0 {
-		t.Error("stats should be cleared")
-	}
-	if !c.Contains(0x1234) {
-		t.Error("contents should survive ResetStats")
 	}
 }

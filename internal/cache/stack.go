@@ -15,12 +15,12 @@ import (
 // in region k when C_{k−1} ≤ p < C_k, and it would hit every cache of
 // capacity C_j for j ≥ k.
 //
-// The storage is FullyAssociative's: an arena of nodes linked by int32
-// indices plus the pointer-free faTable index, both sized once for the
-// largest capacity, so Reference performs zero heap allocations. Each node
-// carries its region, and the stack keeps the last (least recent) node of
-// every full region, so a reference updates one boundary node per region
-// it passes over — O(K) pointer moves on top of the hash probe.
+// The storage is an arena of nodes linked by int32 indices plus the
+// pointer-free faTable index, both sized once for the largest capacity,
+// so Reference performs zero heap allocations. Each node carries its
+// region, and the stack keeps the last (least recent) node of every full
+// region, so a reference updates one boundary node per region it passes
+// over — O(K) pointer moves on top of the hash probe.
 type LRUStack struct {
 	caps  []int   // ascending region capacities; the last bounds the stack
 	last  []int32 // per region: its least recent node, faNil until full
@@ -37,6 +37,97 @@ type stackNode struct {
 	line       mem.LineAddr
 	prev, next int32
 	region     int32
+}
+
+// faNil is the arena's (and the hash table's) null index.
+const faNil int32 = -1
+
+// faTable is a fixed-size linear-probing hash table from line address to
+// arena index. Slots are pointer-free, deletion uses backward shifting
+// (no tombstones), and the table is sized to at most 25% load so probe
+// sequences stay short.
+type faTable struct {
+	mask  uint64
+	slots []faSlot
+}
+
+type faSlot struct {
+	line mem.LineAddr
+	idx  int32 // faNil = empty
+}
+
+// newFATable sizes the table to the smallest power of two holding capacity
+// entries at <= 25% load (minimum 8 slots).
+func newFATable(capacity int) faTable {
+	size := 8
+	for size < 4*capacity {
+		size <<= 1
+	}
+	t := faTable{mask: uint64(size - 1), slots: make([]faSlot, size)}
+	for i := range t.slots {
+		t.slots[i].idx = faNil
+	}
+	return t
+}
+
+// home returns the line's preferred slot (Fibonacci hashing: multiply by
+// the 64-bit golden ratio and keep the top bits, which mixes the sparse
+// high bits of line addresses into the table's low index bits).
+func (t *faTable) home(line mem.LineAddr) uint64 {
+	h := uint64(line) * 0x9E3779B97F4A7C15
+	return (h >> 32) & t.mask
+}
+
+// get returns the arena index stored for line, or faNil.
+func (t *faTable) get(line mem.LineAddr) int32 {
+	for i := t.home(line); ; i = (i + 1) & t.mask {
+		s := &t.slots[i]
+		if s.idx == faNil {
+			return faNil
+		}
+		if s.line == line {
+			return s.idx
+		}
+	}
+}
+
+// put inserts line -> idx. line must not be present.
+func (t *faTable) put(line mem.LineAddr, idx int32) {
+	for i := t.home(line); ; i = (i + 1) & t.mask {
+		if t.slots[i].idx == faNil {
+			t.slots[i] = faSlot{line: line, idx: idx}
+			return
+		}
+	}
+}
+
+// del removes line, which must be present, compacting the probe cluster by
+// backward shifting so lookups never need tombstones.
+func (t *faTable) del(line mem.LineAddr) {
+	i := t.home(line)
+	for t.slots[i].line != line || t.slots[i].idx == faNil {
+		i = (i + 1) & t.mask
+	}
+	// Shift later cluster members back if they can no longer be reached
+	// from their home slot once slot i empties.
+	j := i
+	for {
+		t.slots[i].idx = faNil
+		for {
+			j = (j + 1) & t.mask
+			s := t.slots[j]
+			if s.idx == faNil {
+				return
+			}
+			// s belongs at home(s.line); it may stay at j only if its home
+			// lies cyclically after the hole at i.
+			if (j-t.home(s.line))&t.mask >= (j-i)&t.mask {
+				t.slots[i] = s
+				i = j
+				break
+			}
+		}
+	}
 }
 
 // NewLRUStack builds a stack with regions at the given capacities, in
@@ -71,9 +162,6 @@ func NewLRUStack(capacities []int) (*LRUStack, error) {
 	}
 	return s, nil
 }
-
-// Len returns the number of lines currently held.
-func (s *LRUStack) Len() int { return s.len }
 
 // Reference performs one LRU reference to line and returns the region the
 // line held before it, or K — the number of capacities — if the line was

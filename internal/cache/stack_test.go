@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/mem"
 	"repro/internal/mrc"
@@ -11,20 +12,51 @@ import (
 	"repro/internal/workload"
 )
 
-// TestLRUStackMatchesFullyAssociative drives a stack and one
-// FullyAssociative per region capacity with the same random references:
-// the region each reference reports must be the first capacity whose
-// cache hits, for ladders with one-line regions, gaps, and a single rung.
+// faRef is a trivially-correct fully-associative LRU cache: a slice
+// ordered MRU-first. It shares no code with LRUStack, so it is the
+// independent reference the stack is checked against.
+type faRef struct {
+	capacity int
+	lines    []mem.LineAddr
+}
+
+// reference performs one LRU reference and reports whether it hit.
+func (r *faRef) reference(line mem.LineAddr) bool {
+	for i, l := range r.lines {
+		if l == line {
+			r.lines = append([]mem.LineAddr{line}, append(r.lines[:i:i], r.lines[i+1:]...)...)
+			return true
+		}
+	}
+	r.lines = append([]mem.LineAddr{line}, r.lines...)
+	if len(r.lines) > r.capacity {
+		r.lines = r.lines[:r.capacity]
+	}
+	return false
+}
+
+func mustStack(t *testing.T, caps ...int) *LRUStack {
+	t.Helper()
+	s, err := NewLRUStack(caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestLRUStackMatchesFullyAssociative drives a stack and one slice LRU
+// per region capacity with the same random references: the region each
+// reference reports must be the first capacity whose cache hits, for
+// ladders with one-line regions, gaps, and a single rung. The small line
+// space keeps every region churning, so the hash table's backward-shift
+// deletion runs on most references.
 func TestLRUStackMatchesFullyAssociative(t *testing.T) {
 	for _, caps := range [][]int{{1}, {64}, {1, 2, 3}, {1, 4, 5, 32}, {3, 17, 64, 65, 200}} {
 		t.Run(fmt.Sprint(caps), func(t *testing.T) {
-			s, err := NewLRUStack(caps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fas := make([]*FullyAssociative, len(caps))
+			s := mustStack(t, caps...)
+			refs := make([]*faRef, len(caps))
 			for k, c := range caps {
-				fas[k] = NewFullyAssociative(c)
+				refs[k] = &faRef{capacity: c}
 			}
 			x := uint64(12345)
 			for step := 0; step < 50000; step++ {
@@ -39,18 +71,148 @@ func TestLRUStackMatchesFullyAssociative(t *testing.T) {
 				}
 				want := len(caps)
 				for k := len(caps) - 1; k >= 0; k-- {
-					if fas[k].Reference(line) {
+					if refs[k].reference(line) {
 						want = k
 					}
 				}
 				if got := s.Reference(line); got != want {
 					t.Fatalf("step %d: Reference(%d) = region %d, fully-associative caches say %d", step, line, got, want)
 				}
-				if want := fas[len(fas)-1].Len(); s.Len() != want {
-					t.Fatalf("step %d: Len = %d, want %d", step, s.Len(), want)
+				if want := len(refs[len(refs)-1].lines); s.len != want {
+					t.Fatalf("step %d: stack holds %d lines, want %d", step, s.len, want)
 				}
 			}
 		})
+	}
+}
+
+// The tests below check the stack against fixed expectations rather than
+// a reference model, each with one region per capacity under test: K is
+// the miss answer and region 0 the most recent line.
+
+func TestFAReferenceBasics(t *testing.T) {
+	s := mustStack(t, 2)
+	if s.Reference(1) != 1 {
+		t.Fatal("cold reference should miss")
+	}
+	if s.Reference(1) != 0 {
+		t.Fatal("repeat reference should hit")
+	}
+	s.Reference(2)
+	s.Reference(3) // evicts 1 (LRU)
+	if s.Reference(2) != 0 || s.Reference(3) != 0 {
+		t.Error("2 and 3 should be resident")
+	}
+	if s.Reference(1) != 1 {
+		t.Error("1 should have been evicted")
+	}
+}
+
+func TestFALRUOrder(t *testing.T) {
+	s := mustStack(t, 1, 2, 3)
+	s.Reference(1)
+	s.Reference(2)
+	s.Reference(3)
+	s.Reference(1) // MRU..LRU = 1 3 2
+	if r := s.Reference(2); r != 2 {
+		t.Errorf("LRU line 2 in region %d, want 2", r)
+	}
+	// Now 2 1 3: 3 is least recent, 1 second.
+	if r := s.Reference(1); r != 1 {
+		t.Errorf("line 1 in region %d, want 1", r)
+	}
+}
+
+// TestFAInclusionProperty verifies the stack (inclusion) property of LRU:
+// for the same reference stream, every hit in a smaller LRU cache is also
+// a hit in a larger one. The classic conflict/capacity taxonomy depends on
+// this property.
+func TestFAInclusionProperty(t *testing.T) {
+	f := func(refs []uint8) bool {
+		small := mustStack(t, 4)
+		large := mustStack(t, 16)
+		for _, r := range refs {
+			line := mem.LineAddr(r % 64)
+			hitS := small.Reference(line) == 0
+			hitL := large.Reference(line) == 0
+			if hitS && !hitL {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestFAWorkingSetFitsNoEviction(t *testing.T) {
+	f := mustStack(t, 64)
+	// Cyclic references over 32 lines fit: after warmup, all hits.
+	for pass := 0; pass < 3; pass++ {
+		for i := 0; i < 32; i++ {
+			hit := f.Reference(mem.LineAddr(i)) == 0
+			if pass > 0 && !hit {
+				t.Fatalf("pass %d line %d missed in fitting working set", pass, i)
+			}
+		}
+	}
+	// Cyclic references over 65 lines thrash: all misses in steady state.
+	g := mustStack(t, 64)
+	for pass := 0; pass < 3; pass++ {
+		for i := 0; i < 65; i++ {
+			hit := g.Reference(mem.LineAddr(i)) == 0
+			if pass > 0 && hit {
+				t.Fatalf("pass %d line %d hit in thrashing working set", pass, i)
+			}
+		}
+	}
+}
+
+// TestFANeverExceedsCapacity is a property over arbitrary reference
+// streams: the stack never holds more than its top capacity, and the
+// recency list, the hash index and the line count agree.
+func TestFANeverExceedsCapacity(t *testing.T) {
+	f := func(refs []uint16) bool {
+		s := mustStack(t, 2, 8)
+		for _, r := range refs {
+			s.Reference(mem.LineAddr(r & 0xff))
+			if s.len > 8 {
+				return false
+			}
+		}
+		n := 0
+		for i := s.head; i != faNil; i = s.nodes[i].next {
+			if s.index.get(s.nodes[i].line) != i {
+				return false
+			}
+			n++
+		}
+		return n == s.len
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFAInsertLineZero pins that line 0 — the line of byte address 0 — is
+// an ordinary line: the hash table marks empty slots by index, not by
+// line, so line 0 must survive insertion and eviction undamaged.
+func TestFAInsertLineZero(t *testing.T) {
+	s := mustStack(t, 2)
+	if s.Reference(0) != 1 {
+		t.Fatal("cold line 0 should miss")
+	}
+	if s.Reference(0) != 0 {
+		t.Fatal("line 0 not resident after insert")
+	}
+	s.Reference(7)
+	s.Reference(9) // evicts line 0, now LRU
+	if s.Reference(0) != 1 {
+		t.Fatal("evicted line 0 should miss")
+	}
+	if s.Reference(0) != 0 {
+		t.Fatal("re-inserted line 0 should hit")
 	}
 }
 

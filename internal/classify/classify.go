@@ -44,9 +44,6 @@ const (
 	numMissKinds = int(Hit)
 )
 
-// IsMiss reports whether the kind classifies a miss (i.e. is not Hit).
-func (k Kind) IsMiss() bool { return k != Hit }
-
 // String names the kind.
 func (k Kind) String() string {
 	switch k {
@@ -61,15 +58,6 @@ func (k Kind) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// Grouped folds a miss verdict into the paper's two-way taxonomy. It is
-// only meaningful for miss kinds (IsMiss); Hit has no grouping.
-func (k Kind) Grouped() core.Class {
-	if k == Conflict {
-		return core.Conflict
-	}
-	return core.Capacity
 }
 
 // history is the reference state an oracle needs and a ladder's rungs

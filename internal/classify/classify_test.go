@@ -22,16 +22,6 @@ func TestKindStringsAndGrouping(t *testing.T) {
 	if Kind(9).String() != "unknown" {
 		t.Error("unknown kind should render 'unknown'")
 	}
-	if Hit.IsMiss() || !Compulsory.IsMiss() || !Capacity.IsMiss() || !Conflict.IsMiss() {
-		t.Error("IsMiss wrong")
-	}
-	// The paper groups compulsory with capacity.
-	if Compulsory.Grouped() != core.Capacity || Capacity.Grouped() != core.Capacity {
-		t.Error("compulsory/capacity must group as capacity")
-	}
-	if Conflict.Grouped() != core.Conflict {
-		t.Error("conflict must group as conflict")
-	}
 }
 
 func TestOracleCompulsory(t *testing.T) {

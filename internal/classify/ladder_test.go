@@ -2,6 +2,7 @@ package classify_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -31,15 +32,38 @@ func doubling(first, n int) []int {
 	return sizes
 }
 
+// stackDistances returns each access's LRU stack distance: how many
+// distinct other lines were referenced since the line's last reference,
+// or -1 on its first. By the inclusion property the access hits a
+// fully-associative LRU cache of C lines iff 0 <= d < C. A move-to-front
+// slice computes it with no code shared with the ladder's cache.LRUStack.
+func stackDistances(addrs []mem.Addr, lineShift uint) []int {
+	var stack []mem.LineAddr // most recent first
+	dists := make([]int, len(addrs))
+	for i, a := range addrs {
+		line := mem.LineAddr(uint64(a) >> lineShift)
+		d := slices.Index(stack, line)
+		dists[i] = d
+		if d < 0 {
+			stack = append(stack, line)
+			d = len(stack) - 1
+		}
+		copy(stack[1:d+1], stack[:d])
+		stack[0] = line
+	}
+	return dists
+}
+
 // perSizeReference is the classification a ladder rung must reproduce,
-// built from independent parts: its own real cache and MCT, its own
-// fully-associative LRU cache of equal capacity, and a map of touched
-// lines shared by the rungs (the first-touch test is size-independent).
-// scalar is a one-size Run at the rung's configuration, fed the same
-// stream one access at a time through the oracle's scalar Observe.
+// built from independent parts: its own real cache and MCT, a
+// fully-associative LRU cache of equal capacity (lines, answered from the
+// stream's stack distances), and a map of touched lines shared by the
+// rungs (the first-touch test is size-independent). scalar is a one-size
+// Run at the rung's configuration, fed the same stream one access at a
+// time through the oracle's scalar Observe.
 type perSizeReference struct {
 	cc       *core.ClassifyingCache
-	fa       *cache.FullyAssociative
+	lines    int
 	faMisses uint64
 	counts   [3]uint64 // compulsory, capacity, conflict
 	acc      classify.Accuracy
@@ -73,15 +97,25 @@ func TestLadderMatchesPerSizeReferences(t *testing.T) {
 		{"2way", 2, cache.IndexModulo},
 		{"skewed", 2, cache.IndexSkewed},
 	}
+	type stream struct {
+		addrs  []mem.Addr
+		stores []bool
+		dists  []int
+	}
 	suite := workload.Suite()
+	streams := make([]stream, len(suite))
+	for bi, b := range suite {
+		addrs, stores := memAccesses(b, uint64(bi+1), accesses)
+		streams[bi] = stream{addrs, stores, stackDistances(addrs, 6)}
+	}
 	for _, g := range geometries {
 		for _, rungs := range []string{"1", "3", "7", "16"} {
 			cfgs := ladderConfigs(ladders[rungs], g.assoc, g.scheme)
 			t.Run(fmt.Sprintf("%s/rungs=%s", g.name, rungs), func(t *testing.T) {
 				var total [3]uint64
 				for bi, b := range suite {
-					addrs, stores := memAccesses(b, uint64(bi+1), accesses)
-					counts, err := checkLadder(cfgs, addrs, stores)
+					st := streams[bi]
+					counts, err := checkLadder(cfgs, st.addrs, st.stores, st.dists)
 					if err != nil {
 						t.Fatalf("%s: %v", b.Name, err)
 					}
@@ -114,10 +148,10 @@ func memAccesses(b *workload.Benchmark, seed uint64, n int) ([]mem.Addr, []bool)
 	return addrs, stores
 }
 
-// checkLadder plays one stream through a ladder and the per-size
-// references, reporting the first disagreement, or else the reference
-// verdict counts summed over the rungs.
-func checkLadder(cfgs []cache.Config, addrs []mem.Addr, stores []bool) (counts [3]uint64, err error) {
+// checkLadder plays one stream, with its stack distances, through a ladder
+// and the per-size references, reporting the first disagreement, or else
+// the reference verdict counts summed over the rungs.
+func checkLadder(cfgs []cache.Config, addrs []mem.Addr, stores []bool, dists []int) (counts [3]uint64, err error) {
 	ladder, err := classify.NewLadder(cfgs, 0)
 	if err != nil {
 		return counts, err
@@ -132,7 +166,7 @@ func checkLadder(cfgs []cache.Config, addrs []mem.Addr, stores []bool) (counts [
 		if err != nil {
 			return counts, err
 		}
-		refs[k] = &perSizeReference{cc: cc, fa: cache.NewFullyAssociative(cfg.Size / cfg.LineSize), scalar: scalar}
+		refs[k] = &perSizeReference{cc: cc, lines: cfg.Size / cfg.LineSize, scalar: scalar}
 	}
 	touched := make(map[mem.LineAddr]bool)
 	lineShift := uint(6) // 64-byte lines
@@ -148,7 +182,7 @@ func checkLadder(cfgs []cache.Config, addrs []mem.Addr, stores []bool) (counts [
 			touched[line] = true
 			for k, ref := range refs {
 				hit, ev := ref.cc.Access(addrs[i], stores[i])
-				faHit := ref.fa.Reference(line)
+				faHit := dists[i] >= 0 && dists[i] < ref.lines
 				if !faHit {
 					ref.faMisses++
 				}

@@ -25,7 +25,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -245,10 +244,6 @@ func New(opts Options) (*Client, error) {
 	}
 	return &Client{opts: opts.withDefaults(), byKind: map[FailureKind]uint64{}}, nil
 }
-
-// Target returns the client's base URL, the address Error.Target and
-// per-target load attribution report against.
-func (c *Client) Target() string { return c.opts.BaseURL }
 
 // Stats snapshots the lifetime counters.
 func (c *Client) Stats() Stats {
@@ -509,11 +504,4 @@ func firstLine(b []byte) string {
 		b = b[:200]
 	}
 	return string(b)
-}
-
-// Kinds lists the taxonomy buckets in stable report order.
-func Kinds() []FailureKind {
-	ks := []FailureKind{FailConnReset, FailTimeout, FailConnect, FailHTTP429, FailHTTP503, FailHTTP5xx, FailOther}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
 }

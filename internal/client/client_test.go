@@ -341,9 +341,6 @@ func TestErrorTargetNamesPeer(t *testing.T) {
 	if ce.Target != srv.URL {
 		t.Fatalf("Error.Target = %q, want %q", ce.Target, srv.URL)
 	}
-	if c.Target() != srv.URL {
-		t.Fatalf("Client.Target() = %q, want %q", c.Target(), srv.URL)
-	}
 	if !strings.Contains(ce.Error(), srv.URL) {
 		t.Errorf("Error() = %q: should name the target", ce.Error())
 	}

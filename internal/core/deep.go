@@ -80,9 +80,6 @@ func MustNewDeep(cfg Config, depth int) *DeepMCT {
 	return m
 }
 
-// Depth returns the eviction-history depth.
-func (m *DeepMCT) Depth() int { return m.depth }
-
 // Stats returns a snapshot of the counters.
 func (m *DeepMCT) Stats() DeepStats {
 	out := m.stats
@@ -160,6 +157,3 @@ func (m *DeepMCT) RecordEviction(set, tag uint64) {
 	}
 	m.tags[base] = t
 }
-
-// Invalidate clears a set's history.
-func (m *DeepMCT) Invalidate(set uint64) { m.size[set] = 0 }

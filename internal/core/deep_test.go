@@ -97,15 +97,6 @@ func TestDeepRecordCoalesces(t *testing.T) {
 	}
 }
 
-func TestDeepInvalidate(t *testing.T) {
-	m := MustNewDeep(Config{Sets: 2}, 2)
-	m.RecordEviction(1, 0x5)
-	m.Invalidate(1)
-	if m.Classify(1, 0x5) != 0 {
-		t.Error("invalidated set still matches")
-	}
-}
-
 func TestDeepPartialTags(t *testing.T) {
 	m := MustNewDeep(Config{Sets: 2, TagBits: 4}, 2)
 	m.RecordEviction(0, 0x12)

@@ -51,19 +51,6 @@ func (f Filter) String() string {
 	}
 }
 
-// NeedsConflictBits reports whether evaluating the filter requires the
-// per-line conflict bit (everything except out-conflict and no-filter).
-// The paper notes out-conflict is attractive precisely because it does not
-// need the extra bit per cache line.
-func (f Filter) NeedsConflictBits() bool {
-	switch f {
-	case InConflict, AndConflict, OrConflict:
-		return true
-	default:
-		return false
-	}
-}
-
 // Eval evaluates the filter for an eviction where the incoming miss was
 // classified incomingConflict and the displaced line's conflict bit was
 // evictedBit. For fills into an empty way (no eviction), callers pass

@@ -45,19 +45,6 @@ func TestFilterNames(t *testing.T) {
 	}
 }
 
-func TestNeedsConflictBits(t *testing.T) {
-	// The paper presents out-conflict as the default because it does not
-	// require the per-line bit.
-	if NoFilter.NeedsConflictBits() || OutConflict.NeedsConflictBits() {
-		t.Error("none/out-conflict must not need conflict bits")
-	}
-	for _, f := range []Filter{InConflict, AndConflict, OrConflict} {
-		if !f.NeedsConflictBits() {
-			t.Errorf("%s needs conflict bits", f)
-		}
-	}
-}
-
 func TestParseFilterRoundTrip(t *testing.T) {
 	for _, f := range append([]Filter{NoFilter}, Filters...) {
 		got, err := ParseFilter(f.String())

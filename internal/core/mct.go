@@ -134,9 +134,6 @@ func (m *MCT) Config() Config { return m.cfg }
 // Stats returns a snapshot of the classification counters.
 func (m *MCT) Stats() Stats { return m.stats }
 
-// ResetStats clears the counters without touching table contents.
-func (m *MCT) ResetStats() { m.stats = Stats{} }
-
 // Classify returns the verdict for a miss with the given set index and full
 // tag without updating any statistics. Policies that need to peek (e.g.
 // pseudo-associative probing) use this; the hierarchy's per-miss
@@ -177,14 +174,3 @@ func (m *MCT) Seed(set, tag uint64) {
 	m.tags[set] = tag & m.tagMask
 	m.valid[set] = true
 }
-
-// Invalidate clears the entry for set. Exposed for tests and for cache
-// flush handling.
-func (m *MCT) Invalidate(set uint64) { m.valid[set] = false }
-
-// EntryValid reports whether the entry for set holds an evicted tag.
-func (m *MCT) EntryValid(set uint64) bool { return m.valid[set] }
-
-// StoredTag returns the masked tag held for set (meaningful only when
-// EntryValid reports true).
-func (m *MCT) StoredTag(set uint64) uint64 { return m.tags[set] }

@@ -114,21 +114,6 @@ func TestSeedCountsSeparately(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	m := MustNew(Config{Sets: 8})
-	m.RecordEviction(2, 0x5)
-	if !m.EntryValid(2) {
-		t.Fatal("entry should be valid")
-	}
-	m.Invalidate(2)
-	if m.EntryValid(2) {
-		t.Error("entry should be invalid")
-	}
-	if m.Classify(2, 0x5) != Capacity {
-		t.Error("invalidated entry must not match")
-	}
-}
-
 func TestStatsHelpers(t *testing.T) {
 	var s Stats
 	if s.ConflictFraction() != 0 {
@@ -137,19 +122,6 @@ func TestStatsHelpers(t *testing.T) {
 	s = Stats{ConflictMisses: 3, CapacityMisses: 1}
 	if s.Misses() != 4 || s.ConflictFraction() != 0.75 {
 		t.Errorf("helpers: misses=%d frac=%g", s.Misses(), s.ConflictFraction())
-	}
-}
-
-func TestResetStatsKeepsEntries(t *testing.T) {
-	m := MustNew(Config{Sets: 8})
-	m.RecordEviction(0, 0x9)
-	m.ClassifyMiss(0, 0x9)
-	m.ResetStats()
-	if m.Stats().Misses() != 0 {
-		t.Error("stats should clear")
-	}
-	if m.Classify(0, 0x9) != Conflict {
-		t.Error("table contents should survive stats reset")
 	}
 }
 

@@ -177,10 +177,6 @@ var artifacts = []Artifact{
 	}),
 }
 
-// Artifacts returns the registry in reporting order. The slice is shared;
-// callers must not mutate it.
-func Artifacts() []Artifact { return artifacts }
-
 // SelectionNames returns every valid selection name (SelectAll plus all
 // artifact names), sorted.
 func SelectionNames() []string {

@@ -36,8 +36,8 @@ func TestSelectResolvesAliasesWithoutDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != len(Artifacts()) {
-		t.Fatalf("Select(all) resolved %d artifacts, want %d", len(all), len(Artifacts()))
+	if len(all) != len(artifacts) {
+		t.Fatalf("Select(all) resolved %d artifacts, want %d", len(all), len(artifacts))
 	}
 }
 

@@ -63,10 +63,6 @@ func ErrorN(pattern string, n int) Fault {
 	}
 }
 
-// ErrorOnce is ErrorN(pattern, 1): each matching task fails exactly its
-// first attempt.
-func ErrorOnce(pattern string) Fault { return ErrorN(pattern, 1) }
-
 // Fatal fails every attempt of every matching task with a non-retryable
 // error — the permanent-failure model partial-results mode must survive.
 func Fatal(pattern string) Fault {

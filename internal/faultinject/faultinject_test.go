@@ -38,10 +38,10 @@ func TestChaosConvergesToFaultFreeOutput(t *testing.T) {
 		name  string
 		fault Fault
 	}{
-		{"error-once-everywhere", ErrorOnce("")},
+		{"error-once-everywhere", ErrorN("", 1)},
 		{"error-twice-everywhere", ErrorN("", 2)},
 		{"error-on-one-cell", ErrorN("cell/3", 2)},
-		{"chained-scoped-errors", Chain(ErrorOnce("cell/1"), ErrorN("cell/5", 2))},
+		{"chained-scoped-errors", Chain(ErrorN("cell/1", 1), ErrorN("cell/5", 2))},
 	}
 	for _, s := range schedules {
 		t.Run(s.name, func(t *testing.T) {

@@ -175,12 +175,6 @@ func MustNew(cfg Config, sys assist.System) *Hierarchy {
 	return h
 }
 
-// System returns the wrapped functional system.
-func (h *Hierarchy) System() assist.System { return h.sys }
-
-// L2 returns the second-level cache.
-func (h *Hierarchy) L2() *cache.Cache { return h.l2 }
-
 // Stats returns a snapshot of the timing counters.
 func (h *Hierarchy) Stats() Stats { return h.stats }
 

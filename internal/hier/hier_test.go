@@ -220,7 +220,7 @@ func TestDeterminism(t *testing.T) {
 func TestL2FunctionalContents(t *testing.T) {
 	h := newBase(t, DefaultConfig())
 	h.Access(10, load(0x1000))
-	if !h.L2().Contains(0x1000) {
+	if !h.l2.Contains(0x1000) {
 		t.Error("miss should fill the L2")
 	}
 }

@@ -23,9 +23,6 @@ func (h *Hierarchy) AttachI(sys assist.System) {
 	h.isys = sys
 }
 
-// ISystem returns the attached instruction-side system, if any.
-func (h *Hierarchy) ISystem() assist.System { return h.isys }
-
 // IStats counts instruction-side events.
 type IStats struct {
 	Fetches    uint64

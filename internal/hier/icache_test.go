@@ -48,7 +48,7 @@ func TestIFetchSharesL2(t *testing.T) {
 	h := newBase(t, DefaultConfig())
 	h.AttachI(assist.MustNewBaseline(iConfig(), 0))
 	h.IFetch(10, 0x400000)
-	if !h.L2().Contains(0x400000) {
+	if !h.l2.Contains(0x400000) {
 		t.Error("instruction miss should fill the unified L2")
 	}
 	// A line brought in by the data side is an L2 hit for the I side

@@ -100,8 +100,6 @@ type Journal struct {
 	seq    uint64   // active segment's sequence number
 	size   int64    // active segment's size
 	closed bool
-
-	appended uint64 // records appended this process (metrics)
 }
 
 // ReplayStats summarizes what Replay found.
@@ -129,16 +127,6 @@ func Open(dir string, opts Options) (*Journal, error) {
 		j.seq = segs[n-1].seq // next rotation appends after the newest
 	}
 	return j, nil
-}
-
-// Dir returns the journal's root directory.
-func (j *Journal) Dir() string { return j.dir }
-
-// Appended returns how many records this process has appended.
-func (j *Journal) Appended() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appended
 }
 
 type segref struct {
@@ -353,7 +341,6 @@ func (j *Journal) appendLocked(payload []byte) error {
 		return fmt.Errorf("journal: appending record: %w", err)
 	}
 	j.size += int64(len(buf))
-	j.appended++
 	if j.opts.Sync == durable.PolicyAlways {
 		if err := durable.SyncFile(j.f, j.opts.Sync); err != nil {
 			return err

@@ -79,30 +79,11 @@ func (s *LineSet) TestAndSet(line LineAddr) bool {
 	return false
 }
 
-// Add inserts line into the set.
-func (s *LineSet) Add(line LineAddr) { s.TestAndSet(line) }
-
 // Contains reports membership without modifying the set.
 func (s *LineSet) Contains(line LineAddr) bool {
 	key, word, mask := s.split(line)
 	p := s.page(key)
 	return p != nil && p[word]&mask != 0
-}
-
-// Len returns the number of distinct lines in the set.
-func (s *LineSet) Len() uint64 { return s.count }
-
-// Pages returns how many bitmap pages are materialized, for memory
-// accounting and tests.
-func (s *LineSet) Pages() int { return len(s.pages) }
-
-// Clear empties the set, retaining the materialized pages so a reused set
-// reaches steady state (zero allocations) immediately.
-func (s *LineSet) Clear() {
-	for _, p := range s.pages {
-		*p = linePage{}
-	}
-	s.count = 0
 }
 
 // PopCount recomputes the member count from the bitmap, for tests that

@@ -16,8 +16,8 @@ func TestLineSetBasics(t *testing.T) {
 	if !s.Contains(0) {
 		t.Error("set lost line 0")
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
+	if s.count != 1 {
+		t.Errorf("Len = %d, want 1", s.count)
 	}
 }
 
@@ -37,32 +37,15 @@ func TestLineSetAcrossPages(t *testing.T) {
 			t.Errorf("line %#x lost", uint64(l))
 		}
 	}
-	if s.Len() != uint64(len(lines)) {
-		t.Errorf("Len = %d, want %d", s.Len(), len(lines))
+	if s.count != uint64(len(lines)) {
+		t.Errorf("Len = %d, want %d", s.count, len(lines))
 	}
-	if got := s.PopCount(); got != s.Len() {
-		t.Errorf("PopCount = %d disagrees with Len = %d", got, s.Len())
+	if got := s.PopCount(); got != s.count {
+		t.Errorf("PopCount = %d disagrees with Len = %d", got, s.count)
 	}
 	// 0..65535 share a page; 65536 and 1<<30(+1) and 1<<57 add three more.
-	if s.Pages() != 4 {
-		t.Errorf("Pages = %d, want 4", s.Pages())
-	}
-}
-
-func TestLineSetClearKeepsPages(t *testing.T) {
-	var s LineSet
-	s.Add(5)
-	s.Add(1 << 20)
-	pages := s.Pages()
-	s.Clear()
-	if s.Len() != 0 || s.Contains(5) || s.Contains(1<<20) {
-		t.Error("Clear left members behind")
-	}
-	if s.Pages() != pages {
-		t.Errorf("Clear dropped pages: %d -> %d", pages, s.Pages())
-	}
-	if s.TestAndSet(5) {
-		t.Error("re-add after Clear reported present")
+	if len(s.pages) != 4 {
+		t.Errorf("Pages = %d, want 4", len(s.pages))
 	}
 }
 
@@ -86,18 +69,18 @@ func TestLineSetAgainstMap(t *testing.T) {
 			t.Fatalf("TestAndSet(%#x) = %v, map says %v", uint64(line), got, seen)
 		}
 	}
-	if s.Len() != uint64(len(ref)) {
-		t.Errorf("Len = %d, map has %d", s.Len(), len(ref))
+	if s.count != uint64(len(ref)) {
+		t.Errorf("Len = %d, map has %d", s.count, len(ref))
 	}
-	if got := s.PopCount(); got != s.Len() {
-		t.Errorf("PopCount = %d disagrees with Len = %d", got, s.Len())
+	if got := s.PopCount(); got != s.count {
+		t.Errorf("PopCount = %d disagrees with Len = %d", got, s.count)
 	}
 }
 
 func TestLineSetSteadyStateAllocs(t *testing.T) {
 	var s LineSet
 	for i := LineAddr(0); i < 4096; i++ {
-		s.Add(i)
+		s.TestAndSet(i)
 	}
 	avg := testing.AllocsPerRun(1000, func() {
 		s.TestAndSet(1234)

@@ -49,10 +49,6 @@ func (t AccessType) String() string {
 	}
 }
 
-// IsDemand reports whether the access is a demand access (issued by the
-// program) rather than a speculative hardware prefetch.
-func (t AccessType) IsDemand() bool { return t != PrefetchRead }
-
 // Access is one memory reference presented to the cache hierarchy.
 type Access struct {
 	// Addr is the byte address referenced.
@@ -68,7 +64,6 @@ type Access struct {
 // It is immutable once constructed.
 type Geometry struct {
 	lineSize  int
-	sets      int
 	lineShift uint
 	setShift  uint
 	setMask   uint64
@@ -86,7 +81,6 @@ func NewGeometry(lineSize, sets int) (Geometry, error) {
 	}
 	g := Geometry{
 		lineSize:  lineSize,
-		sets:      sets,
 		lineShift: uint(log2(lineSize)),
 	}
 	g.setShift = g.lineShift
@@ -107,9 +101,6 @@ func MustGeometry(lineSize, sets int) Geometry {
 
 // LineSize returns the cache line size in bytes.
 func (g Geometry) LineSize() int { return g.lineSize }
-
-// Sets returns the number of sets the geometry indexes.
-func (g Geometry) Sets() int { return g.sets }
 
 // LineShift returns log2(line size).
 func (g Geometry) LineShift() uint { return g.lineShift }
@@ -147,15 +138,6 @@ func (g Geometry) Tag(a Addr) uint64 {
 func (g Geometry) TagOfLine(l LineAddr) uint64 {
 	return uint64(l) >> g.setBits
 }
-
-// Compose reconstructs the first byte address of the line with the given
-// tag and set index. It is the inverse of (Tag, Set) up to line offset.
-func (g Geometry) Compose(tag, set uint64) Addr {
-	return Addr((tag<<g.setBits | set) << g.setShift) // line base
-}
-
-// SameLine reports whether two byte addresses fall in the same cache line.
-func (g Geometry) SameLine(a, b Addr) bool { return g.Line(a) == g.Line(b) }
 
 // log2 returns log base 2 of a positive power of two.
 func log2(v int) int {

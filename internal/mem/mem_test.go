@@ -41,8 +41,8 @@ func TestMustGeometryPanics(t *testing.T) {
 func TestGeometryDecomposition16KBDM(t *testing.T) {
 	// The paper's L1: 16KB direct-mapped, 64B lines -> 256 sets.
 	g := MustGeometry(64, 256)
-	if g.LineSize() != 64 || g.Sets() != 256 || g.LineShift() != 6 {
-		t.Fatalf("geometry fields: lineSize=%d sets=%d shift=%d", g.LineSize(), g.Sets(), g.LineShift())
+	if g.LineSize() != 64 || g.setMask != 255 || g.LineShift() != 6 {
+		t.Fatalf("geometry fields: lineSize=%d sets=%d shift=%d", g.LineSize(), g.setMask+1, g.LineShift())
 	}
 	a := Addr(0x12345678)
 	if got, want := g.Line(a), LineAddr(0x12345678>>6); got != want {
@@ -72,41 +72,6 @@ func TestLineBaseAndNextLine(t *testing.T) {
 	}
 }
 
-func TestComposeInvertsTagSet(t *testing.T) {
-	g := MustGeometry(64, 256)
-	f := func(a Addr) bool {
-		base := g.LineBase(a)
-		return g.Compose(g.Tag(a), g.Set(a)) == base
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestComposeRoundTripAcrossShapes pins the modulo family's invertibility
-// property — Compose∘(Tag,Set) = LineBase, at both the address and the
-// line level — across the shapes the repo uses, degenerate single-set
-// geometries included. Only the modulo family has this inverse: the cache
-// layer stores full line addresses in Line.Addr precisely because skewed
-// and randomized indexing do not.
-func TestComposeRoundTripAcrossShapes(t *testing.T) {
-	for _, sh := range []struct{ line, sets int }{
-		{32, 1}, {32, 64}, {64, 1}, {64, 256}, {64, 8192}, {128, 512},
-	} {
-		g := MustGeometry(sh.line, sh.sets)
-		f := func(a Addr) bool {
-			if g.Compose(g.Tag(a), g.Set(a)) != g.LineBase(a) {
-				return false
-			}
-			l := g.Line(a)
-			return g.Compose(g.TagOfLine(l), g.SetOfLine(l)) == g.LineBase(a)
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("%dB lines × %d sets: %v", sh.line, sh.sets, err)
-		}
-	}
-}
-
 func TestTagOfLineMatchesTag(t *testing.T) {
 	g := MustGeometry(64, 512)
 	f := func(a Addr) bool {
@@ -120,10 +85,10 @@ func TestTagOfLineMatchesTag(t *testing.T) {
 
 func TestSameLine(t *testing.T) {
 	g := MustGeometry(64, 256)
-	if !g.SameLine(0x100, 0x13f) {
+	if g.Line(0x100) != g.Line(0x13f) {
 		t.Error("0x100 and 0x13f should share a line")
 	}
-	if g.SameLine(0x13f, 0x140) {
+	if g.Line(0x13f) == g.Line(0x140) {
 		t.Error("0x13f and 0x140 should not share a line")
 	}
 }
@@ -152,12 +117,6 @@ func TestAliasingAddressesShareSets(t *testing.T) {
 }
 
 func TestAccessTypeProperties(t *testing.T) {
-	if !Load.IsDemand() || !Store.IsDemand() || !IFetch.IsDemand() {
-		t.Error("program accesses are demand accesses")
-	}
-	if PrefetchRead.IsDemand() {
-		t.Error("prefetches are not demand accesses")
-	}
 	names := map[AccessType]string{Load: "load", Store: "store", IFetch: "ifetch", PrefetchRead: "prefetch"}
 	for at, want := range names {
 		if at.String() != want {

@@ -212,13 +212,6 @@ func (p *Profiler) ObserveBatch(addrs []mem.Addr) {
 	}
 }
 
-// ObserveLines is ObserveBatch for callers that already fold to lines.
-func (p *Profiler) ObserveLines(lines []mem.LineAddr) {
-	for _, l := range lines {
-		p.observeLine(l)
-	}
-}
-
 func (p *Profiler) observeLine(line mem.LineAddr) {
 	p.refs++
 	if splitmix64(uint64(line)) > p.threshold {

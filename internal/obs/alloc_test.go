@@ -20,7 +20,6 @@ func TestDisabledSpanZeroAllocs(t *testing.T) {
 		c2, sp := Start(ctx, "hot")
 		sp.Str("label", "x")
 		sp.Int("attempt", 1)
-		sp.Float("f", 1.5)
 		sp.Bool("ok", true)
 		sp.End()
 		_ = c2

@@ -17,7 +17,6 @@ type NDJSONExporter struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
 	c   io.Closer // nil when the writer is not a closer
-	n   uint64
 	err error
 }
 
@@ -51,26 +50,7 @@ func (e *NDJSONExporter) ExportSpan(r SpanRecord) {
 	}
 	if _, err := e.bw.Write(append(enc, '\n')); err != nil {
 		e.err = err
-		return
 	}
-	e.n++
-}
-
-// Count returns how many spans were written so far.
-func (e *NDJSONExporter) Count() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.n
-}
-
-// Flush drains the buffer.
-func (e *NDJSONExporter) Flush() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err != nil {
-		return e.err
-	}
-	return e.bw.Flush()
 }
 
 // Close flushes and closes the underlying writer (when closable).
@@ -163,16 +143,6 @@ func (r *Ring) snapshotLocked() []ringRec {
 	out = append(out, r.recs[r.next:]...)
 	out = append(out, r.recs[:r.next]...)
 	return out
-}
-
-// Len returns how many spans the ring currently holds.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.recs)
-	}
-	return r.next
 }
 
 // ByTrace returns the buffered spans whose trace ID is trace, oldest

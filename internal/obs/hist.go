@@ -45,9 +45,6 @@ func NewHistogram(name, help string, bounds []float64) *Histogram {
 	}
 }
 
-// Name returns the metric name the histogram was created with.
-func (h *Histogram) Name() string { return h.name }
-
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	// Binary search for the first bound >= v.
@@ -76,9 +73,6 @@ func (h *Histogram) Observe(v float64) {
 func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(d.Seconds())
 }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }

@@ -24,8 +24,8 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Errorf("bucket %d = %d, want %d", i, got[i], want[i])
 		}
 	}
-	if h.Count() != 7 {
-		t.Errorf("Count = %d, want 7", h.Count())
+	if h.count.Load() != 7 {
+		t.Errorf("Count = %d, want 7", h.count.Load())
 	}
 	if sum := h.Sum(); math.Abs(sum-112) > 1e-9 {
 		t.Errorf("Sum = %g, want 112", sum)
@@ -36,8 +36,8 @@ func TestHistogramBuckets(t *testing.T) {
 func TestHistogramObserveDuration(t *testing.T) {
 	d := NewHistogram("mct_d_seconds", "t", []float64{1, 2})
 	d.ObserveDuration(1500 * time.Millisecond)
-	if d.Count() != 1 || d.Sum() != 1.5 {
-		t.Errorf("after ObserveDuration(1.5s): Count = %d, Sum = %g, want 1, 1.5", d.Count(), d.Sum())
+	if d.count.Load() != 1 || d.Sum() != 1.5 {
+		t.Errorf("after ObserveDuration(1.5s): Count = %d, Sum = %g, want 1, 1.5", d.count.Load(), d.Sum())
 	}
 	if got := d.Snapshot(); got[0] != 0 || got[1] != 1 || got[2] != 0 {
 		t.Errorf("after ObserveDuration(1.5s): buckets = %v, want [0 1 0]", got)
@@ -128,8 +128,8 @@ func TestHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if h.Count() != workers*each {
-		t.Errorf("Count = %d, want %d", h.Count(), workers*each)
+	if h.count.Load() != workers*each {
+		t.Errorf("Count = %d, want %d", h.count.Load(), workers*each)
 	}
 	if sum := h.Sum(); math.Abs(sum-workers*each*0.001) > 1e-6 {
 		t.Errorf("Sum = %g, want %g", sum, workers*each*0.001)

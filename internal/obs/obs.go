@@ -94,28 +94,6 @@ func Inject(ctx context.Context, e Exporter, traceID string) context.Context {
 	return context.WithValue(ctx, ctxKey{}, &ctxData{exp: e, trace: traceID})
 }
 
-// WithTrace returns a context whose spans carry trace ID traceID,
-// keeping any injected exporter from the parent context.
-func WithTrace(ctx context.Context, traceID string) context.Context {
-	d, _ := ctx.Value(ctxKey{}).(*ctxData)
-	nd := &ctxData{trace: traceID}
-	if d != nil {
-		nd.exp = d.exp
-		nd.parent = d.parent
-	}
-	return context.WithValue(ctx, ctxKey{}, nd)
-}
-
-// Enabled reports whether ctx would produce real spans: an exporter is
-// installed globally or injected into ctx.
-func Enabled(ctx context.Context) bool {
-	if globalExporter.Load() != nil {
-		return true
-	}
-	d, _ := ctx.Value(ctxKey{}).(*ctxData)
-	return d != nil && d.exp != nil
-}
-
 // Start begins a span named name under ctx. When tracing is off (no
 // exporter reachable from ctx) it returns ctx unchanged and a nil span
 // whose methods are all no-ops — the disabled path performs no

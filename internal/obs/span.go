@@ -63,14 +63,6 @@ func (s *Span) ID() uint64 {
 	return s.id
 }
 
-// Trace returns the span's trace ID ("" for the nil span).
-func (s *Span) Trace() string {
-	if s == nil {
-		return ""
-	}
-	return s.trace
-}
-
 // Str attaches a string attribute.
 func (s *Span) Str(key, v string) {
 	if s == nil {
@@ -85,14 +77,6 @@ func (s *Span) Int(key string, v int64) {
 		return
 	}
 	s.attrs = append(s.attrs, Attr{Key: key, kind: attrInt, i: v})
-}
-
-// Float attaches a float attribute.
-func (s *Span) Float(key string, v float64) {
-	if s == nil {
-		return
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, kind: attrFloat, f: v})
 }
 
 // Bool attaches a boolean attribute.

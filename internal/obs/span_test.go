@@ -42,12 +42,11 @@ func TestSpanDisabledIsNil(t *testing.T) {
 	// Every nil-span method must be a safe no-op.
 	sp.Str("k", "v")
 	sp.Int("k", 1)
-	sp.Float("k", 1.5)
 	sp.Bool("k", true)
 	sp.Err(errors.New("x"))
 	sp.End()
-	if sp.ID() != 0 || sp.Trace() != "" {
-		t.Error("nil span must report zero ID and empty trace")
+	if sp.ID() != 0 {
+		t.Error("nil span must report zero ID")
 	}
 }
 
@@ -132,32 +131,6 @@ func TestDefaultTrace(t *testing.T) {
 	}
 }
 
-func TestWithTraceOverrides(t *testing.T) {
-	var c collector
-	ctx := Inject(context.Background(), &c, "outer")
-	ctx = WithTrace(ctx, "inner")
-	_, sp := Start(ctx, "x")
-	sp.End()
-	if recs := c.all(); len(recs) != 1 || recs[0].Trace != "inner" {
-		t.Fatalf("records = %+v, want trace inner", c.all())
-	}
-}
-
-func TestEnabled(t *testing.T) {
-	if Enabled(context.Background()) {
-		t.Error("Enabled must be false with no exporters")
-	}
-	var c collector
-	if !Enabled(Inject(context.Background(), &c, "")) {
-		t.Error("Enabled must see the injected exporter")
-	}
-	SetExporter(&c)
-	defer SetExporter(nil)
-	if !Enabled(context.Background()) {
-		t.Error("Enabled must see the global exporter")
-	}
-}
-
 func TestNDJSONExporter(t *testing.T) {
 	var buf bytes.Buffer
 	e := NewNDJSONExporter(&buf)
@@ -167,11 +140,8 @@ func TestNDJSONExporter(t *testing.T) {
 		sp.Int("i", int64(i))
 		sp.End()
 	}
-	if err := e.Flush(); err != nil {
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if e.Count() != 3 {
-		t.Errorf("Count = %d, want 3", e.Count())
 	}
 	sc := bufio.NewScanner(&buf)
 	lines := 0
@@ -188,25 +158,18 @@ func TestNDJSONExporter(t *testing.T) {
 	if lines != 3 {
 		t.Errorf("%d NDJSON lines, want 3", lines)
 	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestRingEvictsOldest(t *testing.T) {
 	r := NewRing(4)
-	ctx := Inject(context.Background(), r, "keep")
 	for i := 0; i < 6; i++ {
 		tr := "drop"
 		if i >= 2 {
 			tr = "keep"
 		}
-		_, sp := Start(WithTrace(ctx, tr), "op")
+		_, sp := Start(Inject(context.Background(), r, tr), "op")
 		sp.Int("i", int64(i))
 		sp.End()
-	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4 (capacity)", r.Len())
 	}
 	if got := r.ByTrace("drop"); len(got) != 0 {
 		t.Errorf("evicted trace still visible: %+v", got)

@@ -93,9 +93,6 @@ func (s *System) Name() string {
 	return "pseudo-base"
 }
 
-// MCT exposes the classification table.
-func (s *System) MCT() *core.MCT { return s.mct }
-
 // homeSet returns the line's primary index.
 func (s *System) homeSet(line mem.LineAddr) uint64 { return s.geom.SetOfLine(line) }
 

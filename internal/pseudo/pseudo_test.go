@@ -201,7 +201,7 @@ func TestMissClassificationStats(t *testing.T) {
 	if st.Misses == 0 || st.ConflictMisses+st.CapacityMisses != st.Misses {
 		t.Errorf("classification accounting inconsistent: %+v", st)
 	}
-	if s.MCT().Stats().Evictions == 0 {
+	if s.mct.Stats().Evictions == 0 {
 		t.Error("evictions should be recorded in the MCT")
 	}
 }

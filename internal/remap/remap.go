@@ -141,14 +141,8 @@ func MustNew(l1cfg cache.Config, cfg Config, policy Policy) *System {
 	return s
 }
 
-// Name labels the system for experiment output.
-func (s *System) Name() string { return s.policy.String() }
-
 // Stats returns the counters.
 func (s *System) Stats() Stats { return s.stats }
-
-// L1 exposes the underlying cache.
-func (s *System) L1() *cache.Cache { return s.l1 }
 
 // page returns the virtual page number of an address.
 func (s *System) page(a mem.Addr) uint64 { return uint64(a) >> s.cfg.PageShift }

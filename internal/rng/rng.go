@@ -96,21 +96,6 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// Geometric returns a sample from a geometric distribution with mean m
-// (number of trials until the first success, minimum 1). Workload kernels
-// use it to model burst lengths.
-func (s *Source) Geometric(m float64) int {
-	if m <= 1 {
-		return 1
-	}
-	p := 1 / m
-	n := 1
-	for !s.Bool(p) && n < 1<<20 {
-		n++
-	}
-	return n
-}
-
 // Perm fills out with a uniformly random permutation of [0, len(out)).
 func (s *Source) Perm(out []int) {
 	for i := range out {

@@ -132,27 +132,6 @@ func TestBoolEdges(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	s := New(8)
-	const m = 6.0
-	sum := 0
-	const draws = 20000
-	for i := 0; i < draws; i++ {
-		v := s.Geometric(m)
-		if v < 1 {
-			t.Fatalf("Geometric returned %d < 1", v)
-		}
-		sum += v
-	}
-	mean := float64(sum) / draws
-	if mean < m*0.9 || mean > m*1.1 {
-		t.Errorf("Geometric(%g) sample mean %g", m, mean)
-	}
-	if v := s.Geometric(0.5); v != 1 {
-		t.Errorf("Geometric(<=1) should return 1, got %d", v)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(11)
 	out := make([]int, 37)

@@ -109,16 +109,19 @@ func TestMapSpanUnderDeadlinePath(t *testing.T) {
 	var sink spanSink
 	ctx := obs.Inject(context.Background(), &sink, "run-z")
 	_, err := Map(ctx, []Task[int]{{Label: "timed", Run: func(tctx context.Context) (int, error) {
-		if !obs.Enabled(tctx) {
-			return 0, errors.New("span context did not reach the task body")
-		}
+		_, sp := obs.Start(tctx, "inner")
+		sp.End()
 		return 7, nil
 	}}}, Deadline(time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spans := sink.byName("runner.task"); len(spans) != 1 {
+	spans := sink.byName("runner.task")
+	if len(spans) != 1 {
 		t.Fatalf("got %d spans under deadline path, want 1", len(spans))
+	}
+	if inner := sink.byName("inner"); len(inner) != 1 || inner[0].Parent != spans[0].Span {
+		t.Errorf("span context did not reach the task body: inner spans %+v", inner)
 	}
 }
 

@@ -167,7 +167,7 @@ func TestMemoTierFaultInjectionFiresOnMemoryHit(t *testing.T) {
 
 	var mu sync.Mutex
 	attempts := map[int]int{}
-	fault := faultinject.ErrorOnce("classify/")
+	fault := faultinject.ErrorN("classify/", 1)
 	restore := faultinject.Install(func(ctx context.Context, label string, attempt int) error {
 		if strings.HasPrefix(label, "classify/") {
 			mu.Lock()

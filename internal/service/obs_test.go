@@ -93,7 +93,7 @@ func TestPrometheusExposition(t *testing.T) {
 // at registration).
 func TestMetricNamingConvention(t *testing.T) {
 	s, _ := newTestService(t, Config{})
-	names := s.Metrics().Names()
+	names := s.reg.Names()
 	if len(names) < 10 {
 		t.Fatalf("only %d registered metrics — registry wiring lost?", len(names))
 	}

@@ -120,7 +120,7 @@ func TestRecoverRedrivesUnfinishedJobs(t *testing.T) {
 
 			var mu sync.Mutex
 			attempts := map[int]int{} // attempt index -> tasks seen at it
-			fault := faultinject.ErrorOnce(tc.kind + "/")
+			fault := faultinject.ErrorN(tc.kind+"/", 1)
 			restore := faultinject.Install(func(ctx context.Context, label string, attempt int) error {
 				if strings.HasPrefix(label, tc.kind+"/") {
 					mu.Lock()

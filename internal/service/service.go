@@ -282,18 +282,6 @@ func (s *Service) Drain(ctx context.Context) error {
 // diagnostics loggers.
 func (s *Service) Cache() *runner.Cache { return s.cache }
 
-// Cluster exposes the cluster layer (nil when single-node) for wiring
-// and tests.
-func (s *Service) Cluster() *cluster.Cluster { return s.cluster }
-
-// Metrics returns the instance's Prometheus metric registry (the
-// naming-convention test and cmd/mctd's wiring read it).
-func (s *Service) Metrics() *obs.Registry { return s.reg }
-
-// TraceRing returns the instance's span ring; cmd/mctd injects it into
-// other exporters or tests read it directly.
-func (s *Service) TraceRing() *obs.Ring { return s.ring }
-
 // NoteSlowTask counts one slow-task detection (cmd/mctd's slow log
 // calls this alongside emitting the structured event).
 func (s *Service) NoteSlowTask() { s.slow.Add(1) }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/hier"
 	"repro/internal/runner"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -136,24 +135,4 @@ func sweepTasks(benches []*workload.Benchmark, systems []SystemFactory, opt Opti
 		}
 	}
 	return tasks
-}
-
-// ReplayMem replays only the memory references of a benchmark through a
-// functional system, without CPU or hierarchy timing — the fast path used
-// by hit-rate-only measurements and tests. Prefetch requests are satisfied
-// immediately (zero-latency arrival), which upper-bounds prefetch
-// usefulness exactly as a bandwidth-unconstrained system would.
-func ReplayMem(b *workload.Benchmark, sys assist.System, accesses uint64, seed uint64) assist.Stats {
-	if seed == 0 {
-		seed = workload.DefaultSeed
-	}
-	s := b.MemStream(seed)
-	var in trace.Instr
-	for n := uint64(0); n < accesses && s.Next(&in); n++ {
-		out := sys.Access(trace.AccessOf(in))
-		for _, pf := range out.Prefetches {
-			sys.PrefetchArrived(pf)
-		}
-	}
-	return sys.Stats()
 }

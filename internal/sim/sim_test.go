@@ -86,17 +86,6 @@ func TestSweepMatchesSerialRuns(t *testing.T) {
 	}
 }
 
-func TestReplayMem(t *testing.T) {
-	b, _ := workload.ByName("compress")
-	st := ReplayMem(b, assist.MustNewBaseline(L1Config(), 0), 30_000, 0)
-	if st.Accesses != 30_000 {
-		t.Errorf("accesses = %d", st.Accesses)
-	}
-	if st.Misses == 0 || st.L1Hits == 0 {
-		t.Errorf("degenerate replay: %+v", st)
-	}
-}
-
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Instructions == 0 || o.Seed == 0 || o.Hier.MSHRs == 0 || o.CPU.ROBSize == 0 {

@@ -16,7 +16,6 @@ type BarChart struct {
 	baseline float64
 	hasBase  bool
 	width    int
-	format   string
 }
 
 // NewBarChart creates a chart with the given title. Width is the maximum
@@ -25,19 +24,13 @@ func NewBarChart(title string, width int) *BarChart {
 	if width <= 0 {
 		width = 50
 	}
-	return &BarChart{title: title, width: width, format: "%.3f"}
+	return &BarChart{title: title, width: width}
 }
 
 // SetBaseline marks a reference value (drawn as '|' within each bar).
 func (c *BarChart) SetBaseline(v float64) *BarChart {
 	c.baseline = v
 	c.hasBase = true
-	return c
-}
-
-// SetFormat overrides the value format (default %.3f).
-func (c *BarChart) SetFormat(f string) *BarChart {
-	c.format = f
 	return c
 }
 
@@ -92,7 +85,7 @@ func (c *BarChart) String() string {
 				bar[basePos] = '|'
 			}
 		}
-		fmt.Fprintf(&b, "  %-*s %s "+c.format+"\n", labW, c.labels[i], string(bar), v)
+		fmt.Fprintf(&b, "  %-*s %s %.3f\n", labW, c.labels[i], string(bar), v)
 	}
 	return b.String()
 }

@@ -38,11 +38,11 @@ func TestBarChartEmpty(t *testing.T) {
 }
 
 func TestBarChartDefaults(t *testing.T) {
-	c := NewBarChart("", 0).SetFormat("%.1f")
+	c := NewBarChart("", 0)
 	c.Add("a", 3.0)
 	out := c.String()
-	if !strings.Contains(out, "3.0") {
-		t.Errorf("custom format ignored:\n%s", out)
+	if !strings.Contains(out, "3.000") {
+		t.Errorf("default format not %%.3f:\n%s", out)
 	}
 	if strings.Count(out, "#") != 50 {
 		t.Errorf("default width not 50:\n%q", out)

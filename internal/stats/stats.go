@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -19,9 +18,6 @@ func Ratio(num, den uint64) float64 {
 	}
 	return float64(num) / float64(den)
 }
-
-// Pct returns num/den as a percentage (0 when den is 0).
-func Pct(num, den uint64) float64 { return 100 * Ratio(num, den) }
 
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
 func Mean(xs []float64) float64 {
@@ -52,34 +48,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(sum / float64(len(xs)))
 }
 
-// Min returns the smallest element of xs (0 for empty).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs (0 for empty).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Table accumulates rows of labeled values and renders an aligned
 // plain-text table — the output format for every reproduced figure/table.
 type Table struct {
@@ -98,16 +66,6 @@ func (t *Table) AddRow(cells ...string) {
 	row := make([]string, len(t.columns))
 	copy(row, cells)
 	t.rows = append(t.rows, row)
-}
-
-// AddRowF appends a row with a label followed by %0.2f-formatted values.
-func (t *Table) AddRowF(label string, vals ...float64) {
-	cells := make([]string, 0, len(vals)+1)
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf("%.2f", v))
-	}
-	t.AddRow(cells...)
 }
 
 // Rows returns the number of data rows.
@@ -154,34 +112,6 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// SortRowsByLabel orders data rows alphabetically by their first cell,
-// keeping any row whose label appears in keepLast (e.g. "mean") at the end
-// in the order given.
-func (t *Table) SortRowsByLabel(keepLast ...string) {
-	lastRank := make(map[string]int, len(keepLast))
-	for i, l := range keepLast {
-		lastRank[l] = i
-	}
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		li, lj := t.rows[i][0], t.rows[j][0]
-		ri, iLast := lastRank[li]
-		rj, jLast := lastRank[lj]
-		switch {
-		case iLast && jLast:
-			return ri < rj
-		case iLast:
-			return false
-		case jLast:
-			return true
-		default:
-			return li < lj
-		}
-	})
-}
-
-// Title returns the table's title.
-func (t *Table) Title() string { return t.title }
 
 // CSV renders the table as RFC-4180-ish CSV (header row then data rows;
 // cells containing commas or quotes are quoted). Experiment tooling uses

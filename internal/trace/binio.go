@@ -43,11 +43,6 @@ const (
 	// endianLittle is the v2 header marker for little-endian records, the
 	// only byte order the format defines.
 	endianLittle = 1
-
-	// traceVersion and recordSize alias the legacy layout, which existing
-	// tooling and tests treat as the default.
-	traceVersion = versionLegacy
-	recordSize   = recordSizeV1
 )
 
 // Typed header errors. Servers and tools match these with errors.Is to

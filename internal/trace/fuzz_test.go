@@ -87,9 +87,9 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(validTraceV2(f, 3, 3))
 	f.Add(validTraceV2(f, 5, 2)) // v2 truncated below count
 	full := validTrace(f, 0, 4)
-	f.Add(full[:len(full)-7])           // partial trailing record
-	f.Add(full[:headerSize+recordSize]) // exactly one record
-	f.Add(full[:headerSize-2])          // truncated header
+	f.Add(full[:len(full)-7])             // partial trailing record
+	f.Add(full[:headerSize+recordSizeV1]) // exactly one record
+	f.Add(full[:headerSize-2])            // truncated header
 	fullV2 := validTraceV2(f, 0, 4)
 	f.Add(fullV2[:len(fullV2)-5])           // v2 partial trailing record
 	f.Add(fullV2[:headerSize+recordSizeV2]) // exactly one v2 record

@@ -91,16 +91,6 @@ func (m *Mapped) Next(out *Instr) bool {
 // image can be replayed repeatedly without revalidating or remapping.
 func (m *Mapped) Rewind() { m.pos = 0 }
 
-// SkipAhead implements Skipper in O(1).
-func (m *Mapped) SkipAhead(n uint64) uint64 {
-	left := uint64(m.n - m.pos)
-	if n > left {
-		n = left
-	}
-	m.pos += int(n)
-	return n
-}
-
 // ReadBatch implements BatchSource, decoding straight out of the mapped
 // image.
 func (m *Mapped) ReadBatch(b *Batch, max int) int {

@@ -66,11 +66,6 @@ func (o OpClass) String() string {
 // IsMem reports whether the op accesses data memory.
 func (o OpClass) IsMem() bool { return o == Load || o == Store }
 
-// IsFP reports whether the op issues to the floating-point queue. The
-// simulated processor has two 32-entry instruction queues (integer and FP),
-// matching the paper's SMTSIM configuration.
-func (o OpClass) IsFP() bool { return o == FPOp || o == FPDiv }
-
 // ExecLatency returns the functional-unit latency in cycles for the class.
 // Memory latency for loads is determined by the cache hierarchy instead.
 func (o OpClass) ExecLatency() int {
@@ -144,16 +139,6 @@ func (s *SliceStream) Next(out *Instr) bool {
 	return true
 }
 
-// SkipAhead implements Skipper in O(1) by advancing the cursor.
-func (s *SliceStream) SkipAhead(n uint64) uint64 {
-	left := uint64(len(s.instrs) - s.pos)
-	if n > left {
-		n = left
-	}
-	s.pos += int(n)
-	return n
-}
-
 // Limit wraps a stream and cuts it off after n instructions.
 type Limit struct {
 	inner Stream
@@ -178,54 +163,6 @@ func (l *Limit) Next(out *Instr) bool {
 	return true
 }
 
-// SkipAhead implements Skipper: it discards up to n instructions from the
-// inner stream, bounded by and charged against the limit.
-func (l *Limit) SkipAhead(n uint64) uint64 {
-	if n > l.left {
-		n = l.left
-	}
-	done := Skip(l.inner, n)
-	if done < n {
-		l.left = 0 // inner exhausted; stay exhausted
-		return done
-	}
-	l.left -= done
-	return done
-}
-
-// Skipper is a Stream that can discard instructions more efficiently — or
-// with fewer side effects — than repeated Next calls. Skip uses it when
-// available. Tee's implementation is load-bearing for measurement
-// correctness: skipped (warmup) instructions bypass the observer.
-type Skipper interface {
-	// SkipAhead discards up to n instructions, returning how many were
-	// discarded (fewer only if the stream ended).
-	SkipAhead(n uint64) uint64
-}
-
-// Skip discards n instructions from s, returning how many were actually
-// discarded (less than n if the stream ended). Experiments use this for the
-// paper's "start measured simulation N instructions into execution".
-//
-// Skipped instructions are warmup by definition, so they must not leak
-// into measured counters: if s is a Tee (or any Skipper that bypasses
-// side effects), its observer does NOT fire for skipped instructions.
-// Note the composition order still matters for wrapped observers — a Tee
-// buried beneath a non-Skipper wrapper is driven through Next and will
-// observe; attach observers outermost (or after warmup) to keep them
-// measurement-clean.
-func Skip(s Stream, n uint64) uint64 {
-	if sk, ok := s.(Skipper); ok {
-		return sk.SkipAhead(n)
-	}
-	var in Instr
-	var done uint64
-	for done < n && s.Next(&in) {
-		done++
-	}
-	return done
-}
-
 // Drain pulls every remaining instruction from s into a slice. Intended for
 // tests and small traces only.
 func Drain(s Stream) []Instr {
@@ -235,49 +172,6 @@ func Drain(s Stream) []Instr {
 		out = append(out, in)
 	}
 	return out
-}
-
-// CountKinds consumes the stream and tallies instructions per op class,
-// returning the counts and the total. Used by trace tooling and tests.
-func CountKinds(s Stream) ([NumOpClasses]uint64, uint64) {
-	var counts [NumOpClasses]uint64
-	var total uint64
-	var in Instr
-	for s.Next(&in) {
-		counts[in.Op]++
-		total++
-	}
-	return counts, total
-}
-
-// Tee duplicates a stream to an observer function while passing
-// instructions through unchanged.
-type Tee struct {
-	inner Stream
-	fn    func(Instr)
-}
-
-// NewTee wraps inner so fn sees each instruction as it is consumed.
-func NewTee(inner Stream, fn func(Instr)) *Tee {
-	return &Tee{inner: inner, fn: fn}
-}
-
-// Next implements Stream.
-func (t *Tee) Next(out *Instr) bool {
-	if !t.inner.Next(out) {
-		return false
-	}
-	t.fn(*out)
-	return true
-}
-
-// SkipAhead implements Skipper: skipped instructions are discarded without
-// firing the observer. Before this, Skip over a Tee drove the observer for
-// every skipped warmup instruction, polluting measured counters whenever a
-// Tee was attached before the warmup skip; TestSkipBypassesTee pins the
-// fixed behavior.
-func (t *Tee) SkipAhead(n uint64) uint64 {
-	return Skip(t.inner, n)
 }
 
 // MemOnly filters a stream down to its loads and stores — the access

@@ -63,41 +63,20 @@ func TestLimit(t *testing.T) {
 	}
 }
 
-func TestSkip(t *testing.T) {
-	s := NewSliceStream(instrs(10))
-	if got := Skip(s, 4); got != 4 {
-		t.Errorf("Skip = %d", got)
-	}
-	var in Instr
-	s.Next(&in)
-	if in.PC != mem.Addr(4*4) {
-		t.Errorf("after skip, PC = %#x", in.PC)
-	}
-	if got := Skip(s, 100); got != 5 {
-		t.Errorf("Skip past end = %d, want 5", got)
-	}
-}
-
 func TestDrainAndCountKinds(t *testing.T) {
 	all := Drain(NewSliceStream(instrs(12)))
 	if len(all) != 12 {
 		t.Fatalf("Drain returned %d", len(all))
 	}
-	counts, total := CountKinds(NewSliceStream(instrs(12)))
-	if total != 12 {
-		t.Errorf("total = %d", total)
+	var counts [NumOpClasses]int
+	for i, in := range all {
+		if in != instrs(12)[i] {
+			t.Fatalf("Drain()[%d] = %+v", i, in)
+		}
+		counts[in.Op]++
 	}
 	if counts[IntOp] != 3 || counts[Load] != 3 || counts[Store] != 3 || counts[Branch] != 3 {
 		t.Errorf("counts = %v", counts)
-	}
-}
-
-func TestTee(t *testing.T) {
-	var seen int
-	s := NewTee(NewSliceStream(instrs(7)), func(Instr) { seen++ })
-	Drain(s)
-	if seen != 7 {
-		t.Errorf("tee observed %d", seen)
 	}
 }
 
@@ -131,9 +110,6 @@ func TestOpClassProperties(t *testing.T) {
 	if !Load.IsMem() || !Store.IsMem() || IntOp.IsMem() || Branch.IsMem() {
 		t.Error("IsMem wrong")
 	}
-	if !FPOp.IsFP() || !FPDiv.IsFP() || IntMul.IsFP() || Load.IsFP() {
-		t.Error("IsFP wrong")
-	}
 	// Latency sanity: divides are the longest, simple ops single-cycle.
 	if FPDiv.ExecLatency() <= FPOp.ExecLatency() || IntOp.ExecLatency() != 1 {
 		t.Error("latency ordering wrong")
@@ -142,77 +118,5 @@ func TestOpClassProperties(t *testing.T) {
 		if op.String() == "" || op.ExecLatency() < 1 {
 			t.Errorf("op %d: name %q latency %d", op, op.String(), op.ExecLatency())
 		}
-	}
-}
-
-// TestSkipBypassesTee pins the warmup-skip contract: instructions
-// discarded by Skip are warmup, so a Tee's observer must NOT see them —
-// only instructions actually consumed afterward count. (Before the
-// Skipper fast path, Skip drove the Tee via Next and the observer fired
-// for every skipped instruction, polluting measured counters when a Tee
-// was attached before the warmup skip.)
-func TestSkipBypassesTee(t *testing.T) {
-	var seen int
-	s := NewTee(NewSliceStream(instrs(10)), func(Instr) { seen++ })
-	if got := Skip(s, 6); got != 6 {
-		t.Fatalf("Skip = %d, want 6", got)
-	}
-	if seen != 0 {
-		t.Fatalf("observer fired %d times during warmup skip, want 0", seen)
-	}
-	var in Instr
-	for s.Next(&in) {
-	}
-	if seen != 4 {
-		t.Errorf("observer saw %d measured instructions, want 4", seen)
-	}
-}
-
-// TestSkipOverLimit verifies the Skipper path charges skipped instructions
-// against the limit exactly like consuming them would.
-func TestSkipOverLimit(t *testing.T) {
-	l := NewLimit(NewSliceStream(instrs(100)), 10)
-	if got := Skip(l, 4); got != 4 {
-		t.Fatalf("Skip = %d", got)
-	}
-	var in Instr
-	n := 0
-	for l.Next(&in) {
-		n++
-	}
-	if n != 6 {
-		t.Errorf("after skipping 4 of limit 10, %d remained, want 6", n)
-	}
-	// Skipping past the limit stops at the limit.
-	l2 := NewLimit(NewSliceStream(instrs(100)), 10)
-	if got := Skip(l2, 50); got != 10 {
-		t.Errorf("Skip past limit = %d, want 10", got)
-	}
-	// Skipping past the inner stream's end exhausts the limit.
-	l3 := NewLimit(NewSliceStream(instrs(3)), 10)
-	if got := Skip(l3, 8); got != 3 {
-		t.Errorf("Skip past inner end = %d, want 3", got)
-	}
-	if l3.Next(&in) {
-		t.Error("limit over exhausted inner stream must stay exhausted")
-	}
-}
-
-// TestSkipComposition pins the documented composition caveat: a Tee nested
-// inside a non-Skipper wrapper (MemOnly) is driven through Next, so its
-// observer DOES see skipped instructions. Observers that must stay
-// measurement-clean attach outermost.
-func TestSkipComposition(t *testing.T) {
-	var inner int
-	s := NewMemOnly(NewTee(NewSliceStream(instrs(12)), func(Instr) { inner++ }))
-	Skip(s, 2) // 2 mem ops discarded, but the tee sees every instr walked
-	if inner == 0 {
-		t.Error("inner tee under MemOnly should observe Next-driven skipping (documented caveat)")
-	}
-	var outer int
-	s2 := NewTee(NewMemOnly(NewSliceStream(instrs(12))), func(Instr) { outer++ })
-	Skip(s2, 2)
-	if outer != 0 {
-		t.Errorf("outermost tee observed %d skipped instructions, want 0", outer)
 	}
 }

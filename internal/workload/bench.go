@@ -29,7 +29,7 @@ type Benchmark struct {
 	// called once per stream so concurrent streams never share cursors.
 	Build func() []Phase
 	// CodeBodies is the per-kernel code footprint in loop-body copies
-	// (see CodeFootprint); 0/1 means a single tight loop body. Large
+	// (see kernelBase); 0/1 means a single tight loop body. Large
 	// irregular codes (gcc, vortex) set tens of bodies so an instruction
 	// cache sees realistic pressure.
 	CodeBodies int

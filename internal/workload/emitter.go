@@ -102,19 +102,9 @@ func (e *Emitter) Int(srcs ...uint8) uint8 {
 	return e.alu(trace.IntOp, srcs)
 }
 
-// IntMul emits a multi-cycle integer multiply.
-func (e *Emitter) IntMul(srcs ...uint8) uint8 {
-	return e.alu(trace.IntMul, srcs)
-}
-
 // FP emits a pipelined floating-point op.
 func (e *Emitter) FP(srcs ...uint8) uint8 {
 	return e.alu(trace.FPOp, srcs)
-}
-
-// FPDiv emits a long-latency floating-point divide.
-func (e *Emitter) FPDiv(srcs ...uint8) uint8 {
-	return e.alu(trace.FPDiv, srcs)
 }
 
 func (e *Emitter) alu(op trace.OpClass, srcs []uint8) uint8 {
@@ -196,23 +186,8 @@ func setSrcs(in *trace.Instr, srcs []uint8) {
 type Kernel interface {
 	// Name identifies the kernel in diagnostics.
 	Name() string
-	// CodeBase is the kernel's instruction-address region; bursts re-enter
-	// it so PC-indexed predictors see stable addresses.
-	CodeBase() mem.Addr
 	// Burst appends one burst of instructions to the emitter.
 	Burst(e *Emitter)
-}
-
-// CodeFootprint is implemented by kernels whose code spans multiple loop
-// bodies (inlined copies, cold paths, helper functions). Each burst
-// executes from one body, rotating deterministically, so the instruction
-// stream exercises an instruction cache realistically: small numeric
-// kernels stay resident while large irregular codes (a compiler's many
-// passes) thrash. Kernels without the interface have a single body.
-type CodeFootprint interface {
-	// Bodies returns how many distinct code copies the kernel executes
-	// from and the byte spacing between copies.
-	Bodies() (n int, spacing mem.Addr)
 }
 
 // Region is a contiguous data address range a kernel works over.

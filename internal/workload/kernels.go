@@ -39,8 +39,11 @@ func (c *chainSet) put(v uint8) {
 }
 
 // kernelBase embeds the common identity fields. bodies > 1 gives the
-// kernel a large code footprint: each burst runs from a rotating copy of
-// the loop body, bodySpacing bytes apart (see CodeFootprint).
+// kernel a large code footprint (inlined copies, cold paths, helper
+// functions): each burst runs from a rotating copy of the loop body,
+// bodySpacing bytes apart, so the instruction stream exercises an
+// instruction cache realistically — small numeric kernels stay resident
+// while large irregular codes (a compiler's many passes) thrash.
 type kernelBase struct {
 	name   string
 	code   mem.Addr
@@ -48,13 +51,13 @@ type kernelBase struct {
 	bursts int
 }
 
-func (k kernelBase) Name() string       { return k.name }
-func (k kernelBase) CodeBase() mem.Addr { return k.code }
+func (k kernelBase) Name() string { return k.name }
 
 // bodySpacing is the code size attributed to one loop body copy.
 const bodySpacing mem.Addr = 512
 
-// Bodies implements CodeFootprint.
+// Bodies returns how many distinct code copies the kernel executes from
+// and the byte spacing between copies.
 func (k kernelBase) Bodies() (int, mem.Addr) {
 	if k.bodies < 1 {
 		return 1, bodySpacing

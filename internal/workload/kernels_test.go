@@ -169,7 +169,7 @@ func TestSeqScanIntraLineBurst(t *testing.T) {
 	}
 	g := mem.MustGeometry(64, 256)
 	for i := 0; i < len(addrs); i += 2 {
-		if !g.SameLine(addrs[i], addrs[i+1]) {
+		if g.Line(addrs[i]) != g.Line(addrs[i+1]) {
 			t.Fatalf("pair %d not in one line", i/2)
 		}
 		if i > 0 && g.Line(addrs[i]) != g.Line(addrs[i-2])+1 {
