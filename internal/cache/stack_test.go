@@ -87,8 +87,8 @@ func TestLRUStackMatchesFullyAssociative(t *testing.T) {
 }
 
 // The tests below check the stack against fixed expectations rather than
-// a reference model, each with one region per capacity under test: K is
-// the miss answer and region 0 the most recent line.
+// a reference model. Reference answers K, the number of capacities, on a
+// miss; a hit in region 0 means the line was within the first capacity.
 
 func TestFAReferenceBasics(t *testing.T) {
 	s := mustStack(t, 2)

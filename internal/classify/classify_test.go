@@ -22,6 +22,14 @@ func TestKindStringsAndGrouping(t *testing.T) {
 	if Kind(9).String() != "unknown" {
 		t.Error("unknown kind should render 'unknown'")
 	}
+	// The paper groups compulsory with capacity.
+	var a Accuracy
+	a.Record(Compulsory, core.Capacity)
+	a.Record(Capacity, core.Capacity)
+	a.Record(Conflict, core.Conflict)
+	if a.CapacityTotal != 2 || a.CapacityAgreed != 2 || a.ConflictTotal != 1 || a.ConflictAgreed != 1 {
+		t.Errorf("compulsory/capacity must group as capacity, conflict as conflict: %+v", a)
+	}
 }
 
 func TestOracleCompulsory(t *testing.T) {

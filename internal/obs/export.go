@@ -10,9 +10,9 @@ import (
 
 // NDJSONExporter writes one JSON object per finished span to an
 // io.Writer, serialized behind a mutex so concurrent span ends never
-// interleave bytes. Writes are buffered; Close (or Flush) drains the
-// buffer and reports the first write error encountered anywhere along
-// the way — span export itself never fails the exporting goroutine.
+// interleave bytes. Writes are buffered; Close drains the buffer and
+// reports the first write error encountered anywhere along the way —
+// span export itself never fails the exporting goroutine.
 type NDJSONExporter struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
