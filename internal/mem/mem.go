@@ -64,6 +64,7 @@ type Access struct {
 // It is immutable once constructed.
 type Geometry struct {
 	lineSize  int
+	sets      int
 	lineShift uint
 	setShift  uint
 	setMask   uint64
@@ -81,6 +82,7 @@ func NewGeometry(lineSize, sets int) (Geometry, error) {
 	}
 	g := Geometry{
 		lineSize:  lineSize,
+		sets:      sets,
 		lineShift: uint(log2(lineSize)),
 	}
 	g.setShift = g.lineShift

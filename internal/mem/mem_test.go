@@ -41,8 +41,8 @@ func TestMustGeometryPanics(t *testing.T) {
 func TestGeometryDecomposition16KBDM(t *testing.T) {
 	// The paper's L1: 16KB direct-mapped, 64B lines -> 256 sets.
 	g := MustGeometry(64, 256)
-	if g.LineSize() != 64 || g.setMask != 255 || g.LineShift() != 6 {
-		t.Fatalf("geometry fields: lineSize=%d sets=%d shift=%d", g.LineSize(), g.setMask+1, g.LineShift())
+	if g.LineSize() != 64 || g.sets != 256 || g.LineShift() != 6 {
+		t.Fatalf("geometry fields: lineSize=%d sets=%d shift=%d", g.LineSize(), g.sets, g.LineShift())
 	}
 	a := Addr(0x12345678)
 	if got, want := g.Line(a), LineAddr(0x12345678>>6); got != want {
