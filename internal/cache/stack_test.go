@@ -86,6 +86,63 @@ func TestLRUStackMatchesFullyAssociative(t *testing.T) {
 	}
 }
 
+// TestFADifferential drives a one-capacity stack and the slice reference
+// with the same random stream and demands identical observable state: the
+// hit or miss of every reference, membership probes of the hash index,
+// and — every 100 steps — the whole MRU..LRU order with each line's index
+// entry pointing at its node. A line space much larger than the small
+// capacities forces constant eviction, the guard on the hash table's
+// backward-shift deletion.
+func TestFADifferential(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 8, 64} {
+		s := mustStack(t, capacity)
+		ref := &faRef{capacity: capacity}
+		x := uint64(12345)
+		for step := 0; step < 50000; step++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			// Occasional huge lines exercise hash mixing of sparse bits.
+			line := mem.LineAddr(x % 97)
+			if x%31 == 0 {
+				line = mem.LineAddr(x >> 8)
+			}
+			if x%5 == 4 {
+				want := false
+				for _, l := range ref.lines {
+					want = want || l == line
+				}
+				if got := s.index.get(line) != faNil; got != want {
+					t.Fatalf("cap %d step %d: index holds %d = %v, ref %v", capacity, step, line, got, want)
+				}
+				continue
+			}
+			if got, want := s.Reference(line) == 0, ref.reference(line); got != want {
+				t.Fatalf("cap %d step %d: Reference(%d) hit = %v, ref %v", capacity, step, line, got, want)
+			}
+			if s.len != len(ref.lines) {
+				t.Fatalf("cap %d step %d: stack holds %d lines, ref %d", capacity, step, s.len, len(ref.lines))
+			}
+			if step%100 != 0 {
+				continue
+			}
+			var got []mem.LineAddr
+			for i := s.head; i != faNil; i = s.nodes[i].next {
+				if s.index.get(s.nodes[i].line) != i {
+					t.Fatalf("cap %d step %d: index entry of line %d does not point at its node", capacity, step, s.nodes[i].line)
+				}
+				got = append(got, s.nodes[i].line)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(ref.lines) {
+				t.Fatalf("cap %d step %d: MRU..LRU = %v, ref %v", capacity, step, got, ref.lines)
+			}
+			if s.len > 0 && s.nodes[s.tail].line != ref.lines[len(ref.lines)-1] {
+				t.Fatalf("cap %d step %d: LRU = %d, ref %v", capacity, step, s.nodes[s.tail].line, ref.lines)
+			}
+		}
+	}
+}
+
 // The tests below check the stack against fixed expectations rather than
 // a reference model. Reference answers K, the number of capacities, on a
 // miss; a hit in region 0 means the line was within the first capacity.
