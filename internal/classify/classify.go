@@ -86,31 +86,38 @@ type history struct {
 	regions []int32
 }
 
-// newHistory builds the shared state for rungs with the given
-// configurations, which must share a line size and ascend in capacity.
-func newHistory(cfgs []cache.Config) (*history, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("classify: no cache configurations")
+// newHistory builds the shared state for the given rungs, which must
+// share a line size and not descend in capacity. Rungs of equal capacity
+// share one stack region; regions[i] is rung i's.
+func newHistory(rungs []Rung) (h *history, regions []int32, err error) {
+	if len(rungs) == 0 {
+		return nil, nil, fmt.Errorf("classify: no cache configurations")
 	}
-	capacities := make([]int, len(cfgs))
-	for i, cfg := range cfgs {
+	first := rungs[0].Cache
+	var capacities []int
+	regions = make([]int32, len(rungs))
+	for i, r := range rungs {
+		cfg := r.Cache
 		if err := cfg.Validate(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if cfg.LineSize != cfgs[0].LineSize {
-			return nil, fmt.Errorf("classify: line size %d differs from the first rung's %d", cfg.LineSize, cfgs[0].LineSize)
+		if cfg.LineSize != first.LineSize {
+			return nil, nil, fmt.Errorf("classify: line size %d differs from the first rung's %d", cfg.LineSize, first.LineSize)
 		}
-		capacities[i] = cfg.Size / cfg.LineSize
+		if c := cfg.Size / cfg.LineSize; len(capacities) == 0 || c != capacities[len(capacities)-1] {
+			capacities = append(capacities, c)
+		}
+		regions[i] = int32(len(capacities) - 1)
 	}
-	geom, err := mem.NewGeometry(cfgs[0].LineSize, cfgs[0].Sets())
+	geom, err := mem.NewGeometry(first.LineSize, first.Sets())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	stack, err := cache.NewLRUStack(capacities)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &history{geom: geom, stack: *stack, regionRefs: make([]uint64, len(cfgs)+1)}, nil
+	return &history{geom: geom, stack: *stack, regionRefs: make([]uint64, len(capacities)+1)}, regions, nil
 }
 
 // referenceBatch references a batch of accesses staged per structure —
@@ -149,13 +156,13 @@ func (h *history) referenceBatch(addrs []mem.Addr) {
 // Observe on one of them would advance the others' history too.
 type Oracle struct {
 	h      *history
-	rung   int32 // this oracle's region in h.stack
+	region int32 // this oracle's region in h.stack
 	counts [numMissKinds]uint64
 }
 
 // NewOracle builds an oracle for a cache with the given configuration.
 func NewOracle(cfg cache.Config) (*Oracle, error) {
-	h, err := newHistory([]cache.Config{cfg})
+	h, _, err := newHistory([]Rung{{Cache: cfg}})
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +186,7 @@ func (o *Oracle) verdict(seen bool, region int32) Kind {
 	switch {
 	case !seen:
 		return Compulsory
-	case region <= o.rung:
+	case region <= o.region:
 		return Conflict
 	default:
 		return Capacity
@@ -206,22 +213,6 @@ func (o *Oracle) Observe(addr mem.Addr, realHit bool) Kind {
 	k := o.verdict(seen, region)
 	o.counts[k]++
 	return k
-}
-
-// ObserveBatch records a block of accesses, writing each verdict to kinds
-// (same length as addrs; realHit[i] reports whether access i hit the real
-// cache). It is Observe staged per structure over the batch: line
-// extraction, then the touched bitmap, then the LRU stack, then the
-// verdicts — each structure's state walked in one tight loop rather than
-// interleaved per record. Ordering within each structure is preserved
-// (record i's LRU reference precedes record i+1's), so the verdicts and
-// counters are identical to calling Observe in a loop.
-func (o *Oracle) ObserveBatch(addrs []mem.Addr, realHit []bool, kinds []Kind) {
-	if len(addrs) == 0 {
-		return
-	}
-	o.h.referenceBatch(addrs)
-	o.classify(realHit, kinds)
 }
 
 // classify turns the history's most recent referenceBatch into verdicts
@@ -254,7 +245,7 @@ func (o *Oracle) Counts() (compulsory, capacity, conflict uint64) {
 // shared history every rung counts the same stream.
 func (o *Oracle) FAMisses() uint64 {
 	var n uint64
-	for _, c := range o.h.regionRefs[o.rung+1:] {
+	for _, c := range o.h.regionRefs[o.region+1:] {
 		n += c
 	}
 	return n
@@ -364,7 +355,7 @@ type Run struct {
 // MCT storing tagBits bits per entry (0 = full tags). It is the one-rung
 // Ladder.
 func NewRun(cfg cache.Config, tagBits int) (*Run, error) {
-	l, err := NewLadder([]cache.Config{cfg}, tagBits)
+	l, err := NewLadder([]Rung{{Cache: cfg, TagBits: tagBits}})
 	if err != nil {
 		return nil, err
 	}
@@ -395,7 +386,8 @@ func (r *Run) AccessBatch(addrs []mem.Addr, stores []bool) {
 	if len(addrs) == 0 {
 		return
 	}
-	r.Oracle.ObserveBatch(addrs, r.Hits, r.Kinds)
+	r.Oracle.h.referenceBatch(addrs)
+	r.Oracle.classify(r.Hits, r.Kinds)
 	r.record()
 }
 
@@ -425,39 +417,48 @@ func (r *Run) record() {
 	}
 }
 
-// Ladder is one accuracy measurement at several cache sizes over the same
-// access stream. Each rung is a Run with its own real cache, MCT, counts
-// and Accuracy; the rungs' oracles share one reference history, so a
-// batch costs one line fold, one first-touch test and one LRU-stack
-// reference per access however many sizes are measured. Every rung's
-// results equal those of a separate Run fed the same stream.
+// Ladder is one accuracy measurement at several cache configurations
+// over the same access stream. Each rung is a Run with its own real
+// cache, MCT, counts and Accuracy; the rungs' oracles share one reference
+// history, so a batch costs one line fold, one first-touch test and one
+// LRU-stack reference per access however many rungs are measured. Every
+// rung's results equal those of a separate Run fed the same stream.
 type Ladder struct {
-	// Rungs holds one Run per configuration, in the order given. Drive
-	// them only through Ladder.AccessBatch: their oracles share state.
+	// Rungs holds one Run per Rung, in the order given. Drive them only
+	// through Ladder.AccessBatch: their oracles share state.
 	Rungs []*Run
 
 	h *history
 }
 
-// NewLadder builds the measurement at each configuration, with an MCT
-// storing tagBits bits per entry (0 = full tags). The configurations must
-// share a line size and be given in strictly ascending capacity.
-func NewLadder(cfgs []cache.Config, tagBits int) (*Ladder, error) {
-	h, err := newHistory(cfgs)
+// Rung is one configuration a Ladder measures: the real cache and the
+// number of tag bits its MCT stores per entry (0 = full tags).
+type Rung struct {
+	Cache   cache.Config
+	TagBits int
+}
+
+// NewLadder builds the measurement at each rung. The rungs must share a
+// line size and be given in non-descending capacity; rungs of equal
+// capacity (say, one cache at several MCT tag widths, or several
+// associativities or index schemes of one size) share one oracle region,
+// since the fully-associative oracle sees only the capacity.
+func NewLadder(rungs []Rung) (*Ladder, error) {
+	h, regions, err := newHistory(rungs)
 	if err != nil {
 		return nil, err
 	}
-	l := &Ladder{Rungs: make([]*Run, len(cfgs)), h: h}
-	for i, cfg := range cfgs {
-		c, err := cache.New(cfg)
+	l := &Ladder{Rungs: make([]*Run, len(rungs)), h: h}
+	for i, rung := range rungs {
+		c, err := cache.New(rung.Cache)
 		if err != nil {
 			return nil, err
 		}
-		cc, err := core.Attach(c, tagBits)
+		cc, err := core.Attach(c, rung.TagBits)
 		if err != nil {
 			return nil, err
 		}
-		l.Rungs[i] = &Run{CC: cc, Oracle: &Oracle{h: h, rung: int32(i)}}
+		l.Rungs[i] = &Run{CC: cc, Oracle: &Oracle{h: h, region: regions[i]}}
 	}
 	return l, nil
 }

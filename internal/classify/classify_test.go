@@ -296,11 +296,11 @@ func TestAccessBatchSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cfgs []cache.Config
+	var rungs []Rung
 	for _, kb := range []int{8, 32, 128} {
-		cfgs = append(cfgs, cache.Config{Name: "L1D", Size: kb << 10, LineSize: 64, Assoc: 2})
+		rungs = append(rungs, Rung{Cache: cache.Config{Name: "L1D", Size: kb << 10, LineSize: 64, Assoc: 2}})
 	}
-	ladder, err := NewLadder(cfgs, 0)
+	ladder, err := NewLadder(rungs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,14 +13,34 @@ import (
 	"repro/internal/workload"
 )
 
-// ladderConfigs returns a ladder of power-of-two cache sizes, in bytes,
-// at one geometry (64-byte lines).
-func ladderConfigs(sizes []int, assoc int, scheme cache.IndexScheme) []cache.Config {
-	cfgs := make([]cache.Config, len(sizes))
+// l1d is a 64-byte-line cache configuration.
+func l1d(size, assoc int, scheme cache.IndexScheme) cache.Config {
+	return cache.Config{Name: "L1D", Size: size, LineSize: 64, Assoc: assoc, Indexing: scheme, IndexSeed: 7}
+}
+
+// ladderRungs returns a full-tag ladder of power-of-two cache sizes, in
+// bytes, at one geometry.
+func ladderRungs(sizes []int, assoc int, scheme cache.IndexScheme) []classify.Rung {
+	rungs := make([]classify.Rung, len(sizes))
 	for i, size := range sizes {
-		cfgs[i] = cache.Config{Name: "L1D", Size: size, LineSize: 64, Assoc: assoc, Indexing: scheme, IndexSeed: 7}
+		rungs[i] = classify.Rung{Cache: l1d(size, assoc, scheme)}
 	}
-	return cfgs
+	return rungs
+}
+
+// mixedRungs repeats capacities and varies associativity, index scheme
+// and MCT tag width from rung to rung, as the accuracy experiments'
+// ladders do: repeated capacities share one oracle region, and each rung
+// keeps its own cache and MCT.
+var mixedRungs = []classify.Rung{
+	{Cache: l1d(8<<10, 1, cache.IndexModulo)},
+	{Cache: l1d(8<<10, 2, cache.IndexSkewed), TagBits: 4},
+	{Cache: l1d(8<<10, 4, cache.IndexRandom), TagBits: 1},
+	{Cache: l1d(16<<10, 1, cache.IndexModulo), TagBits: 8},
+	{Cache: l1d(16<<10, 1, cache.IndexModulo), TagBits: 2},
+	{Cache: l1d(16<<10, 2, cache.IndexModulo)},
+	{Cache: l1d(64<<10, 2, cache.IndexSkewed), TagBits: 12},
+	{Cache: l1d(64<<10, 1, cache.IndexRandom)},
 }
 
 // doubling returns n sizes doubling from first.
@@ -79,7 +99,8 @@ type perSizeReference struct {
 // fully-associative reference's miss count. Ladders of 1, 3, 7
 // and 16 rungs run over direct-mapped, 2-way and skewed 2-way geometries;
 // the 16-rung ladder spans 2 to 65536 lines, its top far above the
-// working set of any stream here.
+// working set of any stream here. The mixed ladder (mixedRungs) repeats
+// capacities and changes geometry and tag width from rung to rung.
 func TestLadderMatchesPerSizeReferences(t *testing.T) {
 	const accesses = 12_000
 	ladders := map[string][]int{
@@ -108,29 +129,32 @@ func TestLadderMatchesPerSizeReferences(t *testing.T) {
 		addrs, stores := memAccesses(b, uint64(bi+1), accesses)
 		streams[bi] = stream{addrs, stores, stackDistances(addrs, 6)}
 	}
+	cases := map[string][]classify.Rung{"mixed": mixedRungs}
 	for _, g := range geometries {
-		for _, rungs := range []string{"1", "3", "7", "16"} {
-			cfgs := ladderConfigs(ladders[rungs], g.assoc, g.scheme)
-			t.Run(fmt.Sprintf("%s/rungs=%s", g.name, rungs), func(t *testing.T) {
-				var total [3]uint64
-				for bi, b := range suite {
-					st := streams[bi]
-					counts, err := checkLadder(cfgs, st.addrs, st.stores, st.dists)
-					if err != nil {
-						t.Fatalf("%s: %v", b.Name, err)
-					}
-					for i, c := range counts {
-						total[i] += c
-					}
-				}
-				// Every verdict must occur, or the comparison proves little.
-				for kind, c := range total {
-					if c == 0 {
-						t.Errorf("no %v misses across the suite", classify.Kind(kind))
-					}
-				}
-			})
+		for name, sizes := range ladders {
+			cases[fmt.Sprintf("%s/rungs=%s", g.name, name)] = ladderRungs(sizes, g.assoc, g.scheme)
 		}
+	}
+	for name, rungs := range cases {
+		t.Run(name, func(t *testing.T) {
+			var total [3]uint64
+			for bi, b := range suite {
+				st := streams[bi]
+				counts, err := checkLadder(rungs, st.addrs, st.stores, st.dists)
+				if err != nil {
+					t.Fatalf("%s: %v", b.Name, err)
+				}
+				for i, c := range counts {
+					total[i] += c
+				}
+			}
+			// Every verdict must occur, or the comparison proves little.
+			for kind, c := range total {
+				if c == 0 {
+					t.Errorf("no %v misses across the suite", classify.Kind(kind))
+				}
+			}
+		})
 	}
 }
 
@@ -151,18 +175,19 @@ func memAccesses(b *workload.Benchmark, seed uint64, n int) ([]mem.Addr, []bool)
 // checkLadder plays one stream, with its stack distances, through a ladder
 // and the per-size references, reporting the first disagreement, or else
 // the reference verdict counts summed over the rungs.
-func checkLadder(cfgs []cache.Config, addrs []mem.Addr, stores []bool, dists []int) (counts [3]uint64, err error) {
-	ladder, err := classify.NewLadder(cfgs, 0)
+func checkLadder(rungs []classify.Rung, addrs []mem.Addr, stores []bool, dists []int) (counts [3]uint64, err error) {
+	ladder, err := classify.NewLadder(rungs)
 	if err != nil {
 		return counts, err
 	}
-	refs := make([]*perSizeReference, len(cfgs))
-	for k, cfg := range cfgs {
-		cc, err := core.Attach(cache.MustNew(cfg), 0)
+	refs := make([]*perSizeReference, len(rungs))
+	for k, rung := range rungs {
+		cfg := rung.Cache
+		cc, err := core.Attach(cache.MustNew(cfg), rung.TagBits)
 		if err != nil {
 			return counts, err
 		}
-		scalar, err := classify.NewRun(cfg, 0)
+		scalar, err := classify.NewRun(cfg, rung.TagBits)
 		if err != nil {
 			return counts, err
 		}
@@ -203,8 +228,8 @@ func checkLadder(cfgs []cache.Config, addrs []mem.Addr, stores []bool, dists []i
 				rung := ladder.Rungs[k]
 				j := i - start
 				if rung.Hits[j] != hit || rung.Kinds[j] != want || (!hit && rung.Classes[j] != ev.Class) {
-					return counts, fmt.Errorf("access %d (line %#x) at %dB: ladder hit=%v kind=%v class=%v, reference hit=%v kind=%v class=%v",
-						i, line, cfgs[k].Size, rung.Hits[j], rung.Kinds[j], rung.Classes[j], hit, want, ev.Class)
+					return counts, fmt.Errorf("access %d (line %#x) at rung %d: ladder hit=%v kind=%v class=%v, reference hit=%v kind=%v class=%v",
+						i, line, k, rung.Hits[j], rung.Kinds[j], rung.Classes[j], hit, want, ev.Class)
 				}
 			}
 		}
@@ -214,13 +239,13 @@ func checkLadder(cfgs []cache.Config, addrs []mem.Addr, stores []bool, dists []i
 		rung := ladder.Rungs[k]
 		compulsory, capacity, conflict := rung.Oracle.Counts()
 		if got := [3]uint64{compulsory, capacity, conflict}; got != ref.counts {
-			return counts, fmt.Errorf("at %dB: ladder counts %v, reference %v", cfgs[k].Size, got, ref.counts)
+			return counts, fmt.Errorf("at rung %d: ladder counts %v, reference %v", k, got, ref.counts)
 		}
 		if rung.Acc != ref.acc {
-			return counts, fmt.Errorf("at %dB: ladder accuracy %+v, reference %+v", cfgs[k].Size, rung.Acc, ref.acc)
+			return counts, fmt.Errorf("at rung %d: ladder accuracy %+v, reference %+v", k, rung.Acc, ref.acc)
 		}
 		if got, scalar := rung.Oracle.FAMisses(), ref.scalar.Oracle.FAMisses(); got != ref.faMisses || scalar != ref.faMisses {
-			return counts, fmt.Errorf("at %dB: fully-associative misses: ladder %d, scalar run %d, reference %d", cfgs[k].Size, got, scalar, ref.faMisses)
+			return counts, fmt.Errorf("at rung %d: fully-associative misses: ladder %d, scalar run %d, reference %d", k, got, scalar, ref.faMisses)
 		}
 		for i, c := range ref.counts {
 			counts[i] += c
@@ -229,22 +254,27 @@ func checkLadder(cfgs []cache.Config, addrs []mem.Addr, stores []bool, dists []i
 	return counts, nil
 }
 
+// TestNewLadderRejectsBadRungs pins NewLadder's validation: rungs must
+// exist, share a line size, not descend in capacity and carry valid
+// caches and tag widths. Repeated capacities are accepted and share one
+// oracle region.
 func TestNewLadderRejectsBadRungs(t *testing.T) {
-	dm := func(size, line int) cache.Config {
-		return cache.Config{Name: "L1D", Size: size, LineSize: line, Assoc: 1}
+	dm := func(size, line int) classify.Rung {
+		return classify.Rung{Cache: cache.Config{Name: "L1D", Size: size, LineSize: line, Assoc: 1}}
 	}
-	for name, cfgs := range map[string][]cache.Config{
+	for name, rungs := range map[string][]classify.Rung{
 		"empty":      nil,
 		"descending": {dm(32<<10, 64), dm(16<<10, 64)},
-		"repeated":   {dm(16<<10, 64), dm(16<<10, 64)},
 		"line sizes": {dm(16<<10, 64), dm(32<<10, 32)},
 		"invalid":    {dm(16<<10, 64), dm(48<<10, 64)},
+		"tag bits":   {{Cache: dm(16<<10, 64).Cache, TagBits: -1}},
 	} {
-		if _, err := classify.NewLadder(cfgs, 0); err == nil {
-			t.Errorf("%s: NewLadder accepted %+v", name, cfgs)
+		if _, err := classify.NewLadder(rungs); err == nil {
+			t.Errorf("%s: NewLadder accepted %+v", name, rungs)
 		}
 	}
-	if _, err := classify.NewLadder([]cache.Config{dm(16<<10, 64)}, -1); err == nil {
-		t.Error("NewLadder accepted negative tag bits")
+	repeated := []classify.Rung{dm(16<<10, 64), dm(16<<10, 64), dm(32<<10, 64)}
+	if _, err := classify.NewLadder(repeated); err != nil {
+		t.Errorf("repeated: NewLadder rejected %+v: %v", repeated, err)
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -215,26 +214,11 @@ func KindOf(err error) FailureKind {
 	return FailNone
 }
 
-// Stats aggregates the client's lifetime retry activity, for
-// perf.LoadReport.
-type Stats struct {
-	Attempts uint64            `json:"attempts"`
-	Retries  uint64            `json:"retries"`
-	Hedges   uint64            `json:"hedges"`
-	ByKind   map[string]uint64 `json:"by_failure,omitempty"`
-}
-
 // Client issues resilient requests against one base URL. Safe for
 // concurrent use.
 type Client struct {
-	opts     Options
-	attempts atomic.Uint64
-	retries  atomic.Uint64
-	hedges   atomic.Uint64
-	keySeq   atomic.Uint64
-
-	mu     sync.Mutex
-	byKind map[FailureKind]uint64
+	opts   Options
+	keySeq atomic.Uint64
 }
 
 // New builds a Client. BaseURL is required.
@@ -242,35 +226,7 @@ func New(opts Options) (*Client, error) {
 	if opts.BaseURL == "" {
 		return nil, fmt.Errorf("client: BaseURL is required")
 	}
-	return &Client{opts: opts.withDefaults(), byKind: map[FailureKind]uint64{}}, nil
-}
-
-// Stats snapshots the lifetime counters.
-func (c *Client) Stats() Stats {
-	s := Stats{
-		Attempts: c.attempts.Load(),
-		Retries:  c.retries.Load(),
-		Hedges:   c.hedges.Load(),
-		ByKind:   map[string]uint64{},
-	}
-	c.mu.Lock()
-	for k, n := range c.byKind {
-		s.ByKind[string(k)] = n
-	}
-	c.mu.Unlock()
-	if len(s.ByKind) == 0 {
-		s.ByKind = nil
-	}
-	return s
-}
-
-func (c *Client) noteKind(k FailureKind) {
-	if k == FailNone {
-		return
-	}
-	c.mu.Lock()
-	c.byKind[k]++
-	c.mu.Unlock()
+	return &Client{opts: opts.withDefaults()}, nil
 }
 
 // splitmix64 is the repo-wide deterministic PRNG step (runner retry
@@ -373,7 +329,6 @@ func (c *Client) Do(ctx context.Context, req Request) (*Response, error) {
 			resp.Hedged = hedged
 			return resp, nil
 		}
-		c.noteKind(kind)
 		if err != nil {
 			lastErr, lastStatus = err, 0
 		} else {
@@ -389,7 +344,6 @@ func (c *Client) Do(ctx context.Context, req Request) (*Response, error) {
 			c.opts.Logf("client: %s %s attempt %d failed (%s); retrying in %v",
 				req.Method, req.Path, try, kind, d.Round(time.Millisecond))
 		}
-		c.retries.Add(1)
 		select {
 		case <-time.After(d):
 		case <-ctx.Done():
@@ -415,7 +369,6 @@ func (c *Client) outcome(resp *Response, err error) (FailureKind, time.Duration)
 // read errors are attempt failures — the caller retries with the same
 // idempotency key rather than surfacing a torn stream.
 func (c *Client) attempt(ctx context.Context, req Request, key string) (*Response, error) {
-	c.attempts.Add(1)
 	hr, err := http.NewRequestWithContext(ctx, req.Method, c.opts.BaseURL+req.Path,
 		bytes.NewReader(req.Body))
 	if err != nil {
@@ -471,7 +424,6 @@ func (c *Client) attemptHedged(ctx context.Context, req Request, key string) (*R
 		case <-timer.C:
 			if launched == 1 {
 				launched, outstanding = 2, outstanding+1
-				c.hedges.Add(1)
 				if c.opts.Logf != nil {
 					c.opts.Logf("client: hedging %s %s after %v", req.Method, req.Path, c.opts.HedgeAfter)
 				}

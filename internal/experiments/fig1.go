@@ -75,39 +75,30 @@ func Figure1(p Params) (Fig1Result, error) {
 }
 
 // accuracyGrid measures every suite benchmark on every configuration
-// (full tags), one runner task per cell labelled prefix/<bench>/<config>.
-// It returns the cells by benchmark, then configuration, and the suite
-// mean of each field per configuration. Benchmarks with essentially no
+// (full tags) in one ladder pass per benchmark (measureLadder). It
+// returns the cells by benchmark, then configuration, and the suite mean
+// of each field per configuration. Benchmarks with essentially no
 // conflict misses under a configuration contribute no conflict-accuracy
 // sample (their ratio is 0/0), matching the paper's per-benchmark bars.
 func accuracyGrid(prefix string, cfgs []namedConfig, p Params) ([][]AccuracyCell, []AccuracyCell, error) {
-	p = p.withDefaults()
-	suite := workload.Suite()
-	n := len(cfgs)
-	cells, err := runner.MapN(context.Background(), len(suite)*n,
-		func(i int) string { return prefix + "/" + suite[i/n].Name + "/" + cfgs[i%n].Name },
-		func(_ context.Context, i int) (AccuracyCell, error) {
-			b, cfg := suite[i/n], cfgs[i%n]
-			acc, st, err := measure(b, cfg.Cfg, TagBitsFull, p)
-			if err != nil {
-				return AccuracyCell{}, fmt.Errorf("experiments: %s %s/%s: %w", prefix, b.Name, cfg.Name, err)
-			}
-			return AccuracyCell{
-				ConflictAcc:   acc.ConflictAccuracy(),
-				CapacityAcc:   acc.CapacityAccuracy(),
-				OverallAcc:    acc.OverallAccuracy(),
-				ConflictShare: acc.ConflictShare(),
-				MissRate:      st.MissRate(),
-			}, nil
-		})
+	results, err := measureLadder(prefix, fullTagRungs(cfgs), p)
 	if err != nil {
 		return nil, nil, err
 	}
-	rows := make([][]AccuracyCell, len(suite))
-	for bi := range suite {
-		rows[bi] = cells[bi*n : (bi+1)*n]
+	rows := make([][]AccuracyCell, len(results))
+	for bi, res := range results {
+		rows[bi] = make([]AccuracyCell, len(res))
+		for ci, r := range res {
+			rows[bi][ci] = AccuracyCell{
+				ConflictAcc:   r.Acc.ConflictAccuracy(),
+				CapacityAcc:   r.Acc.CapacityAccuracy(),
+				OverallAcc:    r.Acc.OverallAccuracy(),
+				ConflictShare: r.Acc.ConflictShare(),
+				MissRate:      r.Stats.MissRate(),
+			}
+		}
 	}
-	means := make([]AccuracyCell, n)
+	means := make([]AccuracyCell, len(cfgs))
 	for ci := range cfgs {
 		var conf, capa, all, miss, share []float64
 		for _, r := range rows {
@@ -131,17 +122,46 @@ func accuracyGrid(prefix string, cfgs []namedConfig, p Params) ([][]AccuracyCell
 	return rows, means, nil
 }
 
-// measure plays the first p.MemAccesses memory references of b's stream
-// through the real cache, an MCT storing tagBits bits per entry (0 = full
-// tags) and the oracle in lockstep, on the batched kernel. It returns the
-// MCT's accuracy against the oracle and the real cache's stats.
-func measure(b *workload.Benchmark, cfg cache.Config, tagBits int, p Params) (classify.Accuracy, cache.Stats, error) {
-	r, err := classify.NewRun(cfg, tagBits)
-	if err != nil {
-		return classify.Accuracy{}, cache.Stats{}, err
+// fullTagRungs is one full-tag ladder rung per configuration.
+func fullTagRungs(cfgs []namedConfig) []classify.Rung {
+	rungs := make([]classify.Rung, len(cfgs))
+	for i, c := range cfgs {
+		rungs[i] = classify.Rung{Cache: c.Cfg, TagBits: TagBitsFull}
 	}
-	sim.ClassifyBatched(r, trace.NewStreamBatcher(trace.NewLimit(b.MemStream(p.Seed), p.MemAccesses)), 0)
-	return r.Acc, r.CC.Cache().Stats(), nil
+	return rungs
+}
+
+// rungResult is one ladder rung's measurement over one benchmark: the
+// MCT's accuracy against the oracle and the real cache's stats.
+type rungResult struct {
+	Acc   classify.Accuracy
+	Stats cache.Stats
+}
+
+// measureLadder plays the first p.MemAccesses memory references of each
+// suite benchmark's stream once through a classifier ladder of the given
+// rungs (non-descending capacity), on the batched kernel, one runner task
+// per benchmark labelled prefix/<bench>. It returns each benchmark's
+// results, in suite order, rung by rung.
+func measureLadder(prefix string, rungs []classify.Rung, p Params) ([][]rungResult, error) {
+	p = p.withDefaults()
+	suite := workload.Suite()
+	return runner.MapN(context.Background(), len(suite),
+		func(i int) string { return prefix + "/" + suite[i].Name },
+		func(_ context.Context, i int) ([]rungResult, error) {
+			b := suite[i]
+			l, err := classify.NewLadder(rungs)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s %s: %w", prefix, b.Name, err)
+			}
+			src := trace.NewStreamBatcher(trace.NewLimit(b.MemStream(p.Seed), p.MemAccesses))
+			sim.NewBatchClassifier(l, 0).ClassifyAll(src)
+			res := make([]rungResult, len(rungs))
+			for k, r := range l.Rungs {
+				res[k] = rungResult{Acc: r.Acc, Stats: r.CC.Cache().Stats()}
+			}
+			return res, nil
+		})
 }
 
 // Table renders the Figure-1 data as text.

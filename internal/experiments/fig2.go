@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/cache"
 	"repro/internal/classify"
-	"repro/internal/runner"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // Fig2TagBits is the sweep of stored-tag widths (0 = full tag), matching
@@ -33,36 +30,44 @@ type Fig2Result struct {
 // Figure2 sweeps MCT tag widths. With few bits, false tag matches inflate
 // the conflict classification, so conflict accuracy starts artificially
 // high and capacity accuracy low; by 8–12 bits both converge to the
-// full-tag values (the paper's storage-efficiency claim).
+// full-tag values (the paper's storage-efficiency claim). Each tag width
+// is a rung of one ladder over each benchmark's stream.
 func Figure2(p Params) (Fig2Result, error) {
-	p = p.withDefaults()
 	cfg := cache.Config{Name: "L1D", Size: 16 << 10, LineSize: 64, Assoc: 1}
-	suite := workload.Suite()
 
-	points, err := runner.MapN(context.Background(), len(Fig2TagBits),
-		func(i int) string { return fmt.Sprintf("fig2/bits=%d", Fig2TagBits[i]) },
-		func(_ context.Context, pi int) (Fig2Point, error) {
-			bits := Fig2TagBits[pi]
-			var acc classify.Accuracy
-			for _, b := range suite {
-				a, _, err := measure(b, cfg, bits, p)
-				if err != nil {
-					return Fig2Point{}, fmt.Errorf("experiments: figure 2 bits=%d: %w", bits, err)
-				}
-				acc.Merge(a)
-			}
-			return Fig2Point{
-				TagBits:       bits,
-				ConflictAcc:   acc.ConflictAccuracy(),
-				CapacityAcc:   acc.CapacityAccuracy(),
-				OverallAcc:    acc.OverallAccuracy(),
-				ConflictShare: acc.ConflictShare(),
-			}, nil
-		})
+	rungs := make([]classify.Rung, len(Fig2TagBits))
+	for i, bits := range Fig2TagBits {
+		rungs[i] = classify.Rung{Cache: cfg, TagBits: bits}
+	}
+	results, err := measureLadder("fig2", rungs, p)
 	if err != nil {
 		return Fig2Result{}, err
 	}
+	points := make([]Fig2Point, len(Fig2TagBits))
+	for pi, bits := range Fig2TagBits {
+		var acc classify.Accuracy
+		for _, res := range results {
+			acc.Merge(res[pi].Acc)
+		}
+		points[pi] = Fig2Point{
+			TagBits:       bits,
+			ConflictAcc:   acc.ConflictAccuracy(),
+			CapacityAcc:   acc.CapacityAccuracy(),
+			OverallAcc:    acc.OverallAccuracy(),
+			ConflictShare: acc.ConflictShare(),
+		}
+	}
 	return Fig2Result{Points: points}, nil
+}
+
+// fig2Rungs is the 16KB direct-mapped cache at every Fig2TagBits width.
+func fig2Rungs() []classify.Rung {
+	cfg := cache.Config{Name: "L1D", Size: 16 << 10, LineSize: 64, Assoc: 1}
+	rungs := make([]classify.Rung, len(Fig2TagBits))
+	for i, bits := range Fig2TagBits {
+		rungs[i] = classify.Rung{Cache: cfg, TagBits: bits}
+	}
+	return rungs
 }
 
 // Table renders the Figure-2 series as text.

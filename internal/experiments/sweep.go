@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/cache"
 	"repro/internal/classify"
-	"repro/internal/runner"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // SweepCell is the suite-aggregate classification behavior of one cache
@@ -35,41 +32,46 @@ type SweepResult struct {
 // everywhere (it is not tuned to 16KB DM), and the conflict share shrinks
 // with associativity — the reason the authors expected large multithreaded
 // and OLTP workloads, not bigger caches, to be the technique's future.
+// Each configuration is a rung of one ladder over each benchmark's stream.
 func ConfigSweep(p Params) (SweepResult, error) {
-	p = p.withDefaults()
-	var grid []SweepCell
-	for _, sizeKB := range []int{8, 16, 32, 64} {
-		for _, assoc := range []int{1, 2, 4} {
-			grid = append(grid, SweepCell{SizeKB: sizeKB, Assoc: assoc})
-		}
-	}
-	cells, err := runner.MapN(context.Background(), len(grid),
-		func(i int) string { return fmt.Sprintf("sweep/%dKB-%dway", grid[i].SizeKB, grid[i].Assoc) },
-		func(_ context.Context, ci int) (SweepCell, error) {
-			c := grid[ci]
-			cfg := cache.Config{Name: "L1D", Size: c.SizeKB << 10, LineSize: 64, Assoc: c.Assoc}
-			var agg classify.Accuracy
-			var accesses, misses uint64
-			for _, b := range workload.Suite() {
-				acc, st, err := measure(b, cfg, TagBitsFull, p)
-				if err != nil {
-					return c, fmt.Errorf("experiments: sweep %dKB/%d-way: %w", c.SizeKB, c.Assoc, err)
-				}
-				agg.Merge(acc)
-				accesses += st.Accesses
-				misses += st.Misses
-			}
-			c.MissRate = stats.Ratio(misses, accesses)
-			c.ConflictShare = agg.ConflictShare()
-			c.ConflictAcc = agg.ConflictAccuracy()
-			c.CapacityAcc = agg.CapacityAccuracy()
-			c.OverallAcc = agg.OverallAccuracy()
-			return c, nil
-		})
+	rungs := sweepRungs()
+	results, err := measureLadder("sweep", rungs, p)
 	if err != nil {
 		return SweepResult{}, err
 	}
+	cells := make([]SweepCell, len(rungs))
+	for ci, rung := range rungs {
+		var agg classify.Accuracy
+		var accesses, misses uint64
+		for _, res := range results {
+			agg.Merge(res[ci].Acc)
+			accesses += res[ci].Stats.Accesses
+			misses += res[ci].Stats.Misses
+		}
+		cells[ci] = SweepCell{
+			SizeKB:        rung.Cache.Size >> 10,
+			Assoc:         rung.Cache.Assoc,
+			MissRate:      stats.Ratio(misses, accesses),
+			ConflictShare: agg.ConflictShare(),
+			ConflictAcc:   agg.ConflictAccuracy(),
+			CapacityAcc:   agg.CapacityAccuracy(),
+			OverallAcc:    agg.OverallAccuracy(),
+		}
+	}
 	return SweepResult{Cells: cells}, nil
+}
+
+// sweepRungs is the sweep's grid as full-tag ladder rungs, in ascending
+// capacity.
+func sweepRungs() []classify.Rung {
+	var rungs []classify.Rung
+	for _, sizeKB := range []int{8, 16, 32, 64} {
+		for _, assoc := range []int{1, 2, 4} {
+			cfg := cache.Config{Name: "L1D", Size: sizeKB << 10, LineSize: 64, Assoc: assoc}
+			rungs = append(rungs, classify.Rung{Cache: cfg, TagBits: TagBitsFull})
+		}
+	}
+	return rungs
 }
 
 // Table renders the grid.

@@ -1,7 +1,5 @@
 package mem
 
-import "math/bits"
-
 // LineSet is a set of cache-line addresses backed by a paged bitmap: the
 // line-address space is divided into fixed-size pages of bits, and only
 // pages that have ever held a member are materialized. Membership tests and
@@ -18,7 +16,6 @@ import "math/bits"
 // The zero value is an empty set ready for use.
 type LineSet struct {
 	pages map[uint64]*linePage
-	count uint64
 
 	// lastKey/lastPage memoize the most recently used page: spatially
 	// local access streams stay on one page for long runs, and the
@@ -75,7 +72,6 @@ func (s *LineSet) TestAndSet(line LineAddr) bool {
 		return true
 	}
 	p[word] |= mask
-	s.count++
 	return false
 }
 
@@ -84,16 +80,4 @@ func (s *LineSet) Contains(line LineAddr) bool {
 	key, word, mask := s.split(line)
 	p := s.page(key)
 	return p != nil && p[word]&mask != 0
-}
-
-// PopCount recomputes the member count from the bitmap, for tests that
-// cross-check the fast counter.
-func (s *LineSet) PopCount() uint64 {
-	var n uint64
-	for _, p := range s.pages {
-		for _, w := range p {
-			n += uint64(bits.OnesCount64(w))
-		}
-	}
-	return n
 }

@@ -125,7 +125,15 @@ func TestMapSpanUnderDeadlinePath(t *testing.T) {
 	}
 }
 
+// TestMapFeedsSlowTaskLog runs eight steady attempts and one slow one
+// under one label and wants exactly one slow-log event, for the slow
+// attempt. The durations are spaced for a loaded machine: a steady
+// attempt would have to overrun its sleep by 2x (30 ms, where a full
+// parallel test run was seen to add ~5 ms) to cross the 3x threshold,
+// and the slow attempt stays above it unless the steady median more than
+// quintuples.
 func TestMapFeedsSlowTaskLog(t *testing.T) {
+	const steady, slow = 15 * time.Millisecond, 250 * time.Millisecond
 	var mu sync.Mutex
 	var events []obs.SlowEvent
 	obs.SetSlowLog(3, 4, func(e obs.SlowEvent) {
@@ -135,15 +143,14 @@ func TestMapFeedsSlowTaskLog(t *testing.T) {
 	})
 	defer obs.SetSlowLog(0, 0, nil)
 
-	delay := time.Duration(0)
 	tasks := make([]Task[int], 9)
 	for i := range tasks {
 		i := i
 		tasks[i] = Task[int]{Label: "steady", Run: func(context.Context) (int, error) {
 			if i == 8 {
-				time.Sleep(delay + 60*time.Millisecond)
+				time.Sleep(slow)
 			} else {
-				time.Sleep(2 * time.Millisecond)
+				time.Sleep(steady)
 			}
 			return i, nil
 		}}
@@ -156,7 +163,7 @@ func TestMapFeedsSlowTaskLog(t *testing.T) {
 	if len(events) != 1 {
 		t.Fatalf("slow log fired %d times, want 1: %+v", len(events), events)
 	}
-	if events[0].Label != "steady" || events[0].Dur < 50*time.Millisecond {
-		t.Errorf("event = %+v", events[0])
+	if events[0].Label != "steady" || events[0].Dur < slow {
+		t.Errorf("event = %+v, want label steady and a duration of at least %v", events[0], slow)
 	}
 }

@@ -33,100 +33,6 @@ func SetReporter(r Reporter) {
 	reporter.Store(&r)
 }
 
-// Counters is a snapshot of the pool's lifetime accounting.
-type Counters struct {
-	// Started and Done count task attempts handed to workers and attempts
-	// finished (abandoned attempts count as done at their deadline).
-	Started uint64
-	Done    uint64
-	// Failed counts attempts that returned an error; Panicked counts the
-	// subset recovered from a panic; Retried counts the attempt re-runs
-	// the supervision layer scheduled for retryable failures.
-	Failed   uint64
-	Panicked uint64
-	Retried  uint64
-	// Busy is the summed wall-clock time spent inside task bodies.
-	Busy time.Duration
-}
-
-// counterBlock is one generation of pool counters. All counters for one
-// attempt land in the block that was current when the attempt STARTED:
-// taskStarted captures the block and its completion hook writes back to
-// that same block, so Done can never exceed Started within a block and
-// Snapshot stays internally consistent even while sweeps are running.
-type counterBlock struct {
-	started, done, failed, panicked, retried atomic.Uint64
-	busyNS                                   atomic.Int64
-}
-
-// counters points at the current generation. ResetCounters swaps in a
-// fresh block instead of zeroing fields one by one — the old scheme let a
-// reset interleave with concurrent updates and produce impossible
-// snapshots (Done > Started).
-var counters atomic.Pointer[counterBlock]
-
-func init() { counters.Store(&counterBlock{}) }
-
-// Snapshot returns the pool's counters since process start (or the last
-// ResetCounters). Safe to call while sweeps are in flight: the returned
-// numbers are per-field atomic reads of the current generation, and
-// Done never exceeds Started.
-//
-// The reads happen in REVERSE increment order (an attempt bumps
-// started, then done, then failed, then panicked): attempts finishing
-// between two loads can then only inflate the later-read, earlier-
-// incremented counter, so every pairwise invariant (Panicked <= Failed
-// <= Done <= Started) holds in the returned snapshot. Reading started
-// first let a burst of short tasks complete between the started and
-// done loads and produce Done > Started.
-func Snapshot() Counters {
-	b := counters.Load()
-	c := Counters{
-		Retried:  b.retried.Load(),
-		Busy:     time.Duration(b.busyNS.Load()),
-		Panicked: b.panicked.Load(),
-	}
-	c.Failed = b.failed.Load()
-	c.Done = b.done.Load()
-	c.Started = b.started.Load()
-	return c
-}
-
-// ResetCounters starts a fresh counter generation (tests and
-// per-invocation accounting). Safe under concurrent Map calls: attempts
-// already in flight finish accounting into the pre-reset generation and
-// are simply absent from post-reset snapshots, so two overlapping sweeps
-// never observe each other's partial accounting as an inconsistency.
-// Counters are process-wide, so overlapping sweeps that share a
-// generation see summed totals — per-sweep accounting needs a reset (or
-// delta snapshots) around each sweep.
-func ResetCounters() {
-	counters.Store(&counterBlock{})
-}
-
-// taskStarted records an attempt start and returns the completion hook
-// the worker calls with the attempt's final error. The hook writes to
-// the same counter generation the start was recorded in.
-func taskStarted(label string) func(err error) {
-	b := counters.Load()
-	b.started.Add(1)
-	start := time.Now()
-	return func(err error) {
-		d := time.Since(start)
-		b.done.Add(1)
-		b.busyNS.Add(int64(d))
-		if err != nil {
-			b.failed.Add(1)
-			if _, ok := err.(*PanicError); ok {
-				b.panicked.Add(1)
-			}
-		}
-		if p := reporter.Load(); p != nil {
-			(*p).TaskDone(label, d, err)
-		}
-	}
-}
-
 // WriterReporter streams one line per finished task attempt to w. All
 // state lives behind one mutex: writes are serialized (no interleaved
 // partial lines) and the [n] sequence number is incremented under the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -161,23 +162,49 @@ func TestMapNLabels(t *testing.T) {
 // results and failure summaries replaced panic-on-first-error); see
 // supervise_test.go for the supervision-layer coverage.
 
+// recordingReporter records every attempt the pool reports.
 type recordingReporter struct {
-	mu    chan struct{}
-	lines []string
+	mu     sync.Mutex
+	events []reported
+}
+
+type reported struct {
+	label string
+	err   error
 }
 
 func (r *recordingReporter) TaskDone(label string, d time.Duration, err error) {
-	r.mu <- struct{}{}
-	r.lines = append(r.lines, label)
-	<-r.mu
+	r.mu.Lock()
+	r.events = append(r.events, reported{label, err})
+	r.mu.Unlock()
+}
+
+// record installs a recordingReporter for the rest of the test.
+func record(t *testing.T) *recordingReporter {
+	rep := &recordingReporter{}
+	SetReporter(rep)
+	t.Cleanup(func() { SetReporter(nil) })
+	return rep
+}
+
+// attempts returns the reported attempts of the task labelled label and
+// how many of them failed.
+func (r *recordingReporter) attempts(label string) (n, failed int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, e := range r.events {
+		if e.label == label {
+			n++
+			if e.err != nil {
+				failed++
+			}
+		}
+	}
+	return n, failed
 }
 
 func TestCountersAndReporter(t *testing.T) {
-	ResetCounters()
-	rep := &recordingReporter{mu: make(chan struct{}, 1)}
-	SetReporter(rep)
-	defer SetReporter(nil)
-
+	rep := record(t)
 	tasks := intTasks(5, func(i int) (int, error) {
 		if i == 2 {
 			panic("pop")
@@ -188,15 +215,25 @@ func TestCountersAndReporter(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error")
 	}
-	s := Snapshot()
-	if s.Started == 0 || s.Done != s.Started {
-		t.Fatalf("counters inconsistent: %+v", s)
+	// Workers(1) runs the tasks in order, so t0..t2 each report exactly
+	// one attempt; the failure cancels the sweep, so t3 and t4 report at
+	// most one each.
+	for i := range tasks {
+		label := fmt.Sprintf("t%d", i)
+		wantFailed := 0
+		if i == 2 {
+			wantFailed = 1
+		}
+		if n, failed := rep.attempts(label); n > 1 || (n == 0 && i <= 2) || failed != wantFailed {
+			t.Errorf("%s: reporter saw %d attempts, %d failed; want 1, %d", label, n, failed, wantFailed)
+		}
 	}
-	if s.Failed == 0 || s.Panicked != 1 {
-		t.Fatalf("failure accounting wrong: %+v", s)
-	}
-	if len(rep.lines) == 0 {
-		t.Fatal("reporter saw no tasks")
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	for _, e := range rep.events {
+		if _, ok := e.err.(*PanicError); ok != (e.label == "t2") {
+			t.Errorf("%s: reported error %v; want a *PanicError only for t2", e.label, e.err)
+		}
 	}
 }
 

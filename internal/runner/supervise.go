@@ -86,7 +86,6 @@ func supervise[T any](ctx context.Context, t Task[T], index int, cfg config, out
 		if attempts > cfg.retries || !IsRetryable(err) || ctx.Err() != nil {
 			return &TaskError{Label: t.Label, Index: index, Attempts: attempts, Err: err}
 		}
-		counters.Load().retried.Add(1)
 		if !sleepCtx(ctx, backoffDelay(attempts-1, cfg.backoff, index)) {
 			// Cancelled mid-backoff: surface the real failure, not the
 			// cancellation, so the caller sees why the task was retrying.
@@ -96,7 +95,7 @@ func supervise[T any](ctx context.Context, t Task[T], index int, cfg config, out
 }
 
 // runAttempt executes one attempt of a task with panic recovery,
-// progress accounting, the fault-injection hook, and (when configured) a
+// progress reporting, the fault-injection hook, and (when configured) a
 // deadline.
 //
 // With no deadline the attempt runs inline on the worker goroutine,
@@ -105,26 +104,28 @@ func supervise[T any](ctx context.Context, t Task[T], index int, cfg config, out
 // timer: a cooperative task sees its attempt context cancelled and
 // returns; a wedged task is abandoned — the worker moves on and the
 // stray goroutine is left to die with its cancelled context. Abandoned
-// attempts never touch out (results travel by channel), never account
-// (the worker owns the task's accounting), and their eventual return
-// value is discarded.
+// attempts never touch out (results travel by channel), never report
+// (the worker reports the attempt), and their eventual return value is
+// discarded.
 func runAttempt[T any](ctx context.Context, t Task[T], attempt int, deadline time.Duration, out *T) (err error) {
-	stop := taskStarted(t.Label)
-	defer func() { stop(err) }()
-
 	// Every attempt runs under a span (free when tracing is off) and
-	// reports its duration to the slow-task log (one atomic load when
-	// off). The span context flows into the task body so nested
-	// instrumentation — cache lookups, service calls — parents correctly.
+	// reports its duration to the slow-task log and the progress Reporter
+	// (one atomic load each when off). The span context flows into the
+	// task body so nested instrumentation — cache lookups, service calls —
+	// parents correctly.
 	began := time.Now()
 	sctx, sp := obs.Start(ctx, "runner.task")
 	sp.Str("label", t.Label)
 	sp.Int("attempt", int64(attempt))
 	ctx = sctx
 	defer func() {
+		d := time.Since(began)
 		sp.Err(err)
 		sp.End()
-		obs.NoteTask(t.Label, attempt, sp.ID(), time.Since(began))
+		obs.NoteTask(t.Label, attempt, sp.ID(), d)
+		if p := reporter.Load(); p != nil {
+			(*p).TaskDone(t.Label, d, err)
+		}
 	}()
 
 	if deadline <= 0 {

@@ -349,61 +349,14 @@ func TestTaskHookInjectsIntoAttempts(t *testing.T) {
 }
 
 func TestRetriedCounter(t *testing.T) {
-	ResetCounters()
+	rep := record(t)
 	task, _ := failNTask("flaky", 2, 1)
 	if _, err := Map(context.Background(), []Task[int]{task}, Retry(2, time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	s := Snapshot()
-	if s.Retried != 2 {
-		t.Errorf("Retried = %d, want 2", s.Retried)
+	if n, failed := rep.attempts("flaky"); n != 3 || failed != 2 {
+		t.Errorf("reporter saw %d attempts, %d failed; want 3, 2 (the healed attempts still failed)", n, failed)
 	}
-	if s.Started != 3 || s.Done != 3 {
-		t.Errorf("attempt accounting: started=%d done=%d, want 3/3", s.Started, s.Done)
-	}
-	if s.Failed != 2 {
-		t.Errorf("Failed = %d, want 2 (the healed attempts still failed)", s.Failed)
-	}
-}
-
-func TestResetCountersDuringConcurrentMaps(t *testing.T) {
-	// Regression test for the reset race: zeroing fields one at a time
-	// could interleave with concurrent updates and yield Done > Started.
-	// The generation-swap scheme must keep every snapshot internally
-	// consistent under concurrent sweeps and resets.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_, _ = MapN(context.Background(), 8, nil,
-					func(ctx context.Context, i int) (int, error) { return i, nil })
-			}
-		}()
-	}
-	deadline := time.After(200 * time.Millisecond)
-	for done := false; !done; {
-		select {
-		case <-deadline:
-			done = true
-		default:
-			ResetCounters()
-			s := Snapshot()
-			if s.Done > s.Started {
-				t.Fatalf("inconsistent snapshot: done=%d > started=%d", s.Done, s.Started)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
-	ResetCounters()
 }
 
 func TestWriterReporterSequenceStrictlyIncreasing(t *testing.T) {

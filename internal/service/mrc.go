@@ -9,9 +9,8 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/classify"
-	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -165,47 +164,36 @@ type MRCSummary struct {
 // ladder builds the classifier for the spec's sizes: one rung per size,
 // all sharing one oracle stack.
 func (spec MRCSpec) ladder() (*classify.Ladder, error) {
-	cfgs := make([]cache.Config, len(spec.SizesKB))
+	rungs := make([]classify.Rung, len(spec.SizesKB))
 	for i, kb := range spec.SizesKB {
-		cfgs[i] = cacheConfig(kb, spec.LineSize, spec.Assoc, spec.Index, spec.IndexSeed)
+		rungs[i] = classify.Rung{Cache: cacheConfig(kb, spec.LineSize, spec.Assoc, spec.Index, spec.IndexSeed), TagBits: spec.TagBits}
 	}
-	return classify.NewLadder(cfgs, spec.TagBits)
+	return classify.NewLadder(rungs)
 }
 
 // stream is the MRC kernel as a streamFunc: it plays every memory
 // access of src through one classifier ladder (a real cache and MCT per
 // requested size over one shared oracle stack), a struct-of-arrays
-// batch at a time, the batch's memory ops compacted once. Each point's
-// miss ratio is its rung's fully-associative miss count over the
-// accesses, exact by Mattson inclusion. After the source drains
-// cleanly, the points stream in ascending size order followed by the
-// summary.
+// batch at a time through sim.BatchClassifier. Each point's miss ratio
+// is its rung's fully-associative miss count over the accesses, exact by
+// Mattson inclusion. After the source drains cleanly, the points stream
+// in ascending size order followed by the summary.
 func (spec MRCSpec) stream(ctx context.Context, src trace.BatchSource, emit func(v any) error) (stats, error) {
 	var st stats
 	ladder, err := spec.ladder()
 	if err != nil {
 		return st, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	batch := trace.NewBatch(trace.DefaultBatchSize)
-	addrs := make([]mem.Addr, 0, trace.DefaultBatchSize)
-	stores := make([]bool, 0, trace.DefaultBatchSize)
+	bc := sim.NewBatchClassifier(ladder, 0)
 	for {
 		if cerr := ctx.Err(); cerr != nil {
 			return st, cerr
 		}
-		n := src.ReadBatch(batch, trace.DefaultBatchSize)
+		n, m := bc.Classify(src)
 		if n == 0 {
 			break
 		}
-		addrs, stores = addrs[:0], stores[:0]
-		for i := 0; i < n; i++ {
-			if batch.Op[i].IsMem() {
-				addrs = append(addrs, batch.Addr[i])
-				stores = append(stores, batch.Op[i] == trace.Store)
-			}
-		}
-		ladder.AccessBatch(addrs, stores)
-		st.Records += uint64(len(addrs))
+		st.Records += uint64(m)
 	}
 	if err := src.Err(); err != nil {
 		return st, err

@@ -140,7 +140,11 @@ func assistFingerprints(t *testing.T) map[string]string {
 			if !s.Next(&in) {
 				t.Fatalf("%s: stream ended after %d of %d records", b.Name, i, len(accs))
 			}
-			accs[i] = trace.AccessOf(in)
+			typ := mem.Load
+			if in.Op == trace.Store {
+				typ = mem.Store
+			}
+			accs[i] = mem.Access{Addr: in.Addr, PC: in.PC, Type: typ}
 		}
 		for name, mk := range systems {
 			out["assist/"+name+"/"+b.Name] = hashAssistRun(mk(), accs)

@@ -6,50 +6,40 @@ import (
 	"repro/internal/trace"
 )
 
-// ClassifyScalar replays every memory reference of a stream through the
-// classification run one access at a time. It is the reference
-// implementation the batched kernel is differentially tested against;
-// measurement tools should prefer ClassifyBatched. Returns the number of
-// memory accesses classified.
-func ClassifyScalar(run *classify.Run, s trace.Stream) uint64 {
-	var in trace.Instr
-	var n uint64
-	for s.Next(&in) {
-		if !in.Op.IsMem() {
-			continue
-		}
-		run.Access(in.Addr, in.Op == trace.Store)
-		n++
-	}
-	return n
+// Kernel is what a BatchClassifier drives: a classification run or
+// ladder that takes the compacted memory references of one batch.
+type Kernel interface {
+	AccessBatch(addrs []mem.Addr, stores []bool)
 }
 
-// BatchClassifier drives a classification run from SoA record batches: it
-// compacts each batch's loads and stores into parallel addr/store arrays
-// and hands them to the kernel in one call. All scratch is owned by the
-// classifier and reused, so the steady state allocates nothing per batch.
+// BatchClassifier drives a classification kernel from SoA record batches:
+// it compacts each batch's loads and stores into parallel addr/store
+// arrays and hands them to the kernel in one call. All scratch is owned
+// by the classifier and reused, so the steady state allocates nothing per
+// batch.
 type BatchClassifier struct {
-	Run *classify.Run
 	// Addrs and Stores hold the compacted memory references of the most
 	// recent Classify call — the accesses whose verdicts sit at the same
-	// index in Run.Hits/Kinds/Classes. Valid until the next Classify.
+	// index in the kernel's per-record results (Run.Hits/Kinds/Classes).
+	// Valid until the next Classify.
 	Addrs  []mem.Addr
 	Stores []bool
 
-	batch *trace.Batch
-	size  int
+	kernel Kernel
+	batch  *trace.Batch
+	size   int
 }
 
-// NewBatchClassifier builds a classifier over run processing batchSize
+// NewBatchClassifier builds a classifier over kernel processing batchSize
 // records per kernel call (0 = trace.DefaultBatchSize).
-func NewBatchClassifier(run *classify.Run, batchSize int) *BatchClassifier {
+func NewBatchClassifier(kernel Kernel, batchSize int) *BatchClassifier {
 	if batchSize <= 0 {
 		batchSize = trace.DefaultBatchSize
 	}
 	return &BatchClassifier{
-		Run:    run,
 		Addrs:  make([]mem.Addr, batchSize),
 		Stores: make([]bool, batchSize),
+		kernel: kernel,
 		batch:  trace.NewBatch(batchSize),
 		size:   batchSize,
 	}
@@ -58,8 +48,8 @@ func NewBatchClassifier(run *classify.Run, batchSize int) *BatchClassifier {
 // Classify consumes one batch from src, classifying its memory references.
 // It returns the number of records read (0 = src exhausted; check
 // src.Err()) and how many of them were memory accesses. After it returns,
-// bc.Run.Hits/Kinds/Classes hold the per-access verdicts for exactly the
-// mem accesses of this batch, in order.
+// the kernel's per-record results cover exactly the mem accesses of this
+// batch, in order.
 func (bc *BatchClassifier) Classify(src trace.BatchSource) (records, memOps int) {
 	n := src.ReadBatch(bc.batch, bc.size)
 	if n == 0 {
@@ -74,7 +64,7 @@ func (bc *BatchClassifier) Classify(src trace.BatchSource) (records, memOps int)
 			m++
 		}
 	}
-	bc.Run.AccessBatch(bc.Addrs[:m], bc.Stores[:m])
+	bc.kernel.AccessBatch(bc.Addrs[:m], bc.Stores[:m])
 	return n, m
 }
 
@@ -92,8 +82,7 @@ func (bc *BatchClassifier) ClassifyAll(src trace.BatchSource) uint64 {
 
 // ClassifyBatched replays every memory reference from a batch source
 // through run in batchSize blocks (0 = trace.DefaultBatchSize), returning
-// the number of memory accesses classified. This is the fast path
-// equivalent of ClassifyScalar.
+// the number of memory accesses classified.
 func ClassifyBatched(run *classify.Run, src trace.BatchSource, batchSize int) uint64 {
 	return NewBatchClassifier(run, batchSize).ClassifyAll(src)
 }

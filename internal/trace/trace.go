@@ -195,12 +195,3 @@ func (m *MemOnly) Next(out *Instr) bool {
 	}
 	return false
 }
-
-// AccessOf converts a memory instruction to the hierarchy's access record.
-func AccessOf(in Instr) mem.Access {
-	t := mem.Load
-	if in.Op == Store {
-		t = mem.Store
-	}
-	return mem.Access{Addr: in.Addr, PC: in.PC, Type: t}
-}

@@ -95,17 +95,6 @@ func TestMemOnly(t *testing.T) {
 	}
 }
 
-func TestAccessOf(t *testing.T) {
-	ld := Instr{Op: Load, Addr: 0x40, PC: 0x100}
-	st := Instr{Op: Store, Addr: 0x80, PC: 0x104}
-	if a := AccessOf(ld); a.Type != mem.Load || a.Addr != 0x40 || a.PC != 0x100 {
-		t.Errorf("AccessOf load = %+v", a)
-	}
-	if a := AccessOf(st); a.Type != mem.Store || a.Addr != 0x80 {
-		t.Errorf("AccessOf store = %+v", a)
-	}
-}
-
 func TestOpClassProperties(t *testing.T) {
 	if !Load.IsMem() || !Store.IsMem() || IntOp.IsMem() || Branch.IsMem() {
 		t.Error("IsMem wrong")
