@@ -196,8 +196,9 @@ vulncheck:
 
 # Short fuzz passes over the binary trace decoder, the fault-spec parsers,
 # the Prometheus exposition parser, the classify and MRC spec
-# normalizers, the peer cell decoder and journal segment replay; CI runs
-# the seed corpora via `make test`, this target digs deeper locally.
+# normalizers, the peer cell decoder, journal segment replay and the memo
+# cache's segment scanner; CI runs the seed corpora via `make test`, this
+# target digs deeper locally.
 fuzz:
 	$(GO) test -fuzz FuzzReadTrace -fuzztime 30s ./internal/trace
 	$(GO) test -fuzz 'FuzzRoundTrip$$' -fuzztime 30s ./internal/trace
@@ -209,9 +210,12 @@ fuzz:
 	$(GO) test -fuzz FuzzClassifySpecNormalize -fuzztime 30s ./internal/service
 	$(GO) test -fuzz FuzzForwardedCell -fuzztime 30s ./internal/service
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime 30s ./internal/journal
+	$(GO) test -fuzz FuzzMemoSegment -fuzztime 30s ./internal/runner
 
-# Drop all memoized experiment results (results/cache is also safely
-# deletable by hand; entries are invalidated automatically when the code
-# version or parameters change).
+# Drop all memoized experiment results: the segment files every cache
+# appends to, and the quarantine copies. results/cache is also safely
+# deletable by hand while no paperbench or mctd uses it; entries are
+# invalidated automatically when the code version or parameters change,
+# but their segments keep the space until deleted.
 clean-cache:
 	rm -rf results/cache

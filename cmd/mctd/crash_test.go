@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/journal"
 	"repro/internal/loadgen"
+	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -247,18 +247,9 @@ func waitCacheSlugs(t *testing.T, dir string, slugs ...string) {
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
 		seen := map[string]bool{}
-		matches, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-		for _, path := range matches {
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			var e struct {
-				Slug string `json:"slug"`
-			}
-			if json.Unmarshal(raw, &e) == nil {
-				seen[e.Slug] = true
-			}
+		entries, _ := runner.ListCache(dir)
+		for _, e := range entries {
+			seen[e.Slug] = true
 		}
 		all := true
 		for _, slug := range slugs {

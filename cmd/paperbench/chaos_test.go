@@ -2,11 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 // These tests chaos-test the real binary's supervision machinery: fault
@@ -153,19 +154,15 @@ func TestKillAndResumeRecomputesOnlyUnfinishedCells(t *testing.T) {
 
 	// The memo cache must hold fig1's entry and nothing else: the failed
 	// cell was not memoized.
-	entries, _ := filepath.Glob(filepath.Join(root, "cache", "*.json"))
-	if len(entries) != 1 {
-		t.Fatalf("cache dir has %d entries, want 1: %v", len(entries), entries)
-	}
-	raw, err := os.ReadFile(entries[0])
+	entries, err := runner.ListCache(filepath.Join(root, "cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var entry struct {
-		Slug string `json:"slug"`
+	if len(entries) != 1 {
+		t.Fatalf("cache dir has %d entries, want 1: %v", len(entries), entries)
 	}
-	if err := json.Unmarshal(raw, &entry); err != nil || entry.Slug != "fig1" {
-		t.Fatalf("cache entry should be fig1's (err %v):\n%s", err, raw)
+	if entries[0].Slug != "fig1" {
+		t.Fatalf("cache entry should be fig1's: %+v", entries[0])
 	}
 
 	// Run 2: the same command without the fault. fig1 must come from

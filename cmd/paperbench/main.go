@@ -110,7 +110,7 @@ func paperbenchMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Cache writes follow the -fsync durability policy. Off by default
-	// for the CLI: temp+rename already survives process crashes
+	// for the CLI: an appended entry already survives process crashes
 	// (including SIGKILL); fsync only buys power-loss safety, at real
 	// latency cost per experiment.
 	fsync, err := durable.ParsePolicy(*fsyncMode)

@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/experiments"
@@ -15,6 +17,41 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// sharedDir holds the cache directory fig2Cold computes into; TestMain
+// removes it.
+var sharedDir string
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if sharedDir != "" {
+		os.RemoveAll(sharedDir)
+	}
+	os.Exit(code)
+}
+
+// quickRun is one paperbench invocation's outcome.
+type quickRun struct {
+	args           []string
+	code           int
+	stdout, stderr bytes.Buffer
+}
+
+// fig2Cold runs `-quick -experiment fig2` once per test binary into a
+// fresh cache directory: TestFig2QuickGolden checks its stdout and
+// TestFig2CacheReplayIdentical replays from its cache.
+var fig2Cold = sync.OnceValue(func() *quickRun {
+	r := &quickRun{code: -1}
+	dir, err := os.MkdirTemp("", "paperbench-fig2-")
+	if err != nil {
+		fmt.Fprintln(&r.stderr, err)
+		return r
+	}
+	sharedDir = dir
+	r.args = []string{"-quick", "-experiment", "fig2", "-cachedir", filepath.Join(dir, "cache")}
+	r.code = paperbenchMain(r.args, &r.stdout, &r.stderr)
+	return r
+})
 
 // TestFig2QuickGolden pins the exact stdout of
 // `paperbench -quick -experiment fig2` and of `-quick -experiment all`
@@ -33,20 +70,24 @@ func TestFig2QuickGolden(t *testing.T) {
 				// timeout in `make race`; `go test ./...` checks it.
 				t.Skip("whole -quick run is too slow under the race detector")
 			}
-			var stdout, stderr bytes.Buffer
-			code := paperbenchMain(
-				[]string{"-quick", "-experiment", tc.experiment, "-cachedir", filepath.Join(t.TempDir(), "cache")},
-				&stdout, &stderr)
-			if code != 0 {
-				t.Fatalf("exit code %d, stderr:\n%s", code, stderr.String())
+			var r *quickRun
+			if tc.experiment == "fig2" {
+				r = fig2Cold()
+			} else {
+				r = &quickRun{args: []string{"-quick", "-experiment", tc.experiment, "-cachedir", filepath.Join(t.TempDir(), "cache")}}
+				r.code = paperbenchMain(r.args, &r.stdout, &r.stderr)
 			}
+			if r.code != 0 {
+				t.Fatalf("exit code %d, stderr:\n%s", r.code, r.stderr.String())
+			}
+			stdout := r.stdout.Bytes()
 
 			golden := filepath.Join("testdata", tc.golden)
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(golden, stdout, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -54,9 +95,9 @@ func TestFig2QuickGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reading golden (run with -update to create): %v", err)
 			}
-			if !bytes.Equal(stdout.Bytes(), want) {
+			if !bytes.Equal(stdout, want) {
 				t.Errorf("-quick -experiment %s output drifted from %s.\n--- got ---\n%s\n--- want ---\n%s",
-					tc.experiment, golden, stdout.String(), want)
+					tc.experiment, golden, stdout, want)
 			}
 		})
 	}
@@ -67,25 +108,22 @@ func TestFig2QuickGolden(t *testing.T) {
 // byte-identical stdout — the memoized replay is indistinguishable from
 // the computation.
 func TestFig2CacheReplayIdentical(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "cache")
-	args := []string{"-quick", "-experiment", "fig2", "-cachedir", dir}
-
-	var out1, err1 bytes.Buffer
-	if code := paperbenchMain(args, &out1, &err1); code != 0 {
-		t.Fatalf("first run exit %d:\n%s", code, err1.String())
+	first := fig2Cold()
+	if first.code != 0 {
+		t.Fatalf("first run exit %d:\n%s", first.code, first.stderr.String())
 	}
-	if strings.Contains(err1.String(), "cached") {
+	if strings.Contains(first.stderr.String(), "cached") {
 		t.Fatal("first run must not hit the cache")
 	}
 
 	var out2, err2 bytes.Buffer
-	if code := paperbenchMain(args, &out2, &err2); code != 0 {
+	if code := paperbenchMain(first.args, &out2, &err2); code != 0 {
 		t.Fatalf("second run exit %d:\n%s", code, err2.String())
 	}
 	if !strings.Contains(err2.String(), "(fig2: cached)") {
 		t.Fatalf("second run must hit the cache, stderr:\n%s", err2.String())
 	}
-	if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
+	if !bytes.Equal(first.stdout.Bytes(), out2.Bytes()) {
 		t.Error("cached replay stdout differs from computed stdout")
 	}
 }

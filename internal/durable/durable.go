@@ -1,28 +1,28 @@
 // Package durable centralizes the fsync policy behind every
 // crash-safety-critical write in the repo: the service's job journal
-// and the memoization cache's entry writer. Both use the temp-file +
-// rename discipline,
-// which protects against torn files from a crashed *process* — but not
-// against power loss, where the rename can be durable while the file's
+// and the memoization cache's segment appends. Appends and the
+// temp-file + rename discipline (journal quarantine restores) protect
+// against torn files from a crashed *process* — but not against power
+// loss, where a rename or a new file's name can be durable while its
 // data blocks are not (or vice versa). Closing that hole requires
-// fsyncing the file before the rename and the parent directory after
-// it, and that costs real latency, so it is a policy the operator
-// chooses rather than a hardcoded behavior.
+// fsyncing the file and, after creating or renaming a file, its parent
+// directory, and that costs real latency, so it is a policy the
+// operator chooses rather than a hardcoded behavior.
 //
 // The policies:
 //
-//   - PolicyOff: no fsync anywhere. Temp+rename still guarantees
-//     atomicity against process crashes (SIGKILL included: the page
-//     cache survives the process), but power loss may lose or tear the
-//     most recent writes. This is the historical behavior and the
+//   - PolicyOff: no fsync anywhere. A process crash (SIGKILL included:
+//     the page cache survives the process) loses nothing written, and
+//     framing or temp+rename keeps a write cut by the crash detectable,
+//     but power loss may lose or tear the most recent writes. The
 //     default for the CLI tools.
 //   - PolicyData: fsync at batch boundaries — journal segment rotation,
 //     compaction, and close — but not on every record append. Process
 //     crashes lose nothing; power loss may lose the records appended
 //     since the last boundary, never the file's integrity (CRC framing
-//     detects the torn tail). Cache writes sync fully under this
-//     policy (they are rare, whole-file writes where the boundary IS
-//     the write). The mctd default.
+//     detects the torn tail). Cache appends sync fully under this
+//     policy (each entry is a boundary: its cell reports done once it
+//     is stored). The mctd default.
 //   - PolicyAlways: fsync file and directory on every durable write,
 //     including each journal append. Survives power loss at the cost of
 //     one fsync (or two) per record.

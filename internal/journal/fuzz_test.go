@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 // FuzzJournalReplay appends fuzz-derived records across several small
@@ -91,7 +93,7 @@ func FuzzJournalReplay(f *testing.F) {
 			want = [][]byte{}
 			var end int64
 			for _, p := range appended {
-				if end += frameHeader + int64(len(p)); end > before+cut {
+				if end += frame.HeaderSize + int64(len(p)); end > before+cut {
 					break
 				}
 				want = append(want, p)

@@ -1,7 +1,7 @@
 // Package journal is an append-only, torn-write-tolerant write-ahead
 // log: the durability substrate under the service's job registry
-// (results/jobs/). Records are opaque byte payloads framed with a
-// length + CRC32C header, written to numbered segment files that
+// (results/jobs/). Records are opaque byte payloads framed by package
+// frame (length + CRC32C header), written to numbered segment files that
 // rotate at a size threshold and compact down to a live-set snapshot.
 //
 // The failure model, from most to least common:
@@ -31,10 +31,8 @@
 package journal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,6 +41,7 @@ import (
 	"sync"
 
 	"repro/internal/durable"
+	"repro/internal/frame"
 )
 
 // segment file naming: seg-%08d.wal, strictly increasing.
@@ -55,17 +54,9 @@ const (
 // into, mirroring the memoization cache's quarantine convention.
 const QuarantineDirName = "quarantine"
 
-// frame header: u32 little-endian payload length + u32 CRC32-Castagnoli
-// of the payload.
-const frameHeader = 8
-
 // MaxRecordBytes bounds a single record; a decoded length beyond it is
 // corruption (or a torn length word), never a legitimate record.
-const MaxRecordBytes = 16 << 20
-
-// castagnoli is the CRC polynomial used for framing (hardware-
-// accelerated on the platforms this runs on).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+const MaxRecordBytes = frame.MaxPayload
 
 // ErrClosed reports an Append after Close.
 var ErrClosed = errors.New("journal: closed")
@@ -217,21 +208,17 @@ func replaySegment(path string, fn func([]byte) error) (n int, tornAt int64, cor
 		return 0, 0, fmt.Sprintf("unreadable: %v", rerr), nil
 	}
 	off := int64(0)
-	for int64(len(data))-off >= frameHeader {
-		length := binary.LittleEndian.Uint32(data[off:])
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if length > MaxRecordBytes {
-			return n, off, fmt.Sprintf("frame at offset %d declares %d bytes (max %d): corrupt length", off, length, MaxRecordBytes), nil
-		}
-		end := off + frameHeader + int64(length)
-		if end > int64(len(data)) {
-			return n, off, "", nil // short payload: torn tail
-		}
-		payload := data[off+frameHeader : end]
-		if crc32.Checksum(payload, castagnoli) != sum {
+	for off < int64(len(data)) {
+		payload, size, derr := frame.Decode(data[off:])
+		switch {
+		case errors.Is(derr, frame.ErrShort):
+			return n, off, "", nil // short header or payload: torn tail
+		case errors.Is(derr, frame.ErrLength):
+			return n, off, fmt.Sprintf("frame at offset %d declares more than %d bytes: corrupt length", off, MaxRecordBytes), nil
+		case errors.Is(derr, frame.ErrChecksum):
 			// A bad CRC at the very end of the file is a torn write; in the
 			// middle (bytes follow) it is corruption.
-			if end == int64(len(data)) {
+			if off+int64(size) == int64(len(data)) {
 				return n, off, "", nil
 			}
 			return n, off, fmt.Sprintf("CRC mismatch at offset %d", off), nil
@@ -240,10 +227,7 @@ func replaySegment(path string, fn func([]byte) error) (n int, tornAt int64, cor
 			return n, -1, "", err
 		}
 		n++
-		off = end
-	}
-	if off != int64(len(data)) {
-		return n, off, "", nil // trailing partial header: torn tail
+		off += int64(size)
 	}
 	return n, -1, "", nil
 }
@@ -328,15 +312,10 @@ func (j *Journal) Append(payload []byte) error {
 // appendLocked writes one framed record to the active segment. Caller
 // holds j.mu and guarantees j.f is open.
 func (j *Journal) appendLocked(payload []byte) error {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
 	// One Write call for the whole frame: the kernel appends atomically
 	// with respect to other writers of this fd, and a crash mid-write
 	// tears at most this one record (which replay then truncates).
-	buf := make([]byte, 0, frameHeader+len(payload))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, payload...)
+	buf := frame.Append(make([]byte, 0, frame.HeaderSize+len(payload)), payload)
 	if _, err := j.f.Write(buf); err != nil {
 		return fmt.Errorf("journal: appending record: %w", err)
 	}

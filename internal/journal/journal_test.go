@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/durable"
+	"repro/internal/frame"
 )
 
 func replayAll(t *testing.T, j *Journal) ([][]byte, ReplayStats) {
@@ -139,7 +140,7 @@ func TestMidFileCorruptionQuarantined(t *testing.T) {
 
 	// Flip a payload byte in the middle of the FIRST segment.
 	raw, _ := os.ReadFile(segs[0].path)
-	raw[frameHeader+2] ^= 0xff
+	raw[frame.HeaderSize+2] ^= 0xff
 	if err := os.WriteFile(segs[0].path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

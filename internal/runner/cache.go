@@ -7,50 +7,62 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/durable"
 )
 
-// cacheSchema versions the on-disk entry format itself. Bump it when the
-// envelope or key derivation changes; every old entry then misses cleanly.
-const cacheSchema = 1
+// cacheSchema versions the on-disk format: the key derivation and the
+// segment layout. Bump it when either changes; segments are named by
+// schema, so a cache never reads another schema's segments and every
+// old key misses cleanly.
+const cacheSchema = 2
 
 // DefaultCacheDir is where cmd/paperbench memoizes experiment results,
 // relative to the working directory.
 const DefaultCacheDir = "results/cache"
 
-// QuarantineDirName is the subdirectory of the cache dir that corrupt
-// entries are moved into for post-mortem inspection.
+// QuarantineDirName is the subdirectory of the cache dir that copies of
+// corrupt entries and damaged segments are written to for post-mortem
+// inspection.
 const QuarantineDirName = "quarantine"
 
-// Cache is an on-disk memoization store for experiment results. Entries
-// are JSON files named by the hex key, written atomically (temp file +
-// rename) so a crashed or concurrent run never leaves a torn entry. A nil
-// *Cache is valid and always misses — the -nocache escape hatch.
+// Cache is an on-disk memoization store for experiment results. Each
+// open Cache appends its entries to segment files of its own (segment.go)
+// and finds entries of every writer through a compact in-memory index,
+// so one directory can be shared by any number of caches and processes.
+// A nil *Cache is valid and always misses — the -nocache escape hatch.
 //
 // Corrupt or unreadable entries (a torn write from a crashed kernel, a
-// truncated disk, manual editing) are not silently overwritten: load
-// quarantines them into QuarantineDirName with a sidecar .reason file and
-// logs why, so torn writes stay diagnosable while the run recomputes the
-// cell cleanly.
+// truncated disk, manual editing) are never trusted: every load checks
+// the entry's checksum, and load copies a bad entry into
+// QuarantineDirName with a sidecar .reason file and logs why, so damage
+// stays diagnosable while the run recomputes the cell cleanly.
 type Cache struct {
-	dir     string
-	mkdir   sync.Once
-	mkdirOK bool
-	logf    func(format string, args ...any)
+	dir  string
+	logf func(format string, args ...any)
+	// segLimit is the size at which the cache's own segment rotates.
+	segLimit int64
+
+	mu      sync.Mutex
+	segs    []*segment          // every segment seen, by id
+	byName  map[string]*segment // segs by file name
+	idx     index
+	w       *segment // own segment being appended to; nil until a store
+	wsize   int64    // w's size
+	listed  bool     // the directory has been indexed at least once
+	scanBuf []byte   // header window for scans, allocated on first use
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
 	quarantined atomic.Uint64
 }
 
-// Open returns a Cache rooted at dir. The directory is created lazily on
-// the first store, so read-only usage never touches the filesystem.
-func Open(dir string) *Cache { return &Cache{dir: dir} }
+// Open returns a Cache rooted at dir. Nothing is read until the first
+// lookup, and the directory and the cache's own segment are created
+// lazily on the first store, so read-only usage never writes to the
+// filesystem.
+func Open(dir string) *Cache { return &Cache{dir: dir, segLimit: segmentBytes} }
 
 // SetLogf installs the cache's diagnostic logger (quarantine reasons and
 // similar non-fatal conditions). Install before the cache is used; nil
@@ -78,8 +90,8 @@ func (c *Cache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Quarantined returns how many corrupt entries this process moved to the
-// quarantine directory.
+// Quarantined returns how many corrupt entries and damaged segments this
+// process copied to the quarantine directory.
 func (c *Cache) Quarantined() uint64 {
 	if c == nil {
 		return 0
@@ -173,101 +185,13 @@ func fileDigest(path string) (string, bool) {
 // CodeVersion returns the code-version component of cache keys.
 func CodeVersion() string { return codeVersionOnce() }
 
-// entry is the on-disk envelope around a cached result.
-type entry struct {
-	Schema int             `json:"schema"`
-	Slug   string          `json:"slug"`
-	Result json.RawMessage `json:"result"`
-}
-
-// path maps a key to its file.
-func (c *Cache) path(key string) string { return filepath.Join(c.dir, key+".json") }
-
-// quarantine moves a corrupt entry into the quarantine subdirectory with
-// a sidecar .reason file instead of leaving it in place to be silently
-// overwritten. Never fatal: on any filesystem error the entry is left
-// where it is and only the log records the problem.
-func (c *Cache) quarantine(key, reason string) {
-	c.quarantined.Add(1)
-	qdir := filepath.Join(c.dir, QuarantineDirName)
-	dst := filepath.Join(qdir, key+".json")
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		c.log("runner: cache entry %s is corrupt (%s) but quarantine dir failed: %v", key, reason, err)
-		return
-	}
-	if err := os.Rename(c.path(key), dst); err != nil {
-		c.log("runner: cache entry %s is corrupt (%s) but quarantine move failed: %v", key, reason, err)
-		return
-	}
-	// Best-effort sidecar: the move above already preserved the evidence.
-	_ = os.WriteFile(dst+".reason", []byte(reason+"\n"), 0o644)
-	c.log("runner: quarantined corrupt cache entry %s: %s", key, reason)
-}
-
-// load reads a raw cached result; ok is false on miss or any corruption.
-// Corruption (unreadable file, bad JSON, impossible slug mismatch) is
-// quarantined for diagnosis and then treated as a miss, never fatal. A
-// schema mismatch is a clean miss: it is the documented format-migration
-// path, not a torn write.
-func (c *Cache) load(slug, key string) (json.RawMessage, bool) {
-	if c == nil {
-		return nil, false
-	}
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
-		if !os.IsNotExist(err) {
-			c.quarantine(key, fmt.Sprintf("unreadable: %v", err))
-		}
-		return nil, false
-	}
-	var e entry
-	if uerr := json.Unmarshal(data, &e); uerr != nil {
-		c.quarantine(key, fmt.Sprintf("undecodable entry envelope: %v", uerr))
-		return nil, false
-	}
-	if e.Schema != cacheSchema {
-		return nil, false
-	}
-	if e.Slug != slug {
-		c.quarantine(key, fmt.Sprintf("slug mismatch: entry says %q, lookup wants %q", e.Slug, slug))
-		return nil, false
-	}
-	return e.Result, true
-}
-
-// store writes a result atomically. Store failures are returned so the
-// caller can warn, but callers treat them as non-fatal: the computation
-// already succeeded.
-func (c *Cache) store(slug, key string, result json.RawMessage) error {
-	if c == nil {
-		return nil
-	}
-	c.mkdir.Do(func() { c.mkdirOK = os.MkdirAll(c.dir, 0o755) == nil })
-	if !c.mkdirOK {
-		return fmt.Errorf("runner: cannot create cache dir %s", c.dir)
-	}
-	data, err := json.Marshal(entry{Schema: cacheSchema, Slug: slug, Result: result})
-	if err != nil {
-		return fmt.Errorf("runner: encoding cache entry %s: %w", slug, err)
-	}
-	// Temp+rename, fsyncing file and directory when the process-wide
-	// sync policy demands power-loss durability (a torn cache entry is
-	// only quarantine noise, but a re-driven job replays finished cells
-	// from the memo, so an entry must not evaporate after its cell
-	// reported done).
-	if err := durable.WriteFileAtomic(c.path(key), data, 0o644, writeSyncPolicy()); err != nil {
-		return fmt.Errorf("runner: committing cache entry %s: %w", slug, err)
-	}
-	return nil
-}
-
 // LoadRaw reads the raw cached result for a key already derived with
 // Key. A hit counts toward Stats; a miss counts nothing — the caller
 // decides whether a computation follows (the cluster layer peeks
 // without committing to compute, and a forwarded cell must not inflate
 // this node's miss count). Corruption handling matches load.
 func (c *Cache) LoadRaw(slug, key string) (json.RawMessage, bool) {
-	raw, ok := c.load(slug, key)
+	raw, _, ok := c.load(slug, key)
 	if ok && c != nil {
 		c.hits.Add(1)
 	}
@@ -286,9 +210,17 @@ func (c *Cache) NoteHit() {
 // StoreRaw writes a raw result under a pre-derived key — the cross-node
 // cache-fill path: a cell computed by a remote owner is written through
 // to the local cache so later lookups replay as local hits. Counts
-// neither hit nor miss (the work happened elsewhere).
+// neither hit nor miss (the work happened elsewhere). The bytes are
+// stored in the form Memo stores: checked and compacted by json.Marshal.
 func (c *Cache) StoreRaw(slug, key string, raw json.RawMessage) error {
-	return c.store(slug, key, raw)
+	if c == nil {
+		return nil
+	}
+	enc, err := json.Marshal(raw)
+	if err != nil {
+		return fmt.Errorf("runner: encoding cache entry %s: %w", slug, err)
+	}
+	return c.store(slug, key, enc)
 }
 
 // Memo returns the cached result for (slug, payload) if present, else runs
@@ -307,7 +239,7 @@ func Memo[T any](c *Cache, slug string, payload any, compute func() (T, error)) 
 	if err != nil {
 		return v, false, err
 	}
-	if raw, ok := c.load(slug, key); ok {
+	if raw, at, ok := c.load(slug, key); ok {
 		if decodeResult(raw, &v) == nil {
 			if c != nil {
 				c.hits.Add(1)
@@ -316,7 +248,7 @@ func Memo[T any](c *Cache, slug string, payload any, compute func() (T, error)) 
 		}
 		// Undecodable result (type changed without a code-version bump):
 		// quarantine the evidence, then fall through and recompute.
-		c.quarantine(key, fmt.Sprintf("result does not decode into the current %s result type", slug))
+		c.quarantine(at, fmt.Sprintf("result does not decode into the current %s result type", slug))
 	}
 	computed, err := compute()
 	if err != nil {
@@ -339,15 +271,15 @@ func Memo[T any](c *Cache, slug string, payload any, compute func() (T, error)) 
 	}
 	if err := c.store(slug, key, raw); err != nil {
 		// Non-fatal: the result is correct, only the memoization is lost.
-		return v, false, nil
+		c.log("%v", err)
 	}
 	return v, false, nil
 }
 
 // decodeResult decodes a checked result into v. A json.RawMessage result
-// is the bytes themselves: they are already valid JSON — the envelope
-// decode checked them on a hit, json.Marshal produced them (compact,
-// HTML-escaped) on a miss — and decoding them into a RawMessage again
+// is the bytes themselves: they are already valid JSON — json.Marshal
+// produced them (compact, HTML-escaped) before they were stored, and a
+// hit's checksum proves they are those bytes — and decoding them again
 // would only re-scan them and copy them into an identical slice.
 func decodeResult[T any](raw json.RawMessage, v *T) error {
 	if p, ok := any(v).(*json.RawMessage); ok {

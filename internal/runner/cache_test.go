@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -8,6 +9,8 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 type fakeParams struct {
@@ -122,12 +125,13 @@ func TestMemoCorruptEntryRecomputes(t *testing.T) {
 	if _, _, err := Memo(c, "x", p, func() (int, error) { return 5, nil }); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt every entry on disk.
-	ents, _ := os.ReadDir(dir)
-	for _, e := range ents {
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), []byte("{garbage"), 0o644); err != nil {
-			t.Fatal(err)
+	// Corrupt every body byte on disk, keeping each frame's header.
+	for _, path := range segmentPaths(t, dir) {
+		raw := readFile(t, path)
+		for i := frame.HeaderSize; i < len(raw); i++ {
+			raw[i] ^= 0x5a
 		}
+		writeFile(t, path, raw)
 	}
 	v, hit, err := Memo(Open(dir), "x", p, func() (int, error) { return 5, nil })
 	if err != nil || hit || v != 5 {
@@ -137,22 +141,17 @@ func TestMemoCorruptEntryRecomputes(t *testing.T) {
 
 func TestMemoSlugMismatchMisses(t *testing.T) {
 	// Paranoia check: even if two slugs somehow produced one key, the
-	// envelope's slug field guards the entry. Simulate by writing an entry
-	// under slug A's key with slug B inside.
+	// entry's slug guards it. Simulate by storing an entry under slug A's
+	// key with slug B inside.
 	dir := t.TempDir()
-	c := Open(dir)
 	key, err := Key("a", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _ := json.Marshal(entry{Schema: cacheSchema, Slug: "b", Result: json.RawMessage("3")})
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := Open(dir).store("b", key, json.RawMessage("3")); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.load("a", key); ok {
+	if _, _, ok := Open(dir).load("a", key); ok {
 		t.Fatal("entry with mismatched slug must miss")
 	}
 }
@@ -257,7 +256,7 @@ func TestCodeVersionRunningBinary(t *testing.T) {
 
 // --- Quarantine (corrupt-entry handling) ----------------------------------
 
-func TestQuarantineCorruptEnvelope(t *testing.T) {
+func TestQuarantineCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
 	c := Open(dir)
 	p := fakeParams{Seed: 11}
@@ -265,9 +264,10 @@ func TestQuarantineCorruptEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	key, _ := Key("q", p)
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	seg := segmentPaths(t, dir)[0]
+	raw := readFile(t, seg)
+	raw[len(raw)-1] ^= 0xff // the last byte of the result
+	writeFile(t, seg, raw)
 
 	c2 := Open(dir)
 	var logged []string
@@ -279,22 +279,19 @@ func TestQuarantineCorruptEnvelope(t *testing.T) {
 		t.Fatalf("corrupt entry: v=%d hit=%v err=%v", v, hit, err)
 	}
 
-	// The corrupt entry moved to quarantine with its reason sidecar; the
-	// recompute stored a fresh entry under the original path.
-	qpath := filepath.Join(dir, QuarantineDirName, key+".json")
-	raw, err := os.ReadFile(qpath)
-	if err != nil {
-		t.Fatalf("quarantined entry missing: %v", err)
+	// A copy of the corrupt frame went to quarantine with its reason
+	// sidecar; the damaged segment itself is left as it was, and the
+	// recompute appended a fresh entry.
+	qpath := filepath.Join(dir, QuarantineDirName, key+".frame")
+	if got := readFile(t, qpath); !bytes.Equal(got, raw) {
+		t.Errorf("quarantine must preserve the evidence:\n got %q\nwant %q", got, raw)
 	}
-	if string(raw) != "{torn" {
-		t.Errorf("quarantine must preserve the evidence, got %q", raw)
-	}
-	reason, err := os.ReadFile(qpath + ".reason")
-	if err != nil {
-		t.Fatalf("reason sidecar missing: %v", err)
-	}
-	if !strings.Contains(string(reason), "undecodable") {
+	reason := readFile(t, qpath+".reason")
+	if !strings.Contains(string(reason), "checksum") {
 		t.Errorf("reason = %q", reason)
+	}
+	if !bytes.Equal(readFile(t, seg), raw) {
+		t.Error("quarantine modified the segment")
 	}
 	if c2.Quarantined() != 1 {
 		t.Errorf("Quarantined() = %d, want 1", c2.Quarantined())
@@ -302,48 +299,56 @@ func TestQuarantineCorruptEnvelope(t *testing.T) {
 	if len(logged) == 0 || !strings.Contains(logged[len(logged)-1], "quarantined") {
 		t.Errorf("quarantine not logged: %v", logged)
 	}
-	if _, hit, _ := Memo(Open(dir), "q", p, func() (int, error) { return 3, nil }); !hit {
+	if _, hit, _ := Memo(c2, "q", p, func() (int, error) { return 3, nil }); !hit {
 		t.Error("recomputed entry should hit on the next lookup")
+	}
+	if _, hit, _ := Memo(Open(dir), "q", p, func() (int, error) { return 3, nil }); !hit {
+		t.Error("recomputed entry should hit after a reopen")
 	}
 }
 
 func TestQuarantineSlugMismatch(t *testing.T) {
 	dir := t.TempDir()
 	key, _ := Key("a", 1)
-	data, _ := json.Marshal(entry{Schema: cacheSchema, Slug: "b", Result: json.RawMessage("3")})
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), data, 0o644); err != nil {
+	if err := Open(dir).store("b", key, json.RawMessage("3")); err != nil {
 		t.Fatal(err)
 	}
 	c := Open(dir)
-	if _, ok := c.load("a", key); ok {
+	if _, _, ok := c.load("a", key); ok {
 		t.Fatal("mismatched slug must miss")
 	}
 	if c.Quarantined() != 1 {
 		t.Errorf("Quarantined() = %d, want 1", c.Quarantined())
 	}
-	if _, err := os.Stat(filepath.Join(dir, QuarantineDirName, key+".json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, QuarantineDirName, key+".frame")); err != nil {
 		t.Errorf("mismatched entry not quarantined: %v", err)
 	}
 }
 
 func TestSchemaMismatchIsCleanMissNotQuarantine(t *testing.T) {
-	// A schema bump is the documented migration path: old entries must
-	// miss silently, not be treated as corruption.
+	// A schema bump is the documented migration path: another schema's
+	// segments and the old one-file-per-entry layout are never read, and
+	// nothing of them is treated as corruption.
 	dir := t.TempDir()
 	key, _ := Key("a", 1)
-	data, _ := json.Marshal(entry{Schema: cacheSchema + 1, Slug: "a", Result: json.RawMessage("3")})
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), data, 0o644); err != nil {
+	src := Open(t.TempDir())
+	if err := src.store("a", key, json.RawMessage("3")); err != nil {
 		t.Fatal(err)
 	}
+	other := strings.Replace(filepath.Base(src.w.name), segPrefix, fmt.Sprintf("v%d-", cacheSchema+1), 1)
+	writeFile(t, filepath.Join(dir, other), readFile(t, filepath.Join(src.dir, src.w.name)))
+	writeFile(t, filepath.Join(dir, key+".json"), []byte(`{"schema":1,"slug":"a","result":3}`))
 	c := Open(dir)
-	if _, ok := c.load("a", key); ok {
-		t.Fatal("newer-schema entry must miss")
+	if _, _, ok := c.load("a", key); ok {
+		t.Fatal("another schema's entry must miss")
 	}
 	if c.Quarantined() != 0 {
 		t.Errorf("schema mismatch quarantined %d entries; must be a clean miss", c.Quarantined())
 	}
-	if _, err := os.Stat(filepath.Join(dir, key+".json")); err != nil {
-		t.Errorf("schema-mismatched entry must stay in place: %v", err)
+	for _, name := range []string{other, key + ".json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("%s must stay in place: %v", name, err)
+		}
 	}
 }
 
@@ -466,8 +471,8 @@ func TestMemoRawMessageMatchesRoundTrip(t *testing.T) {
 }
 
 // BenchmarkMemoHitRaw measures one Memo[json.RawMessage] hit on a 100 KB
-// entry: the file read plus the envelope decode, which is now the only
-// JSON pass over the result bytes.
+// entry: the index lookup, the frame read and its checksum; no JSON pass
+// runs over the result bytes.
 func BenchmarkMemoHitRaw(b *testing.B) {
 	body := make([]byte, 75_000)
 	for i := range body {

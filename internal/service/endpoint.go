@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
@@ -445,11 +446,24 @@ func (s *Service) lookupArtifact(ctx context.Context, c cell) (artifact, bool, e
 }
 
 // lookupCell resolves a cell through memoCell — local cache, then
-// (clustered) the hash ring — under a cache.lookup span.
+// (clustered) the hash ring — under a cache.lookup span. A cell computed
+// here gets a cache.store child span: the memo store runs between the
+// compute's return and memoCell's, so the span covers exactly it. (A
+// cluster steal may compute after memoCell has returned; its span is
+// never ended, so never exported.)
 func (s *Service) lookupCell(ctx context.Context, c cell) (json.RawMessage, bool, error) {
-	_, sp := obs.Start(ctx, "cache.lookup")
+	lctx, sp := obs.Start(ctx, "cache.lookup")
 	sp.Str("cell", c.label)
-	raw, hit, err := s.memoCell(ctx, c.slug, c.payload, func() (json.RawMessage, error) { return c.compute(ctx) })
+	var store atomic.Pointer[obs.Span]
+	raw, hit, err := s.memoCell(ctx, c.slug, c.payload, func() (json.RawMessage, error) {
+		raw, err := c.compute(ctx)
+		if err == nil {
+			_, st := obs.Start(lctx, "cache.store")
+			store.Store(st)
+		}
+		return raw, err
+	})
+	store.Swap(nil).End()
 	sp.Bool("hit", hit)
 	if hit {
 		sp.Str("tier", tierDisk)

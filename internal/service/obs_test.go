@@ -154,6 +154,16 @@ func TestTraceEndpoint(t *testing.T) {
 	if root := spans["http.classify"]; len(root) == 1 && root[0].Attrs["error"] != nil {
 		t.Errorf("successful request's root span carries error %v", root[0].Attrs["error"])
 	}
+	// The cold request computed and stored its cell: the memo store shows
+	// as a child of the lookup, apart from the compute.
+	lookup, store := spans["cache.lookup"], spans["cache.store"]
+	if len(lookup) != 1 || len(store) != 1 || store[0].Parent != lookup[0].Span {
+		t.Errorf("cold request: want one cache.store span under its one cache.lookup; got lookup %v, store %v", lookup, store)
+	}
+	// The same spec again hits: no store.
+	if st := jobSpans(t, srv.URL, classifyOnce(t, srv.URL))["cache.store"]; len(st) != 0 {
+		t.Errorf("a cache hit recorded cache.store spans: %v", st)
+	}
 
 	// Unknown jobs 404, mirroring /v1/jobs.
 	resp2, err := http.Get(srv.URL + "/v1/trace/no-such-job")
