@@ -263,10 +263,14 @@ func TestQuarantineCorruptEntry(t *testing.T) {
 	if _, _, err := Memo(c, "q", p, func() (int, error) { return 3, nil }); err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := Memo(c, "q", fakeParams{Seed: 12}, func() (int, error) { return 4, nil }); err != nil {
+		t.Fatal(err)
+	}
 	key, _ := Key("q", p)
 	seg := segmentPaths(t, dir)[0]
 	raw := readFile(t, seg)
-	raw[len(raw)-1] ^= 0xff // the last byte of the result
+	_, size, _ := frame.Decode(raw)
+	raw[size-1] ^= 0xff // the last byte of the first entry's result
 	writeFile(t, seg, raw)
 
 	c2 := Open(dir)
@@ -283,8 +287,8 @@ func TestQuarantineCorruptEntry(t *testing.T) {
 	// sidecar; the damaged segment itself is left as it was, and the
 	// recompute appended a fresh entry.
 	qpath := filepath.Join(dir, QuarantineDirName, key+".frame")
-	if got := readFile(t, qpath); !bytes.Equal(got, raw) {
-		t.Errorf("quarantine must preserve the evidence:\n got %q\nwant %q", got, raw)
+	if got := readFile(t, qpath); !bytes.Equal(got, raw[:size]) {
+		t.Errorf("quarantine must preserve the evidence:\n got %q\nwant %q", got, raw[:size])
 	}
 	reason := readFile(t, qpath+".reason")
 	if !strings.Contains(string(reason), "checksum") {

@@ -324,12 +324,14 @@ func segmentNames(dir string) ([]string, error) {
 }
 
 // scanLocked indexes the frames of s from s.next up to size, reading
-// only headers and keys. A frame that ends past size is an append still
-// in progress (or one torn by a crash): the scan stops before it and the
-// next refresh looks again. A header that no writer could have produced
-// is damage: the segment's bytes are copied to quarantine and nothing at
-// or past it is indexed. The segment itself is never modified; it may be
-// another writer's.
+// headers and keys, and the body only of the last frame. A frame that
+// ends past size, or a last frame whose checksum fails, is an append
+// still in progress (or one torn by a crash): the scan stops before it
+// and the next refresh looks again. A header that no writer could have
+// produced is damage: the segment's bytes are copied to quarantine and
+// nothing at or past it is indexed. A bad checksum on a frame with bytes
+// after it is found when a lookup reads that frame, which quarantines
+// it. The segment itself is never modified; it may be another writer's.
 func (c *Cache) scanLocked(s *segment, size int64) {
 	var win []byte
 	var winOff int64
@@ -360,6 +362,13 @@ func (c *Cache) scanLocked(s *segment, size int64) {
 		end := off + frame.HeaderSize + int64(n)
 		if end > size {
 			return // short frame at the tail
+		}
+		if end == size {
+			// The last frame may be one a crash tore after its length was
+			// written: a bad checksum there is not yet damage.
+			if _, err := readFrame(s.f, off); err != nil {
+				return
+			}
 		}
 		c.idx.put(prefix(h[frame.HeaderSize:]), pack(s.id, off))
 		s.next = end

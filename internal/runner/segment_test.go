@@ -172,8 +172,9 @@ func TestTornEntrySkipped(t *testing.T) {
 }
 
 // TestAppendInProgressPickedUpLater: a frame only partly visible at a
-// segment's tail is skipped, and the next lookup that misses indexes it
-// once the rest of its bytes have landed.
+// segment's tail, or whole but failing its checksum, is skipped, and the
+// next lookup that misses indexes it once the rest of its bytes have
+// landed.
 func TestAppendInProgressPickedUpLater(t *testing.T) {
 	dir := t.TempDir()
 	storeInts(t, Open(dir), "live", 3)
@@ -183,9 +184,12 @@ func TestAppendInProgressPickedUpLater(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := len(raw) - size // frames are equal-sized here
-	for _, cut := range []int{last + 5, last + frame.HeaderSize + 10, len(raw) - 1} {
-		writeFile(t, seg, raw[:cut])
+	last := len(raw) - size    // frames are equal-sized here
+	zeroed := bytes.Clone(raw) // whole length, body not yet written
+	clear(zeroed[len(raw)-20:])
+	for _, partial := range [][]byte{raw[:last+5], raw[:last+frame.HeaderSize+10], raw[:len(raw)-1], zeroed} {
+		cut := len(partial)
+		writeFile(t, seg, partial)
 		c := Open(dir)
 		if got := hitInts(t, c, "live", 3); fmt.Sprint(got) != "[true true false]" {
 			t.Fatalf("cut at %d: hits = %v, want the partial last frame skipped", cut, got)
@@ -235,6 +239,25 @@ func TestDamagedSegmentQuarantined(t *testing.T) {
 	storeInts(t, c, "dmg", 4)
 	if got := hitInts(t, c, "dmg", 4); fmt.Sprint(got) != "[true true true true]" || c.Quarantined() != 1 {
 		t.Errorf("after recomputing: hits = %v, quarantined %d", got, c.Quarantined())
+	}
+}
+
+// TestStoreBeforeFirstLookupStaysNewest: a cache whose first act is a
+// store indexes the directory before it appends, so a later scan never
+// replaces its entry with an older one from another segment.
+func TestStoreBeforeFirstLookupStaysNewest(t *testing.T) {
+	dir := t.TempDir()
+	key, _ := Key("new", 1)
+	if err := Open(dir).StoreRaw("new", key, []byte(`"old"`)); err != nil {
+		t.Fatal(err)
+	}
+	c := Open(dir)
+	if err := c.StoreRaw("new", key, []byte(`"new"`)); err != nil {
+		t.Fatal(err)
+	}
+	hitInts(t, c, "other", 1) // a miss: the refresh scans the first segment
+	if raw, ok := c.LoadRaw("new", key); !ok || string(raw) != `"new"` {
+		t.Errorf("LoadRaw = (%s, %v), want the cache's own newer entry", raw, ok)
 	}
 }
 
