@@ -141,10 +141,11 @@ func TestChaosTransportBlackhole(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	defer srv.Close()
 	tr := NetConfig{BlackholeProb: 1, Seed: 2}.Transport(nil)
+	// The deadline runs from WithTimeout, so the clock starts before it.
+	t0 := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
-	t0 := time.Now()
 	_, err := tr.RoundTrip(req)
 	if err == nil {
 		t.Fatal("blackhole returned a response")

@@ -33,11 +33,11 @@ const QuarantineDirName = "quarantine"
 // so one directory can be shared by any number of caches and processes.
 // A nil *Cache is valid and always misses — the -nocache escape hatch.
 //
-// Corrupt or unreadable entries (a torn write from a crashed kernel, a
-// truncated disk, manual editing) are never trusted: every load checks
-// the entry's checksum, and load copies a bad entry into
-// QuarantineDirName with a sidecar .reason file and logs why, so damage
-// stays diagnosable while the run recomputes the cell cleanly.
+// Damaged or unreadable entries (bit rot, a truncated disk, manual
+// editing) are never trusted: every load checks the entry's checksum,
+// and a bad entry is copied into QuarantineDirName with a sidecar
+// .reason file and logged, so damage stays diagnosable while the run
+// recomputes the cell cleanly. A write a crash cut short is skipped.
 type Cache struct {
 	dir  string
 	logf func(format string, args ...any)
