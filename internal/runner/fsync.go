@@ -7,11 +7,11 @@ import (
 )
 
 // syncPolicy is the process-wide durability policy for the memo cache's
-// segment appends. It is process-wide
-// for the same reason SetDefaultOptions is: cache entries are written
-// deep inside experiment fan-outs, far from any flag parsing, and
-// durability is an operator decision about the host (its storage, its
-// power story), not about one sweep.
+// segment appends. It is process-wide for the same reason
+// SetDefaultOptions is: cache entries are written deep inside experiment
+// fan-outs, far from any flag parsing, and durability is an operator
+// decision about the host (its storage, its power story), not about one
+// sweep.
 //
 // The default is durable.PolicyOff: no fsync, so an entry survives a
 // process crash (the page cache does) but maybe not power loss.
