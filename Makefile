@@ -179,10 +179,15 @@ cluster-smoke:
 # cross-checks of the one-pass oracle stack the curve and the MRC split
 # run on: the ladder against independent per-size fully-associative
 # caches (every verdict and FA-miss count, 1–16 rungs, three
-# geometries), and the stack against the profiler's exact mode at
-# power-of-two capacities. All under the race detector.
+# geometries, mixed widths and depths), and the stack against the
+# profiler's exact mode at power-of-two capacities. The ladder's MCT
+# read-outs ride along too: the core differentials that every tag width
+# and depth is a read-out of one full-tag eviction history (every miss of
+# every suite benchmark at -quick), and the accuracy experiments' every
+# (benchmark, rung) cell against its own cache, MCT and oracle. All under
+# the race detector.
 mrc-smoke:
-	$(GO) test -race -count=1 -run 'TestMRCSmoke|TestProfilerMatchesExactReference|TestSampledErrorBounds|TestCurveMonotone|TestRateAdaptation|TestObserveBatchAllocs|TestMRC|TestTenant|TestLadder|TestLRUStack' -timeout 300s ./cmd/mctd ./internal/mrc ./internal/service ./internal/classify ./internal/cache
+	$(GO) test -race -count=1 -run 'TestMRCSmoke|TestProfilerMatchesExactReference|TestSampledErrorBounds|TestCurveMonotone|TestRateAdaptation|TestObserveBatchAllocs|TestMRC|TestTenant|TestLadder|TestLRUStack|TestDeepMCTIsPrefixOfDeepest|TestMCTWidthIsMatchReadOut' -timeout 300s ./cmd/mctd ./internal/mrc ./internal/service ./internal/classify ./internal/cache ./internal/experiments ./internal/core
 
 # Known-vulnerability scan, best effort: runs when govulncheck is on PATH
 # and never fails the build on environments without it (the container this

@@ -22,26 +22,23 @@ import (
 
 func main() {
 	cfg := cache.Config{Name: "L1D", Size: 16 * 1024, LineSize: 64, Assoc: 1}
-	run, err := classify.NewRun(cfg, 0) // full tags
-	if err != nil {
-		panic(err)
-	}
+	cc := core.MustAttach(cache.MustNew(cfg), 0) // full tags
+	oracle := classify.MustNewOracle(cfg)
+	var acc classify.Accuracy
 
 	fmt.Println("-- conflict ping-pong: A and B are 16KB apart (same set, different tag)")
 	a, b := mem.Addr(0x10000), mem.Addr(0x14000)
 	for i := 0; i < 3; i++ {
 		for _, addr := range []mem.Addr{a, b} {
-			before := run.CC.Table().Stats()
-			hit, ev := run.CC.Access(addr, false)
-			kind := run.Oracle.Observe(addr, hit)
+			hit, ev := cc.Access(addr, false)
+			kind := oracle.Observe(addr, hit)
 			if !hit {
-				run.Acc.Record(kind, ev.Class)
+				acc.Record(kind, ev.Class)
 				fmt.Printf("  iter %d: access %#x  MISS  mct=%-8s oracle=%-10s\n",
 					i, uint64(addr), ev.Class, kind)
 			} else {
 				fmt.Printf("  iter %d: access %#x  hit\n", i, uint64(addr))
 			}
-			_ = before
 		}
 	}
 
@@ -50,10 +47,10 @@ func main() {
 		misses := map[core.Class]int{}
 		for i := 0; i < 512; i++ {
 			addr := mem.Addr(0x100000 + i*64)
-			hit, ev := run.CC.Access(addr, false)
-			kind := run.Oracle.Observe(addr, hit)
+			hit, ev := cc.Access(addr, false)
+			kind := oracle.Observe(addr, hit)
 			if !hit {
-				run.Acc.Record(kind, ev.Class)
+				acc.Record(kind, ev.Class)
 				misses[ev.Class]++
 			}
 		}
@@ -63,11 +60,10 @@ func main() {
 	fmt.Println("   (a two-lines-per-set sweep is the MCT's known blind spot:")
 	fmt.Println("    the oracle calls these capacity, the MCT sees a ping-pong)")
 
-	acc := run.Acc
 	fmt.Printf("\noverall: %d misses | conflict accuracy %.1f%% | capacity accuracy %.1f%% | agreement %.1f%%\n",
 		acc.Misses(), 100*acc.ConflictAccuracy(), 100*acc.CapacityAccuracy(), 100*acc.OverallAccuracy())
 
-	mct := run.CC.Table()
+	mct := cc.Table()
 	fmt.Printf("MCT cost: %d sets x (tag+valid) = %d bits total at 10-bit tags\n",
 		mct.Config().Sets, core.Config{Sets: mct.Config().Sets, TagBits: 10}.StorageBits(0))
 }

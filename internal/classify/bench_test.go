@@ -45,21 +45,3 @@ func BenchmarkOracleObserve(b *testing.B) {
 		o.Observe(addrs[i%len(addrs)], false)
 	}
 }
-
-// BenchmarkRunAccess measures the full lockstep classification path:
-// real cache access + oracle observe + accuracy recording.
-func BenchmarkRunAccess(b *testing.B) {
-	r, err := NewRun(benchConfig(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	addrs := benchAddrs(4096)
-	for _, a := range addrs {
-		r.Access(a, false)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Access(addrs[i%len(addrs)], false)
-	}
-}

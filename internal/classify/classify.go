@@ -335,20 +335,27 @@ func (a Accuracy) ConflictShare() float64 {
 }
 
 // Run drives a full accuracy measurement: it plays every access through a
-// classifying cache and the oracle in lockstep and accumulates agreement.
-// It is the engine behind Figures 1 and 2.
+// real cache, its MCT and the oracle in lockstep and accumulates
+// agreement. It is the engine behind Figures 1 and 2.
 type Run struct {
-	CC     *core.ClassifyingCache
+	// Cache is the real cache. The rungs of a Ladder with equal
+	// cache.Config share one, so its Stats count their stream once.
+	Cache  *cache.Cache
 	Oracle *Oracle
 	Acc    Accuracy
 
 	// Per-record results of the most recent AccessBatch, all sharing that
-	// batch's length: Hits[i] reports whether access i hit the real cache;
-	// for misses, Kinds[i] is the oracle verdict and Classes[i] the MCT
-	// verdict (both meaningless for hits). Valid until the next AccessBatch.
+	// batch's length: Hits[i] reports whether access i hit the real cache
+	// (rungs sharing a Cache share the slice); for misses, Kinds[i] is the
+	// oracle verdict and Classes[i] the MCT verdict (both meaningless for
+	// hits). Valid until the next AccessBatch.
 	Hits    []bool
 	Kinds   []Kind
 	Classes []core.Class
+
+	l       *Ladder
+	tagBits int // stored tag width the verdict reads (0 = full tags)
+	depth   int // history depth the verdict reads; 1 reads tagBits
 }
 
 // NewRun builds the lockstep measurement over a cache configuration with an
@@ -362,50 +369,22 @@ func NewRun(cfg cache.Config, tagBits int) (*Run, error) {
 	return l.Rungs[0], nil
 }
 
-// Access plays one access through both models, updating the accuracy
-// accumulator on a miss. It is the scalar reference implementation that
-// the batched kernel (AccessBatch) is differentially tested against.
-func (r *Run) Access(addr mem.Addr, isStore bool) {
-	hit, ev := r.CC.Access(addr, isStore)
-	kind := r.Oracle.Observe(addr, hit)
-	if !hit {
-		r.Acc.Record(kind, ev.Class)
-	}
-}
-
-// AccessBatch plays a block of accesses through both models — the
-// struct-of-arrays fast path. The work is staged per structure (real
-// cache + MCT, then oracle, then accuracy) so each stage runs as one
-// tight loop over parallel arrays; within each stage records are applied
-// in order, making the outcome identical to calling Access in a loop.
-// Per-record verdicts are left in r.Hits/r.Kinds/r.Classes for callers
-// that report individual accesses. Steady-state allocation-free: the
+// AccessBatch plays a block of accesses through the run's ladder: for a
+// NewRun, through its real cache, MCT and oracle. Per-record verdicts are
+// left in r.Hits/r.Kinds/r.Classes. Steady-state allocation-free: the
 // result arrays grow to the largest batch and are reused.
 func (r *Run) AccessBatch(addrs []mem.Addr, stores []bool) {
-	r.accessCache(addrs, stores)
-	if len(addrs) == 0 {
-		return
-	}
-	r.Oracle.h.referenceBatch(addrs)
-	r.Oracle.classify(r.Hits, r.Kinds)
-	r.record()
+	r.l.AccessBatch(addrs, stores)
 }
 
-// accessCache sizes the result arrays to the batch and plays it through
-// the real cache and MCT.
-func (r *Run) accessCache(addrs []mem.Addr, stores []bool) {
-	n := len(addrs)
-	if cap(r.Hits) < n {
-		r.Hits = make([]bool, n)
-		r.Kinds = make([]Kind, n)
-		r.Classes = make([]core.Class, n)
+// verdict is the rung's MCT verdict on a miss that its victims' full-tag
+// history scores as core.DeepMCT.Match does.
+func (r *Run) verdict(matched, order int) core.Class {
+	if r.depth > 1 && order != 0 && order <= r.depth ||
+		r.depth == 1 && core.WidthMatches(matched, r.tagBits) {
+		return core.Conflict
 	}
-	r.Hits = r.Hits[:n]
-	r.Kinds = r.Kinds[:n]
-	r.Classes = r.Classes[:n]
-	if n > 0 {
-		r.CC.AccessBatch(addrs, stores, r.Hits, r.Classes)
-	}
+	return core.Capacity
 }
 
 // record folds the batch's miss verdicts into the accuracy accumulator.
@@ -417,61 +396,146 @@ func (r *Run) record() {
 	}
 }
 
-// Ladder is one accuracy measurement at several cache configurations
-// over the same access stream. Each rung is a Run with its own real
-// cache, MCT, counts and Accuracy; the rungs' oracles share one reference
-// history, so a batch costs one line fold, one first-touch test and one
-// LRU-stack reference per access however many rungs are measured. Every
-// rung's results equal those of a separate Run fed the same stream.
-type Ladder struct {
-	// Rungs holds one Run per Rung, in the order given. Drive them only
-	// through Ladder.AccessBatch: their oracles share state.
-	Rungs []*Run
-
-	h *history
+// victims is one real cache and the full tags of the lines it evicted
+// from each set, most recent first, shared by the rungs of one
+// cache.Config. The cache never reads a line's conflict bit, so its
+// evictions do not depend on the MCT, and every rung's MCT is a read-out
+// of this history: a k-bit table holds the low k bits of the most recent
+// victim's tag, and a depth-d DeepMCT, being move-to-front with
+// truncation, the d most recent victims. The fills' conflict bits carry
+// the first rung's verdicts, which no result reports.
+type victims struct {
+	cache   *cache.Cache
+	history *core.DeepMCT // full tags, as deep as the deepest rung's MCT
+	rungs   []*Run
+	hits    []bool // of the most recent batch
 }
 
-// Rung is one configuration a Ladder measures: the real cache and the
-// number of tag bits its MCT stores per entry (0 = full tags).
+// access plays a batch through the cache and the history in order (an
+// access observes the fills and evictions of every earlier one), leaving
+// each rung's MCT verdicts in its Classes.
+func (v *victims) access(addrs []mem.Addr, stores []bool) {
+	if cap(v.hits) < len(addrs) {
+		v.hits = make([]bool, len(addrs))
+	}
+	v.hits = v.hits[:len(addrs)]
+	hits, stores := v.hits, stores[:len(addrs)]
+	c, h, rungs := v.cache, v.history, v.rungs
+	geom := c.Geometry()
+	for i, addr := range addrs {
+		typ := mem.Load
+		if stores[i] {
+			typ = mem.Store
+		}
+		if hits[i] = c.Access(addr, typ); hits[i] {
+			continue
+		}
+		set, tag := geom.Set(addr), geom.Tag(addr)
+		matched, order := h.Match(set, tag)
+		for _, r := range rungs {
+			r.Classes[i] = r.verdict(matched, order)
+		}
+		evict := c.Fill(addr, stores[i], rungs[0].Classes[i] == core.Conflict)
+		if evict.Occurred {
+			h.RecordEviction(geom.SetOfLine(evict.Line), geom.TagOfLine(evict.Line))
+		}
+	}
+	for _, r := range rungs {
+		r.Hits = hits
+	}
+}
+
+// Ladder is one accuracy measurement at several rungs over the same
+// access stream. Each rung is a Run with its own MCT verdicts, counts and
+// Accuracy. Rungs of equal cache.Config share one real cache and one
+// eviction history (victims); the rungs' oracles share one reference
+// history, so a batch costs one line fold, one first-touch test and one
+// LRU-stack reference per access however many rungs are measured. Every
+// rung's results equal those of a separate cache, MCT and oracle fed the
+// same stream.
+type Ladder struct {
+	// Rungs holds one Run per Rung, in the order given. Drive them only
+	// through Ladder.AccessBatch: they share state.
+	Rungs []*Run
+
+	h       *history
+	victims []*victims
+}
+
+// Rung is one configuration a Ladder measures: the real cache and its
+// MCT, which stores TagBits bits of each evicted tag (0 = full tags) and
+// the set's last Depth distinct victims (0 and 1 = the paper's one-entry
+// table; at most core.MaxDepth). A deeper table stores full tags: a
+// masked one coalesces on masked tags, so it is not a prefix of the
+// full-tag history.
 type Rung struct {
 	Cache   cache.Config
 	TagBits int
+	Depth   int
 }
 
 // NewLadder builds the measurement at each rung. The rungs must share a
 // line size and be given in non-descending capacity; rungs of equal
-// capacity (say, one cache at several MCT tag widths, or several
-// associativities or index schemes of one size) share one oracle region,
-// since the fully-associative oracle sees only the capacity.
+// capacity (say, one cache at several MCT tag widths or depths, or
+// several associativities or index schemes of one size) share one oracle
+// region, since the fully-associative oracle sees only the capacity.
 func NewLadder(rungs []Rung) (*Ladder, error) {
 	h, regions, err := newHistory(rungs)
 	if err != nil {
 		return nil, err
 	}
 	l := &Ladder{Rungs: make([]*Run, len(rungs)), h: h}
+	depths := make(map[*victims]int)
+	byConfig := make(map[cache.Config]*victims)
 	for i, rung := range rungs {
-		c, err := cache.New(rung.Cache)
-		if err != nil {
+		if err := (core.Config{Sets: rung.Cache.Sets(), TagBits: rung.TagBits}).Validate(); err != nil {
 			return nil, err
 		}
-		cc, err := core.Attach(c, rung.TagBits)
-		if err != nil {
+		if rung.Depth < 0 || rung.Depth > core.MaxDepth || rung.Depth > 1 && rung.TagBits != 0 {
+			return nil, fmt.Errorf("classify: MCT depth must be in [0,%d], and above 1 only with full tags; got depth %d, %d tag bits",
+				core.MaxDepth, rung.Depth, rung.TagBits)
+		}
+		v := byConfig[rung.Cache]
+		if v == nil {
+			c, err := cache.New(rung.Cache)
+			if err != nil {
+				return nil, err
+			}
+			v = &victims{cache: c}
+			byConfig[rung.Cache] = v
+			l.victims = append(l.victims, v)
+		}
+		r := &Run{Cache: v.cache, Oracle: &Oracle{h: h, region: regions[i]}, l: l, tagBits: rung.TagBits, depth: max(rung.Depth, 1)}
+		v.rungs = append(v.rungs, r)
+		depths[v] = max(depths[v], r.depth)
+		l.Rungs[i] = r
+	}
+	for _, v := range l.victims {
+		if v.history, err = core.NewDeep(core.Config{Sets: v.cache.Config().Sets()}, depths[v]); err != nil {
 			return nil, err
 		}
-		l.Rungs[i] = &Run{CC: cc, Oracle: &Oracle{h: h, region: regions[i]}}
 	}
 	return l, nil
 }
 
-// AccessBatch plays a block of accesses through every rung: each rung's
-// real cache and MCT, then one shared history reference per access, then
-// each rung's verdicts and accuracy. Per-record results are left in each
-// rung's Hits/Kinds/Classes, as Run.AccessBatch leaves them.
+// AccessBatch plays a block of accesses through every rung: each distinct
+// cache and its eviction history with every rung's MCT read-out, then one
+// shared oracle reference per access, then each rung's oracle verdicts
+// and accuracy. Per-record results are left in each rung's
+// Hits/Kinds/Classes.
 func (l *Ladder) AccessBatch(addrs []mem.Addr, stores []bool) {
+	n := len(addrs)
 	for _, r := range l.Rungs {
-		r.accessCache(addrs, stores)
+		if cap(r.Kinds) < n {
+			r.Kinds = make([]Kind, n)
+			r.Classes = make([]core.Class, n)
+		}
+		r.Kinds, r.Classes = r.Kinds[:n], r.Classes[:n]
 	}
-	if len(addrs) == 0 {
+	for _, v := range l.victims {
+		v.access(addrs, stores)
+	}
+	if n == 0 {
 		return
 	}
 	l.h.referenceBatch(addrs)

@@ -8,6 +8,11 @@ import (
 	"repro/internal/mem"
 )
 
+// access plays one load through a run, as a batch of one.
+func access(r *Run, addr mem.Addr) {
+	r.AccessBatch([]mem.Addr{addr}, []bool{false})
+}
+
 func dmConfig() cache.Config {
 	return cache.Config{Name: "t", Size: 16 * 1024, LineSize: 64, Assoc: 1}
 }
@@ -168,8 +173,8 @@ func TestRunLockstepPingPong(t *testing.T) {
 	}
 	a, b := mem.Addr(0x0000), mem.Addr(0x4000)
 	for i := 0; i < 50; i++ {
-		r.Access(a, false)
-		r.Access(b, false)
+		access(r, a)
+		access(r, b)
 	}
 	if r.Acc.ConflictTotal == 0 {
 		t.Fatal("ping-pong should generate conflict misses")
@@ -194,7 +199,7 @@ func TestRunSweepMostlyCapacity(t *testing.T) {
 	lines := 4 * 256
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < lines; i++ {
-			r.Access(mem.Addr(i*64), false)
+			access(r, mem.Addr(i*64))
 		}
 	}
 	if r.Acc.ConflictTotal != 0 {
@@ -217,7 +222,7 @@ func TestRunTwoLineSweepMisclassifies(t *testing.T) {
 	lines := 2 * 256
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < lines; i++ {
-			r.Access(mem.Addr(i*64), false)
+			access(r, mem.Addr(i*64))
 		}
 	}
 	if r.Acc.ConflictTotal != 0 {
@@ -242,8 +247,8 @@ func TestPartialTagsBiasTowardConflict(t *testing.T) {
 	lines := 8 * 256
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < lines; i++ {
-			full.Access(mem.Addr(i*64), false)
-			small.Access(mem.Addr(i*64), false)
+			access(full, mem.Addr(i*64))
+			access(small, mem.Addr(i*64))
 		}
 	}
 	if fullAcc, smallAcc := full.Acc.CapacityAccuracy(), small.Acc.CapacityAccuracy(); smallAcc >= fullAcc {

@@ -28,19 +28,36 @@ func ladderRungs(sizes []int, assoc int, scheme cache.IndexScheme) []classify.Ru
 	return rungs
 }
 
-// mixedRungs repeats capacities and varies associativity, index scheme
-// and MCT tag width from rung to rung, as the accuracy experiments'
-// ladders do: repeated capacities share one oracle region, and each rung
-// keeps its own cache and MCT.
+// mixedRungs repeats capacities and varies associativity, index scheme,
+// MCT tag width and depth from rung to rung, as the accuracy experiments'
+// ladders do: repeated capacities share one oracle region, rungs of one
+// cache configuration share one cache and eviction history, and each rung
+// keeps its own verdicts.
 var mixedRungs = []classify.Rung{
+	{Cache: l1d(8<<10, 1, cache.IndexModulo), Depth: 3},
 	{Cache: l1d(8<<10, 1, cache.IndexModulo)},
 	{Cache: l1d(8<<10, 2, cache.IndexSkewed), TagBits: 4},
 	{Cache: l1d(8<<10, 4, cache.IndexRandom), TagBits: 1},
+	{Cache: l1d(8<<10, 2, cache.IndexSkewed), Depth: 2},
 	{Cache: l1d(16<<10, 1, cache.IndexModulo), TagBits: 8},
+	{Cache: l1d(16<<10, 1, cache.IndexModulo), Depth: 16},
 	{Cache: l1d(16<<10, 1, cache.IndexModulo), TagBits: 2},
+	{Cache: l1d(16<<10, 2, cache.IndexModulo), Depth: 4},
 	{Cache: l1d(16<<10, 2, cache.IndexModulo)},
+	{Cache: l1d(16<<10, 1, cache.IndexModulo), Depth: 2},
 	{Cache: l1d(64<<10, 2, cache.IndexSkewed), TagBits: 12},
-	{Cache: l1d(64<<10, 1, cache.IndexRandom)},
+	{Cache: l1d(64<<10, 1, cache.IndexRandom), Depth: 1},
+	{Cache: l1d(64<<10, 1, cache.IndexRandom), Depth: 2},
+}
+
+// fig2Widths is Figure 2's ladder: one 16KB direct-mapped cache at every
+// stored tag width.
+func fig2Widths() []classify.Rung {
+	var rungs []classify.Rung
+	for _, bits := range []int{1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 0} {
+		rungs = append(rungs, classify.Rung{Cache: l1d(16<<10, 1, cache.IndexModulo), TagBits: bits})
+	}
+	return rungs
 }
 
 // doubling returns n sizes doubling from first.
@@ -75,19 +92,67 @@ func stackDistances(addrs []mem.Addr, lineShift uint) []int {
 }
 
 // perSizeReference is the classification a ladder rung must reproduce,
-// built from independent parts: its own real cache and MCT, a
-// fully-associative LRU cache of equal capacity (lines, answered from the
-// stream's stack distances), and a map of touched lines shared by the
-// rungs (the first-touch test is size-independent). scalar is a one-size
-// Run at the rung's configuration, fed the same stream one access at a
-// time through the oracle's scalar Observe.
+// built from independent parts: its own real cache and MCT (mctReference),
+// a fully-associative LRU cache of equal capacity (lines, answered from
+// the stream's stack distances), and a map of touched lines shared by the
+// rungs (the first-touch test is size-independent). oracle is a one-size
+// Oracle at the rung's configuration, fed the same stream one access at a
+// time through its scalar Observe.
 type perSizeReference struct {
-	cc       *core.ClassifyingCache
+	mct      *mctReference
 	lines    int
 	faMisses uint64
 	counts   [3]uint64 // compulsory, capacity, conflict
 	acc      classify.Accuracy
-	scalar   *classify.Run
+	oracle   *classify.Oracle
+}
+
+// mctReference is a rung's own real cache and MCT: core.Attach's
+// one-entry table at the rung's tag width, or, for a deeper rung, a
+// core.DeepMCT at its depth and tag width driven the way core.Attach
+// drives the one-entry table.
+type mctReference struct {
+	cc   *core.ClassifyingCache
+	c    *cache.Cache
+	deep *core.DeepMCT
+}
+
+func newMCTReference(rung classify.Rung) (*mctReference, error) {
+	c, err := cache.New(rung.Cache)
+	if err != nil {
+		return nil, err
+	}
+	if rung.Depth <= 1 {
+		cc, err := core.Attach(c, rung.TagBits)
+		return &mctReference{cc: cc}, err
+	}
+	deep, err := core.NewDeep(core.Config{Sets: rung.Cache.Sets(), TagBits: rung.TagBits}, rung.Depth)
+	return &mctReference{c: c, deep: deep}, err
+}
+
+// access plays one access, returning whether it hit and, for a miss, the
+// MCT's verdict.
+func (m *mctReference) access(addr mem.Addr, store bool) (bool, core.Class) {
+	if m.cc != nil {
+		hit, ev := m.cc.Access(addr, store)
+		return hit, ev.Class
+	}
+	typ := mem.Load
+	if store {
+		typ = mem.Store
+	}
+	if m.c.Access(addr, typ) {
+		return true, core.Capacity
+	}
+	geom := m.c.Geometry()
+	class := core.Capacity
+	if m.deep.Classify(geom.Set(addr), geom.Tag(addr)) != 0 {
+		class = core.Conflict
+	}
+	if ev := m.c.Fill(addr, store, class == core.Conflict); ev.Occurred {
+		m.deep.RecordEviction(geom.SetOfLine(ev.Line), geom.TagOfLine(ev.Line))
+	}
+	return false, class
 }
 
 // TestLadderMatchesPerSizeReferences is the differential gate for the
@@ -95,12 +160,13 @@ type perSizeReference struct {
 // irregular batches must give, at every rung and every access, the same
 // real-cache hit, MCT class and oracle verdict as independent per-size
 // references, and the same final counts and accuracy. Each rung's
-// FAMisses, and that of a scalar one-size Run, must equal its
+// FAMisses, and that of a scalar one-size Oracle, must equal its
 // fully-associative reference's miss count. Ladders of 1, 3, 7
 // and 16 rungs run over direct-mapped, 2-way and skewed 2-way geometries;
 // the 16-rung ladder spans 2 to 65536 lines, its top far above the
 // working set of any stream here. The mixed ladder (mixedRungs) repeats
-// capacities and changes geometry and tag width from rung to rung.
+// capacities and changes geometry, tag width and depth from rung to
+// rung; the fig2 ladder reads one cache at all of Figure 2's widths.
 func TestLadderMatchesPerSizeReferences(t *testing.T) {
 	const accesses = 12_000
 	ladders := map[string][]int{
@@ -129,7 +195,7 @@ func TestLadderMatchesPerSizeReferences(t *testing.T) {
 		addrs, stores := memAccesses(b, uint64(bi+1), accesses)
 		streams[bi] = stream{addrs, stores, stackDistances(addrs, 6)}
 	}
-	cases := map[string][]classify.Rung{"mixed": mixedRungs}
+	cases := map[string][]classify.Rung{"mixed": mixedRungs, "fig2": fig2Widths()}
 	for _, g := range geometries {
 		for name, sizes := range ladders {
 			cases[fmt.Sprintf("%s/rungs=%s", g.name, name)] = ladderRungs(sizes, g.assoc, g.scheme)
@@ -183,15 +249,15 @@ func checkLadder(rungs []classify.Rung, addrs []mem.Addr, stores []bool, dists [
 	refs := make([]*perSizeReference, len(rungs))
 	for k, rung := range rungs {
 		cfg := rung.Cache
-		cc, err := core.Attach(cache.MustNew(cfg), rung.TagBits)
+		mct, err := newMCTReference(rung)
 		if err != nil {
 			return counts, err
 		}
-		scalar, err := classify.NewRun(cfg, rung.TagBits)
+		oracle, err := classify.NewOracle(cfg)
 		if err != nil {
 			return counts, err
 		}
-		refs[k] = &perSizeReference{cc: cc, lines: cfg.Size / cfg.LineSize, scalar: scalar}
+		refs[k] = &perSizeReference{mct: mct, lines: cfg.Size / cfg.LineSize, oracle: oracle}
 	}
 	touched := make(map[mem.LineAddr]bool)
 	lineShift := uint(6) // 64-byte lines
@@ -206,12 +272,12 @@ func checkLadder(rungs []classify.Rung, addrs []mem.Addr, stores []bool, dists [
 			seen := touched[line]
 			touched[line] = true
 			for k, ref := range refs {
-				hit, ev := ref.cc.Access(addrs[i], stores[i])
+				hit, class := ref.mct.access(addrs[i], stores[i])
 				faHit := dists[i] >= 0 && dists[i] < ref.lines
 				if !faHit {
 					ref.faMisses++
 				}
-				ref.scalar.Access(addrs[i], stores[i])
+				ref.oracle.Observe(addrs[i], hit)
 				want := classify.Hit
 				if !hit {
 					switch {
@@ -223,13 +289,13 @@ func checkLadder(rungs []classify.Rung, addrs []mem.Addr, stores []bool, dists [
 						want = classify.Capacity
 					}
 					ref.counts[want]++
-					ref.acc.Record(want, ev.Class)
+					ref.acc.Record(want, class)
 				}
 				rung := ladder.Rungs[k]
 				j := i - start
-				if rung.Hits[j] != hit || rung.Kinds[j] != want || (!hit && rung.Classes[j] != ev.Class) {
+				if rung.Hits[j] != hit || rung.Kinds[j] != want || (!hit && rung.Classes[j] != class) {
 					return counts, fmt.Errorf("access %d (line %#x) at rung %d: ladder hit=%v kind=%v class=%v, reference hit=%v kind=%v class=%v",
-						i, line, k, rung.Hits[j], rung.Kinds[j], rung.Classes[j], hit, want, ev.Class)
+						i, line, k, rung.Hits[j], rung.Kinds[j], rung.Classes[j], hit, want, class)
 				}
 			}
 		}
@@ -244,8 +310,8 @@ func checkLadder(rungs []classify.Rung, addrs []mem.Addr, stores []bool, dists [
 		if rung.Acc != ref.acc {
 			return counts, fmt.Errorf("at rung %d: ladder accuracy %+v, reference %+v", k, rung.Acc, ref.acc)
 		}
-		if got, scalar := rung.Oracle.FAMisses(), ref.scalar.Oracle.FAMisses(); got != ref.faMisses || scalar != ref.faMisses {
-			return counts, fmt.Errorf("at rung %d: fully-associative misses: ladder %d, scalar run %d, reference %d", k, got, scalar, ref.faMisses)
+		if got, scalar := rung.Oracle.FAMisses(), ref.oracle.FAMisses(); got != ref.faMisses || scalar != ref.faMisses {
+			return counts, fmt.Errorf("at rung %d: fully-associative misses: ladder %d, scalar oracle %d, reference %d", k, got, scalar, ref.faMisses)
 		}
 		for i, c := range ref.counts {
 			counts[i] += c
@@ -256,8 +322,8 @@ func checkLadder(rungs []classify.Rung, addrs []mem.Addr, stores []bool, dists [
 
 // TestNewLadderRejectsBadRungs pins NewLadder's validation: rungs must
 // exist, share a line size, not descend in capacity and carry valid
-// caches and tag widths. Repeated capacities are accepted and share one
-// oracle region.
+// caches, tag widths and depths, and a deeper MCT must store full tags.
+// Repeated capacities are accepted and share one oracle region.
 func TestNewLadderRejectsBadRungs(t *testing.T) {
 	dm := func(size, line int) classify.Rung {
 		return classify.Rung{Cache: cache.Config{Name: "L1D", Size: size, LineSize: line, Assoc: 1}}
@@ -268,6 +334,9 @@ func TestNewLadderRejectsBadRungs(t *testing.T) {
 		"line sizes": {dm(16<<10, 64), dm(32<<10, 32)},
 		"invalid":    {dm(16<<10, 64), dm(48<<10, 64)},
 		"tag bits":   {{Cache: dm(16<<10, 64).Cache, TagBits: -1}},
+		"depth -1":   {{Cache: dm(16<<10, 64).Cache, Depth: -1}},
+		"depth 17":   {{Cache: dm(16<<10, 64).Cache, Depth: 17}},
+		"deep+bits":  {{Cache: dm(16<<10, 64).Cache, Depth: 2, TagBits: 10}},
 	} {
 		if _, err := classify.NewLadder(rungs); err == nil {
 			t.Errorf("%s: NewLadder accepted %+v", name, rungs)

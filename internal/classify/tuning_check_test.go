@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/classify"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -26,13 +25,9 @@ func TestSuiteClassificationShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := b.MemStream(workload.DefaultSeed)
-			var in trace.Instr
-			for i := 0; i < 400_000 && s.Next(&in); i++ {
-				r.Access(in.Addr, in.Op == trace.Store)
-			}
+			r.AccessBatch(memAccesses(b, workload.DefaultSeed, 400_000))
 			acc := r.Acc
-			st := r.CC.Cache().Stats()
+			st := r.Cache.Stats()
 			t.Logf("%-9s missrate=%5.2f%% conflictShare=%5.1f%% confAcc=%5.1f%% capAcc=%5.1f%% overall=%5.1f%% (miss=%d)",
 				b.Name, 100*st.MissRate(), 100*acc.ConflictShare(),
 				100*acc.ConflictAccuracy(), 100*acc.CapacityAccuracy(),

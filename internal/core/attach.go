@@ -29,8 +29,9 @@ func (e MissEvent) Filter(f Filter) bool {
 
 // ClassifyingCache couples a functional cache with an MCT so that every
 // miss is classified, every fill records its conflict bit, and every
-// eviction updates the table. It is the reference composition used by the
-// accuracy experiments (Figures 1–2) and by examples; the timing hierarchy
+// eviction updates the table. It is the independent reference composition
+// for tests and examples: the accuracy experiments read every MCT out of
+// one shared eviction history (classify.Ladder), and the timing hierarchy
 // performs the same steps inline so assist buffers can interpose between
 // classification and fill.
 type ClassifyingCache struct {
@@ -84,45 +85,4 @@ func (cc *ClassifyingCache) Access(addr mem.Addr, isStore bool) (hit bool, ev Mi
 		cc.mct.RecordEviction(geom.SetOfLine(evict.Line), geom.TagOfLine(evict.Line))
 	}
 	return false, MissEvent{Addr: addr, Class: class, Eviction: evict}
-}
-
-// AccessBatch runs a block of demand accesses through the cache+MCT
-// pipeline, writing each access's hit flag to hits and, for misses, the
-// MCT verdict to classes (classes[i] is meaningless when hits[i] is true).
-// All four slices share addrs's length.
-//
-// Records are processed strictly in slice order: an access must observe
-// the fills and evictions of every earlier access in the batch (two
-// records can map to the same set), so the cache/MCT stage cannot be
-// reordered or vectorized across records. What the batch shape buys is
-// amortization: the geometry and table pointers are hoisted out of the
-// loop, no MissEvent is materialized per record, and callers pay one call
-// into this package per ~256 records instead of three per record.
-func (cc *ClassifyingCache) AccessBatch(addrs []mem.Addr, stores, hits []bool, classes []Class) {
-	if len(addrs) == 0 {
-		return
-	}
-	stores = stores[:len(addrs)]
-	hits = hits[:len(addrs)]
-	classes = classes[:len(addrs)]
-	c, m := cc.cache, cc.mct
-	geom := c.Geometry()
-	for i, addr := range addrs {
-		typ := mem.Load
-		if stores[i] {
-			typ = mem.Store
-		}
-		if c.Access(addr, typ) {
-			hits[i] = true
-			continue
-		}
-		hits[i] = false
-		set := geom.Set(addr)
-		class := m.ClassifyMiss(set, geom.Tag(addr))
-		classes[i] = class
-		evict := c.Fill(addr, stores[i], class == Conflict)
-		if evict.Occurred {
-			m.RecordEviction(geom.SetOfLine(evict.Line), geom.TagOfLine(evict.Line))
-		}
-	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // DeepMCT is the multi-tag variant the paper explicitly sets aside ("we
 // could store multiple evicted tags per set to identify higher-order
@@ -26,36 +29,18 @@ type DeepMCT struct {
 	// most recent first; size[set] counts valid entries.
 	tags []uint64
 	size []uint8
-
-	stats DeepStats
 }
 
-// DeepStats counts the deep table's classification decisions by match
-// order (order 1 = most recent eviction, the classic MCT case).
-type DeepStats struct {
-	// MissesByOrder[k] counts misses whose tag matched position k+1;
-	// CapacityMisses counts misses with no match at any depth.
-	MissesByOrder  []uint64
-	CapacityMisses uint64
-	Evictions      uint64
-}
-
-// ConflictMisses returns the total matches at any order.
-func (s DeepStats) ConflictMisses() uint64 {
-	var n uint64
-	for _, v := range s.MissesByOrder {
-		n += v
-	}
-	return n
-}
+// MaxDepth is the deepest eviction history a DeepMCT keeps.
+const MaxDepth = 16
 
 // NewDeep builds a DeepMCT storing depth evicted tags per set.
 func NewDeep(cfg Config, depth int) (*DeepMCT, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if depth < 1 || depth > 16 {
-		return nil, fmt.Errorf("core: DeepMCT depth must be in [1,16], got %d", depth)
+	if depth < 1 || depth > MaxDepth {
+		return nil, fmt.Errorf("core: DeepMCT depth must be in [1,%d], got %d", MaxDepth, depth)
 	}
 	mask := ^uint64(0)
 	if cfg.TagBits > 0 && cfg.TagBits < 64 {
@@ -67,7 +52,6 @@ func NewDeep(cfg Config, depth int) (*DeepMCT, error) {
 		tagMask: mask,
 		tags:    make([]uint64, cfg.Sets*depth),
 		size:    make([]uint8, cfg.Sets),
-		stats:   DeepStats{MissesByOrder: make([]uint64, depth)},
 	}, nil
 }
 
@@ -78,13 +62,6 @@ func MustNewDeep(cfg Config, depth int) *DeepMCT {
 		panic(err)
 	}
 	return m
-}
-
-// Stats returns a snapshot of the counters.
-func (m *DeepMCT) Stats() DeepStats {
-	out := m.stats
-	out.MissesByOrder = append([]uint64(nil), m.stats.MissesByOrder...)
-	return out
 }
 
 // StorageBits returns the table's storage cost (valid entries are encoded
@@ -101,8 +78,8 @@ func (m *DeepMCT) StorageBits(fullTagWidth int) int {
 	return m.cfg.Sets * (m.depth*bits + cnt)
 }
 
-// Classify returns the match order (1-based; 0 means no match — capacity)
-// without updating statistics.
+// Classify returns the match order of a miss's tag (1-based; 0 means no
+// match — capacity).
 func (m *DeepMCT) Classify(set, tag uint64) int {
 	t := tag & m.tagMask
 	base := int(set) * m.depth
@@ -114,24 +91,52 @@ func (m *DeepMCT) Classify(set, tag uint64) int {
 	return 0
 }
 
-// ClassifyMiss classifies and counts a miss, returning the match order
-// (0 = capacity) and the two-way Class for drop-in compatibility with the
-// standard MCT.
-func (m *DeepMCT) ClassifyMiss(set, tag uint64) (order int, class Class) {
-	order = m.Classify(set, tag)
-	if order == 0 {
-		m.stats.CapacityMisses++
-		return 0, Capacity
+// Match probes the set's history for a miss's tag once. matched counts
+// the low-order bits tag shares with the most recent victim (64 if equal
+// under the table's mask; 0 if the set has evicted nothing), and order is
+// Classify's match order. On a full-tag table matched answers every
+// stored tag width at once (WidthMatches).
+func (m *DeepMCT) Match(set, tag uint64) (matched, order int) {
+	hist := m.tags[int(set)*m.depth:][:m.size[set]]
+	if len(hist) == 0 {
+		return 0, 0
 	}
-	m.stats.MissesByOrder[order-1]++
-	return order, Conflict
+	t := tag & m.tagMask
+	if matched = bits.TrailingZeros64((hist[0] ^ t) & m.tagMask); matched == 64 {
+		return matched, 1
+	}
+	for i, old := range hist[1:] {
+		if old == t {
+			return matched, i + 2
+		}
+	}
+	return matched, 0
+}
+
+// WidthMatches reports whether an MCT storing tagBits bits per entry
+// (0 = full tags) matches a miss that a full-tag DeepMCT fed the same
+// evictions Matches with matched bits: a k-bit entry holds the most
+// recent victim's low k bits.
+func WidthMatches(matched, tagBits int) bool {
+	if tagBits == 0 {
+		tagBits = 64
+	}
+	return matched >= tagBits
 }
 
 // RecordEviction pushes the evicted tag onto the set's history, most
 // recent first. A tag already present moves to the front rather than
 // duplicating (the line was re-fetched and evicted again).
 func (m *DeepMCT) RecordEviction(set, tag uint64) {
-	m.stats.Evictions++
+	if m.depth == 1 { // the paper's one-entry table
+		m.tags[set], m.size[set] = tag&m.tagMask, 1
+	} else {
+		m.push(set, tag)
+	}
+}
+
+// push moves or adds tag to the front of the set's history.
+func (m *DeepMCT) push(set, tag uint64) {
 	t := tag & m.tagMask
 	base := int(set) * m.depth
 	n := int(m.size[set])

@@ -1,16 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/classify"
 	"repro/internal/core"
-	"repro/internal/mem"
-	"repro/internal/runner"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -35,77 +30,51 @@ type DepthResult struct {
 	Points []DepthPoint
 }
 
+// mctDepths are the history depths the study measures.
+var mctDepths = []int{1, 2, 3, 4}
+
 // MCTDepth sweeps the DeepMCT's history depth on the paper's 16KB DM
 // cache. The expected shape: depth 2 recovers most of the conflict
 // accuracy the one-deep table loses to higher-order rotations (turb3d),
-// with diminishing returns past depth 3 and linear storage growth.
+// with diminishing returns past depth 3 and linear storage growth. Each
+// depth is a rung of one ladder over each benchmark's stream, all reading
+// one cache's eviction history, and every depth is checked against one
+// fixed ground truth: the classic oracle of the paper's depth-1 table.
 func MCTDepth(p Params) (DepthResult, error) {
-	p = p.withDefaults()
-	cfg := cache.Config{Name: "L1D", Size: 16 << 10, LineSize: 64, Assoc: 1}
-	depths := []int{1, 2, 3, 4}
-	points, err := runner.MapN(context.Background(), len(depths),
-		func(i int) string { return fmt.Sprintf("depth/%d", depths[i]) },
-		func(_ context.Context, di int) (DepthPoint, error) {
-			depth := depths[di]
-			var agg classify.Accuracy
-			var turb classify.Accuracy
-			for _, b := range workload.Suite() {
-				acc := depthRun(b, cfg, depth, p)
-				agg.Merge(acc)
-				if b.Name == "turb3d" {
-					turb = acc
-				}
-			}
-			return DepthPoint{
-				Depth:             depth,
-				ConflictAcc:       agg.ConflictAccuracy(),
-				CapacityAcc:       agg.CapacityAccuracy(),
-				OverallAcc:        agg.OverallAccuracy(),
-				Turb3dConflictAcc: turb.ConflictAccuracy(),
-				StorageBits:       core.MustNewDeep(core.Config{Sets: cfg.Sets(), TagBits: 10}, depth).StorageBits(0),
-			}, nil
-		})
+	results, err := measureLadder("depth", depthRungs(), p)
 	if err != nil {
 		return DepthResult{}, err
+	}
+	suite := workload.Suite()
+	points := make([]DepthPoint, len(mctDepths))
+	for di, depth := range mctDepths {
+		var agg, turb classify.Accuracy
+		for bi, res := range results {
+			agg.Merge(res[di].Acc)
+			if suite[bi].Name == "turb3d" {
+				turb = res[di].Acc
+			}
+		}
+		points[di] = DepthPoint{
+			Depth:             depth,
+			ConflictAcc:       agg.ConflictAccuracy(),
+			CapacityAcc:       agg.CapacityAccuracy(),
+			OverallAcc:        agg.OverallAccuracy(),
+			Turb3dConflictAcc: turb.ConflictAccuracy(),
+			StorageBits:       core.MustNewDeep(core.Config{Sets: paperL1.Sets(), TagBits: 10}, depth).StorageBits(0),
+		}
 	}
 	return DepthResult{Points: points}, nil
 }
 
-// depthRun plays one benchmark through cache + DeepMCT + oracle in
-// lockstep. The oracle's conflict definition is widened to match the
-// depth: a miss is an order-≤k conflict iff it hits a fully-associative
-// LRU cache of the same capacity, which is the classic definition the
-// paper's depth-1 table approximates; we keep that single oracle so the
-// depths are compared against one fixed ground truth.
-func depthRun(b *workload.Benchmark, cfg cache.Config, depth int, p Params) classify.Accuracy {
-	l1 := cache.MustNew(cfg)
-	mct := core.MustNewDeep(core.Config{Sets: cfg.Sets()}, depth)
-	oracle := classify.MustNewOracle(cfg)
-	geom := l1.Geometry()
-	var acc classify.Accuracy
-
-	s := b.MemStream(p.Seed)
-	var in trace.Instr
-	for n := uint64(0); n < p.MemAccesses && s.Next(&in); n++ {
-		isStore := in.Op == trace.Store
-		typ := mem.Load
-		if isStore {
-			typ = mem.Store
-		}
-		hit := l1.Access(in.Addr, typ)
-		kind := oracle.Observe(in.Addr, hit)
-		if hit {
-			continue
-		}
-		set, tag := geom.Set(in.Addr), geom.Tag(in.Addr)
-		_, class := mct.ClassifyMiss(set, tag)
-		acc.Record(kind, class)
-		ev := l1.Fill(in.Addr, isStore, class == core.Conflict)
-		if ev.Occurred {
-			mct.RecordEviction(geom.SetOfLine(ev.Line), geom.TagOfLine(ev.Line))
-		}
+// depthRungs is the 16KB direct-mapped cache at every studied depth, with
+// full tags.
+func depthRungs() []classify.Rung {
+	rungs := make([]classify.Rung, len(mctDepths))
+	for i, d := range mctDepths {
+		rungs[i] = classify.Rung{Cache: paperL1, Depth: d}
 	}
-	return acc
+	return rungs
 }
 
 // Table renders the depth sweep.

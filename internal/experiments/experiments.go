@@ -56,9 +56,13 @@ type namedConfig struct {
 	Cfg  cache.Config
 }
 
+// paperL1 is the paper's 16KB direct-mapped L1 data cache, the one
+// Figure 2 and the depth study measure.
+var paperL1 = cache.Config{Name: "L1D", Size: 16 << 10, LineSize: 64, Assoc: 1}
+
 // The four cache configurations of Figure 1.
 var figure1Configs = []namedConfig{
-	{"16KB-DM", cache.Config{Name: "L1D", Size: 16 << 10, LineSize: 64, Assoc: 1}},
+	{"16KB-DM", paperL1},
 	{"16KB-2way", cache.Config{Name: "L1D", Size: 16 << 10, LineSize: 64, Assoc: 2}},
 	{"64KB-DM", cache.Config{Name: "L1D", Size: 64 << 10, LineSize: 64, Assoc: 1}},
 	{"64KB-2way", cache.Config{Name: "L1D", Size: 64 << 10, LineSize: 64, Assoc: 2}},

@@ -158,7 +158,7 @@ func measureLadder(prefix string, rungs []classify.Rung, p Params) ([][]rungResu
 			sim.NewBatchClassifier(l, 0).ClassifyAll(src)
 			res := make([]rungResult, len(rungs))
 			for k, r := range l.Rungs {
-				res[k] = rungResult{Acc: r.Acc, Stats: r.CC.Cache().Stats()}
+				res[k] = rungResult{Acc: r.Acc, Stats: r.Cache.Stats()}
 			}
 			return res, nil
 		})

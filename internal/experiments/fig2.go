@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/classify"
 	"repro/internal/stats"
 )
@@ -31,15 +30,10 @@ type Fig2Result struct {
 // the conflict classification, so conflict accuracy starts artificially
 // high and capacity accuracy low; by 8–12 bits both converge to the
 // full-tag values (the paper's storage-efficiency claim). Each tag width
-// is a rung of one ladder over each benchmark's stream.
+// is a rung of one ladder over each benchmark's stream, and all of them
+// read one cache's full-tag eviction history.
 func Figure2(p Params) (Fig2Result, error) {
-	cfg := cache.Config{Name: "L1D", Size: 16 << 10, LineSize: 64, Assoc: 1}
-
-	rungs := make([]classify.Rung, len(Fig2TagBits))
-	for i, bits := range Fig2TagBits {
-		rungs[i] = classify.Rung{Cache: cfg, TagBits: bits}
-	}
-	results, err := measureLadder("fig2", rungs, p)
+	results, err := measureLadder("fig2", fig2Rungs(), p)
 	if err != nil {
 		return Fig2Result{}, err
 	}
@@ -62,10 +56,9 @@ func Figure2(p Params) (Fig2Result, error) {
 
 // fig2Rungs is the 16KB direct-mapped cache at every Fig2TagBits width.
 func fig2Rungs() []classify.Rung {
-	cfg := cache.Config{Name: "L1D", Size: 16 << 10, LineSize: 64, Assoc: 1}
 	rungs := make([]classify.Rung, len(Fig2TagBits))
 	for i, bits := range Fig2TagBits {
-		rungs[i] = classify.Rung{Cache: cfg, TagBits: bits}
+		rungs[i] = classify.Rung{Cache: paperL1, TagBits: bits}
 	}
 	return rungs
 }

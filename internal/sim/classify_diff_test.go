@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/classify"
+	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -31,11 +32,28 @@ func diffGeometries() []cache.Config {
 	}
 }
 
-// scalarReplay is the per-access reference: Run.Access spelled out so the
-// test can capture each access's verdict into table (nil = no table, as
-// BenchmarkClassifyTrace replays). It returns the number of memory
-// accesses replayed.
-func scalarReplay(run *classify.Run, s trace.Stream, table *bytes.Buffer) uint64 {
+// scalarRef is the per-access reference the batch kernel must reproduce:
+// core.Attach's own cache and MCT beside a one-size oracle, sharing no
+// cache, history or read-out with classify.Run.
+type scalarRef struct {
+	cc     *core.ClassifyingCache
+	oracle *classify.Oracle
+	acc    classify.Accuracy
+}
+
+func newScalarRef(t testing.TB, cfg cache.Config, tagBits int) *scalarRef {
+	t.Helper()
+	cc, err := core.Attach(cache.MustNew(cfg), tagBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &scalarRef{cc: cc, oracle: classify.MustNewOracle(cfg)}
+}
+
+// replay plays s one access at a time, capturing each access's verdict
+// into table (nil = no table, as BenchmarkClassifyTrace replays). It
+// returns the number of memory accesses replayed.
+func (r *scalarRef) replay(s trace.Stream, table *bytes.Buffer) uint64 {
 	var in trace.Instr
 	var n uint64
 	for s.Next(&in) {
@@ -43,10 +61,10 @@ func scalarReplay(run *classify.Run, s trace.Stream, table *bytes.Buffer) uint64
 			continue
 		}
 		store := in.Op == trace.Store
-		hit, ev := run.CC.Access(in.Addr, store)
-		kind := run.Oracle.Observe(in.Addr, hit)
+		hit, ev := r.cc.Access(in.Addr, store)
+		kind := r.oracle.Observe(in.Addr, hit)
 		if !hit {
-			run.Acc.Record(kind, ev.Class)
+			r.acc.Record(kind, ev.Class)
 		}
 		if table != nil {
 			writeVerdict(table, n, uint64(in.Addr), store, hit, kind, ev.Class)
@@ -116,9 +134,9 @@ func TestClassifyBatchMatchesScalar(t *testing.T) {
 						return trace.NewLimit(b.Stream(seed), diffInstrs)
 					}
 
-					scalar := newDiffRun(t, cfg, tagBits)
+					scalar := newScalarRef(t, cfg, tagBits)
 					var want bytes.Buffer
-					wantN := scalarReplay(scalar, stream(), &want)
+					wantN := scalar.replay(stream(), &want)
 
 					for _, batchSize := range []int{1, 255, 256, 257} {
 						batch := newDiffRun(t, cfg, tagBits)
@@ -127,11 +145,11 @@ func TestClassifyBatchMatchesScalar(t *testing.T) {
 						if gotN != wantN {
 							t.Errorf("%s/batch%d: %d accesses, scalar classified %d", name, batchSize, gotN, wantN)
 						}
-						if batch.Acc != scalar.Acc {
-							t.Errorf("%s/batch%d: accuracy %+v, scalar %+v", name, batchSize, batch.Acc, scalar.Acc)
+						if batch.Acc != scalar.acc {
+							t.Errorf("%s/batch%d: accuracy %+v, scalar %+v", name, batchSize, batch.Acc, scalar.acc)
 						}
 						bcm, bca, bcf := batch.Oracle.Counts()
-						scm, sca, scf := scalar.Oracle.Counts()
+						scm, sca, scf := scalar.oracle.Counts()
 						if bcm != scm || bca != sca || bcf != scf {
 							t.Errorf("%s/batch%d: oracle mix %d/%d/%d, scalar %d/%d/%d",
 								name, batchSize, bcm, bca, bcf, scm, sca, scf)
@@ -175,9 +193,9 @@ func TestClassifyBatchAcrossWireFormats(t *testing.T) {
 		return trace.NewLimit(b.Stream(workload.DefaultSeed), diffInstrs)
 	}
 
-	scalar := newDiffRun(t, cfg, 0)
+	scalar := newScalarRef(t, cfg, 0)
 	var want bytes.Buffer
-	wantN := scalarReplay(scalar, stream(), &want)
+	wantN := scalar.replay(stream(), &want)
 
 	var v1 bytes.Buffer
 	if _, err := trace.WriteAll(&v1, stream()); err != nil {
@@ -216,8 +234,8 @@ func TestClassifyBatchAcrossWireFormats(t *testing.T) {
 		run := newDiffRun(t, cfg, 0)
 		var got bytes.Buffer
 		gotN := batchReplay(run, open(), 0, &got)
-		if gotN != wantN || run.Acc != scalar.Acc {
-			t.Errorf("%s: %d accesses/%+v, scalar %d/%+v", name, gotN, run.Acc, wantN, scalar.Acc)
+		if gotN != wantN || run.Acc != scalar.acc {
+			t.Errorf("%s: %d accesses/%+v, scalar %d/%+v", name, gotN, run.Acc, wantN, scalar.acc)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Errorf("%s: verdict table differs from scalar (first divergence at byte %d)",
@@ -286,16 +304,16 @@ func BenchmarkClassifyTrace(b *testing.B) {
 	m := mappedV2(b, gcc.Stream(workload.DefaultSeed), instrs)
 	for _, k := range []struct {
 		name     string
-		classify func(*classify.Run, *trace.Mapped)
+		classify func(*trace.Mapped)
 	}{
-		{"scalar", func(run *classify.Run, m *trace.Mapped) { scalarReplay(run, m, nil) }},
-		{"batch", func(run *classify.Run, m *trace.Mapped) { ClassifyBatched(run, m, 0) }},
+		{"scalar", func(m *trace.Mapped) { newScalarRef(b, L1Config(), 0).replay(m, nil) }},
+		{"batch", func(m *trace.Mapped) { ClassifyBatched(newDiffRun(b, L1Config(), 0), m, 0) }},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				m.Rewind()
-				k.classify(newDiffRun(b, L1Config(), 0), m)
+				k.classify(m)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/instrs, "ns/instr")
 		})

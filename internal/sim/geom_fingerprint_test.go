@@ -75,10 +75,10 @@ func geomFingerprints(t *testing.T) map[string]string {
 			for _, tagBits := range []int{0, 6} {
 				key := fmt.Sprintf("classify/%s/%dKB-%dw-%dB/tag%d",
 					wl, cfg.Size>>10, cfg.Assoc, cfg.LineSize, tagBits)
-				run := newDiffRun(t, cfg, tagBits)
+				ref := newScalarRef(t, cfg, tagBits)
 				var table bytes.Buffer
-				n := scalarReplay(run, trace.NewLimit(b.Stream(workload.DefaultSeed), diffInstrs), &table)
-				fmt.Fprintf(&table, "n=%d acc=%+v\n", n, run.Acc)
+				n := ref.replay(trace.NewLimit(b.Stream(workload.DefaultSeed), diffInstrs), &table)
+				fmt.Fprintf(&table, "n=%d acc=%+v\n", n, ref.acc)
 				out[key] = sha256Hex(table.Bytes())
 			}
 		}
