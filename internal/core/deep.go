@@ -102,7 +102,7 @@ func (m *DeepMCT) Match(set, tag uint64) (matched, order int) {
 		return 0, 0
 	}
 	t := tag & m.tagMask
-	if matched = bits.TrailingZeros64((hist[0] ^ t) & m.tagMask); matched == 64 {
+	if matched = bits.TrailingZeros64(hist[0] ^ t); matched == 64 {
 		return matched, 1
 	}
 	for i, old := range hist[1:] {
@@ -128,37 +128,20 @@ func WidthMatches(matched, tagBits int) bool {
 // recent first. A tag already present moves to the front rather than
 // duplicating (the line was re-fetched and evicted again).
 func (m *DeepMCT) RecordEviction(set, tag uint64) {
-	if m.depth == 1 { // the paper's one-entry table
-		m.tags[set], m.size[set] = tag&m.tagMask, 1
-	} else {
-		m.push(set, tag)
-	}
-}
-
-// push moves or adds tag to the front of the set's history.
-func (m *DeepMCT) push(set, tag uint64) {
 	t := tag & m.tagMask
-	base := int(set) * m.depth
+	hist := m.tags[int(set)*m.depth:][:m.depth]
 	n := int(m.size[set])
-	// Find an existing occurrence to coalesce.
-	at := -1
-	for i := 0; i < n; i++ {
-		if m.tags[base+i] == t {
-			at = i
-			break
-		}
+	at := 0
+	for at < n && hist[at] != t {
+		at++
 	}
-	switch {
-	case at == 0:
-		return // already most recent
-	case at > 0:
-		copy(m.tags[base+1:base+at+1], m.tags[base:base+at])
-	default:
+	if at == n { // absent: grow, or drop the oldest
 		if n < m.depth {
-			m.size[set] = uint8(n + 1)
-			n++
+			m.size[set]++
+		} else {
+			at--
 		}
-		copy(m.tags[base+1:base+n], m.tags[base:base+n-1])
 	}
-	m.tags[base] = t
+	copy(hist[1:at+1], hist[:at])
+	hist[0] = t
 }
