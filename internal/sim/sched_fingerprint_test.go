@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"os"
+	"sync"
 	"testing"
 
 	"repro/internal/amb"
@@ -69,23 +70,66 @@ func schedShapes() []struct {
 	}{{"narrow", narrow}, {"rob96", rob96}, {"rob256", rob256}}
 }
 
-// schedFingerprints computes every cell's hash.
-func schedFingerprints(t *testing.T) map[string]string {
-	t.Helper()
-	out := map[string]string{}
-	record := func(key string, v any) { out[key] = sha256Hex([]byte(fmt.Sprintf("%+v", v))) }
+// schedThread is one hardware thread of a scheduler-corpus cell: the
+// benchmark and seed its stream was drawn from, and the metrics the core
+// reported for it.
+type schedThread struct {
+	bench *workload.Benchmark
+	seed  uint64
+	m     cpu.Metrics
+}
+
+// schedCell is one run of the scheduler corpus: its key, the value its
+// fingerprint hashes, the CPU shape it ran on and its threads.
+type schedCell struct {
+	key     string
+	hashed  any
+	cfg     cpu.Config
+	threads []schedThread
+}
+
+var (
+	schedCellsOnce sync.Once
+	schedCellsMemo []schedCell
+)
+
+// schedCells runs the scheduler corpus once per test binary; the
+// fingerprint test and the count check both read it.
+func schedCells() []schedCell {
+	schedCellsOnce.Do(func() { schedCellsMemo = runSchedCells() })
+	return schedCellsMemo
+}
+
+// longLatency returns the default hierarchy with L2 and memory latencies
+// far beyond any plausible scheduling horizon of the core, at the given
+// MSHR count, so operand arrivals land many hundreds of cycles out.
+func longLatency(l2, memory, mshrs int) hier.Config {
+	hc := hier.DefaultConfig()
+	hc.L2Latency, hc.MemLatency, hc.MSHRs = l2, memory, mshrs
+	return hc
+}
+
+// runSchedCells runs every cell of the corpus.
+func runSchedCells() []schedCell {
+	var cells []schedCell
 	bench := func(name string) *workload.Benchmark {
 		b, ok := workload.ByName(name)
 		if !ok {
-			t.Fatalf("workload %q not registered", name)
+			panic(fmt.Sprintf("workload %q not registered", name))
 		}
 		return b
+	}
+	single := func(key string, b *workload.Benchmark, sys assist.System, opt Options) {
+		r := Run(b, sys, opt)
+		cfg := opt.withDefaults().CPU
+		cells = append(cells, schedCell{key: key, hashed: r, cfg: cfg,
+			threads: []schedThread{{bench: b, seed: workload.DefaultSeed, m: r.CPU}}})
 	}
 
 	// The paper-sim cells: every suite benchmark on the three systems.
 	for _, b := range workload.Suite() {
 		for _, s := range schedSystems {
-			record("paper/"+b.Name+"/"+s.name, Run(b, s.make(), Options{Instructions: schedInstrs}))
+			single("paper/"+b.Name+"/"+s.name, b, s.make(), Options{Instructions: schedInstrs})
 		}
 	}
 
@@ -96,8 +140,8 @@ func schedFingerprints(t *testing.T) map[string]string {
 			for _, mshrs := range []int{1, 16} {
 				hc := hier.DefaultConfig()
 				hc.MSHRs = mshrs
-				record(fmt.Sprintf("shape/%s/%s/mshr%d", wl, sh.name, mshrs),
-					Run(bench(wl), schedSystems[0].make(), Options{Instructions: schedInstrs, Hier: hc, CPU: sh.cfg}))
+				single(fmt.Sprintf("shape/%s/%s/mshr%d", wl, sh.name, mshrs),
+					bench(wl), schedSystems[0].make(), Options{Instructions: schedInstrs, Hier: hc, CPU: sh.cfg})
 			}
 		}
 	}
@@ -110,13 +154,29 @@ func schedFingerprints(t *testing.T) map[string]string {
 		opt.ICache = func() assist.System {
 			return amb.MustNew(cache.Config{Name: "L1I", Size: 4 << 10, LineSize: 64, Assoc: 1}, 0, assist.DefaultEntries, amb.VictPref)
 		}
-		record("icache/"+wl, Run(bench(wl), schedSystems[2].make(), opt))
+		single("icache/"+wl, bench(wl), schedSystems[2].make(), opt)
 	}
 
 	// A run cut by MaxCycles mid-stall rather than by the retire target.
 	bounded := cpu.DefaultConfig()
 	bounded.MaxCycles = 7_777
-	record("maxcycles/swim", Run(bench("swim"), schedSystems[0].make(), Options{Instructions: 1 << 30, CPU: bounded}))
+	single("maxcycles/swim", bench("swim"), schedSystems[0].make(), Options{Instructions: 1 << 30, CPU: bounded})
+
+	// Long latencies: operands of L2 hits and of memory fills arrive
+	// hundreds to thousands of cycles after they issue, and queue behind
+	// each other on the buses, at one MSHR and sixteen.
+	lats := []struct {
+		name       string
+		l2, memory int
+	}{{"mem1000", 20, 1_000}, {"l2400-mem2000", 400, 2_000}}
+	for _, lat := range lats {
+		for _, mshrs := range []int{1, 16} {
+			for _, wl := range []string{"swim", "gcc"} {
+				single(fmt.Sprintf("long/%s/%s/mshr%d", wl, lat.name, mshrs),
+					bench(wl), schedSystems[2].make(), Options{Instructions: schedInstrs, Hier: longLatency(lat.l2, lat.memory, mshrs)})
+			}
+		}
+	}
 
 	// SMT co-runs over one shared hierarchy: each thread runs its suite
 	// benchmark at its own seed, and the cell hashes every thread's
@@ -125,15 +185,20 @@ func schedFingerprints(t *testing.T) map[string]string {
 		sys := schedSystems[s].make()
 		h := hier.MustNew(hc, sys)
 		streams := make([]trace.Stream, len(names))
+		threads := make([]schedThread, len(names))
 		for i, n := range names {
-			streams[i] = bench(n).Stream(workload.DefaultSeed + uint64(i))
+			threads[i] = schedThread{bench: bench(n), seed: workload.DefaultSeed + uint64(i)}
+			streams[i] = threads[i].bench.Stream(threads[i].seed)
 		}
 		ms := cpu.MustNewSMT(cfg, h, len(names)).RunThreads(streams, perThread)
-		record(key, struct {
+		for i := range threads {
+			threads[i].m = ms[i]
+		}
+		cells = append(cells, schedCell{key: key, cfg: cfg, threads: threads, hashed: struct {
 			CPU  []cpu.Metrics
 			Sys  assist.Stats
 			Hier hier.Stats
-		}{ms, sys.Stats(), h.Stats()})
+		}{ms, sys.Stats(), h.Stats()}})
 	}
 	pairs := [][]string{{"swim", "gcc"}, {"tomcatv", "vortex"}}
 	for _, pair := range pairs {
@@ -161,14 +226,78 @@ func schedFingerprints(t *testing.T) map[string]string {
 		smt("smt4/rob256/"+schedSystems[s].name, schedShapes()[2].cfg, hier.DefaultConfig(), s, quad, schedInstrs/4)
 	}
 	smt("smt-maxcycles/swim+gcc", bounded, hier.DefaultConfig(), 0, pairs[0], 1<<30)
+	// Two threads at the long latencies.
+	for _, lat := range lats {
+		for _, mshrs := range []int{1, 16} {
+			smt(fmt.Sprintf("smt-long/swim+gcc/%s/mshr%d", lat.name, mshrs),
+				cpu.DefaultConfig(), longLatency(lat.l2, lat.memory, mshrs), 2, pairs[0], schedInstrs/2)
+		}
+	}
+	return cells
+}
+
+// schedFingerprints hashes every cell.
+func schedFingerprints() map[string]string {
+	out := map[string]string{}
+	for _, c := range schedCells() {
+		out[c.key] = sha256Hex([]byte(fmt.Sprintf("%+v", c.hashed)))
+	}
 	return out
 }
 
 // TestSchedulerFingerprintsMatchScan pins the OoO timing model's issue
 // stage to the timing the scan-based scheduler produced, across the
 // paper-sim cells, non-default CPU shapes at one and sixteen MSHRs, an
-// I-cache-attached run, a MaxCycles-bounded run, and SMT co-runs at two
-// and four threads on those shapes.
+// I-cache-attached run, a MaxCycles-bounded run, SMT co-runs at two and
+// four threads on those shapes, and runs at one and two threads whose L2
+// and memory latencies reach far past any plausible wakeup horizon.
 func TestSchedulerFingerprintsMatchScan(t *testing.T) {
-	matchFingerprints(t, schedFingerprintPath, schedFPUpdating(), "SCHED_FP_UPDATE=1", schedFingerprints(t))
+	matchFingerprints(t, schedFingerprintPath, schedFPUpdating(), "SCHED_FP_UPDATE=1", schedFingerprints())
+}
+
+// TestSchedulerCountsMatchStreamTally checks every scheduler-corpus cell's
+// per-thread counts against a tally of the thread's own stream, made
+// without the core: the first Instructions records of the stream must hold
+// exactly the reported loads, stores and branches. Mispredicts cannot
+// exceed branches, and no thread can retire faster than the fetch width
+// or its share of the retire width allows.
+func TestSchedulerCountsMatchStreamTally(t *testing.T) {
+	ceil := func(n uint64, w int) uint64 { return (n + uint64(w) - 1) / uint64(w) }
+	for _, c := range schedCells() {
+		retireWidth := max(1, c.cfg.IssueWidth/len(c.threads))
+		for ti, th := range c.threads {
+			m := th.m
+			var loads, stores, branches uint64
+			s := th.bench.Stream(th.seed)
+			var in trace.Instr
+			for i := uint64(0); i < m.Instructions; i++ {
+				if !s.Next(&in) {
+					t.Fatalf("%s thread %d: stream ended after %d of %d records", c.key, ti, i, m.Instructions)
+				}
+				switch in.Op {
+				case trace.Load:
+					loads++
+				case trace.Store:
+					stores++
+				case trace.Branch:
+					branches++
+				}
+			}
+			if m.Loads != loads || m.Stores != stores || m.Branches != branches {
+				t.Errorf("%s thread %d: core counted %d loads, %d stores, %d branches; the stream's first %d records hold %d, %d, %d",
+					c.key, ti, m.Loads, m.Stores, m.Branches, m.Instructions, loads, stores, branches)
+			}
+			if m.Mispredicts > m.Branches {
+				t.Errorf("%s thread %d: %d mispredicts of %d branches", c.key, ti, m.Mispredicts, m.Branches)
+			}
+			if f := ceil(m.Instructions, c.cfg.FetchWidth); m.Cycles < f {
+				t.Errorf("%s thread %d: %d instructions in %d cycles; fetch width %d needs at least %d",
+					c.key, ti, m.Instructions, m.Cycles, c.cfg.FetchWidth, f)
+			}
+			if r := ceil(m.Instructions, retireWidth); m.Cycles < r {
+				t.Errorf("%s thread %d: %d instructions in %d cycles; retire width %d needs at least %d",
+					c.key, ti, m.Instructions, m.Cycles, retireWidth, r)
+			}
+		}
+	}
 }

@@ -75,17 +75,21 @@ func TestMemStreamNextAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkAccessStream measures the cost of one memory access from each
-// way of producing a benchmark's access stream: filtering the full
-// instruction stream, and MemStream. Every suite benchmark contributes an
-// equal share of the accesses, taken after a warm-up.
+// BenchmarkAccessStream measures the cost of one record from each way of
+// producing a benchmark's stream: one memory access by filtering the full
+// instruction stream and by MemStream, and one instruction of the full
+// stream, the generator cost every timing cell pays (reported as
+// ns/instr). Every suite benchmark contributes an equal share of the
+// records, taken after a warm-up.
 func BenchmarkAccessStream(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		open func(*Benchmark) trace.Stream
+		unit string
 	}{
-		{"filter", func(w *Benchmark) trace.Stream { return trace.NewMemOnly(w.Stream(DefaultSeed)) }},
-		{"memstream", func(w *Benchmark) trace.Stream { return w.MemStream(DefaultSeed) }},
+		{"filter", func(w *Benchmark) trace.Stream { return trace.NewMemOnly(w.Stream(DefaultSeed)) }, "ns/access"},
+		{"memstream", func(w *Benchmark) trace.Stream { return w.MemStream(DefaultSeed) }, "ns/access"},
+		{"stream", func(w *Benchmark) trace.Stream { return w.Stream(DefaultSeed) }, "ns/instr"},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			suite := Suite()
@@ -101,6 +105,7 @@ func BenchmarkAccessStream(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				streams[i%len(streams)].Next(&in)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), c.unit)
 		})
 	}
 }
