@@ -22,12 +22,14 @@ import (
 // Emitter is the instruction-construction context handed to kernels. It
 // allocates destination registers round-robin, advances a per-burst program
 // counter (each burst models one loop-body execution, so PCs repeat across
-// bursts — giving PC-indexed predictors realistic behavior), and appends to
-// the stream's refill buffer.
+// bursts — giving PC-indexed predictors realistic behavior), and writes
+// each instruction in place in the stream's refill buffer. Every
+// instruction names at most one source register: the dependence chain the
+// kernel threads through it.
 //
-// A memory-only emitter appends only loads and stores. Every other
+// A memory-only emitter writes only loads and stores. Every other
 // instruction still advances the PC and the register allocator and draws
-// the same random numbers, so the loads and stores it does append are
+// the same random numbers, so the loads and stores it does write are
 // exactly those of the full stream, field for field.
 type Emitter struct {
 	rng     *rng.Source
@@ -75,72 +77,80 @@ func (e *Emitter) allocReg() uint8 {
 	return r
 }
 
-// emit appends one instruction.
-func (e *Emitter) emit(in trace.Instr) {
-	e.buf = append(e.buf, in)
+// emit writes one instruction in place at the end of the refill buffer,
+// which the stream reuses from burst to burst: no record is built and
+// copied in. Every field is written, so a reused slot keeps nothing of its
+// previous record.
+func (e *Emitter) emit(pc mem.Addr, op trace.OpClass, dest, src uint8, addr mem.Addr, taken bool) {
+	n := len(e.buf)
+	if n < cap(e.buf) {
+		e.buf = e.buf[:n+1]
+	} else {
+		e.buf = append(e.buf, trace.Instr{})
+	}
+	in := &e.buf[n]
+	in.PC = pc
+	in.Op = op
+	in.Dest = dest
+	in.Src1 = src
+	in.Src2 = trace.RegZero
+	in.Addr = addr
+	in.Taken = taken
 }
 
-// Load emits a load from addr depending on up to two source registers and
-// returns the destination register holding the result.
-func (e *Emitter) Load(addr mem.Addr, srcs ...uint8) uint8 {
+// Load emits a load from addr whose address depends on register src
+// (RegZero for none) and returns the destination register holding the
+// result.
+func (e *Emitter) Load(addr mem.Addr, src uint8) uint8 {
 	d := e.allocReg()
-	in := trace.Instr{PC: e.nextPC(), Op: trace.Load, Dest: d, Addr: addr}
-	setSrcs(&in, srcs)
-	e.emit(in)
+	e.emit(e.nextPC(), trace.Load, d, src, addr, false)
 	return d
 }
 
-// Store emits a store to addr whose data depends on up to two registers.
-func (e *Emitter) Store(addr mem.Addr, srcs ...uint8) {
-	in := trace.Instr{PC: e.nextPC(), Op: trace.Store, Addr: addr}
-	setSrcs(&in, srcs)
-	e.emit(in)
+// Store emits a store to addr whose data depends on register src.
+func (e *Emitter) Store(addr mem.Addr, src uint8) {
+	e.emit(e.nextPC(), trace.Store, trace.RegZero, src, addr, false)
 }
 
-// Int emits a one-cycle integer op and returns its destination register.
-func (e *Emitter) Int(srcs ...uint8) uint8 {
-	return e.alu(trace.IntOp, srcs)
+// Int emits a one-cycle integer op on src and returns its destination
+// register.
+func (e *Emitter) Int(src uint8) uint8 {
+	return e.alu(trace.IntOp, src)
 }
 
-// FP emits a pipelined floating-point op.
-func (e *Emitter) FP(srcs ...uint8) uint8 {
-	return e.alu(trace.FPOp, srcs)
+// FP emits a pipelined floating-point op on src.
+func (e *Emitter) FP(src uint8) uint8 {
+	return e.alu(trace.FPOp, src)
 }
 
-func (e *Emitter) alu(op trace.OpClass, srcs []uint8) uint8 {
+func (e *Emitter) alu(op trace.OpClass, src uint8) uint8 {
 	d := e.allocReg()
 	pc := e.nextPC()
 	if !e.memOnly {
-		in := trace.Instr{PC: pc, Op: op, Dest: d}
-		setSrcs(&in, srcs)
-		e.emit(in)
+		e.emit(pc, op, d, src, 0, false)
 	}
 	return d
 }
 
-// LoopBranch emits the backward branch closing a loop body. taken should be
-// true except on the final iteration; loop branches are highly predictable,
-// like real loop-closing branches.
-func (e *Emitter) LoopBranch(taken bool, srcs ...uint8) {
+// LoopBranch emits the backward branch closing a loop body, depending on
+// src. taken should be true except on the final iteration; loop branches
+// are highly predictable, like real loop-closing branches.
+func (e *Emitter) LoopBranch(taken bool, src uint8) {
 	pc := e.nextPC()
 	if !e.memOnly {
-		in := trace.Instr{PC: pc, Op: trace.Branch, Taken: taken}
-		setSrcs(&in, srcs)
-		e.emit(in)
+		e.emit(pc, trace.Branch, trace.RegZero, src, 0, taken)
 	}
 }
 
-// DataBranch emits a data-dependent branch taken with probability p,
-// modeling the poorly-predictable control flow of irregular codes. A
+// DataBranch emits a data-dependent branch on src taken with probability
+// p, modeling the poorly-predictable control flow of irregular codes. A
 // memory-only emitter still draws the outcome, keeping the random sequence
 // of the full stream.
-func (e *Emitter) DataBranch(p float64, srcs ...uint8) {
+func (e *Emitter) DataBranch(p float64, src uint8) {
 	pc := e.nextPC()
 	taken := e.rng.Bool(p)
 	if !e.memOnly {
-		in := trace.Instr{PC: pc, Op: trace.Branch, Taken: taken}
-		setSrcs(&in, srcs)
-		e.emit(in)
+		e.emit(pc, trace.Branch, trace.RegZero, src, 0, taken)
 	}
 }
 
@@ -171,22 +181,13 @@ func (e *Emitter) Filler(n int, fp bool, feed uint8) uint8 {
 	return r
 }
 
-func setSrcs(in *trace.Instr, srcs []uint8) {
-	if len(srcs) > 0 {
-		in.Src1 = srcs[0]
-	}
-	if len(srcs) > 1 {
-		in.Src2 = srcs[1]
-	}
-}
-
 // Kernel is one access-pattern generator. Burst emits one unit of work
 // (roughly one loop-body execution, tens of instructions); the scheduler
 // interleaves bursts from a benchmark's kernels according to their weights.
 type Kernel interface {
 	// Name identifies the kernel in diagnostics.
 	Name() string
-	// Burst appends one burst of instructions to the emitter.
+	// Burst emits one burst of instructions through the emitter.
 	Burst(e *Emitter)
 }
 
