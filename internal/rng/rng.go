@@ -13,6 +13,8 @@ package rng
 import (
 	"math"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 )
 
 // Source is a deterministic 64-bit PRNG.
@@ -131,7 +133,7 @@ func NewZipf(n uint64, theta float64) *Zipf {
 		panic("rng: NewZipf theta must be in (0,1)")
 	}
 	z := &Zipf{n: n}
-	z.zetan = zeta(n, theta)
+	z.zetan = memoZeta(n, theta)
 	zeta2 := zeta(2, theta)
 	z.alpha = 1 / (1 - theta)
 	z.one = 1 + math.Pow(0.5, theta)
@@ -154,6 +156,39 @@ func (z *Zipf) Sample(src *Source) uint64 {
 		v = z.n - 1
 	}
 	return v
+}
+
+// zetaKey names one generalized harmonic number.
+type zetaKey struct {
+	n     uint64
+	theta float64
+}
+
+// zetaMemoCap bounds the memo. The suite's kernels use a handful of
+// (n, theta) pairs; past the cap, new pairs are computed and not kept.
+const zetaMemoCap = 256
+
+var (
+	zetaMemo    sync.Map // zetaKey -> float64
+	zetaEntries atomic.Int32
+)
+
+// memoZeta returns zeta(n, theta), computing each pair once per process:
+// every Zipf-skewed kernel builds a sampler per stream, and the direct sum
+// is up to 65,536 math.Pow terms. The memo holds the computed value, so it
+// returns the same bits as zeta.
+func memoZeta(n uint64, theta float64) float64 {
+	k := zetaKey{n, theta}
+	if v, ok := zetaMemo.Load(k); ok {
+		return v.(float64)
+	}
+	z := zeta(n, theta)
+	if zetaEntries.Load() < zetaMemoCap {
+		if _, loaded := zetaMemo.LoadOrStore(k, z); !loaded {
+			zetaEntries.Add(1)
+		}
+	}
+	return z
 }
 
 // zeta computes the generalized harmonic number H_{n,theta}, approximating

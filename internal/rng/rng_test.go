@@ -230,3 +230,24 @@ func TestZipfSamplePinned(t *testing.T) {
 		}
 	}
 }
+
+// TestZetaMemoMatchesDirect checks that the memo returns the bits of the
+// direct sum, on the first (computing) and a repeated (memo hit) call,
+// below and above the sum's 65,536-term direct range, and that a sampler
+// built from the memo is the one built from the direct sum.
+func TestZetaMemoMatchesDirect(t *testing.T) {
+	for _, n := range []uint64{1, 2, 4096, 8192, 1 << 16, 1<<16 + 1, 1 << 20, 1 << 30} {
+		for _, theta := range []float64{0.3, 0.65, 0.8, 0.99} {
+			want := math.Float64bits(zeta(n, theta))
+			for call := 0; call < 2; call++ {
+				if got := math.Float64bits(memoZeta(n, theta)); got != want {
+					t.Errorf("n=%d theta=%v call %d: memo %#x, direct %#x", n, theta, call, got, want)
+				}
+			}
+			z := NewZipf(n, theta)
+			if math.Float64bits(z.zetan) != want {
+				t.Errorf("n=%d theta=%v: NewZipf zetan %v, direct %v", n, theta, z.zetan, zeta(n, theta))
+			}
+		}
+	}
+}
