@@ -141,6 +141,13 @@ type robEntry struct {
 	readyAt uint64
 }
 
+// wheelSlots is the timing wheel's span in cycles (a power of two): an
+// entry whose operands arrive fewer than wheelSlots cycles after it is
+// armed waits in the wheel, a later one in the overflow heap. L1 hits,
+// buffer hits and uncontended L2 and memory fills of the default
+// hierarchy all arrive well inside it.
+const wheelSlots = 256
+
 // armedEntry is a ROB slot whose producers have all issued, waiting for
 // cycle at, when its last operand arrives.
 type armedEntry struct {
@@ -148,10 +155,12 @@ type armedEntry struct {
 	slot int
 }
 
-// wakeHeap is a binary min-heap of armed entries keyed by arrival cycle.
-// Each slot is armed at most once while it is occupied and leaves the
-// heap before it can issue, so the ROB partition bounds the heap and a
-// heap preallocated to that capacity never grows.
+// wakeHeap is a binary min-heap of armed entries keyed by arrival cycle,
+// the wheel's overflow. Latencies come from the hierarchy's configuration
+// and bus queueing has no bound, so no fixed wheel span covers every
+// arrival. Each slot is armed at most once while it is occupied and
+// leaves the heap before it can issue, so the ROB partition bounds the
+// heap and a heap preallocated to that capacity never grows.
 type wakeHeap []armedEntry
 
 func (h *wakeHeap) push(a armedEntry) {
@@ -205,15 +214,17 @@ type thread struct {
 	// slot (slot p's at cons[p*words:]): the unissued entries whose operands
 	// wait on p's result. ready holds the entries whose operands are
 	// available, the only ones the issue stage visits. An entry whose
-	// producers have all issued is armed (see arm): into next when its
-	// operands arrive by the next issue stage, which covers every
-	// dispatch-time arming and every single-cycle wakeup without a heap
-	// operation, into wake when they arrive later.
-	cons  []uint64
-	ready []uint64
-	next  []uint64
-	wake  wakeHeap
-	walk  readyWalk
+	// producers have all issued is armed (see arm) for the cycle its
+	// operands arrive. wheel is a timing wheel of wheelSlots masks, the
+	// entries arriving at cycle a in the mask at wheel[(a%wheelSlots)*words:],
+	// and bit a%wheelSlots of occupied is set while that mask is not
+	// empty; arrivals past the wheel's span wait in late.
+	cons     []uint64
+	ready    []uint64
+	wheel    []uint64
+	occupied [wheelSlots / 64]uint64
+	late     wakeHeap
+	walk     readyWalk
 
 	// rat is the register alias table: the ROB slot of each architectural
 	// register's latest in-flight producer, -1 once that producer retires.
@@ -316,8 +327,8 @@ func newCore(cfg Config, h *hier.Hierarchy, n int) *CPU {
 		t.rob = make([]robEntry, size)
 		t.cons = make([]uint64, size*words)
 		t.ready = make([]uint64, words)
-		t.next = make([]uint64, words)
-		t.wake = make(wakeHeap, 0, size)
+		t.wheel = make([]uint64, wheelSlots*words)
+		t.late = make(wakeHeap, 0, size)
 		t.blockedOn = -1
 		for r := range t.rat {
 			t.rat[r] = -1
@@ -417,16 +428,18 @@ func (t *thread) reachedTarget() bool {
 // nextEvent returns the earliest future cycle at which the machine's state
 // can change while the pipeline is quiescent: over all threads, the
 // earliest arrival among armed entries, the ROB head's completion, or the
-// fetch-resume cycle. ok is false when no such event exists. It reads
-// three values per thread and scans nothing.
+// fetch-resume cycle. ok is false when no such event exists. Per thread
+// it scans the wheel's occupancy bitmap (wheelSlots/64 words) and reads
+// three values.
 //
 // This is sound because a quiescent cycle (nothing retired, issued, or
 // fetched; no structural-hazard retry pending, so every ready set is
 // empty) can only be ended by one of those times arriving. An issue needs
 // a ready entry, and an entry becomes ready only when its armed arrival
-// cycle comes: next is empty, since only a cycle that issued or fetched
-// fills it, so the earliest arrival is the heap's minimum. Entries not
-// yet armed wait on a producer that must itself issue first. A retirement
+// cycle comes: the earliest arrival is the first occupied wheel slot after
+// this cycle's (drained by this cycle's issue) or the overflow heap's
+// minimum, whichever is sooner. Entries not yet armed wait on a producer
+// that must itself issue first. A retirement
 // needs a head to complete. A front end waits on retirement, on queue
 // space or the blocking branch (both freed only by an issue), or on
 // fetchResume; the round-robin fetch pointer offered every thread the
@@ -437,8 +450,11 @@ func (c *CPU) nextEvent(cycle uint64) (uint64, bool) {
 	earliest := ^uint64(0)
 	for i := range c.threads {
 		t := &c.threads[i]
-		if len(t.wake) > 0 && t.wake[0].at < earliest {
-			earliest = t.wake[0].at
+		if d, ok := t.nextArmed(cycle); ok && cycle+d < earliest {
+			earliest = cycle + d
+		}
+		if len(t.late) > 0 && t.late[0].at < earliest {
+			earliest = t.late[0].at
 		}
 		if t.count > 0 {
 			if e := &t.rob[t.head]; e.issued && e.done < earliest {
@@ -450,6 +466,27 @@ func (c *CPU) nextEvent(cycle uint64) (uint64, bool) {
 		}
 	}
 	return earliest, earliest != ^uint64(0)
+}
+
+// nextArmed returns how many cycles after cycle the first occupied wheel
+// slot comes, looking at the wheelSlots-1 slots after cycle's own. Every
+// wheel entry arrives within that span of the cycle it was armed in and
+// is drained by its arrival cycle's issue stage, so after cycle's issue
+// stage the first occupied slot is the wheel's earliest arrival.
+func (t *thread) nextArmed(cycle uint64) (uint64, bool) {
+	from := (cycle + 1) & (wheelSlots - 1)
+	wi := from >> 6
+	if w := t.occupied[wi] &^ (uint64(1)<<(from&63) - 1); w != 0 {
+		return wi<<6 + uint64(bits.TrailingZeros64(w)) - from + 1, true
+	}
+	for k := uint64(1); k <= uint64(len(t.occupied)); k++ {
+		wj := (wi + k) % uint64(len(t.occupied))
+		if w := t.occupied[wj]; w != 0 {
+			slot := wj<<6 + uint64(bits.TrailingZeros64(w))
+			return (slot-from)&(wheelSlots-1) + 1, true
+		}
+	}
+	return 0, false
 }
 
 // retire commits completed instructions in order, each thread up to its
@@ -483,7 +520,8 @@ func (c *CPU) retire(cycle uint64) int {
 
 // issue selects ready instructions, respecting functional unit counts and
 // issue width. First every thread's armed entries whose operands arrive
-// by this cycle join its ready set. Then issue goes in rounds: each round
+// by this cycle join its ready set: the wheel slot of this cycle and the
+// overflow entries due. Then issue goes in rounds: each round
 // offers every thread with ready entries left, thread 0 first, one issue,
 // taken oldest first from its ready set (see readyWalk). An entry that hits a
 // structural limit is passed over, stays ready and is retried next cycle.
@@ -497,13 +535,20 @@ func (c *CPU) issue(cycle uint64) (issued int, limited bool) {
 	for ti := range c.threads {
 		t := &c.threads[ti]
 		any := uint64(0)
-		for i, w := range t.next {
-			t.ready[i] |= w
-			t.next[i] = 0
-			any |= t.ready[i]
+		if slot := cycle & (wheelSlots - 1); t.occupied[slot>>6]&(1<<(slot&63)) != 0 {
+			t.occupied[slot>>6] &^= 1 << (slot & 63)
+			words := len(t.ready)
+			mask := t.wheel[int(slot)*words : int(slot+1)*words]
+			for i, w := range mask {
+				t.ready[i] |= w
+				mask[i] = 0
+			}
 		}
-		for len(t.wake) > 0 && t.wake[0].at <= cycle {
-			idx := t.wake.pop().slot
+		for _, w := range t.ready {
+			any |= w
+		}
+		for len(t.late) > 0 && t.late[0].at <= cycle {
+			idx := t.late.pop().slot
 			t.ready[idx>>6] |= uint64(1) << uint(idx&63)
 			any = 1
 		}
@@ -792,14 +837,20 @@ func (c *CPU) fetchThread(t *thread, cycle uint64) (dispatched int) {
 // arm schedules the entry in ROB slot idx, whose producers have all
 // issued, to join the ready set when its operands arrive. The caller runs
 // in cycle's issue or fetch stage, so the next issue stage is at cycle+1
-// at the earliest: an entry arriving by then goes into next, later ones
-// into the heap.
+// at the earliest: an entry arriving by then is filed for cycle+1. One
+// arriving fewer than wheelSlots cycles after cycle goes into its
+// arrival's wheel slot, which no entry of another arrival cycle can
+// share: that slot's previous arrival cycle is drained by then, its next
+// lies beyond the span. A later arrival goes into the overflow heap.
 func (t *thread) arm(idx int, cycle uint64) {
-	if at := t.rob[idx].readyAt; at > cycle+1 {
-		t.wake.push(armedEntry{at: at, slot: idx})
+	at := max(t.rob[idx].readyAt, cycle+1)
+	if at-cycle >= wheelSlots {
+		t.late.push(armedEntry{at: at, slot: idx})
 		return
 	}
-	t.next[idx>>6] |= uint64(1) << uint(idx&63)
+	slot := int(at & (wheelSlots - 1))
+	t.wheel[slot*len(t.ready)+idx>>6] |= uint64(1) << uint(idx&63)
+	t.occupied[slot>>6] |= 1 << uint(slot&63)
 }
 
 // depend links the entry dispatching into ROB slot idx to the in-flight
