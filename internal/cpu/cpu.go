@@ -232,7 +232,6 @@ type thread struct {
 
 	stream      trace.Stream
 	target      uint64 // retire target; 0 runs to stream end
-	streamEnded bool
 	fetchResume uint64
 	blockedOn   int // ROB slot of unresolved mispredicted branch, -1 none
 
@@ -264,6 +263,13 @@ type CPU struct {
 	queueCap    [2]int
 	poolSize    units
 	fetchRR     int // next thread offered the fetch stage
+
+	// Thread masks, bit ti for thread ti: short holds the threads that
+	// have not met their retire target (all of them when there is none),
+	// ended those whose stream has ended. Only threads in short and not
+	// in ended are offered the fetch stage.
+	short uint
+	ended uint
 }
 
 // New builds a single-threaded CPU over a memory hierarchy.
@@ -366,6 +372,7 @@ func (c *CPU) RunThreads(streams []trace.Stream, maxInstrsPerThread uint64) []Me
 		c.threads[i].stream = streams[i]
 		c.threads[i].target = maxInstrsPerThread
 	}
+	c.short, c.ended = 1<<uint(len(c.threads))-1, 0
 	cycle := uint64(0)
 	for {
 		cycle++
@@ -373,8 +380,8 @@ func (c *CPU) RunThreads(streams []trace.Stream, maxInstrsPerThread uint64) []Me
 			break
 		}
 		retired := c.retire(cycle)
-		if c.allRetired() {
-			break
+		if c.short == 0 {
+			break // every thread met its retire target
 		}
 		issued, limited := c.issue(cycle)
 		fetched := c.fetch(cycle)
@@ -400,29 +407,18 @@ func (c *CPU) RunThreads(streams []trace.Stream, maxInstrsPerThread uint64) []Me
 	return ms
 }
 
-// allRetired reports whether every thread has met its retire target.
-func (c *CPU) allRetired() bool {
-	for i := range c.threads {
-		if !c.threads[i].reachedTarget() {
-			return false
-		}
-	}
-	return true
-}
-
 // drained reports whether every thread's stream has ended and its ROB
 // emptied.
 func (c *CPU) drained() bool {
+	if c.ended != 1<<uint(len(c.threads))-1 {
+		return false
+	}
 	for i := range c.threads {
-		if t := &c.threads[i]; t.count > 0 || !t.streamEnded {
+		if c.threads[i].count > 0 {
 			return false
 		}
 	}
 	return true
-}
-
-func (t *thread) reachedTarget() bool {
-	return t.target != 0 && t.metrics.Instructions >= t.target
 }
 
 // nextEvent returns the earliest future cycle at which the machine's state
@@ -461,7 +457,7 @@ func (c *CPU) nextEvent(cycle uint64) (uint64, bool) {
 				earliest = e.done
 			}
 		}
-		if !t.streamEnded && t.fetchResume > cycle && t.fetchResume < earliest {
+		if c.ended&(1<<uint(i)) == 0 && t.fetchResume > cycle && t.fetchResume < earliest {
 			earliest = t.fetchResume
 		}
 	}
@@ -490,29 +486,39 @@ func (t *thread) nextArmed(cycle uint64) (uint64, bool) {
 }
 
 // retire commits completed instructions in order, each thread up to its
-// share of the issue width, returning how many retired.
+// share of the issue width, returning how many retired. A thread that
+// meets its retire target leaves the short mask.
 func (c *CPU) retire(cycle uint64) int {
 	total := 0
+	width := c.retireWidth
 	for ti := range c.threads {
 		t := &c.threads[ti]
-		for n := 0; n < c.retireWidth && t.count > 0; n++ {
-			e := &t.rob[t.head]
+		head, n := t.head, 0
+		for n < width && n < t.count {
+			e := &t.rob[head]
 			if !e.issued || e.done > cycle {
 				break
 			}
-			t.metrics.Instructions++
-			if d := e.in.Dest; d != trace.RegZero && t.rat[d] == t.head {
+			if d := e.in.Dest; d != trace.RegZero && t.rat[d] == head {
 				t.rat[d] = -1 // the value is architectural state now
 			}
 			if op := int(e.in.Op); op < trace.NumOpClasses {
 				t.retiredOps[op]++
 			}
-			t.head++
-			if t.head == len(t.rob) {
-				t.head = 0
+			if head++; head == len(t.rob) {
+				head = 0
 			}
-			t.count--
-			total++
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		t.head = head
+		t.count -= n
+		t.metrics.Instructions += uint64(n)
+		total += n
+		if t.target != 0 && t.metrics.Instructions >= t.target {
+			c.short &^= 1 << uint(ti)
 		}
 	}
 	return total
@@ -733,31 +739,41 @@ func (t *thread) wakeConsumers(idx int, cycle, done uint64) {
 	}
 }
 
-// fetch offers the fetch stage to one thread per cycle, round-robin,
-// passing it on while the offered thread fetches nothing, and returns how
-// many instructions were dispatched.
+// fetch offers the fetch stage to one thread per cycle, round-robin from
+// fetchRR, passing it on while the offered thread fetches nothing, and
+// returns how many instructions were dispatched. Only threads short of
+// their target whose stream has not ended and whose front end is neither
+// waiting (fetchResume) nor squashed by an unresolved misprediction are
+// offered; the rest would fetch nothing. The pointer moves past the thread
+// that fetched, or stays put when none did, as if every thread had been
+// offered in turn.
 func (c *CPU) fetch(cycle uint64) int {
-	for range c.threads {
-		t := &c.threads[c.fetchRR]
-		if c.fetchRR++; c.fetchRR == len(c.threads) {
-			c.fetchRR = 0
-		}
-		if n := c.fetchThread(t, cycle); n > 0 {
-			return n
+	rr, fetchable := uint(c.fetchRR), c.short&^c.ended
+	for _, m := range [2]uint{fetchable >> rr << rr, fetchable & (1<<rr - 1)} {
+		for ; m != 0; m &= m - 1 {
+			ti := bits.TrailingZeros(m)
+			t := &c.threads[ti]
+			if cycle < t.fetchResume || t.blockedOn >= 0 {
+				continue
+			}
+			if n := c.fetchThread(t, ti, cycle); n > 0 {
+				if c.fetchRR = ti + 1; c.fetchRR == len(c.threads) {
+					c.fetchRR = 0
+				}
+				return n
+			}
 		}
 	}
 	return 0
 }
 
-// fetchThread brings thread t's next instructions into its ROB partition
-// and queues, in order, unless its front end is squashed by an unresolved
-// misprediction. When an instruction cache is attached to the hierarchy,
-// crossing into a new instruction line costs an I-fetch; a miss stalls the
-// front end until the line arrives.
-func (c *CPU) fetchThread(t *thread, cycle uint64) (dispatched int) {
-	if t.streamEnded || cycle < t.fetchResume || t.blockedOn >= 0 || t.reachedTarget() {
-		return 0
-	}
+// fetchThread brings thread t's (thread ti's) next instructions into its
+// ROB partition and queues, in order, until the fetch width, a full ROB
+// or queue, a mispredicted branch, or the end of its stream. When an
+// instruction cache is attached to the hierarchy, crossing into a new
+// instruction line costs an I-fetch; a miss stalls the front end until the
+// line arrives.
+func (c *CPU) fetchThread(t *thread, ti int, cycle uint64) (dispatched int) {
 	for n := 0; n < c.cfg.FetchWidth; n++ {
 		if t.count >= len(t.rob) {
 			return dispatched
@@ -778,7 +794,7 @@ func (c *CPU) fetchThread(t *thread, cycle uint64) (dispatched int) {
 			// Held back by an instruction-cache stall, already decoded.
 			t.pending = false
 		} else if !t.stream.Next(in) {
-			t.streamEnded = true
+			c.ended |= 1 << uint(ti)
 			return dispatched
 		}
 		// Crossing into a new instruction line costs an I-fetch; a miss
