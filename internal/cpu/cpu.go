@@ -65,7 +65,8 @@ type Config struct {
 	// MispredictPenalty is the fetch-refill cost after a mispredicted
 	// branch resolves (7-stage pipeline front end).
 	MispredictPenalty int
-	// MaxCycles bounds a run defensively; 0 means no bound.
+	// MaxCycles bounds a run defensively: a run still going after cycle
+	// MaxCycles stops there and reports MaxCycles cycles. 0 means no bound.
 	MaxCycles uint64
 }
 
@@ -375,10 +376,10 @@ func (c *CPU) RunThreads(streams []trace.Stream, maxInstrsPerThread uint64) []Me
 	c.short, c.ended = 1<<uint(len(c.threads))-1, 0
 	cycle := uint64(0)
 	for {
-		cycle++
-		if c.cfg.MaxCycles != 0 && cycle > c.cfg.MaxCycles {
+		if c.cfg.MaxCycles != 0 && cycle >= c.cfg.MaxCycles {
 			break
 		}
+		cycle++
 		retired := c.retire(cycle)
 		if c.short == 0 {
 			break // every thread met its retire target

@@ -231,17 +231,21 @@ func TestStoresDoNotBlockRetirement(t *testing.T) {
 	}
 }
 
+// TestMaxCyclesBound runs a stream of missing loads far longer than the
+// bound, so the run is cut mid-stall, and checks it reports exactly
+// MaxCycles cycles.
 func TestMaxCyclesBound(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxCycles = 100
-	c := newCPU(t, cfg)
 	ins := make([]trace.Instr, 100000)
 	for i := range ins {
 		ins[i] = trace.Instr{PC: 0x80, Op: trace.Load, Dest: 7, Src1: 7, Addr: mem.Addr(0x100000 + i*577*64)}
 	}
-	m := c.Run(trace.NewSliceStream(ins), 0)
-	if m.Cycles > 101 {
-		t.Errorf("MaxCycles not honored: %d", m.Cycles)
+	for _, bound := range []uint64{1, 100, 7777} {
+		cfg := DefaultConfig()
+		cfg.MaxCycles = bound
+		m := newCPU(t, cfg).Run(trace.NewSliceStream(ins), 0)
+		if m.Cycles != bound {
+			t.Errorf("MaxCycles %d: run reported %d cycles", bound, m.Cycles)
+		}
 	}
 }
 
