@@ -163,9 +163,12 @@ chaosnet-smoke:
 # peer client plus per-node cell singleflight absorb the resets without
 # recomputation), and the NDJSON is byte-identical to a single-node
 # run. The companion fleet tests (steal rescue, peer ejection,
-# cross-node cache-fill race) ride along. All under the race detector.
+# cross-node cache-fill race) ride along, as do the cell resolver's
+# single-node contracts (concurrent cold resolutions compute once;
+# concurrent memory- and disk-tier replays count one hit each). All
+# under the race detector.
 cluster-smoke:
-	$(GO) test -race -count=1 -run 'TestClusterChaosSmoke|TestFleetSweepByteIdenticalNoDuplicates|TestFleetCacheFillRaceConverges|TestFleetStealRescuesStraggler|TestFleetEjectionComputesLocally|TestClusterHeaderContractsAgree' -timeout 600s ./internal/service
+	$(GO) test -race -count=1 -run 'TestClusterChaosSmoke|TestFleetSweepByteIdenticalNoDuplicates|TestFleetCacheFillRaceConverges|TestFleetStealRescuesStraggler|TestFleetEjectionComputesLocally|TestClusterHeaderContractsAgree|TestResolveCellDedupesOnOneNode|TestMemoTierConcurrentReplays' -timeout 600s ./internal/service
 
 # MRC smoke: the miss-ratio-curve profiling gate. Boots mctd, uploads a
 # generated v2 trace to /v1/mrc and runs a spec request, and requires a

@@ -305,30 +305,11 @@ func (c *Cache) ConflictBit(addr mem.Addr) (bit, present bool) {
 // the fill would displace anything at all. Policies that must decide
 // before filling (e.g. exclusion) use this preview.
 func (c *Cache) VictimCandidate(addr mem.Addr) (Line, bool) {
-	line := c.geom.Line(addr)
-	victim := -1
-	if c.scheme == IndexModulo {
-		base := int(uint64(line)&c.rowMask) * c.assoc
-		for i := base; i < base+c.assoc; i++ {
-			if !c.ways[i].Valid {
-				return Line{}, false
-			}
-			if victim < 0 || c.ways[i].lastUse < c.ways[victim].lastUse {
-				victim = i
-			}
-		}
-	} else {
-		for w := 0; w < c.assoc; w++ {
-			i := int(c.rowOf(w, line))*c.assoc + w
-			if !c.ways[i].Valid {
-				return Line{}, false
-			}
-			if victim < 0 || c.ways[i].lastUse < c.ways[victim].lastUse {
-				victim = i
-			}
-		}
+	i := c.victimSlot(c.geom.Line(addr))
+	if !c.ways[i].Valid {
+		return Line{}, false
 	}
-	return c.ways[victim], true
+	return c.ways[i], true
 }
 
 // Fill inserts the line containing addr, marking it dirty when requested

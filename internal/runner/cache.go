@@ -187,9 +187,10 @@ func CodeVersion() string { return codeVersionOnce() }
 
 // LoadRaw reads the raw cached result for a key already derived with
 // Key. A hit counts toward Stats; a miss counts nothing — the caller
-// decides whether a computation follows (the cluster layer peeks
-// without committing to compute, and a forwarded cell must not inflate
-// this node's miss count). Corruption handling matches load.
+// decides whether a computation follows (a cell may be forwarded to a
+// peer instead, and a peer's pull must not inflate this node's miss
+// count). StoreComputed counts the miss once a computation succeeds.
+// Corruption handling matches load.
 func (c *Cache) LoadRaw(slug, key string) (json.RawMessage, bool) {
 	raw, _, ok := c.load(slug, key)
 	if ok && c != nil {
@@ -199,8 +200,9 @@ func (c *Cache) LoadRaw(slug, key string) (json.RawMessage, bool) {
 }
 
 // NoteHit counts one hit answered in front of the cache — the service's
-// in-memory artifact tier — so Stats stays the single count of memo
-// hits whichever tier served them.
+// in-memory artifact tier, or a lookup that shared a concurrent one's
+// disk read — so Stats stays the single count of memo hits whichever
+// tier served them.
 func (c *Cache) NoteHit() {
 	if c != nil {
 		c.hits.Add(1)
@@ -210,8 +212,9 @@ func (c *Cache) NoteHit() {
 // StoreRaw writes a raw result under a pre-derived key — the cross-node
 // cache-fill path: a cell computed by a remote owner is written through
 // to the local cache so later lookups replay as local hits. Counts
-// neither hit nor miss (the work happened elsewhere). The bytes are
-// stored in the form Memo stores: checked and compacted by json.Marshal.
+// neither hit nor miss (the work happened elsewhere). The bytes came
+// from a peer, so they are checked and put in the form every entry
+// takes: compacted and HTML-escaped by json.Marshal.
 func (c *Cache) StoreRaw(slug, key string, raw json.RawMessage) error {
 	if c == nil {
 		return nil
@@ -223,6 +226,25 @@ func (c *Cache) StoreRaw(slug, key string, raw json.RawMessage) error {
 	return c.store(slug, key, enc)
 }
 
+// StoreComputed records a cell computed in this process under a key
+// already derived with Key: it counts one miss and stores raw as is. raw
+// must be json.Marshal output — valid, compact and HTML-escaped — which
+// is the form StoreRaw and Memo give every entry. The miss is counted
+// only here, once a computation has succeeded, so misses mean "cells
+// this process computed": a canceled or failed attempt whose retry
+// recomputes does not count the cell twice, and misses summed across a
+// fleet equal the cells it computed. A store failure is logged, not
+// returned: the result is correct, only its memoization is lost.
+func (c *Cache) StoreComputed(slug, key string, raw json.RawMessage) {
+	if c == nil {
+		return
+	}
+	c.misses.Add(1)
+	if err := c.store(slug, key, raw); err != nil {
+		c.log("%v", err)
+	}
+}
+
 // Memo returns the cached result for (slug, payload) if present, else runs
 // compute, stores its result, and returns it. hit reports whether the
 // value came from disk.
@@ -232,15 +254,13 @@ func (c *Cache) StoreRaw(slug, key string, raw json.RawMessage) error {
 // hits it produce bit-identical output. A result type that loses
 // information through JSON (an unexported field, say) therefore shows up
 // immediately in golden tests instead of only on the second invocation.
-// For T = json.RawMessage that round trip is the identity on bytes
-// already checked, so decodeResult skips it.
 func Memo[T any](c *Cache, slug string, payload any, compute func() (T, error)) (v T, hit bool, err error) {
 	key, err := Key(slug, payload)
 	if err != nil {
 		return v, false, err
 	}
 	if raw, at, ok := c.load(slug, key); ok {
-		if decodeResult(raw, &v) == nil {
+		if json.Unmarshal(raw, &v) == nil {
 			if c != nil {
 				c.hits.Add(1)
 			}
@@ -254,37 +274,13 @@ func Memo[T any](c *Cache, slug string, payload any, compute func() (T, error)) 
 	if err != nil {
 		return v, false, err
 	}
-	// The miss counts only once compute succeeds, making misses mean
-	// "cells this process actually computed": a canceled or failed
-	// attempt whose retry recomputes must not count the cell twice —
-	// the fleet-wide zero-duplicate accounting (sum of misses across
-	// nodes == cells computed) depends on this.
-	if c != nil {
-		c.misses.Add(1)
-	}
 	raw, err := json.Marshal(computed)
 	if err != nil {
 		return v, false, fmt.Errorf("runner: encoding result %s: %w", slug, err)
 	}
-	if err := decodeResult(raw, &v); err != nil {
+	if err := json.Unmarshal(raw, &v); err != nil {
 		return v, false, fmt.Errorf("runner: round-tripping result %s: %w", slug, err)
 	}
-	if err := c.store(slug, key, raw); err != nil {
-		// Non-fatal: the result is correct, only the memoization is lost.
-		c.log("%v", err)
-	}
+	c.StoreComputed(slug, key, raw)
 	return v, false, nil
-}
-
-// decodeResult decodes a checked result into v. A json.RawMessage result
-// is the bytes themselves: they are already valid JSON — json.Marshal
-// produced them (compact, HTML-escaped) before they were stored, and a
-// hit's checksum proves they are those bytes — and decoding them again
-// would only re-scan them and copy them into an identical slice.
-func decodeResult[T any](raw json.RawMessage, v *T) error {
-	if p, ok := any(v).(*json.RawMessage); ok {
-		*p = raw
-		return nil
-	}
-	return json.Unmarshal(raw, v)
 }

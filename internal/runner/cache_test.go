@@ -432,15 +432,16 @@ func TestRawAccessorsCounterSemantics(t *testing.T) {
 	}
 }
 
-// TestMemoRawMessageMatchesRoundTrip: Memo[json.RawMessage] skips the
-// second decode of bytes the envelope already checked, and must still
-// return exactly what the JSON round trip returned — compact, with <, >
-// and & HTML-escaped — on the computing miss and on the replaying hit.
+// TestMemoRawMessageMatchesRoundTrip: every entry holds json.Marshal
+// output — compact, with <, > and & HTML-escaped. StoreRaw checks a
+// peer's bytes and puts them in that form; StoreComputed stores bytes
+// this process marshalled as they are and counts the miss. Either entry
+// replays through LoadRaw, and through Memo, as exactly the JSON round
+// trip.
 func TestMemoRawMessageMatchesRoundTrip(t *testing.T) {
 	in := json.RawMessage(" {\n\t\"a\" : \"<b>&c</b>\",  \"n\": [ 1, 2 ,3 ] ,\"o\":{ } }\n")
 	const want = `{"a":"\u003cb\u003e\u0026c\u003c/b\u003e","n":[1,2,3],"o":{}}`
-	// The reference: the generic round trip Memo applies to every other
-	// result type.
+	// The reference: the round trip Memo applies to every result.
 	enc, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
@@ -454,29 +455,53 @@ func TestMemoRawMessageMatchesRoundTrip(t *testing.T) {
 	}
 
 	c := Open(t.TempDir())
-	for _, wantHit := range []bool{false, true} {
-		v, hit, err := Memo(c, "raw", 1, func() (json.RawMessage, error) { return in, nil })
-		if err != nil || hit != wantHit {
-			t.Fatalf("Memo = (hit %v, %v), want hit %v", hit, err, wantHit)
-		}
-		if string(v) != string(ref) {
-			t.Errorf("hit=%v: Memo returned %s, want the round-trip bytes %s", hit, v, ref)
+	peer, err := Key("raw", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.StoreRaw("raw", peer, in); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.StoreRaw("raw", peer, json.RawMessage(`{"a":`)); err == nil {
+		t.Error("StoreRaw stored bytes that are not JSON")
+	}
+	own, err := Key("raw", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.StoreComputed("raw", own, enc)
+	if h, m := c.Stats(); h != 0 || m != 1 {
+		t.Fatalf("after StoreRaw and StoreComputed: hits=%d misses=%d, want 0/1", h, m)
+	}
+	for _, key := range []string{peer, own} {
+		if raw, ok := c.LoadRaw("raw", key); !ok || string(raw) != want {
+			t.Errorf("LoadRaw = (%s, %v), want the round-trip bytes %s", raw, ok, want)
 		}
 	}
-	if h, m := c.Stats(); h != 1 || m != 1 {
-		t.Fatalf("stats = %d hits / %d misses, want 1/1", h, m)
+	for _, payload := range []int{1, 2} {
+		v, hit, err := Memo(c, "raw", payload, func() (json.RawMessage, error) {
+			t.Fatal("Memo recomputed a stored entry")
+			return nil, nil
+		})
+		if err != nil || !hit || string(v) != want {
+			t.Errorf("Memo = (%s, hit %v, %v), want the round-trip bytes %s", v, hit, err, want)
+		}
+	}
+	if h, m := c.Stats(); h != 4 || m != 1 {
+		t.Fatalf("stats = %d hits / %d misses, want 4/1", h, m)
 	}
 	c.NoteHit()
-	if h, _ := c.Stats(); h != 2 {
-		t.Errorf("NoteHit: hits = %d, want 2", h)
+	if h, _ := c.Stats(); h != 5 {
+		t.Errorf("NoteHit: hits = %d, want 5", h)
 	}
-	var nc *Cache
-	nc.NoteHit() // nil cache: a no-op like the rest of the API
+	var nc *Cache // nil cache: a no-op like the rest of the API
+	nc.NoteHit()
+	nc.StoreComputed("raw", own, enc)
 }
 
-// BenchmarkMemoHitRaw measures one Memo[json.RawMessage] hit on a 100 KB
-// entry: the index lookup, the frame read and its checksum; no JSON pass
-// runs over the result bytes.
+// BenchmarkMemoHitRaw measures one LoadRaw hit on a 100 KB entry: the
+// index lookup, the frame read and its checksum; no JSON pass runs over
+// the result bytes.
 func BenchmarkMemoHitRaw(b *testing.B) {
 	body := make([]byte, 75_000)
 	for i := range body {
@@ -490,15 +515,16 @@ func BenchmarkMemoHitRaw(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := Open(b.TempDir())
-	compute := func() (json.RawMessage, error) { return result, nil }
-	if _, _, err := Memo(c, "bench-raw", 1, compute); err != nil {
+	key, err := Key("bench-raw", 1)
+	if err != nil {
 		b.Fatal(err)
 	}
+	c.StoreComputed("bench-raw", key, result)
 	b.SetBytes(int64(len(result)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, hit, err := Memo(c, "bench-raw", 1, compute); err != nil || !hit {
-			b.Fatalf("hit=%v err=%v", hit, err)
+		if _, ok := c.LoadRaw("bench-raw", key); !ok {
+			b.Fatal("miss")
 		}
 	}
 }

@@ -12,20 +12,20 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/runner"
 )
 
-// This file is the service side of the cluster subsystem: cell routing
-// (memoCell), the forwarding client path with the straggler-steal
+// This file is the cell path and the service side of the cluster
+// subsystem: the one resolver every memoizable cell goes through
+// (resolveCell), the forwarding client path with the straggler-steal
 // hedge (remoteCell), and the two internal peer endpoints — POST
 // /v1/cluster/cell (execute one cell here) and GET /v1/cache/{key}
 // (serve a finished cell from the memo cache without computing).
 //
-// The invariant that keeps forwarding loop-free: only memoCell ever
-// consults the ring, and the cell handler never calls memoCell — a
-// forwarded cell is always computed locally by its receiver, so the
-// forwarding depth is one by construction even when two nodes briefly
-// disagree about ring membership.
+// The invariant that keeps forwarding loop-free: only a resolution with
+// route set ever consults the ring, and the cell handler resolves with
+// route unset — a forwarded cell is always computed locally by its
+// receiver, so the forwarding depth is one by construction even when two
+// nodes briefly disagree about ring membership.
 
 // reqMeta is the caller context a request carries into its fan-out:
 // the job/trace ID, the idempotency key, and the brownout priority.
@@ -72,49 +72,65 @@ func (s *Service) computeWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// gate bounds concurrent local cell computation to computeWorkers when
-// the node is clustered. Without it, a clustered sweep's widened
-// fan-out (sized for network-bound forwards) would also widen local
-// compute; with it, at most computeWorkers cells compute here at once
-// while any number of forwards stay in flight. Unclustered, gate is
-// the identity — the single-node path is untouched.
-func (s *Service) gate(ctx context.Context, compute func() (json.RawMessage, error)) func() (json.RawMessage, error) {
-	if s.compSem == nil {
-		return compute
-	}
-	return func() (json.RawMessage, error) {
-		select {
-		case s.compSem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		defer func() { <-s.compSem }()
-		return compute()
-	}
-}
-
 // cellFlight is one in-flight resolution of a cell on this node;
 // concurrent callers for the same key share it instead of duplicating
-// the work (runner.Memo alone has no in-flight dedupe — two concurrent
-// misses both compute).
+// the work.
 type cellFlight struct {
 	done chan struct{}
-	raw  json.RawMessage
-	hit  bool
-	err  error
+	res  cellResult
 }
 
-// singleflightCell coalesces concurrent same-cell work on this node:
-// the first caller leads (runs fn), the rest wait and share its
-// result. A waiter whose leader failed claims leadership and retries
-// rather than inheriting the failure — the leader may have lost to a
-// transient fault the waiter would not hit. Together with the
-// origin-side forward singleflight in cluster.ExecCell, this is what
-// makes "every cell computes exactly once fleet-wide" hold even when
-// the same cell is demanded concurrently on several nodes: each node
-// resolves it at most once, and all but the owner resolve it by
-// forwarding or from cache.
-func (s *Service) singleflightCell(ctx context.Context, key string, fn func() (json.RawMessage, bool, error)) (json.RawMessage, bool, error) {
+// resolveCell is the one path every memoizable cell takes — a
+// single-cell spec, a sweep cell, a forwarded cell — under a
+// cache.lookup span. Concurrent resolutions of one key share a flight:
+// the first caller leads, the rest wait and share its result. A waiter
+// whose leader failed claims leadership and retries rather than
+// inheriting the failure — the leader may have lost to a transient fault
+// the waiter would not hit. The leader probes the memo cache once; on a
+// miss it forwards the cell to its ring owner when route is set and the
+// ring names a peer, and otherwise — or when the forward fails after its
+// retries — computes and stores it here. Health degradation never fails
+// a job, it only moves work.
+//
+// Each resolution counts one memo hit or none in Stats: a waiter that
+// shares the leader's disk read counts its own hit, and a cell computed
+// here counts one miss however many callers share it. With the
+// origin-side forward singleflight in cluster.ExecCell, this makes
+// "every cell computes exactly once fleet-wide" hold even when the same
+// cell is demanded concurrently on several nodes.
+func (s *Service) resolveCell(ctx context.Context, c cell, route bool) (json.RawMessage, bool, error) {
+	if c.keyErr != nil {
+		return nil, false, c.keyErr
+	}
+	lctx, sp := obs.Start(ctx, "cache.lookup")
+	sp.Str("cell", c.label)
+	r := s.joinFlight(ctx, c.slug+"\x00"+c.key, func() cellResult {
+		if raw, ok := s.cache.LoadRaw(c.slug, c.key); ok {
+			return cellResult{raw: raw, hit: true, local: true}
+		}
+		if route {
+			if owner, local := s.cluster.Owner(c.key); !local {
+				if r := s.remoteCell(ctx, lctx, owner, c); r.err == nil {
+					return r
+				}
+				// Remote owner unreachable after retries: compute locally below.
+			}
+		}
+		raw, err := s.computeCell(ctx, lctx, c)
+		return cellResult{raw: raw, err: err}
+	})
+	sp.Bool("hit", r.hit)
+	if r.hit {
+		sp.Str("tier", tierDisk)
+	}
+	sp.Err(r.err)
+	sp.End()
+	return r.raw, r.hit, r.err
+}
+
+// joinFlight runs lead as the flight for key, or waits for the flight
+// already running and shares its result (see resolveCell).
+func (s *Service) joinFlight(ctx context.Context, key string, lead func() cellResult) cellResult {
 	for {
 		s.flightMu.Lock()
 		if f, ok := s.flights[key]; ok {
@@ -122,10 +138,13 @@ func (s *Service) singleflightCell(ctx context.Context, key string, fn func() (j
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return nil, false, ctx.Err()
+				return cellResult{err: ctx.Err()}
 			}
-			if f.err == nil {
-				return f.raw, f.hit, nil
+			if f.res.err == nil {
+				if f.res.local {
+					s.cache.NoteHit()
+				}
+				return f.res
 			}
 			continue
 		}
@@ -135,47 +154,49 @@ func (s *Service) singleflightCell(ctx context.Context, key string, fn func() (j
 		}
 		s.flights[key] = f
 		s.flightMu.Unlock()
-		f.raw, f.hit, f.err = fn()
+		f.res = lead()
 		s.flightMu.Lock()
 		delete(s.flights, key)
 		s.flightMu.Unlock()
 		close(f.done)
-		return f.raw, f.hit, f.err
+		return f.res
 	}
 }
 
-// memoCell is the single path every memoizable cell (classify spec,
-// sweep cell) goes through: local cache, then the ring. A remote-owned
-// cell is forwarded to its owner; on any remote failure the cell falls
-// back to local compute — health degradation never fails a job, it
-// only moves work. Unclustered, this is exactly runner.Memo.
-func (s *Service) memoCell(ctx context.Context, slug string, payload any, compute func() (json.RawMessage, error)) (json.RawMessage, bool, error) {
-	if !s.cluster.Enabled() {
-		return runner.Memo(s.cache, slug, payload, compute)
+// computeCell is the one local compute-and-store step, taken by a cell
+// this node resolves itself and by a straggler it steals. The compute
+// runs behind the compute gate: clustered, at most computeWorkers cells
+// compute here at once, so a clustered sweep's fan-out (widened for
+// network-bound forwards) does not also widen local compute.
+// Unclustered the gate is open: a node-wide gate there would let an
+// attempt abandoned at its deadline hold a slot for good. The result is
+// stored, under a cache.store span below lookup, as the bytes compute
+// marshalled.
+func (s *Service) computeCell(ctx, lookup context.Context, c cell) (json.RawMessage, error) {
+	if s.compSem != nil {
+		select {
+		case s.compSem <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		defer func() { <-s.compSem }()
 	}
-	key, err := runner.Key(slug, payload)
+	raw, err := c.compute(ctx)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return s.singleflightCell(ctx, slug+"\x00"+key, func() (json.RawMessage, bool, error) {
-		if raw, ok := s.cache.LoadRaw(slug, key); ok {
-			return raw, true, nil
-		}
-		if owner, local := s.cluster.Owner(key); !local {
-			if raw, hit, rerr := s.remoteCell(ctx, owner, slug, payload, key, compute); rerr == nil {
-				return raw, hit, nil
-			}
-			// Remote owner unreachable after retries: compute locally below.
-		}
-		return runner.Memo(s.cache, slug, payload, s.gate(ctx, compute))
-	})
+	_, st := obs.Start(lookup, "cache.store")
+	s.cache.StoreComputed(c.slug, c.key, raw)
+	st.End()
+	return raw, nil
 }
 
-// cellResult is one resolution of a remote cell, by whichever path won.
+// cellResult is one resolution of a cell, by whichever path won.
 type cellResult struct {
 	raw    json.RawMessage
 	hit    bool
 	err    error
+	local  bool // a hit read from this node's memo cache
 	stolen bool // resolved by local compute, already in the local cache
 }
 
@@ -186,18 +207,20 @@ type cellResult struct {
 // results are written through to the local cache (cross-node fill), so
 // the next lookup — this job's retry, another job, paperbench on the
 // same cache dir — replays as a local hit.
-func (s *Service) remoteCell(ctx context.Context, owner, slug string, payload any, key string, compute func() (json.RawMessage, error)) (json.RawMessage, bool, error) {
-	enc, err := json.Marshal(payload)
+// lookup is the resolution's cache.lookup span context, which a stolen
+// compute's cache.store span hangs under.
+func (s *Service) remoteCell(ctx, lookup context.Context, owner string, c cell) cellResult {
+	enc, err := json.Marshal(c.payload)
 	if err != nil {
-		return nil, false, fmt.Errorf("service: encoding cell payload: %w", err)
+		return cellResult{err: fmt.Errorf("service: encoding cell payload: %w", err)}
 	}
 	m := metaFrom(ctx)
-	creq := cluster.CellRequest{Slug: slug, Payload: enc, Key: key}
-	fm := cluster.ForwardMeta{TraceID: m.jobID, Priority: m.priority, IdemKey: cellIdemKey(slug, key, m)}
+	creq := cluster.CellRequest{Slug: c.slug, Payload: enc, Key: c.key}
+	fm := cluster.ForwardMeta{TraceID: m.jobID, Priority: m.priority, IdemKey: cellIdemKey(c.slug, c.key, m)}
 
 	_, sp := obs.Start(ctx, "cluster.forward")
 	sp.Str("owner", owner)
-	sp.Str("slug", slug)
+	sp.Str("slug", c.slug)
 	defer sp.End()
 
 	fctx, cancel := context.WithCancel(ctx)
@@ -208,18 +231,18 @@ func (s *Service) remoteCell(ctx context.Context, owner, slug string, payload an
 		primary <- cellResult{raw: raw, hit: hit, err: ferr}
 	}()
 
-	finish := func(r cellResult) (json.RawMessage, bool, error) {
+	finish := func(r cellResult) cellResult {
 		if r.err != nil {
 			sp.Err(r.err)
-			return nil, false, r.err
+			return r
 		}
 		if !r.stolen {
-			if serr := s.cache.StoreRaw(slug, key, r.raw); serr == nil {
+			if serr := s.cache.StoreRaw(c.slug, c.key, r.raw); serr == nil {
 				s.cluster.NoteFill()
 			}
 		}
 		sp.Bool("hit", r.hit)
-		return r.raw, r.hit, nil
+		return r
 	}
 
 	var stealC <-chan time.Time
@@ -233,14 +256,14 @@ func (s *Service) remoteCell(ctx context.Context, owner, slug string, payload an
 	case r := <-primary:
 		return finish(r)
 	case <-ctx.Done():
-		return nil, false, ctx.Err()
+		return cellResult{err: ctx.Err()}
 	case <-stealC:
 	}
 
 	// Straggler: steal the cell. Pull first (cheap, and the owner may
 	// have finished the work even if the forward's response is stuck),
-	// then local compute through runner.Memo (which stores the result,
-	// so a late-arriving primary changes nothing).
+	// then the local compute-and-store step (the result is stored, so a
+	// late-arriving primary changes nothing).
 	s.cluster.NoteSteal()
 	sp.Bool("steal", true)
 	second := make(chan cellResult, 1)
@@ -250,14 +273,14 @@ func (s *Service) remoteCell(ctx context.Context, owner, slug string, payload an
 			pullTimeout = time.Second
 		}
 		pctx, pcancel := context.WithTimeout(fctx, pullTimeout)
-		raw, ok, _ := s.cluster.PullCache(pctx, owner, slug, key)
+		raw, ok, _ := s.cluster.PullCache(pctx, owner, c.slug, c.key)
 		pcancel()
 		if ok {
 			second <- cellResult{raw: raw, hit: true}
 			return
 		}
-		raw2, hit, cerr := runner.Memo(s.cache, slug, payload, s.gate(fctx, compute))
-		second <- cellResult{raw: raw2, hit: hit, err: cerr, stolen: true}
+		raw2, cerr := s.computeCell(fctx, lookup, c)
+		second <- cellResult{raw: raw2, err: cerr, stolen: true}
 	}()
 	select {
 	case r := <-primary:
@@ -270,7 +293,7 @@ func (s *Service) remoteCell(ctx context.Context, owner, slug string, payload an
 		case r2 := <-second:
 			return finish(r2)
 		case <-ctx.Done():
-			return nil, false, ctx.Err()
+			return cellResult{err: ctx.Err()}
 		}
 	case r := <-second:
 		if r.err == nil {
@@ -285,24 +308,28 @@ func (s *Service) remoteCell(ctx context.Context, owner, slug string, payload an
 			}
 			return finish(r) // surface the local compute error
 		case <-ctx.Done():
-			return nil, false, ctx.Err()
+			return cellResult{err: ctx.Err()}
 		}
 	case <-ctx.Done():
-		return nil, false, ctx.Err()
+		return cellResult{err: ctx.Err()}
 	}
 }
 
 // execCellLocal validates and executes one forwarded cell on this node,
-// through the same supervision, task labels, memoization, and compute
-// gate a locally-originated cell gets — fault injection, slow-task
-// logging, and retry policy treat a cell identically wherever it runs.
-// Never consults the ring (see the loop-freedom invariant above).
+// through the same supervision, task labels, resolver and compute gate a
+// locally-originated cell gets — fault injection, slow-task logging, and
+// retry policy treat a cell identically wherever it runs. It resolves
+// with route unset, under the same flight key as local demand for the
+// cell, so it never consults the ring (see the loop-freedom invariant
+// above) and coalesces with a concurrent local resolution.
 func (s *Service) execCellLocal(ctx context.Context, creq cluster.CellRequest) (json.RawMessage, bool, error) {
 	c, err := s.forwardedCell(creq)
 	if err != nil {
 		return nil, false, err
 	}
-	return superviseCell(s, ctx, c, s.ownCell)
+	return superviseCell(s, ctx, c, func(ctx context.Context, c cell) (json.RawMessage, bool, error) {
+		return s.resolveCell(ctx, c, false)
+	})
 }
 
 // forwardedCell rebuilds the cell a peer sent: a single-cell endpoint's
@@ -325,20 +352,6 @@ func (s *Service) forwardedCell(creq cluster.CellRequest) (cell, error) {
 		return cell{}, fmt.Errorf("%w: cell payload: %v", ErrBadRequest, err)
 	}
 	return s.experimentCell(creq.Slug, creq.Slug, p), nil
-}
-
-// ownCell computes (or replays) a forwarded cell here: the memo cache
-// behind the compute gate, under the same flight key memoCell uses, so a
-// forwarded execution coalesces with concurrent local demand for the
-// cell instead of computing it a second time.
-func (s *Service) ownCell(ctx context.Context, c cell) (json.RawMessage, bool, error) {
-	key, err := runner.Key(c.slug, c.payload)
-	if err != nil {
-		return nil, false, err
-	}
-	return s.singleflightCell(ctx, c.slug+"\x00"+key, func() (json.RawMessage, bool, error) {
-		return runner.Memo(s.cache, c.slug, c.payload, s.gate(ctx, func() (json.RawMessage, error) { return c.compute(ctx) }))
-	})
 }
 
 // experimentRaw computes one experiment cell and returns its marshaled

@@ -345,9 +345,7 @@ func TestFleetCacheFillRaceConverges(t *testing.T) {
 			wg.Add(1)
 			go func(idx int, s *Service) {
 				defer wg.Done()
-				raw, _, err := s.memoCell(context.Background(), "fig2", p, func() (json.RawMessage, error) {
-					return s.experimentRaw(context.Background(), "fig2", p)
-				})
+				raw, _, err := s.resolveCell(context.Background(), s.experimentCell("fig2", "fig2", p), true)
 				results[idx], errs[idx] = raw, err
 			}(n*callersPerNode+c, nodes[n].svc)
 		}
@@ -433,9 +431,7 @@ func TestFleetStealRescuesStraggler(t *testing.T) {
 	}
 
 	start := time.Now()
-	raw, _, err := nodes[0].svc.memoCell(context.Background(), "fig2", p, func() (json.RawMessage, error) {
-		return nodes[0].svc.experimentRaw(context.Background(), "fig2", p)
-	})
+	raw, _, err := nodes[0].svc.resolveCell(context.Background(), nodes[0].svc.experimentCell("fig2", "fig2", p), true)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +445,7 @@ func TestFleetStealRescuesStraggler(t *testing.T) {
 	if got := nodes[0].cl.Counters().Steals; got == 0 {
 		t.Error("steal counter is zero though the owner was wedged")
 	}
-	// The stolen result is in the local cache (runner.Memo stored it).
+	// The stolen result is in the local cache (the steal stored it).
 	key, _ := runner.Key("fig2", p)
 	if _, ok := nodes[0].svc.Cache().LoadRaw("fig2", key); !ok {
 		t.Error("stolen cell not in the local cache")

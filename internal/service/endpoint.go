@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
@@ -57,7 +56,7 @@ type endpoint struct {
 }
 
 // endpoints is the table, in route-registration (and metric) order.
-// Built in init: the rows' functions reach memoCell, which looks rows
+// Built in init: the rows' functions reach resolveCell, which looks rows
 // up by slug, so a plain initializer would be an initialization cycle.
 var endpoints []*endpoint
 
@@ -67,10 +66,9 @@ func init() {
 		newSpec: func() spec { return new(ClassifySpec) },
 		cell: func(s *Service, sp spec) cell {
 			c := *sp.(*ClassifySpec)
-			return cell{label: "classify/" + c.Workload, slug: classifySlug, payload: c,
-				compute: func(ctx context.Context) (json.RawMessage, error) {
-					return s.streamRaw(ctx, c.stream, workloadStream(c.Workload, c.Seed, c.Accesses))
-				}}
+			return newCell("classify/"+c.Workload, classifySlug, c, func(ctx context.Context) (json.RawMessage, error) {
+				return s.streamRaw(ctx, c.stream, workloadStream(c.Workload, c.Seed, c.Accesses))
+			})
 		},
 		upload: func(s *Service, q url.Values) (streamFunc, error) {
 			var c ClassifySpec
@@ -88,10 +86,9 @@ func init() {
 		newSpec: func() spec { return new(MRCSpec) },
 		cell: func(s *Service, sp spec) cell {
 			m := *sp.(*MRCSpec)
-			return cell{label: "mrc/" + m.Workload, slug: mrcSlug, payload: m,
-				compute: func(ctx context.Context) (json.RawMessage, error) {
-					return s.streamRaw(ctx, m.stream, workloadStream(m.Workload, m.Seed, m.Accesses))
-				}}
+			return newCell("mrc/"+m.Workload, mrcSlug, m, func(ctx context.Context) (json.RawMessage, error) {
+				return s.streamRaw(ctx, m.stream, workloadStream(m.Workload, m.Seed, m.Accesses))
+			})
 		},
 		upload: func(s *Service, q url.Values) (streamFunc, error) {
 			var m MRCSpec
@@ -142,9 +139,9 @@ type stats struct {
 // artifact is the memoized product of a single-cell spec: the complete,
 // pre-rendered NDJSON response body plus its work counts. Caching the
 // rendered bytes (rather than re-rendering on hit) makes the cold-vs-warm
-// byte-identity property trivially true: runner.Memo round-trips the
-// artifact through JSON either way, so the handler writes literally the
-// same bytes whether the result was computed or replayed. An artifact
+// byte-identity property trivially true: the handler decodes the same
+// stored bytes whether the result was computed or replayed, so it writes
+// literally the same body either way. An artifact
 // held by the memory tier is shared by every request that hits it, so
 // Body is read-only once resolved: handlers write it, never modify it.
 type artifact struct {
@@ -351,12 +348,26 @@ func decodeStrict(r io.Reader, v any) error {
 // cell is one memoizable unit of work: a whole classify or mrc spec, or
 // one sweep experiment at concrete parameters. label is its supervised
 // task label (classify/<workload>, mrc/<workload>, sweep/<id>), the key
-// fault injection and the slow-task log match on.
+// fault injection and the slow-task log match on. key is the memo key of
+// (slug, payload), derived once when the cell is built; keyErr is set
+// instead when the payload cannot be keyed, and resolving the cell
+// fails with it.
 type cell struct {
 	label   string
 	slug    string
+	key     string
+	keyErr  error
 	payload any
+	// compute returns the cell's result as json.Marshal output: the
+	// bytes the memo cache stores as they are.
 	compute func(ctx context.Context) (json.RawMessage, error)
+}
+
+// newCell builds a cell and derives its memo key: the one runner.Key
+// call any resolution of the cell makes.
+func newCell(label, slug string, payload any, compute func(ctx context.Context) (json.RawMessage, error)) cell {
+	key, err := runner.Key(slug, payload)
+	return cell{label: label, slug: slug, key: key, keyErr: err, payload: payload, compute: compute}
 }
 
 // memoResult is one resolved cell: its raw artifact and whether the memo
@@ -414,15 +425,11 @@ const (
 
 // lookupArtifact resolves a single-cell spec to its decoded artifact:
 // from the memory tier when a previous request already hit it on disk,
-// else through lookupCell, admitting the artifact to the tier on a disk
+// else through resolveCell, admitting the artifact to the tier on a disk
 // hit. It runs inside the supervised task, so task labels, fault
 // injection, retries and deadlines treat a memory hit like any other.
 func (s *Service) lookupArtifact(ctx context.Context, c cell) (artifact, bool, error) {
-	key, err := runner.Key(c.slug, c.payload)
-	if err != nil {
-		return artifact{}, false, err
-	}
-	if art, ok := s.arts.get(key); ok {
+	if art, ok := s.arts.get(c.key); ok {
 		_, sp := obs.Start(ctx, "cache.lookup")
 		sp.Str("cell", c.label)
 		sp.Bool("hit", true)
@@ -431,7 +438,7 @@ func (s *Service) lookupArtifact(ctx context.Context, c cell) (artifact, bool, e
 		s.cache.NoteHit()
 		return art, true, nil
 	}
-	raw, hit, err := s.lookupCell(ctx, c)
+	raw, hit, err := s.resolveCell(ctx, c, true)
 	if err != nil {
 		return artifact{}, false, err
 	}
@@ -440,43 +447,15 @@ func (s *Service) lookupArtifact(ctx context.Context, c cell) (artifact, bool, e
 		return artifact{}, false, fmt.Errorf("service: decoding %s artifact: %w", c.slug, err)
 	}
 	if hit {
-		s.arts.add(key, art)
+		s.arts.add(c.key, art)
 	}
 	return art, hit, nil
 }
 
-// lookupCell resolves a cell through memoCell — local cache, then
-// (clustered) the hash ring — under a cache.lookup span. A cell computed
-// here gets a cache.store child span: the memo store runs between the
-// compute's return and memoCell's, so the span covers exactly it. (A
-// cluster steal may compute after memoCell has returned; its span is
-// never ended, so never exported.)
-func (s *Service) lookupCell(ctx context.Context, c cell) (json.RawMessage, bool, error) {
-	lctx, sp := obs.Start(ctx, "cache.lookup")
-	sp.Str("cell", c.label)
-	var store atomic.Pointer[obs.Span]
-	raw, hit, err := s.memoCell(ctx, c.slug, c.payload, func() (json.RawMessage, error) {
-		raw, err := c.compute(ctx)
-		if err == nil {
-			_, st := obs.Start(lctx, "cache.store")
-			store.Store(st)
-		}
-		return raw, err
-	})
-	store.Swap(nil).End()
-	sp.Bool("hit", hit)
-	if hit {
-		sp.Str("tier", tierDisk)
-	}
-	sp.Err(err)
-	sp.End()
-	return raw, hit, err
-}
-
 // streamRaw computes a single-cell spec: its kernel over the workload it
-// names, rendered into the marshaled artifact — the exact bytes
-// runner.Memo stores, so local compute, forwarded cells, and cache
-// replay agree byte for byte.
+// names, rendered into the marshaled artifact — the exact bytes the memo
+// cache stores, so local compute, forwarded cells, and cache replay
+// agree byte for byte.
 func (s *Service) streamRaw(ctx context.Context, run streamFunc, src trace.Stream) (json.RawMessage, error) {
 	var buf bytes.Buffer
 	st, err := run(ctx, trace.NewStreamBatcher(src), (&ndjsonWriter{w: &buf}).emit)
@@ -490,8 +469,7 @@ func (s *Service) streamRaw(ctx context.Context, run streamFunc, src trace.Strea
 // experimentCell is one sweep artifact at concrete parameters, memoized
 // under the same (slug, Params) key cmd/paperbench uses.
 func (s *Service) experimentCell(id, slug string, p experiments.Params) cell {
-	return cell{label: "sweep/" + id, slug: slug, payload: p,
-		compute: func(ctx context.Context) (json.RawMessage, error) { return s.experimentRaw(ctx, slug, p) }}
+	return newCell("sweep/"+id, slug, p, func(ctx context.Context) (json.RawMessage, error) { return s.experimentRaw(ctx, slug, p) })
 }
 
 // countingReader counts bytes read from an upload body so ingest can be

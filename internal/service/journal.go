@@ -114,8 +114,8 @@ type RecoveryStats struct {
 
 // Recover replays the job journal into the registry and re-drives every
 // unfinished job: spec jobs re-run through their endpoint's row (a
-// sweep's finished cells replay from the memo cache through lookupCell
-// and runner.Memo, so only interrupted cells recompute; a classify or
+// sweep's finished cells replay from the memo cache through
+// resolveCell, so only interrupted cells recompute; a classify or
 // MRC spec resolves as one supervised cell), and uploads — whose request
 // bodies were never retained — are marked failed. Re-driven work runs in
 // background goroutines that Drain waits for. After replay the journal
@@ -242,7 +242,7 @@ func mustRecord(rec jobRecord) []byte {
 // stream has no client attached — the value of the re-run is that its
 // cells land in the memo cache, so the client's retried request (same
 // idempotency key or same spec) replays them byte-identical through
-// lookupCell and runner.Memo instead of recomputing.
+// resolveCell instead of recomputing.
 func (s *Service) redrive(ctx context.Context, id, kind string, rawSpec json.RawMessage) {
 	s.recoverWG.Add(1)
 	go func() {

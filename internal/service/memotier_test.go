@@ -248,22 +248,35 @@ func TestMemoTierConcurrentReplays(t *testing.T) {
 	}
 }
 
-// BenchmarkResolveSpecWarm measures the memo-lookup layer of a warm
-// single-cell spec below HTTP: resolveSpec on an ~80 KB emit=misses
-// classify artifact, answered by the disk cache (file read, envelope and
-// artifact decode) and by the memory tier.
-func BenchmarkResolveSpecWarm(b *testing.B) {
+// BenchmarkResolveSpec measures the memo layer of a single-cell spec
+// below HTTP: resolveSpec on an ~80 KB emit=misses classify artifact,
+// built, computed and stored for a never-seen seed (cold), answered by
+// the disk cache (file read, envelope and artifact decode), and answered
+// by the memory tier.
+func BenchmarkResolveSpec(b *testing.B) {
 	s := New(Config{CacheDir: b.TempDir()})
 	defer func() { _ = s.Drain(context.Background()) }()
-	sp := &ClassifySpec{Workload: "tomcatv", Accesses: 9600, Emit: EmitMisses}
-	if err := sp.prepare(s); err != nil {
-		b.Fatal(err)
+	spec := func(seed uint64) cell {
+		sp := &ClassifySpec{Workload: "tomcatv", Accesses: 9600, Emit: EmitMisses, Seed: seed}
+		if err := sp.prepare(s); err != nil {
+			b.Fatal(err)
+		}
+		return endpointByKind("classify").cell(s, sp)
 	}
-	c := endpointByKind("classify").cell(s, sp)
+	c := spec(0)
 	out, err := s.resolveSpec(context.Background(), c) // cold: compute and store
 	if err != nil {
 		b.Fatal(err)
 	}
+	seed := uint64(1 << 32) // past the warm cases' seed; never repeats across runs
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			seed++
+			if o, err := s.resolveSpec(context.Background(), spec(seed)); err != nil || o.misses != 1 {
+				b.Fatalf("cold resolve: misses %d, err %v", o.misses, err)
+			}
+		}
+	})
 	tier := s.arts
 	for _, bc := range []struct {
 		name string

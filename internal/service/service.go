@@ -159,9 +159,10 @@ type Service struct {
 	arts  *memoTier     // decoded artifacts re-referenced on disk; nil with NoCache
 	logf  func(format string, args ...any)
 
-	// Cluster spine: the ring + forwarding layer (nil single-node) and
-	// the local-compute semaphore that keeps a clustered sweep's widened
-	// fan-out from widening local compute (nil when unclustered).
+	// Cell spine: the ring + forwarding layer (nil single-node), the
+	// local-compute semaphore that keeps a clustered sweep's widened
+	// fan-out from widening local compute (nil when unclustered), and the
+	// per-key flights of resolveCell, clustered or not.
 	cluster  *cluster.Cluster
 	compSem  chan struct{}
 	flightMu sync.Mutex

@@ -129,13 +129,12 @@ func sweepCells(p experiments.Params, arts []experiments.Artifact, seeds []uint6
 // pool, each memoized under the same (slug, Params) key cmd/paperbench
 // uses — a sweep the CLI already computed replays from cache, and vice
 // versa. A sweep killed mid-flight and resubmitted recomputes only the
-// unfinished cells because the finished ones replay through lookupCell
-// from runner.Memo. Clustered, each cell routes through memoCell —
-// remote-owned cells forward to their ring owner — and the fan-out
-// widens beyond local compute capacity so forwards overlap while the
-// compute gate keeps local work bounded. Returns the NDJSON lines in
-// cell order, cache-hit counts, and the pool's error (a MultiError
-// under partial results).
+// unfinished cells because the finished ones replay from the memo cache
+// through resolveCell. Clustered, remote-owned cells forward to their
+// ring owner, and the fan-out widens beyond local compute capacity so
+// forwards overlap while the compute gate keeps local work bounded.
+// Returns the NDJSON lines in cell order, cache-hit counts, and the
+// pool's error (a MultiError under partial results).
 func (s *Service) runSweep(ctx context.Context, p experiments.Params, arts []experiments.Artifact, seeds []uint64) ([]sweepLine, uint64, uint64, error) {
 	cells := sweepCells(p, arts, seeds)
 
@@ -162,7 +161,7 @@ func (s *Service) runSweep(ctx context.Context, p experiments.Params, arts []exp
 	for i, def := range cells {
 		c := s.experimentCell(def.id, def.art.Slug, def.p)
 		tasks[i] = runner.NewTask(c.label, func(tctx context.Context) (memoResult, error) {
-			raw, hit, err := s.lookupCell(tctx, c)
+			raw, hit, err := s.resolveCell(tctx, c, true)
 			if err != nil {
 				return memoResult{}, err
 			}

@@ -35,7 +35,10 @@ func (c *chainSet) get() uint8 { return c.regs[c.i] }
 // put records the element's result register and advances to the next chain.
 func (c *chainSet) put(v uint8) {
 	c.regs[c.i] = v
-	c.i = (c.i + 1) % c.n
+	c.i++
+	if c.i == c.n {
+		c.i = 0
+	}
 }
 
 // kernelBase embeds the common identity fields. bodies > 1 gives the
