@@ -165,10 +165,10 @@ chaosnet-smoke:
 # run. The companion fleet tests (steal rescue, peer ejection,
 # cross-node cache-fill race) ride along, as do the cell resolver's
 # single-node contracts (concurrent cold resolutions compute once;
-# concurrent memory- and disk-tier replays count one hit each). All
-# under the race detector.
+# concurrent memory- and disk-tier replays count one hit each; a
+# panicking compute releases its flight). All under the race detector.
 cluster-smoke:
-	$(GO) test -race -count=1 -run 'TestClusterChaosSmoke|TestFleetSweepByteIdenticalNoDuplicates|TestFleetCacheFillRaceConverges|TestFleetStealRescuesStraggler|TestFleetEjectionComputesLocally|TestClusterHeaderContractsAgree|TestResolveCellDedupesOnOneNode|TestMemoTierConcurrentReplays' -timeout 600s ./internal/service
+	$(GO) test -race -count=1 -run 'TestClusterChaosSmoke|TestFleetSweepByteIdenticalNoDuplicates|TestFleetCacheFillRaceConverges|TestFleetStealRescuesStraggler|TestFleetEjectionComputesLocally|TestClusterHeaderContractsAgree|TestResolveCellDedupesOnOneNode|TestResolveCellPanicReleasesKey|TestMemoTierConcurrentReplays' -timeout 600s ./internal/service
 
 # MRC smoke: the miss-ratio-curve profiling gate. Boots mctd, uploads a
 # generated v2 trace to /v1/mrc and runs a spec request, and requires a

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -102,30 +104,56 @@ func (s *Service) resolveCell(ctx context.Context, c cell, route bool) (json.Raw
 	if c.keyErr != nil {
 		return nil, false, c.keyErr
 	}
-	lctx, sp := obs.Start(ctx, "cache.lookup")
-	sp.Str("cell", c.label)
+	lookup := startLookup(ctx, c)
 	r := s.joinFlight(ctx, c.slug+"\x00"+c.key, func() cellResult {
 		if raw, ok := s.cache.LoadRaw(c.slug, c.key); ok {
 			return cellResult{raw: raw, hit: true, local: true}
 		}
 		if route {
 			if owner, local := s.cluster.Owner(c.key); !local {
-				if r := s.remoteCell(ctx, lctx, owner, c); r.err == nil {
+				if r := s.remoteCell(ctx, lookup, owner, c); r.err == nil {
 					return r
 				}
 				// Remote owner unreachable after retries: compute locally below.
 			}
 		}
-		raw, err := s.computeCell(ctx, lctx, c)
+		raw, err := s.computeCell(ctx, lookup, c)
 		return cellResult{raw: raw, err: err}
 	})
-	sp.Bool("hit", r.hit)
-	if r.hit {
-		sp.Str("tier", tierDisk)
-	}
-	sp.Err(r.err)
-	sp.End()
+	lookup.end(r.hit, tierDisk, r.err)
 	return r.raw, r.hit, r.err
+}
+
+// lookupSpan is one resolution's cache.lookup span. computeCell's
+// cache.store span hangs under it while it is open (mu orders the two);
+// a steal that finishes after its resolution ended (the primary forward
+// won) stores without one, so no span is exported under an ended lookup.
+type lookupSpan struct {
+	ctx  context.Context
+	sp   *obs.Span
+	mu   sync.Mutex
+	done bool
+}
+
+// startLookup opens the cache.lookup span for one resolution of c.
+func startLookup(ctx context.Context, c cell) *lookupSpan {
+	lctx, sp := obs.Start(ctx, "cache.lookup")
+	sp.Str("cell", c.label)
+	return &lookupSpan{ctx: lctx, sp: sp}
+}
+
+// end records the lookup's outcome — hit, the tier that answered a hit,
+// any error — and ends its span.
+func (l *lookupSpan) end(hit bool, tier string, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.done = true
+	l.sp.Bool("hit", hit)
+	if hit {
+		l.sp.Str("tier", tier)
+	}
+	l.sp.Err(err)
+	l.sp.End()
 }
 
 // joinFlight runs lead as the flight for key, or waits for the flight
@@ -149,19 +177,26 @@ func (s *Service) joinFlight(ctx context.Context, key string, lead func() cellRe
 			continue
 		}
 		f := &cellFlight{done: make(chan struct{})}
-		if s.flights == nil {
-			s.flights = map[string]*cellFlight{}
-		}
 		s.flights[key] = f
 		s.flightMu.Unlock()
+		// Released on panic too: the task runner recovers a panicking
+		// compute into an error, and a flight left registered would hold
+		// every later resolution of the key until its own deadline. Its
+		// waiters see errFlightPanicked and take over.
+		f.res.err = errFlightPanicked
+		defer func() {
+			s.flightMu.Lock()
+			delete(s.flights, key)
+			s.flightMu.Unlock()
+			close(f.done)
+		}()
 		f.res = lead()
-		s.flightMu.Lock()
-		delete(s.flights, key)
-		s.flightMu.Unlock()
-		close(f.done)
 		return f.res
 	}
 }
+
+// errFlightPanicked is the result a panicked flight leaves its waiters.
+var errFlightPanicked = errors.New("service: cell resolution panicked")
 
 // computeCell is the one local compute-and-store step, taken by a cell
 // this node resolves itself and by a straggler it steals. The compute
@@ -170,9 +205,9 @@ func (s *Service) joinFlight(ctx context.Context, key string, lead func() cellRe
 // network-bound forwards) does not also widen local compute.
 // Unclustered the gate is open: a node-wide gate there would let an
 // attempt abandoned at its deadline hold a slot for good. The result is
-// stored, under a cache.store span below lookup, as the bytes compute
-// marshalled.
-func (s *Service) computeCell(ctx, lookup context.Context, c cell) (json.RawMessage, error) {
+// stored as the bytes compute marshalled, under a cache.store span below
+// lookup while lookup is open.
+func (s *Service) computeCell(ctx context.Context, lookup *lookupSpan, c cell) (json.RawMessage, error) {
 	if s.compSem != nil {
 		select {
 		case s.compSem <- struct{}{}:
@@ -185,7 +220,12 @@ func (s *Service) computeCell(ctx, lookup context.Context, c cell) (json.RawMess
 	if err != nil {
 		return nil, err
 	}
-	_, st := obs.Start(lookup, "cache.store")
+	lookup.mu.Lock()
+	defer lookup.mu.Unlock()
+	var st *obs.Span
+	if !lookup.done {
+		_, st = obs.Start(lookup.ctx, "cache.store")
+	}
 	s.cache.StoreComputed(c.slug, c.key, raw)
 	st.End()
 	return raw, nil
@@ -207,9 +247,10 @@ type cellResult struct {
 // results are written through to the local cache (cross-node fill), so
 // the next lookup — this job's retry, another job, paperbench on the
 // same cache dir — replays as a local hit.
-// lookup is the resolution's cache.lookup span context, which a stolen
-// compute's cache.store span hangs under.
-func (s *Service) remoteCell(ctx, lookup context.Context, owner string, c cell) cellResult {
+// lookup is the resolution's cache.lookup span; a stolen compute's
+// cache.store span hangs under it if the steal stores before the
+// resolution ends.
+func (s *Service) remoteCell(ctx context.Context, lookup *lookupSpan, owner string, c cell) cellResult {
 	enc, err := json.Marshal(c.payload)
 	if err != nil {
 		return cellResult{err: fmt.Errorf("service: encoding cell payload: %w", err)}
@@ -268,11 +309,7 @@ func (s *Service) remoteCell(ctx, lookup context.Context, owner string, c cell) 
 	sp.Bool("steal", true)
 	second := make(chan cellResult, 1)
 	go func() {
-		pullTimeout := s.cluster.StealAfterDelay()
-		if pullTimeout > time.Second {
-			pullTimeout = time.Second
-		}
-		pctx, pcancel := context.WithTimeout(fctx, pullTimeout)
+		pctx, pcancel := context.WithTimeout(fctx, min(s.cluster.StealAfterDelay(), time.Second))
 		raw, ok, _ := s.cluster.PullCache(pctx, owner, c.slug, c.key)
 		pcancel()
 		if ok {
@@ -282,37 +319,25 @@ func (s *Service) remoteCell(ctx, lookup context.Context, owner string, c cell) 
 		raw2, cerr := s.computeCell(fctx, lookup, c)
 		second <- cellResult{raw: raw2, err: cerr, stolen: true}
 	}()
-	select {
-	case r := <-primary:
-		if r.err == nil {
-			return finish(r)
-		}
-		// Forward failed after the steal launched: the steal is now the
-		// only path; wait it out.
+	// First success wins. If both fail, the steal's error surfaces: a
+	// local compute error is authoritative once the forward failed too.
+	var failed cellResult
+	for range 2 {
+		var r cellResult
 		select {
-		case r2 := <-second:
-			return finish(r2)
+		case r = <-primary:
+		case r = <-second:
 		case <-ctx.Done():
 			return cellResult{err: ctx.Err()}
 		}
-	case r := <-second:
 		if r.err == nil {
 			return finish(r)
 		}
-		// Steal failed (local compute error is authoritative only if the
-		// forward also fails); give the primary its chance.
-		select {
-		case r2 := <-primary:
-			if r2.err == nil {
-				return finish(r2)
-			}
-			return finish(r) // surface the local compute error
-		case <-ctx.Done():
-			return cellResult{err: ctx.Err()}
+		if failed.err == nil || r.stolen {
+			failed = r
 		}
-	case <-ctx.Done():
-		return cellResult{err: ctx.Err()}
 	}
+	return finish(failed)
 }
 
 // execCellLocal validates and executes one forwarded cell on this node,

@@ -370,13 +370,6 @@ func newCell(label, slug string, payload any, compute func(ctx context.Context) 
 	return cell{label: label, slug: slug, key: key, keyErr: err, payload: payload, compute: compute}
 }
 
-// memoResult is one resolved cell: its raw artifact and whether the memo
-// cache already held it.
-type memoResult struct {
-	raw json.RawMessage
-	hit bool
-}
-
 // resolveSpec resolves a single-cell spec as one supervised runner task
 // around the memo: exactly one memo hit or miss per request, whether the
 // memory tier or the disk cache answered.
@@ -428,13 +421,13 @@ const (
 // else through resolveCell, admitting the artifact to the tier on a disk
 // hit. It runs inside the supervised task, so task labels, fault
 // injection, retries and deadlines treat a memory hit like any other.
+// The tier stays in front of resolveCell rather than inside it because
+// it holds decoded artifacts while the resolver deals in the raw bytes
+// every cell kind shares; both record their cache.lookup span through
+// lookupSpan.
 func (s *Service) lookupArtifact(ctx context.Context, c cell) (artifact, bool, error) {
 	if art, ok := s.arts.get(c.key); ok {
-		_, sp := obs.Start(ctx, "cache.lookup")
-		sp.Str("cell", c.label)
-		sp.Bool("hit", true)
-		sp.Str("tier", tierMemory)
-		sp.End()
+		startLookup(ctx, c).end(true, tierMemory, nil)
 		s.cache.NoteHit()
 		return art, true, nil
 	}

@@ -206,9 +206,10 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:  cfg,
-		adm:  newAdmission(cfg.Capacity, cfg.MaxWaiters, cfg.PerClient, cfg.AdmitWait),
-		jobs: newJobs(cfg.MaxJobs),
+		cfg:     cfg,
+		adm:     newAdmission(cfg.Capacity, cfg.MaxWaiters, cfg.PerClient, cfg.AdmitWait),
+		jobs:    newJobs(cfg.MaxJobs),
+		flights: map[string]*cellFlight{},
 	}
 	s.logf = cfg.Logf
 	s.cluster = cfg.Cluster

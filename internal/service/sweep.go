@@ -107,15 +107,11 @@ type sweepCellDef struct {
 // with p.Seed overridden, in artifact-major order so output stays
 // grouped by experiment.
 func sweepCells(p experiments.Params, arts []experiments.Artifact, seeds []uint64) []sweepCellDef {
-	if len(seeds) == 0 {
-		cells := make([]sweepCellDef, len(arts))
-		for i, art := range arts {
-			cells[i] = sweepCellDef{art: art, p: p, id: art.Slug}
-		}
-		return cells
-	}
-	cells := make([]sweepCellDef, 0, len(arts)*len(seeds))
+	cells := make([]sweepCellDef, 0, len(arts)*max(len(seeds), 1))
 	for _, art := range arts {
+		if len(seeds) == 0 {
+			cells = append(cells, sweepCellDef{art: art, p: p, id: art.Slug})
+		}
 		for _, seed := range seeds {
 			ps := p
 			ps.Seed = seed
@@ -146,26 +142,16 @@ func (s *Service) runSweep(ctx context.Context, p experiments.Params, arts []exp
 		// Widen the coordinator fan-out past local compute capacity:
 		// forwards are network-bound and must overlap; actual local
 		// compute is bounded by the gate (compSem), not the pool width.
-		fan := s.computeWorkers() + 32
-		if fan > len(cells) {
-			fan = len(cells)
-		}
-		if fan < 1 {
-			fan = 1
-		}
-		opts = append(opts, runner.Workers(fan))
+		opts = append(opts, runner.Workers(max(min(s.computeWorkers()+32, len(cells)), 1)))
 	}
 	jobCtx := runner.WithOptions(ctx, append(opts, runner.PartialResults())...)
 
-	tasks := make([]runner.Task[memoResult], len(cells))
+	tasks := make([]runner.Task[cellResult], len(cells))
 	for i, def := range cells {
 		c := s.experimentCell(def.id, def.art.Slug, def.p)
-		tasks[i] = runner.NewTask(c.label, func(tctx context.Context) (memoResult, error) {
+		tasks[i] = runner.NewTask(c.label, func(tctx context.Context) (cellResult, error) {
 			raw, hit, err := s.resolveCell(tctx, c, true)
-			if err != nil {
-				return memoResult{}, err
-			}
-			return memoResult{raw, hit}, nil
+			return cellResult{raw: raw, hit: hit}, err
 		})
 	}
 	results, err := runner.Map(jobCtx, tasks)
