@@ -60,10 +60,11 @@ bench-diff:
 # wire versions through the mmap-backed batch kernel, and require the two
 # classifications to agree line for line (the leading line names the input
 # file and is stripped before diffing). The stream golden corpus (every
-# suite benchmark's full and memory-only streams, hashed at three seeds)
-# and the MemStream-vs-filter differential run first, also under -race.
+# suite benchmark's full and memory-only streams, hashed at three seeds),
+# the MemStream-vs-filter differentials (records and access columns) and
+# the single-scan cache probe differential run first, also under -race.
 batch-smoke:
-	$(GO) test -race -count=1 -run 'TestStreamFingerprintsMatchGolden|TestMemStreamMatchesMemOnlyFilter|TestFillerSkipMatchesLoop' ./internal/sim ./internal/workload
+	$(GO) test -race -count=1 -run 'TestStreamFingerprintsMatchGolden|TestMemStreamMatchesMemOnlyFilter|TestMemStreamColumnsMatchMemOnlyFilter|TestFillerSkipMatchesLoop|TestProbeFillSlotMatchesAccessFill' ./internal/sim ./internal/workload ./internal/cache
 	$(GO) test -race -count=1 -run 'TestClassifyBatchMatchesScalar|TestClassifyBatchAcrossWireFormats|TestClassifyUploadStreamsBeforeBodyComplete' ./internal/sim ./internal/service
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run -race ./cmd/tracegen -bench swim -n 20000 -seed 7 -format v1 -o $$tmp/swim.v1.mctr && \

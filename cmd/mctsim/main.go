@@ -123,8 +123,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mctsim:", err)
 			os.Exit(1)
 		}
-		src := trace.NewLimit(b.MemStream(*seed), *instrs)
-		sim.ClassifyBatched(run, trace.NewStreamBatcher(src), 0)
+		src := trace.StreamAccesses(trace.NewLimit(b.MemStream(*seed), *instrs))
+		sim.NewBatchClassifier(run, 0).ClassifyAll(src)
 		a := run.Acc
 		fmt.Printf("mct accuracy conflict %.1f%%  capacity %.1f%%  overall %.1f%%  (oracle conflict share %.1f%%)\n",
 			100*a.ConflictAccuracy(), 100*a.CapacityAccuracy(), 100*a.OverallAccuracy(), 100*a.ConflictShare())

@@ -263,17 +263,24 @@ func (c *Cache) victimSlot(line mem.LineAddr) int {
 // access type drives the stats split: only mem.Load misses count as
 // LoadMisses (IFetch and prefetch misses used to inflate that counter).
 func (c *Cache) Access(addr mem.Addr, typ mem.AccessType) bool {
+	i := c.findSlot(c.geom.Line(addr))
+	c.touch(i, typ)
+	return i >= 0
+}
+
+// touch accounts a demand access of type typ whose line was found in slot
+// i (-1 = a miss): the stats, and on a hit the LRU and dirty state.
+func (c *Cache) touch(i int, typ mem.AccessType) {
 	c.stats.Accesses++
 	if typ == mem.Store {
 		c.stats.Stores++
 	}
-	i := c.findSlot(c.geom.Line(addr))
 	if i < 0 {
 		c.stats.Misses++
 		if typ == mem.Load {
 			c.stats.LoadMisses++
 		}
-		return false
+		return
 	}
 	c.stats.Hits++
 	c.clock++
@@ -281,7 +288,40 @@ func (c *Cache) Access(addr mem.Addr, typ mem.AccessType) bool {
 	if typ == mem.Store {
 		c.ways[i].Dirty = true
 	}
-	return true
+}
+
+// Probe is Access in one scan of the line's candidate slots that, on a
+// miss, also finds the slot a Fill of addr would take (the first invalid
+// candidate in way order, else the LRU one). It returns the slot that hit,
+// or the fill's slot and false; FillSlot then completes the miss without
+// scanning again. Stats and LRU state change exactly as Access changes
+// them.
+func (c *Cache) Probe(addr mem.Addr, typ mem.AccessType) (slot int, hit bool) {
+	line := c.geom.Line(addr)
+	base, modulo := int(uint64(line)&c.rowMask)*c.assoc, c.scheme == IndexModulo
+	free, lru := -1, -1
+	for w := 0; w < c.assoc; w++ {
+		i := base + w
+		if !modulo {
+			i = int(c.rowOf(w, line))*c.assoc + w
+		}
+		switch l := &c.ways[i]; {
+		case !l.Valid:
+			if free < 0 {
+				free = i
+			}
+		case l.Addr == line:
+			c.touch(i, typ)
+			return i, true
+		case lru < 0 || l.lastUse < c.ways[lru].lastUse:
+			lru = i
+		}
+	}
+	c.touch(-1, typ)
+	if free >= 0 {
+		return free, false
+	}
+	return lru, false
 }
 
 // Contains reports whether the line holding addr is present, without
@@ -330,8 +370,20 @@ func (c *Cache) Fill(addr mem.Addr, dirty, conflict bool) Eviction {
 		}
 		return Eviction{}
 	}
+	return c.fillAt(c.victimSlot(line), line, dirty, conflict)
+}
+
+// FillSlot completes a miss that Probe reported: it fills addr into the
+// slot Probe returned, exactly as Fill would right after the Access. No
+// other operation on the cache may come between the two calls.
+func (c *Cache) FillSlot(slot int, addr mem.Addr, dirty, conflict bool) Eviction {
+	c.clock++
+	return c.fillAt(slot, c.geom.Line(addr), dirty, conflict)
+}
+
+// fillAt fills line into slot i, evicting the line there.
+func (c *Cache) fillAt(i int, line mem.LineAddr, dirty, conflict bool) Eviction {
 	c.stats.Fills++
-	i := c.victimSlot(line)
 	var ev Eviction
 	if c.ways[i].Valid {
 		c.stats.Evictions++

@@ -215,24 +215,6 @@ func (o *Oracle) Observe(addr mem.Addr, realHit bool) Kind {
 	return k
 }
 
-// classify turns the history's most recent referenceBatch into verdicts
-// for this rung, given which accesses hit its real cache.
-func (o *Oracle) classify(realHit []bool, kinds []Kind) {
-	seen, regions := o.h.seen, o.h.regions
-	n := len(seen)
-	realHit = realHit[:n]
-	kinds = kinds[:n]
-	for i, hit := range realHit {
-		if hit {
-			kinds[i] = Hit
-			continue
-		}
-		k := o.verdict(seen[i], regions[i])
-		o.counts[k]++
-		kinds[i] = k
-	}
-}
-
 // Counts returns how many misses the oracle has labeled compulsory,
 // capacity, and conflict.
 func (o *Oracle) Counts() (compulsory, capacity, conflict uint64) {
@@ -387,12 +369,23 @@ func (r *Run) verdict(matched, order int) core.Class {
 	return core.Capacity
 }
 
-// record folds the batch's miss verdicts into the accuracy accumulator.
-func (r *Run) record() {
-	for i, hit := range r.Hits {
-		if !hit {
-			r.Acc.Record(r.Kinds[i], r.Classes[i])
+// classify turns the history's most recent referenceBatch into the
+// rung's oracle verdicts, given which accesses hit its real cache, and
+// folds each miss's pair of verdicts into the accuracy accumulator.
+func (r *Run) classify() {
+	o := r.Oracle
+	seen, regions := o.h.seen, o.h.regions
+	n := len(seen)
+	hits, kinds, classes := r.Hits[:n], r.Kinds[:n], r.Classes[:n]
+	for i, hit := range hits {
+		if hit {
+			kinds[i] = Hit
+			continue
 		}
+		k := o.verdict(seen[i], regions[i])
+		o.counts[k]++
+		kinds[i] = k
+		r.Acc.Record(k, classes[i])
 	}
 }
 
@@ -413,7 +406,9 @@ type victims struct {
 
 // access plays a batch through the cache and the history in order (an
 // access observes the fills and evictions of every earlier one), leaving
-// each rung's MCT verdicts in its Classes.
+// each rung's MCT verdicts in its Classes. Each access scans its set
+// once: cache.Probe finds the hit or the slot a miss fills, and
+// cache.FillSlot writes that slot.
 func (v *victims) access(addrs []mem.Addr, stores []bool) {
 	if cap(v.hits) < len(addrs) {
 		v.hits = make([]bool, len(addrs))
@@ -427,7 +422,8 @@ func (v *victims) access(addrs []mem.Addr, stores []bool) {
 		if stores[i] {
 			typ = mem.Store
 		}
-		if hits[i] = c.Access(addr, typ); hits[i] {
+		slot, hit := c.Probe(addr, typ)
+		if hits[i] = hit; hit {
 			continue
 		}
 		set, tag := geom.Set(addr), geom.Tag(addr)
@@ -435,7 +431,7 @@ func (v *victims) access(addrs []mem.Addr, stores []bool) {
 		for _, r := range rungs {
 			r.Classes[i] = r.verdict(matched, order)
 		}
-		evict := c.Fill(addr, stores[i], rungs[0].Classes[i] == core.Conflict)
+		evict := c.FillSlot(slot, addr, stores[i], rungs[0].Classes[i] == core.Conflict)
 		if evict.Occurred {
 			h.RecordEviction(geom.SetOfLine(evict.Line), geom.TagOfLine(evict.Line))
 		}
@@ -540,7 +536,6 @@ func (l *Ladder) AccessBatch(addrs []mem.Addr, stores []bool) {
 	}
 	l.h.referenceBatch(addrs)
 	for _, r := range l.Rungs {
-		r.Oracle.classify(r.Hits, r.Kinds)
-		r.record()
+		r.classify()
 	}
 }

@@ -154,7 +154,7 @@ func measureLadder(prefix string, rungs []classify.Rung, p Params) ([][]rungResu
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s %s: %w", prefix, b.Name, err)
 			}
-			src := trace.NewStreamBatcher(trace.NewLimit(b.MemStream(p.Seed), p.MemAccesses))
+			src := trace.StreamAccesses(trace.NewLimit(b.MemStream(p.Seed), p.MemAccesses))
 			sim.NewBatchClassifier(l, 0).ClassifyAll(src)
 			res := make([]rungResult, len(rungs))
 			for k, r := range l.Rungs {

@@ -248,17 +248,18 @@ type ClassifySummary struct {
 }
 
 // stream is the classify kernel as a streamFunc: it plays every memory
-// access of src through the classifying cache and the oracle, one
-// struct-of-arrays batch at a time, emitting NDJSON records per the
-// spec's emit mode through emit (one call per line, already marshaled). Batches bound the resident state: an upload
-// is decoded ~256 records at a time straight off the request body, never
-// buffered whole, and the steady state allocates nothing per record. The
-// context is checked once per batch so an abandoned request stops doing
-// work promptly. src.Err() is consulted after the source ends (a
+// access of src through the classifying cache and the oracle, one batch
+// of address and store columns at a time, emitting NDJSON records per
+// the spec's emit mode through emit (one call per line, already
+// marshaled). Batches bound the resident state: an upload is decoded
+// ~256 records at a time straight off the request body, never buffered
+// whole, and the steady state allocates nothing per record. The context
+// is checked once per batch so an abandoned request stops doing work
+// promptly. src.Err() is consulted after the source ends (a
 // trace.Reader's decode error, truncation, or limit violation): a failed
 // source aborts the run before the summary line, so a truncated or
 // over-limit upload never masquerades as a complete classification.
-func (spec ClassifySpec) stream(ctx context.Context, src trace.BatchSource, emit func(v any) error) (stats, error) {
+func (spec ClassifySpec) stream(ctx context.Context, src trace.AccessSource, emit func(v any) error) (stats, error) {
 	var st stats
 	run, err := classify.NewRun(spec.cacheConfig(), spec.TagBits)
 	if err != nil {
@@ -269,8 +270,8 @@ func (spec ClassifySpec) stream(ctx context.Context, src trace.BatchSource, emit
 		if cerr := ctx.Err(); cerr != nil {
 			return st, cerr
 		}
-		n, m := bc.Classify(src)
-		if n == 0 {
+		m := bc.Classify(src)
+		if m == 0 {
 			break
 		}
 		if spec.Emit != EmitSummary {

@@ -128,7 +128,7 @@ type spec interface {
 
 // streamFunc runs one access source through an endpoint's kernel,
 // emitting NDJSON records in order.
-type streamFunc func(ctx context.Context, src trace.BatchSource, emit func(v any) error) (stats, error)
+type streamFunc func(ctx context.Context, src trace.AccessSource, emit func(v any) error) (stats, error)
 
 // stats counts a request's work for job accounting and tenant charging.
 type stats struct {
@@ -305,7 +305,7 @@ func (s *Service) serveUpload(w http.ResponseWriter, r *http.Request, ep *endpoi
 	}
 	nw := newNDJSONWriter(w)
 	_, sp := obs.Start(r.Context(), ep.kind+".upload")
-	st, err := stream(r.Context(), src, nw.emit)
+	st, err := stream(r.Context(), trace.NewRecordAccesses(src), nw.emit)
 	sp.Int("records", int64(st.Records))
 	sp.Err(err)
 	sp.End()
@@ -451,7 +451,7 @@ func (s *Service) lookupArtifact(ctx context.Context, c cell) (artifact, bool, e
 // agree byte for byte.
 func (s *Service) streamRaw(ctx context.Context, run streamFunc, src trace.Stream) (json.RawMessage, error) {
 	var buf bytes.Buffer
-	st, err := run(ctx, trace.NewStreamBatcher(src), (&ndjsonWriter{w: &buf}).emit)
+	st, err := run(ctx, trace.StreamAccesses(src), (&ndjsonWriter{w: &buf}).emit)
 	if err != nil {
 		return nil, err
 	}

@@ -173,12 +173,12 @@ func (spec MRCSpec) ladder() (*classify.Ladder, error) {
 
 // stream is the MRC kernel as a streamFunc: it plays every memory
 // access of src through one classifier ladder (a real cache and MCT per
-// requested size over one shared oracle stack), a struct-of-arrays
-// batch at a time through sim.BatchClassifier. Each point's miss ratio
+// requested size over one shared oracle stack), one batch of access
+// columns at a time through sim.BatchClassifier. Each point's miss ratio
 // is its rung's fully-associative miss count over the accesses, exact by
 // Mattson inclusion. After the source drains cleanly, the points stream
 // in ascending size order followed by the summary.
-func (spec MRCSpec) stream(ctx context.Context, src trace.BatchSource, emit func(v any) error) (stats, error) {
+func (spec MRCSpec) stream(ctx context.Context, src trace.AccessSource, emit func(v any) error) (stats, error) {
 	var st stats
 	ladder, err := spec.ladder()
 	if err != nil {
@@ -189,8 +189,8 @@ func (spec MRCSpec) stream(ctx context.Context, src trace.BatchSource, emit func
 		if cerr := ctx.Err(); cerr != nil {
 			return st, cerr
 		}
-		n, m := bc.Classify(src)
-		if n == 0 {
+		m := bc.Classify(src)
+		if m == 0 {
 			break
 		}
 		st.Records += uint64(m)

@@ -148,7 +148,7 @@ func TestClassifyUploadBoundedWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := spec.stream(context.Background(), rd, func(any) error { return nil })
+		st, err := spec.stream(context.Background(), trace.NewRecordAccesses(rd), func(any) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}

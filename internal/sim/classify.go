@@ -7,31 +7,30 @@ import (
 )
 
 // Kernel is what a BatchClassifier drives: a classification run or
-// ladder that takes the compacted memory references of one batch.
+// ladder that takes the memory references of one batch as columns.
 type Kernel interface {
 	AccessBatch(addrs []mem.Addr, stores []bool)
 }
 
-// BatchClassifier drives a classification kernel from SoA record batches:
-// it compacts each batch's loads and stores into parallel addr/store
-// arrays and hands them to the kernel in one call. All scratch is owned
-// by the classifier and reused, so the steady state allocates nothing per
+// BatchClassifier drives a classification kernel from an access source:
+// each Classify reads one batch of accesses into the classifier's own
+// address and store columns and hands them to the kernel in one call.
+// The columns are reused, so the steady state allocates nothing per
 // batch.
 type BatchClassifier struct {
-	// Addrs and Stores hold the compacted memory references of the most
-	// recent Classify call — the accesses whose verdicts sit at the same
-	// index in the kernel's per-record results (Run.Hits/Kinds/Classes).
-	// Valid until the next Classify.
+	// Addrs and Stores hold the accesses of the most recent Classify
+	// call — the accesses whose verdicts sit at the same index in the
+	// kernel's per-record results (Run.Hits/Kinds/Classes). Valid until
+	// the next Classify.
 	Addrs  []mem.Addr
 	Stores []bool
 
 	kernel Kernel
-	batch  *trace.Batch
 	size   int
 }
 
-// NewBatchClassifier builds a classifier over kernel processing batchSize
-// records per kernel call (0 = trace.DefaultBatchSize).
+// NewBatchClassifier builds a classifier over kernel processing up to
+// batchSize accesses per kernel call (0 = trace.DefaultBatchSize).
 func NewBatchClassifier(kernel Kernel, batchSize int) *BatchClassifier {
 	if batchSize <= 0 {
 		batchSize = trace.DefaultBatchSize
@@ -40,49 +39,39 @@ func NewBatchClassifier(kernel Kernel, batchSize int) *BatchClassifier {
 		Addrs:  make([]mem.Addr, batchSize),
 		Stores: make([]bool, batchSize),
 		kernel: kernel,
-		batch:  trace.NewBatch(batchSize),
 		size:   batchSize,
 	}
 }
 
-// Classify consumes one batch from src, classifying its memory references.
-// It returns the number of records read (0 = src exhausted; check
-// src.Err()) and how many of them were memory accesses. After it returns,
-// the kernel's per-record results cover exactly the mem accesses of this
-// batch, in order.
-func (bc *BatchClassifier) Classify(src trace.BatchSource) (records, memOps int) {
-	n := src.ReadBatch(bc.batch, bc.size)
-	if n == 0 {
-		return 0, 0
+// Classify reads one batch of accesses from src and classifies it. It
+// returns how many accesses it read (0 = src exhausted; check
+// src.Err()). After it returns, the kernel's per-record results cover
+// exactly Addrs and Stores, in order.
+func (bc *BatchClassifier) Classify(src trace.AccessSource) int {
+	m := src.ReadAccesses(bc.Addrs[:bc.size], bc.Stores[:bc.size])
+	bc.Addrs, bc.Stores = bc.Addrs[:m], bc.Stores[:m]
+	if m > 0 {
+		bc.kernel.AccessBatch(bc.Addrs, bc.Stores)
 	}
-	b := bc.batch
-	m := 0
-	for i := 0; i < n; i++ {
-		if b.Op[i].IsMem() {
-			bc.Addrs[m] = b.Addr[i]
-			bc.Stores[m] = b.Op[i] == trace.Store
-			m++
-		}
-	}
-	bc.kernel.AccessBatch(bc.Addrs[:m], bc.Stores[:m])
-	return n, m
+	return m
 }
 
 // ClassifyAll drains src, returning the total memory accesses classified.
-func (bc *BatchClassifier) ClassifyAll(src trace.BatchSource) uint64 {
+func (bc *BatchClassifier) ClassifyAll(src trace.AccessSource) uint64 {
 	var total uint64
 	for {
-		n, m := bc.Classify(src)
-		if n == 0 {
+		m := bc.Classify(src)
+		if m == 0 {
 			return total
 		}
 		total += uint64(m)
 	}
 }
 
-// ClassifyBatched replays every memory reference from a batch source
-// through run in batchSize blocks (0 = trace.DefaultBatchSize), returning
-// the number of memory accesses classified.
+// ClassifyBatched replays every memory reference of a record source (a
+// trace Reader or Mapped image) through run in batchSize blocks (0 =
+// trace.DefaultBatchSize), returning the number of memory accesses
+// classified.
 func ClassifyBatched(run *classify.Run, src trace.BatchSource, batchSize int) uint64 {
-	return NewBatchClassifier(run, batchSize).ClassifyAll(src)
+	return NewBatchClassifier(run, batchSize).ClassifyAll(trace.NewRecordAccesses(src))
 }

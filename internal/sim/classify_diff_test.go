@@ -76,12 +76,12 @@ func (r *scalarRef) replay(s trace.Stream, table *bytes.Buffer) uint64 {
 
 // batchReplay drains src through the batch kernel, capturing every
 // per-access verdict from Run.Hits/Kinds/Classes into table.
-func batchReplay(run *classify.Run, src trace.BatchSource, batchSize int, table *bytes.Buffer) uint64 {
+func batchReplay(run *classify.Run, src trace.AccessSource, batchSize int, table *bytes.Buffer) uint64 {
 	bc := NewBatchClassifier(run, batchSize)
 	var total uint64
 	for {
-		n, m := bc.Classify(src)
-		if n == 0 {
+		m := bc.Classify(src)
+		if m == 0 {
 			return total
 		}
 		for i := 0; i < m; i++ {
@@ -118,7 +118,9 @@ func newDiffRun(t testing.TB, cfg cache.Config, tagBits int) *classify.Run {
 // length guarantees a partial final batch), the batched path must produce
 // the same access count, the same accuracy accumulator, the same oracle
 // miss mix, and a byte-identical per-access verdict table as the scalar
-// reference.
+// reference. Each batch size is fed twice: the full stream through the
+// record adaptor, and the benchmark's MemStream, cut at the same access
+// count, through the column path.
 func TestClassifyBatchMatchesScalar(t *testing.T) {
 	for _, wl := range []string{"gcc", "swim"} {
 		b, ok := workload.ByName(wl)
@@ -138,25 +140,37 @@ func TestClassifyBatchMatchesScalar(t *testing.T) {
 					var want bytes.Buffer
 					wantN := scalar.replay(stream(), &want)
 
+					sources := []struct {
+						name string
+						open func() trace.AccessSource
+					}{
+						{"records", func() trace.AccessSource { return trace.StreamAccesses(stream()) }},
+						{"columns", func() trace.AccessSource {
+							return trace.StreamAccesses(trace.NewLimit(b.MemStream(seed), wantN))
+						}},
+					}
 					for _, batchSize := range []int{1, 255, 256, 257} {
-						batch := newDiffRun(t, cfg, tagBits)
-						var got bytes.Buffer
-						gotN := batchReplay(batch, trace.NewStreamBatcher(stream()), batchSize, &got)
-						if gotN != wantN {
-							t.Errorf("%s/batch%d: %d accesses, scalar classified %d", name, batchSize, gotN, wantN)
-						}
-						if batch.Acc != scalar.acc {
-							t.Errorf("%s/batch%d: accuracy %+v, scalar %+v", name, batchSize, batch.Acc, scalar.acc)
-						}
-						bcm, bca, bcf := batch.Oracle.Counts()
-						scm, sca, scf := scalar.oracle.Counts()
-						if bcm != scm || bca != sca || bcf != scf {
-							t.Errorf("%s/batch%d: oracle mix %d/%d/%d, scalar %d/%d/%d",
-								name, batchSize, bcm, bca, bcf, scm, sca, scf)
-						}
-						if !bytes.Equal(got.Bytes(), want.Bytes()) {
-							t.Errorf("%s/batch%d: verdict table differs from scalar (first divergence at byte %d)",
-								name, batchSize, firstDiff(got.Bytes(), want.Bytes()))
+						for _, src := range sources {
+							name := fmt.Sprintf("%s/batch%d/%s", name, batchSize, src.name)
+							batch := newDiffRun(t, cfg, tagBits)
+							var got bytes.Buffer
+							gotN := batchReplay(batch, src.open(), batchSize, &got)
+							if gotN != wantN {
+								t.Errorf("%s: %d accesses, scalar classified %d", name, gotN, wantN)
+							}
+							if batch.Acc != scalar.acc {
+								t.Errorf("%s: accuracy %+v, scalar %+v", name, batch.Acc, scalar.acc)
+							}
+							bcm, bca, bcf := batch.Oracle.Counts()
+							scm, sca, scf := scalar.oracle.Counts()
+							if bcm != scm || bca != sca || bcf != scf {
+								t.Errorf("%s: oracle mix %d/%d/%d, scalar %d/%d/%d",
+									name, bcm, bca, bcf, scm, sca, scf)
+							}
+							if !bytes.Equal(got.Bytes(), want.Bytes()) {
+								t.Errorf("%s: verdict table differs from scalar (first divergence at byte %d)",
+									name, firstDiff(got.Bytes(), want.Bytes()))
+							}
 						}
 					}
 				}
@@ -179,10 +193,11 @@ func firstDiff(a, b []byte) int {
 }
 
 // TestClassifyBatchAcrossWireFormats pins representation independence: the
-// same instruction stream classified live (StreamBatcher), from a legacy
-// v1 trace via the streaming Reader, from a fixed-stride v2 trace via the
-// Reader, and from a v2 image via the zero-copy Mapped path must all
-// reproduce the scalar verdict table byte for byte.
+// same instruction stream classified live (through the record adaptor),
+// its MemStream's access columns, a legacy v1 trace via the streaming
+// Reader, a fixed-stride v2 trace via the Reader, and a v2 image via the
+// zero-copy Mapped path must all reproduce the scalar verdict table byte
+// for byte.
 func TestClassifyBatchAcrossWireFormats(t *testing.T) {
 	b, ok := workload.ByName("gcc")
 	if !ok {
@@ -206,28 +221,31 @@ func TestClassifyBatchAcrossWireFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sources := map[string]func() trace.BatchSource{
-		"stream": func() trace.BatchSource { return trace.NewStreamBatcher(stream()) },
-		"reader-v1": func() trace.BatchSource {
+	sources := map[string]func() trace.AccessSource{
+		"stream": func() trace.AccessSource { return trace.StreamAccesses(stream()) },
+		"memstream": func() trace.AccessSource {
+			return trace.StreamAccesses(trace.NewLimit(b.MemStream(workload.DefaultSeed), wantN))
+		},
+		"reader-v1": func() trace.AccessSource {
 			r, err := trace.NewReader(bytes.NewReader(v1.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			return r
+			return trace.NewRecordAccesses(r)
 		},
-		"reader-v2": func() trace.BatchSource {
+		"reader-v2": func() trace.AccessSource {
 			r, err := trace.NewReader(bytes.NewReader(v2.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			return r
+			return trace.NewRecordAccesses(r)
 		},
-		"mapped-v2": func() trace.BatchSource {
+		"mapped-v2": func() trace.AccessSource {
 			m, err := trace.OpenMapped(v2.Bytes(), trace.Limits{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return m
+			return trace.NewRecordAccesses(m)
 		},
 	}
 	for name, open := range sources {
@@ -244,9 +262,10 @@ func TestClassifyBatchAcrossWireFormats(t *testing.T) {
 	}
 }
 
-// TestClassifyBatchedSteadyStateAllocs pins the whole ingest stack —
-// mapped decode, SoA compaction, batched cache+MCT+oracle update — at
-// zero allocations per replay once warmed.
+// TestClassifyBatchedSteadyStateAllocs pins both ingest stacks at zero
+// allocations once warmed: mapped decode, compaction by the record
+// adaptor and the batched cache+MCT+oracle update per replay, and a
+// MemStream's access columns through a classifier ladder per batch.
 func TestClassifyBatchedSteadyStateAllocs(t *testing.T) {
 	b, ok := workload.ByName("gcc")
 	if !ok {
@@ -255,12 +274,33 @@ func TestClassifyBatchedSteadyStateAllocs(t *testing.T) {
 	m := mappedV2(t, b.Stream(workload.DefaultSeed), 4*trace.DefaultBatchSize)
 	run := newDiffRun(t, cache.Config{Name: "L1D", Size: 16 << 10, LineSize: 64, Assoc: 1}, 0)
 	bc := NewBatchClassifier(run, 0)
-	bc.ClassifyAll(m) // warm: touch every line, size all scratch
+	records := trace.NewRecordAccesses(m)
+	bc.ClassifyAll(records) // warm: touch every line, size all scratch
 	if avg := testing.AllocsPerRun(100, func() {
 		m.Rewind()
-		bc.ClassifyAll(m)
+		bc.ClassifyAll(records)
 	}); avg != 0 {
 		t.Fatalf("batched classification steady state allocates %v allocs/replay, want 0", avg)
+	}
+
+	ladder, err := classify.NewLadder([]classify.Rung{
+		{Cache: cache.Config{Name: "L1D", Size: 8 << 10, LineSize: 64, Assoc: 1}},
+		{Cache: cache.Config{Name: "L1D", Size: 32 << 10, LineSize: 64, Assoc: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc = NewBatchClassifier(ladder, 0)
+	columns := trace.StreamAccesses(b.MemStream(workload.DefaultSeed))
+	for i := 0; i < 400; i++ { // warm: grow the burst buffer, touch the working set
+		bc.Classify(columns)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if bc.Classify(columns) != trace.DefaultBatchSize {
+			t.Fatal("MemStream columns ran short")
+		}
+	}); avg != 0 {
+		t.Fatalf("column classification steady state allocates %v allocs/batch, want 0", avg)
 	}
 }
 

@@ -219,11 +219,11 @@ func (w *Writer) WriteBatch(b *Batch) error {
 	return nil
 }
 
-// StreamBatcher adapts any Stream to a BatchSource, letting batch
-// consumers run directly off synthetic workload generators. The batches it
-// produces go through the Instr interface once per record, so it amortizes
-// nothing by itself — it exists so one kernel serves both binary traces
-// and generated streams.
+// StreamBatcher adapts any Stream to a BatchSource, for consumers that
+// need full records of a generated stream (trace writers, and
+// RecordAccesses over a stream that is not an AccessStream). The batches
+// it produces go through the Instr interface once per record, so it
+// amortizes nothing by itself.
 type StreamBatcher struct {
 	s  Stream
 	in Instr

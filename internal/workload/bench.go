@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 
+	"repro/internal/mem"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -43,8 +44,12 @@ func (b *Benchmark) Stream(seed uint64) trace.Stream { return b.stream(seed, fal
 // records trace.NewMemOnly(b.Stream(seed)) yields, every field equal, but
 // without building the ALU ops and branches between them. Consumers that
 // replay only the access stream (classification, miss-ratio curves,
-// functional hit-rate replays) should use it.
-func (b *Benchmark) MemStream(seed uint64) trace.Stream { return b.stream(seed, true) }
+// functional hit-rate replays) should use it. It is a trace.AccessStream:
+// ReadAccesses fills address and store columns straight from the
+// generator's burst buffer (see trace.StreamAccesses).
+func (b *Benchmark) MemStream(seed uint64) trace.AccessStream {
+	return memStream{b.stream(seed, true)}
+}
 
 func (b *Benchmark) stream(seed uint64, memOnly bool) *synthStream {
 	phases := b.Build()
@@ -106,6 +111,37 @@ func (s *synthStream) Next(out *trace.Instr) bool {
 	*out = s.em.buf[s.pos]
 	s.pos++
 	return true
+}
+
+// memStream is a memory-only synthStream. Only it offers the column
+// read: a full stream's buffer also holds the instructions between the
+// accesses.
+type memStream struct{ *synthStream }
+
+// ReadAccesses implements trace.AccessStream, copying each burst's
+// addresses and store flags out of the refill buffer.
+func (s memStream) ReadAccesses(addrs []mem.Addr, stores []bool) int {
+	stores = stores[:len(addrs)]
+	n := 0
+	for n < len(addrs) {
+		if s.pos >= len(s.em.buf) {
+			s.em.buf = s.em.buf[:0]
+			s.pos = 0
+			s.refill()
+			continue
+		}
+		burst := s.em.buf[s.pos:]
+		if left := len(addrs) - n; len(burst) > left {
+			burst = burst[:left]
+		}
+		for i := range burst {
+			addrs[n+i] = burst[i].Addr
+			stores[n+i] = burst[i].Op == trace.Store
+		}
+		n += len(burst)
+		s.pos += len(burst)
+	}
+	return n
 }
 
 func (s *synthStream) refill() {

@@ -33,6 +33,70 @@ func TestMemStreamMatchesMemOnlyFilter(t *testing.T) {
 	}
 }
 
+// memColumnRecords is how many accesses the column differential reads
+// per benchmark, seed and column length.
+const memColumnRecords = 30_000
+
+// TestMemStreamColumnsMatchMemOnlyFilter is the differential for the
+// column path: for every suite benchmark at the stream corpus's three
+// seeds, the access columns trace.StreamAccesses reads out of MemStream
+// must equal the address and store flag of each record of the generic
+// filter over the full stream. Column lengths 1, 7, 256 and 4096 make
+// reads straddle burst refills, and a Limit ending mid-burst must end
+// the columns exactly there. A full stream, bounded or not, must go
+// through the record adaptor and yield the same columns.
+func TestMemStreamColumnsMatchMemOnlyFilter(t *testing.T) {
+	for _, b := range Suite() {
+		for _, seed := range []uint64{DefaultSeed, 1, 42} {
+			want := trace.Drain(trace.NewLimit(trace.NewMemOnly(b.Stream(seed)), memColumnRecords))
+			check := func(name string, src trace.AccessSource, width, n int) {
+				t.Helper()
+				addrs, stores := make([]mem.Addr, width), make([]bool, width)
+				got := 0
+				for got < n {
+					k := src.ReadAccesses(addrs, stores)
+					if k == 0 {
+						t.Fatalf("%s/%d/%s/width%d: columns ended after %d of %d accesses", b.Name, seed, name, width, got, n)
+					}
+					for i := 0; i < k && got+i < n; i++ {
+						w := want[got+i]
+						if addrs[i] != w.Addr || stores[i] != (w.Op == trace.Store) {
+							t.Fatalf("%s/%d/%s/width%d: access %d is (%#x, store %v), want (%#x, store %v)",
+								b.Name, seed, name, width, got+i, addrs[i], stores[i], w.Addr, w.Op == trace.Store)
+						}
+					}
+					got += k
+				}
+			}
+			for _, width := range []int{1, 7, 256, 4096} {
+				check("memstream", trace.StreamAccesses(b.MemStream(seed)), width, memColumnRecords)
+
+				const cut = 10_007
+				ms := b.MemStream(seed).(memStream)
+				lim := trace.StreamAccesses(trace.NewLimit(ms, cut))
+				check("limit", lim, width, cut)
+				if k := lim.ReadAccesses(make([]mem.Addr, width), make([]bool, width)); k != 0 {
+					t.Fatalf("%s/%d/limit/width%d: %d accesses past the limit", b.Name, seed, width, k)
+				}
+				if ms.pos >= len(ms.em.buf) {
+					t.Fatalf("%s/%d/limit: the limit fell on a burst boundary; pick a cut inside a burst", b.Name, seed)
+				}
+
+				for name, s := range map[string]trace.Stream{
+					"full":       b.Stream(seed),
+					"full-limit": trace.NewLimit(b.Stream(seed), 1<<40),
+				} {
+					src := trace.StreamAccesses(s)
+					if _, ok := src.(*trace.RecordAccesses); !ok {
+						t.Fatalf("%s/%d/%s: StreamAccesses gave %T, want the record adaptor", b.Name, seed, name, src)
+					}
+					check(name, src, width, memColumnRecords)
+				}
+			}
+		}
+	}
+}
+
 // TestFillerSkipMatchesLoop checks the memory-only Filler's O(1) PC and
 // register arithmetic against the instruction-building loop, for counts
 // around one and two full turns of the allocator and from start positions
