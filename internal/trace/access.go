@@ -22,7 +22,7 @@ type AccessSource interface {
 // one.
 type AccessStream interface {
 	Stream
-	ReadAccesses(addrs []mem.Addr, stores []bool) int
+	AccessSource
 }
 
 // RecordAccesses is the adaptor from instruction records to access
@@ -75,7 +75,7 @@ func (a *RecordAccesses) Err() error { return a.src.Err() }
 func StreamAccesses(s Stream) AccessSource {
 	switch s := s.(type) {
 	case AccessStream:
-		return streamAccesses{s}
+		return s
 	case *Limit:
 		if inner, ok := s.inner.(AccessStream); ok {
 			return limitedAccesses{l: s, inner: inner}
@@ -83,12 +83,6 @@ func StreamAccesses(s Stream) AccessSource {
 	}
 	return NewRecordAccesses(NewStreamBatcher(s))
 }
-
-// streamAccesses is an AccessStream as an AccessSource; plain streams
-// cannot fail.
-type streamAccesses struct{ AccessStream }
-
-func (streamAccesses) Err() error { return nil }
 
 // limitedAccesses reads a Limit's inner AccessStream, counting the
 // accesses against the limit.
@@ -113,4 +107,4 @@ func (a limitedAccesses) ReadAccesses(addrs []mem.Addr, stores []bool) int {
 	return n
 }
 
-func (limitedAccesses) Err() error { return nil }
+func (a limitedAccesses) Err() error { return a.inner.Err() }

@@ -144,6 +144,9 @@ func (s memStream) ReadAccesses(addrs []mem.Addr, stores []bool) int {
 	return n
 }
 
+// Err implements trace.AccessStream; synthetic streams never fail.
+func (memStream) Err() error { return nil }
+
 func (s *synthStream) refill() {
 	if s.current == nil || s.burstLeft <= 0 {
 		pick := s.em.Rand().Intn(s.totalWeight)
