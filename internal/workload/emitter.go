@@ -165,9 +165,19 @@ func (e *Emitter) Filler(n int, fp bool, feed uint8) uint8 {
 		return feed
 	}
 	if e.memOnly {
+		// Wrap by subtraction rather than %: a filler seldom spans a
+		// whole turn of the allocator, and the two divisions by 62 were
+		// a third of a cold MRC spec's generator time.
 		e.pc += mem.Addr(4 * n)
-		last := (int(e.reg-firstAllocReg) + n - 1) % numAllocRegs
-		e.reg = firstAllocReg + uint8((last+1)%numAllocRegs)
+		last := int(e.reg-firstAllocReg) + n - 1
+		for last >= numAllocRegs {
+			last -= numAllocRegs
+		}
+		next := last + 1
+		if next == numAllocRegs {
+			next = 0
+		}
+		e.reg = firstAllocReg + uint8(next)
 		return firstAllocReg + uint8(last)
 	}
 	r := feed
