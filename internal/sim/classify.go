@@ -26,7 +26,6 @@ type BatchClassifier struct {
 	Stores []bool
 
 	kernel Kernel
-	size   int
 }
 
 // NewBatchClassifier builds a classifier over kernel processing up to
@@ -39,7 +38,6 @@ func NewBatchClassifier(kernel Kernel, batchSize int) *BatchClassifier {
 		Addrs:  make([]mem.Addr, batchSize),
 		Stores: make([]bool, batchSize),
 		kernel: kernel,
-		size:   batchSize,
 	}
 }
 
@@ -48,7 +46,7 @@ func NewBatchClassifier(kernel Kernel, batchSize int) *BatchClassifier {
 // src.Err()). After it returns, the kernel's per-record results cover
 // exactly Addrs and Stores, in order.
 func (bc *BatchClassifier) Classify(src trace.AccessSource) int {
-	m := src.ReadAccesses(bc.Addrs[:bc.size], bc.Stores[:bc.size])
+	m := src.ReadAccesses(bc.Addrs[:cap(bc.Addrs)], bc.Stores[:cap(bc.Stores)])
 	bc.Addrs, bc.Stores = bc.Addrs[:m], bc.Stores[:m]
 	if m > 0 {
 		bc.kernel.AccessBatch(bc.Addrs, bc.Stores)
